@@ -55,7 +55,7 @@ class MissingInput(CircuitError):
 CONST, XOR, AND, NOT = "CONST", "XOR", "AND", "NOT"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Gate:
     op: str
     out: int
@@ -385,8 +385,43 @@ class Circuit:
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
     decode: Decode
-    and_count: int = 0
-    and_depth: int = 0
+    and_count: int = field(init=False)
+    and_depth: int = field(init=False)
+    # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
+    # each in builder order; the last layer has no AND gates
+    layers: list[tuple[list[Gate], list[Gate]]] = field(init=False,
+                                                        repr=False)
+
+    def __post_init__(self):
+        """Layer the gates by AND-depth in one pass. Builder order is a
+        topological order, so a wire's depth is known before any gate that
+        reads it."""
+        depth = [0] * self.n_wires
+        layers: list[tuple[list[Gate], list[Gate]]] = [([], [])]
+        for g in self.gates:
+            op = g.op
+            if op == AND:
+                d = depth[g.a]
+                if depth[g.b] > d:
+                    d = depth[g.b]
+                layers[d][1].append(g)
+                d += 1
+                if d == len(layers):
+                    layers.append(([], []))
+            else:
+                if op == XOR:
+                    d = depth[g.a]
+                    if depth[g.b] > d:
+                        d = depth[g.b]
+                elif op == NOT:
+                    d = depth[g.a]
+                else:
+                    d = 0
+                layers[d][0].append(g)
+            depth[g.out] = d
+        self.layers = layers
+        self.and_count = sum(len(ands) for _, ands in layers)
+        self.and_depth = len(layers) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -918,39 +953,23 @@ class Compiler:
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
                       mint: ShareMint) -> Circuit:
+    # symbolic evaluation recurses once per nesting level of the block
     limit = sys.getrecursionlimit()
-    if limit < 20000:
-        sys.setrecursionlimit(20000)
-    comp = Compiler(parties, width, mint)
-    fv = free_vars(body)
-    cenv = {}
-    vis = frozenset(parties.names)
-    for x, v in env.items():
-        if x in fv:
-            cenv[x] = comp.convert(v, (("var", x),), vis)
-    result = comp.ceval(cenv, body)
-    decode = comp.build_output(result, frozenset(parties.names))
-    circ = Circuit(parties, width, comp.b.gates, comp.b.n, comp.inputs,
+    sys.setrecursionlimit(max(limit, 20000))
+    try:
+        comp = Compiler(parties, width, mint)
+        fv = free_vars(body)
+        cenv = {}
+        vis = frozenset(parties.names)
+        for x, v in env.items():
+            if x in fv:
+                cenv[x] = comp.convert(v, (("var", x),), vis)
+        result = comp.ceval(cenv, body)
+        decode = comp.build_output(result, frozenset(parties.names))
+    finally:
+        sys.setrecursionlimit(limit)
+    return Circuit(parties, width, comp.b.gates, comp.b.n, comp.inputs,
                    comp.outputs, decode)
-    _stats(circ)
-    return circ
-
-
-def _stats(circ: Circuit):
-    depth: dict[int, int] = {}
-    ands = 0
-    for g in circ.gates:
-        if g.op == CONST:
-            depth[g.out] = 0
-        elif g.op == NOT:
-            depth[g.out] = depth.get(g.a, 0)
-        elif g.op == XOR:
-            depth[g.out] = max(depth.get(g.a, 0), depth.get(g.b, 0))
-        else:
-            depth[g.out] = max(depth.get(g.a, 0), depth.get(g.b, 0)) + 1
-            ands += 1
-    circ.and_count = ands
-    circ.and_depth = max(depth.values(), default=0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ seeded dealer, standing in for an offline phase.
 
 The run is simulated in rounds over FIFO channels: one round to share
 inputs, one round per layer of AND gates, one round to reveal outputs to
-their recipients. Wire identities never travel; both ends derive message
+their recipients. The layers are the ones ``Circuit`` computes once when it
+is built: round r evaluates the local gates of AND-depth r and then opens
+every AND gate of depth r + 1 at once. Each party keeps its shares in a list
+indexed by wire and handles a layer as packed words, one bit per gate, so a
+layer's triples are three words per party and each message is one word with
+an explicit bit count. Wire identities never travel; both ends derive message
 layout from the public circuit, so channel payloads are pure bits and the
 per-kind counters pin the protocol's exact communication pattern.
 """
@@ -19,7 +24,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import AND, CONST, Circuit, NOT, XOR
+from .circuit import Circuit, NOT, XOR
 from .lang import WysError
 
 
@@ -36,19 +41,24 @@ class Channel:
         self.queue: deque = deque()
         self.sent: dict[str, int] = {"input": 0, "open": 0, "output": 0}
 
-    def send(self, kind: str, bits: tuple[int, ...]):
-        self.sent[kind] += len(bits)
-        self.queue.append((kind, bits))
+    def send(self, kind: str, n: int, word: int):
+        """Queue the ``n`` low bits of ``word``."""
+        self.sent[kind] += n
+        self.queue.append((kind, n, word))
 
-    def recv(self, kind: str) -> tuple[int, ...]:
+    def recv(self, kind: str, n: int) -> int:
+        """The next message, which must be of ``kind`` and ``n`` bits."""
         if not self.queue:
             raise ProtocolError(f"{self.dst} expected {kind} from {self.src}, "
                                 f"channel empty")
-        got_kind, bits = self.queue.popleft()
+        got_kind, got_n, word = self.queue.popleft()
         if got_kind != kind:
             raise ProtocolError(f"{self.dst} expected {kind} from {self.src}, "
                                 f"got {got_kind}")
-        return bits
+        if got_n != n or word >> n:
+            raise ProtocolError(f"malformed {kind} message from {self.src} "
+                                f"to {self.dst}: {got_n} bits, expected {n}")
+        return word
 
 
 @dataclass
@@ -61,38 +71,54 @@ class GmwResult:
 
 
 def make_triples(n: int, parties: tuple[str, ...], rng: random.Random):
-    """Dealer-style multiplication triples: shares of (a, b, a AND b)."""
-    triples = []
-    for _ in range(n):
-        a, b = rng.getrandbits(1), rng.getrandbits(1)
-        c = a & b
-        shares = {}
-        ra = rb = rc = 0
-        for p in parties[:-1]:
-            sa, sb, sc = (rng.getrandbits(1), rng.getrandbits(1),
-                          rng.getrandbits(1))
-            shares[p] = (sa, sb, sc)
-            ra ^= sa
-            rb ^= sb
-            rc ^= sc
-        shares[parties[-1]] = (a ^ ra, b ^ rb, c ^ rc)
-        triples.append(shares)
-    return triples
+    """Dealer-style multiplication triples for ``n`` AND gates, packed: each
+    party gets xor shares of the words (a, b, a AND b), bit i for gate i."""
+    a, b = rng.getrandbits(n), rng.getrandbits(n)
+    c = a & b
+    shares = {}
+    for p in parties[:-1]:
+        sa, sb, sc = rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(n)
+        shares[p] = (sa, sb, sc)
+        a ^= sa
+        b ^= sb
+        c ^= sc
+    shares[parties[-1]] = (a, b, c)
+    return shares
+
+
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack(bits) -> int:
+    """One word from 0/1 ints, the first one in the lowest bit."""
+    digits = bytes(bits)[::-1].translate(_TO_DIGITS)
+    return int(digits, 2) if digits else 0
+
+
+def _gather(shares: list, wires: list[int]) -> int:
+    """Pack the shares on ``wires`` into a word, bit i from wires[i]."""
+    return _pack(map(shares.__getitem__, wires))
+
+
+def _scatter(shares: list, wires: list[int], word: int):
+    """Store bit i of ``word`` as the share on wires[i]."""
+    bits = format(word, "b").zfill(len(wires)).encode()[::-1]
+    for w, bit in zip(wires, bits.translate(_FROM_DIGITS)):
+        shares[w] = bit
 
 
 def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
              dealer_seed: int) -> GmwResult:
     parties = circ.parties.names
-    first = parties[0]
     dealer_rng = random.Random(f"dealer|{dealer_seed}")
-    share_rngs = {p: random.Random(f"wrap|{dealer_seed}|{p}") for p in parties}
 
     channels = {(p, q): Channel(p, q)
                 for p in parties for q in parties if p != q}
-    shares: dict[str, dict[int, int]] = {p: {} for p in parties}
+    shares: dict[str, list[int]] = {p: [0] * circ.n_wires for p in parties}
 
     # message layouts everyone derives from the public circuit
-    in_wires = {p: [] for p in parties}
+    in_wires: dict[str, list[int]] = {p: [] for p in parties}
     for decl in circ.inputs:
         in_wires[decl.party].extend(decl.wires)
     out_for: dict[str, list[int]] = {p: [] for p in parties}
@@ -106,121 +132,91 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
     # round 1: owners split their input bits and deal the pieces out
     for p in parties:
         mine = party_inputs.get(p, {})
-        missing = [w for w in in_wires[p] if w not in mine]
+        wires = in_wires[p]
+        missing = [w for w in wires if w not in mine]
         if missing:
             raise ProtocolError(f"{p} has no bits for wires {missing}")
-        srng = share_rngs[p]
-        own: dict[int, int] = {}
-        piece = {q: [] for q in parties if q != p}
-        for w in in_wires[p]:
-            acc = mine[w] & 1
-            for q in parties:
-                if q == p:
-                    continue
-                r = srng.getrandbits(1)
-                acc ^= r
-                piece[q].append(r)
-            own[w] = acc
-        shares[p].update(own)
+        srng = random.Random(f"wrap|{dealer_seed}|{p}")
+        n = len(wires)
+        own = _pack(mine[w] & 1 for w in wires)
         for q in parties:
             if q != p:
-                channels[(p, q)].send("input", tuple(piece[q]))
+                piece = srng.getrandbits(n)
+                own ^= piece
+                channels[(p, q)].send("input", n, piece)
+        _scatter(shares[p], wires, own)
     for p in parties:
         for q in parties:
-            if q == p:
-                continue
-            bits = channels[(q, p)].recv("input")
-            if len(bits) != len(in_wires[q]):
-                raise ProtocolError("malformed input share message")
-            for w, r in zip(in_wires[q], bits):
-                shares[p][w] = r
-
-    and_gates = [g for g in circ.gates if g.op == AND]
-    triples = make_triples(len(and_gates), parties, dealer_rng)
-    triple_of = {g.out: t for g, t in zip(and_gates, triples)}
-
-    def propagate():
-        # everything except AND is share-local
-        done = shares[first]
-        for g in circ.gates:
-            if g.out in done:
-                continue
-            if g.op == CONST:
-                for p in parties:
-                    shares[p][g.out] = g.bit if p == first else 0
-            elif g.op == XOR:
-                if g.a in done and g.b in done:
-                    for p in parties:
-                        shares[p][g.out] = shares[p][g.a] ^ shares[p][g.b]
-            elif g.op == NOT:
-                if g.a in done:
-                    for p in parties:
-                        flip = 1 if p == first else 0
-                        shares[p][g.out] = shares[p][g.a] ^ flip
+            if q != p:
+                wires = in_wires[q]
+                _scatter(shares[p], wires,
+                         channels[(q, p)].recv("input", len(wires)))
 
     rounds = 1
-    and_rounds = 0
-    pending = and_gates
-    propagate()
-    while pending:
-        ready = shares[first]
-        layer = [g for g in pending if g.a in ready and g.b in ready]
-        if not layer:
-            raise ProtocolError("AND gate inputs never became available")
+    and_rounds = triples_used = 0
+    for local, ands in circ.layers:
+        # share-local gates; the first party alone carries public constants
+        for i, p in enumerate(parties):
+            s = shares[p]
+            first = 1 if i == 0 else 0
+            for g in local:
+                op = g.op
+                if op == XOR:
+                    s[g.out] = s[g.a] ^ s[g.b]
+                elif op == NOT:
+                    s[g.out] = s[g.a] ^ first
+                else:
+                    s[g.out] = g.bit & first
+        if not ands:
+            continue
         # each party blinds its operand shares with triple shares and opens
+        # both words as one 2m-bit message: d in the low m bits, e above
+        m = len(ands)
+        lhs = [g.a for g in ands]
+        rhs = [g.b for g in ands]
+        triples = make_triples(m, parties, dealer_rng)
         blinded = {}
         for p in parties:
-            flat = []
-            for g in layer:
-                ta, tb, _ = triple_of[g.out][p]
-                flat.append(shares[p][g.a] ^ ta)
-                flat.append(shares[p][g.b] ^ tb)
-            blinded[p] = flat
+            ta, tb, _ = triples[p]
+            word = ((_gather(shares[p], lhs) ^ ta)
+                    | (_gather(shares[p], rhs) ^ tb) << m)
+            blinded[p] = word
             for q in parties:
                 if q != p:
-                    channels[(p, q)].send("open", tuple(flat))
-        for p in parties:
-            opened = list(blinded[p])
+                    channels[(p, q)].send("open", 2 * m, word)
+        mask = (1 << m) - 1
+        outs = [g.out for g in ands]
+        for i, p in enumerate(parties):
+            both = blinded[p]
             for q in parties:
-                if q == p:
-                    continue
-                bits = channels[(q, p)].recv("open")
-                if len(bits) != len(opened):
-                    raise ProtocolError("malformed opening message")
-                for i, bit in enumerate(bits):
-                    opened[i] ^= bit
-            for i, g in enumerate(layer):
-                d, e = opened[2 * i], opened[2 * i + 1]
-                ta, tb, tc = triple_of[g.out][p]
-                z = tc ^ (d & tb) ^ (e & ta)
-                if p == first:
-                    z ^= d & e
-                shares[p][g.out] = z
-        layer_outs = {g.out for g in layer}
-        pending = [g for g in pending if g.out not in layer_outs]
+                if q != p:
+                    both ^= channels[(q, p)].recv("open", 2 * m)
+            d, e = both & mask, both >> m
+            ta, tb, tc = triples[p]
+            z = tc ^ (d & tb) ^ (e & ta)
+            if i == 0:
+                z ^= d & e
+            _scatter(shares[p], outs, z)
         rounds += 1
         and_rounds += 1
-        propagate()
+        triples_used += m
 
     # final round: reveal each output wire to its recipients only
-    outputs: dict[str, dict[int, int]] = {p: {} for p in parties}
     for p in parties:
         for r in parties:
-            if r == p or not out_for[r]:
-                continue
-            channels[(p, r)].send("output",
-                                  tuple(shares[p][w] for w in out_for[r]))
+            if r != p and out_for[r]:
+                channels[(p, r)].send("output", len(out_for[r]),
+                                      _gather(shares[p], out_for[r]))
+    outputs: dict[str, dict[int, int]] = {p: {} for p in parties}
     for r in parties:
-        if not out_for[r]:
+        wires = out_for[r]
+        if not wires:
             continue
-        acc = {w: shares[r][w] for w in out_for[r]}
+        acc = _gather(shares[r], wires)
         for q in parties:
-            if q == r:
-                continue
-            bits = channels[(q, r)].recv("output")
-            for w, s in zip(out_for[r], bits):
-                acc[w] ^= s
-        outputs[r] = acc
+            if q != r:
+                acc ^= channels[(q, r)].recv("output", len(wires))
+        outputs[r] = {w: (acc >> i) & 1 for i, w in enumerate(wires)}
     rounds += 1
 
-    return GmwResult(outputs, rounds, and_rounds, len(and_gates), channels)
+    return GmwResult(outputs, rounds, and_rounds, triples_used, channels)

@@ -14,7 +14,6 @@ families are the workhorses of the simulation and confluence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional, Union
 
 
@@ -243,6 +242,10 @@ class Let(Expr):
 class Lam(Expr):
     x: str
     body: Expr
+    fv: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv", free_vars(self.body) - {self.x})
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,6 +253,11 @@ class Fix(Expr):
     f: str
     x: str
     body: Expr
+    fv: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fv",
+                           free_vars(self.body) - {self.f, self.x})
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,17 +320,16 @@ class Ffi(Expr):
     args: tuple[Expr, ...]
 
 
-@lru_cache(maxsize=None)
 def free_vars(e: Expr) -> frozenset[str]:
+    """Free variables of ``e``. Each ``Lam`` and ``Fix`` computes its own
+    once, when built, so a walk stops at the nearest binder node."""
     t = type(e)
     if t is Var:
         return frozenset((e.x,))
     if t is Const:
         return frozenset()
-    if t is Lam:
-        return free_vars(e.body) - {e.x}
-    if t is Fix:
-        return free_vars(e.body) - {e.f, e.x}
+    if t is Lam or t is Fix:
+        return e.fv
     if t is Let:
         return free_vars(e.bound) | (free_vars(e.body) - {e.x})
     if t is App:

@@ -297,8 +297,7 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
                        [InputDecl("a", (("var", "x"),), (x,), True),
                         InputDecl("b", (("var", "y"),), (y,), True)],
                        [(z, frozenset({"a", "b"}))], DBool(z))
-        circ.and_count = 1
-        circ.and_depth = 1
+        assert (circ.and_count, circ.and_depth) == (1, 1)
         for seed in range(10):
             for xa in (0, 1):
                 for yb in (0, 1):

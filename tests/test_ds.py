@@ -1,5 +1,7 @@
 """Distributed semantics: local machines, joint blocks, schedules, checks."""
 
+import sys
+
 import pytest
 
 from wysx.lang import (
@@ -221,3 +223,19 @@ def test_gmw_rejects_ops_without_a_lowering():
 def test_ds_fuel_exhaustion():
     ds = ds_run(parse("((fix f n (f n)) 0)"), Env(), AB, fuel=100)
     assert ds.status == "fuel"
+
+
+def test_deep_block_runs_do_not_depend_on_run_order():
+    # equal trees from fresh parses once clashed in a structural cache, and
+    # a GMW compile left the process-wide recursion limit raised
+    body = "(reveal x)"
+    for _ in range(300):
+        body = f"(ffi add 1 {body})"
+    src = f"(as_sec (prins a b) (lam _ {body}))"
+    env = Env({"x": Sealed(A, FfiInt(5))})
+    limit = sys.getrecursionlimit()
+    for backend in ("ideal", "ideal", "gmw", "ideal"):
+        res = ds_run(parse(src), env, AB, backend=backend)
+        assert res.status == "done", (backend, res.reason)
+        assert res.parties["a"][0] == FfiInt(305)
+        assert sys.getrecursionlimit() == limit

@@ -1,15 +1,21 @@
 """Share-based protocol execution against the in-the-clear evaluator."""
 
+import itertools
 import random
+from collections import Counter
+from types import SimpleNamespace
+
+import pytest
 
 from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
 from wysx.sexp import parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    Builder, Circuit, DBool, InputDecl, bind_inputs, compile_sec_thunk,
+    AND, Builder, Circuit, DBool, InputDecl, bind_inputs, compile_sec_thunk,
     decode_output, eval_circuit,
 )
-from wysx.gmw import gmw_eval, make_triples
+from wysx import gmw
+from wysx.gmw import Channel, ProtocolError, gmw_eval, make_triples
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -20,10 +26,12 @@ ABC = PrinSet.of("a", "b", "c")
 def test_triples_reconstruct_products():
     rng = random.Random(11)
     for parties in (("a", "b"), ("a", "b", "c")):
-        for t in make_triples(200, parties, rng):
+        for n in (0, 1, 7, 200):
+            t = make_triples(n, parties, rng)
             a = b = c = 0
             for p in parties:
                 sa, sb, sc = t[p]
+                assert max(sa, sb, sc) >> n == 0
                 a ^= sa
                 b ^= sb
                 c ^= sc
@@ -39,8 +47,7 @@ def single_and_circuit():
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True)],
                    [(z, frozenset({"a", "b"}))], DBool(z))
-    circ.and_count = 1
-    circ.and_depth = 1
+    assert (circ.and_count, circ.and_depth) == (1, 1)
     return circ, x, y, z
 
 
@@ -123,11 +130,12 @@ def test_rounds_follow_and_depth():
     env = Env({"xa": Sealed(A, FfiInt(3)), "xb": Sealed(B, FfiInt(4))})
     circ, clear, prot = run_both_ways(
         "(ffi gt (ffi add (reveal xa) (reveal xb)) 0)", env)
-    assert prot.and_rounds <= circ.and_depth
-    assert prot.rounds == prot.and_rounds + 2
+    checked_depths(circ)
+    assert prot.and_rounds == circ.and_depth
+    assert prot.rounds == circ.and_depth + 2
 
 
-def test_three_party_protocol():
+def and_chain_circuit():
     b = Builder()
     x = b.input_wire()
     y = b.input_wire()
@@ -138,8 +146,12 @@ def test_three_party_protocol():
                     InputDecl("b", (("var", "y"),), (y,), True),
                     InputDecl("c", (("var", "z"),), (z,), True)],
                    [(w, frozenset({"a", "b", "c"}))], DBool(w))
-    circ.and_count = 2
-    circ.and_depth = 2
+    assert (circ.and_count, circ.and_depth) == (2, 2)
+    return circ, x, y, z, w
+
+
+def test_three_party_protocol():
+    circ, x, y, z, w = and_chain_circuit()
     for bits in range(8):
         ins = {"a": {x: bits & 1}, "b": {y: (bits >> 1) & 1},
                "c": {z: (bits >> 2) & 1}}
@@ -147,3 +159,164 @@ def test_three_party_protocol():
         want = (bits & 1) & ((bits >> 1) & 1) & ((bits >> 2) & 1)
         for p in ABC:
             assert res.outputs[p][w] == want
+
+
+def random_circuit(rng, parties, n_inputs, n_gates):
+    """A Builder circuit over one-bit inputs dealt round robin to
+    ``parties``. Operands are drawn from every wire so far, so gates late in
+    builder order often sit at a lower AND-depth than earlier ones."""
+    b = Builder()
+    decls = []
+    for i in range(n_inputs):
+        w = b.input_wire()
+        decls.append(InputDecl(parties[i % len(parties)],
+                               (("var", f"x{i}"),), (w,), True))
+    for _ in range(n_gates):
+        op = rng.choice(("CONST", "NOT", "XOR", "AND", "AND"))
+        x, y = rng.randrange(b.n), rng.randrange(b.n)
+        if op == "CONST":
+            b.const(rng.getrandbits(1))
+        elif op == "NOT":
+            b.not_(x)
+        elif op == "XOR":
+            b.xor(x, y)
+        else:
+            b.and_(x, y)
+    outputs = []
+    for w in rng.sample(range(b.n), min(b.n, 6)):
+        k = rng.randint(1, len(parties))
+        outputs.append((w, frozenset(rng.sample(parties, k))))
+    return Circuit(PrinSet.of(*parties), 1, b.gates, b.n, decls, outputs,
+                   DBool(outputs[0][0])), decls
+
+
+def checked_depths(circ):
+    """AND-depth per gate output, computed here from the gate list, after
+    checking that the circuit's layers partition its gates by that depth
+    in builder order."""
+    depth = {}
+    for g in circ.gates:
+        ins = [depth.get(w, 0) for w in (g.a, g.b) if w >= 0]
+        depth[g.out] = max(ins, default=0) + (g.op == AND)
+    assert circ.and_count == sum(g.op == AND for g in circ.gates)
+    assert circ.and_depth == max(depth.values(), default=0)
+    assert len(circ.layers) == circ.and_depth + 1
+    for r, (local, ands) in enumerate(circ.layers):
+        assert local == [g for g in circ.gates
+                         if g.op != AND and depth[g.out] == r]
+        assert ands == [g for g in circ.gates
+                        if g.op == AND and depth[g.out] == r + 1]
+    return depth
+
+
+def test_protocol_matches_clear_evaluation_on_random_circuits():
+    rng = random.Random(5)
+    inversions = 0
+    for parties in (("a", "b"), ("a", "b", "c")):
+        for _ in range(25):
+            circ, decls = random_circuit(rng, parties, rng.randint(2, 5),
+                                         rng.randint(5, 40))
+            depth = checked_depths(circ)
+            order = [depth[g.out] for g in circ.gates]
+            inversions += any(d < max(order[:i], default=0)
+                              for i, d in enumerate(order))
+            for assignment in itertools.product((0, 1), repeat=len(decls)):
+                bits = {p: {} for p in parties}
+                for decl, v in zip(decls, assignment):
+                    bits[decl.party][decl.wires[0]] = v
+                clear = eval_circuit(circ, bits)
+                prot = gmw_eval(circ, bits, rng.randrange(1000))
+                for p in parties:
+                    want = {w: clear[w] for w, recips in circ.outputs
+                            if p in recips}
+                    assert prot.outputs[p] == want
+                assert prot.rounds == circ.and_depth + 2
+                assert prot.and_rounds == circ.and_depth
+                assert prot.triples_used == circ.and_count
+                for ch in prot.channels.values():
+                    assert ch.sent["open"] == 2 * circ.and_count
+    assert inversions > 10
+
+
+def test_malformed_message_raises_protocol_error(monkeypatch):
+    ch = Channel("a", "b")
+    ch.send("open", 2, 0b10)
+    with pytest.raises(ProtocolError):
+        ch.recv("open", 3)
+    ch.send("open", 2, 0b100)  # more bits than the count says
+    with pytest.raises(ProtocolError):
+        ch.recv("open", 2)
+
+    circ, x, y, z = single_and_circuit()
+    send = Channel.send
+
+    def short_open(self, kind, n, word):
+        send(self, kind, n - (kind == "open"), word)
+
+    monkeypatch.setattr(Channel, "send", short_open)
+    with pytest.raises(ProtocolError):
+        gmw_eval(circ, {"a": {x: 1}, "b": {y: 1}}, 0)
+
+
+def open_view_distance(circ, input_wires, monkeypatch, seeds=2000):
+    """Largest total-variation distance between two distributions over
+    dealer seeds of one ``open`` message a party receives (per layer and
+    sender), where both fix the receiver's own input and differ in the
+    other parties' inputs."""
+    log = []
+    send = Channel.send
+
+    def logged(self, kind, n, word):
+        if kind == "open":
+            log.append((self.src, self.dst, word))
+        send(self, kind, n, word)
+
+    monkeypatch.setattr(Channel, "send", logged)
+    parties = list(input_wires)
+    dists = {}  # (receiver, own bit) -> all bits -> (layer, sender) -> Counter
+    for bits in itertools.product((0, 1), repeat=len(parties)):
+        ins = {p: {input_wires[p]: v} for p, v in zip(parties, bits)}
+        views = {p: dists.setdefault((p, own), {}).setdefault(bits, {})
+                 for p, own in zip(parties, bits)}
+        for seed in range(seeds):
+            log.clear()
+            gmw_eval(circ, ins, seed)
+            layer = Counter()
+            for src, dst, word in log:
+                views[dst].setdefault((layer[src, dst], src),
+                                      Counter())[word] += 1
+                layer[src, dst] += 1
+    monkeypatch.setattr(Channel, "send", send)
+    worst = 0.0
+    for by_inputs in dists.values():
+        first, *rest = by_inputs.values()
+        for other in rest:
+            for msg, counts in first.items():
+                words = set(counts) | set(other[msg])
+                tv = sum(abs(counts[w] - other[msg][w]) for w in words)
+                worst = max(worst, tv / (2 * seeds))
+    return worst
+
+
+def test_open_messages_are_independent_of_other_inputs(monkeypatch):
+    circ, x, y, z = single_and_circuit()
+    assert open_view_distance(circ, {"a": x, "b": y}, monkeypatch) <= 0.05
+    circ, x, y, z, w = and_chain_circuit()
+    assert open_view_distance(circ, {"a": x, "b": y, "c": z},
+                              monkeypatch) <= 0.05
+
+
+def test_view_check_catches_missing_randomness(monkeypatch):
+    class NoRandom:
+        def __init__(self, seed):
+            pass
+
+        def getrandbits(self, n):
+            return 0
+
+    monkeypatch.setattr(gmw, "random", SimpleNamespace(Random=NoRandom))
+    circ, x, y, z = single_and_circuit()
+    assert open_view_distance(circ, {"a": x, "b": y}, monkeypatch) > 0.05
+    circ, x, y, z, w = and_chain_circuit()
+    assert open_view_distance(circ, {"a": x, "b": y, "c": z},
+                              monkeypatch) > 0.05
