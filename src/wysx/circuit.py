@@ -1,10 +1,13 @@
 """Boolean-circuit compilation of joint blocks.
 
-A joint block's thunk is evaluated symbolically: public data stays concrete,
-private data becomes wires. The result is a flat gate list (CONST/XOR/AND/
-NOT) plus input declarations saying which party feeds which wires from
-where in its local environment, and a decode tree mapping output wires back
-to each party's view of the block result.
+A joint block's thunk is evaluated symbolically over the interpreters' own
+values: public data stays a plain ``lang`` value, private data becomes a
+wire node, and pairs, lists, maps and seals hold either. The result is a
+flat gate list (CONST/XOR/AND/NOT), input declarations saying which party
+feeds which wires from where in its local environment, and the block's
+result value. That value is also the decode tree: each party's view of the
+block result is it with the wire nodes read back from output wires and with
+the map entries and seals the party may not see hidden.
 
 Integers are two's complement at a fixed width. Branching on private
 booleans compiles both arms and multiplexes them, so control flow never
@@ -25,14 +28,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
     App, AsPar, AsSec, Bool, Clos, Concat, Const, Env, Expr, Ffi, FfiInt,
-    FfiList, FfiPair, FfiStr, Fix, FixClos, If, Lam, Let, MkMap, Opaque,
-    PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed, ShareVal,
-    UNIT, Unit, Value, VMap, Var, WysError, free_vars,
+    FfiList, FfiPair, FfiStr, Fix, FixClos, If, Lam, Let, MkMap, OPAQUE,
+    Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
+    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, free_vars,
 )
 from .shares import ShareMint, decode_word, encode_word
 
@@ -198,76 +200,27 @@ def mux_wires(b: Builder, c: int, ts, fs):
 
 
 # ---------------------------------------------------------------------------
-# compile-time values
-
-class CV:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class CPubInt(CV):
-    n: int
-
+# wire nodes
+#
+# Compile-time data are ``lang`` values. Public scalars stay as they are;
+# pairs, lists, maps and seals may also hold the wire nodes below. A seal
+# that no block member can open is ``Sealed(ps, OPAQUE)``, and a closure is
+# a ``Clos`` or ``FixClos`` over an ``Env`` of compile-time values. The
+# block's result is also its decode tree: ``decode_output`` reads the wire
+# nodes back from output wires and hides what a party may not see.
 
 @dataclass(frozen=True, slots=True)
-class CPubBool(CV):
-    b: bool
-
-
-@dataclass(frozen=True, slots=True)
-class CPubStr(CV):
-    s: str
-
-
-@dataclass(frozen=True, slots=True)
-class CUnit(CV):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class CPrin(CV):
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class CPrins(CV):
-    ps: PrinSet
-
-
-@dataclass(frozen=True, slots=True)
-class CInt(CV):
+class CInt(Value):
     wires: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
-class CBit(CV):
+class CBit(Value):
     wire: int
 
 
 @dataclass(frozen=True, slots=True)
-class CPair(CV):
-    fst: CV
-    snd: CV
-
-
-@dataclass(frozen=True, slots=True)
-class CList(CV):
-    items: tuple[CV, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CMap(CV):
-    entries: tuple[tuple[str, CV], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CSealed(CV):
-    ps: PrinSet
-    inner: Optional[CV]  # None when no block member holds the contents
-
-
-@dataclass(frozen=True, slots=True)
-class CShareIn(CV):
+class CShareIn(Value):
     """A handle fed into the block: each holder contributes its word."""
 
     ps: PrinSet
@@ -276,7 +229,7 @@ class CShareIn(CV):
 
 
 @dataclass(frozen=True, slots=True)
-class CShareOut(CV):
+class CShareOut(Value):
     """A handle minted inside the block."""
 
     ps: PrinSet
@@ -288,92 +241,29 @@ class CShareOut(CV):
 
 
 @dataclass(frozen=True, slots=True)
-class CMaskedList(CV):
+class CMaskedList(Value):
     """List of private length: presence bits plus presence-masked items."""
 
     present: tuple[int, ...]
-    items: tuple[CV, ...]
+    items: tuple[Value, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CClos(CV):
-    cenv: tuple[tuple[str, CV], ...]
-    x: str
-    body: Expr
+_PUBLIC_SCALARS = (FfiInt, Bool, FfiStr, Unit, PrinVal, PrinsVal)
 
 
-@dataclass(frozen=True, slots=True)
-class CFixClos(CV):
-    cenv: tuple[tuple[str, CV], ...]
-    f: str
-    x: str
-    body: Expr
-
-
-# ---------------------------------------------------------------------------
-# decode trees: output wires back to per-party values
-
-class Decode:
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class DConst(Decode):
-    v: Value
-
-
-@dataclass(frozen=True, slots=True)
-class DInt(Decode):
-    wires: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DBool(Decode):
-    wire: int
-
-
-@dataclass(frozen=True, slots=True)
-class DPair(Decode):
-    fst: Decode
-    snd: Decode
-
-
-@dataclass(frozen=True, slots=True)
-class DList(Decode):
-    items: tuple[Decode, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DMap(Decode):
-    entries: tuple[tuple[str, Decode], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DSealed(Decode):
-    ps: PrinSet
-    inner: Optional[Decode]
-
-
-@dataclass(frozen=True, slots=True)
-class DShare(Decode):
-    ps: PrinSet
-    width: int
-    masks: tuple[tuple[str, int], ...]
-    last: str
-    last_wires: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DShareEcho(Decode):
-    ps: PrinSet
-    width: int
-    words: tuple[tuple[str, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class DMaskedList(Decode):
-    present: tuple[int, ...]
-    items: tuple[Decode, ...]
+def is_public(v: Value) -> bool:
+    """No wire, closure or unopenable seal inside: a host call on ``v`` runs
+    exactly as on the reference machine."""
+    t = type(v)
+    if t in _PUBLIC_SCALARS:
+        return True
+    if t is FfiPair:
+        return is_public(v.fst) and is_public(v.snd)
+    if t is FfiList:
+        return all(is_public(i) for i in v.items)
+    if t is VMap:
+        return all(is_public(w) for _, w in v.entries)
+    return t is Sealed and is_public(v.v)
 
 
 @dataclass
@@ -384,7 +274,7 @@ class Circuit:
     n_wires: int
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
-    decode: Decode
+    decode: Value  # the block's result, wire nodes included
     and_count: int = field(init=False)
     and_depth: int = field(init=False)
     # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
@@ -427,8 +317,8 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # the compiler
 
-_INT_LIKE = (CInt, CPubInt)
-_BOOL_LIKE = (CBit, CPubBool)
+_INT_LIKE = (CInt, FfiInt)
+_BOOL_LIKE = (CBit, Bool)
 
 
 class Compiler:
@@ -442,45 +332,41 @@ class Compiler:
 
     # -- turning environment values into compile-time values ----------------
 
-    def convert(self, v: Value, path: Path, vis: frozenset) -> CV:
+    def convert(self, v: Value, path: Path, vis: frozenset) -> Value:
         """vis = block members whose local view holds this subvalue."""
         t = type(v)
         all_parties = frozenset(self.parties.names)
         if t is FfiInt:
             if vis == all_parties:
-                return CPubInt(v.n)
+                return v
             return CInt(self._secret_int(path, vis))
         if t is Bool:
             if vis == all_parties:
-                return CPubBool(v.b)
+                return v
             return CBit(self._secret_bit(path, vis))
         if t is FfiStr:
             if vis == all_parties:
-                return CPubStr(v.s)
+                return v
             raise NotCircuitable("private strings have no gate encoding")
-        if t is Unit:
-            return CUnit()
-        if t is PrinVal:
-            return CPrin(v.name)
-        if t is PrinsVal:
-            return CPrins(v.ps)
+        if t is Unit or t is PrinVal or t is PrinsVal:
+            return v
         if t is Sealed:
             vis2 = vis & frozenset(v.ps.names)
             if not vis2:
-                return CSealed(v.ps, None)
-            return CSealed(v.ps, self.convert(v.v, path + (("unseal",),), vis2))
+                return Sealed(v.ps, OPAQUE)
+            return Sealed(v.ps, self.convert(v.v, path + (("unseal",),), vis2))
         if t is FfiPair:
-            return CPair(self.convert(v.fst, path + (("fst",),), vis),
-                         self.convert(v.snd, path + (("snd",),), vis))
+            return FfiPair(self.convert(v.fst, path + (("fst",),), vis),
+                           self.convert(v.snd, path + (("snd",),), vis))
         if t is FfiList:
-            return CList(tuple(self.convert(it, path + (("idx", i),), vis)
-                               for i, it in enumerate(v.items)))
+            return FfiList(tuple(self.convert(it, path + (("idx", i),), vis)
+                                 for i, it in enumerate(v.items)))
         if t is VMap:
             entries = []
             for q, w in v.entries:
                 entries.append((q, self.convert(w, path + (("entry", q),),
                                                 vis & {q})))
-            return CMap(tuple(entries))
+            return VMap(tuple(entries))
         if t is ShareVal:
             words = []
             wpath = path + (("word",),)
@@ -490,14 +376,12 @@ class Compiler:
                     self.inputs.append(InputDecl(p, wpath, wires, False))
                     words.append((p, wires))
             return CShareIn(v.ps, v.width, tuple(words))
-        if t is Clos:
-            cenv = tuple((x, self.convert(w, path + (("cenv", x),), vis))
-                         for x, w in v.env.items())
-            return CClos(cenv, v.x, v.body)
-        if t is FixClos:
-            cenv = tuple((x, self.convert(w, path + (("cenv", x),), vis))
-                         for x, w in v.env.items())
-            return CFixClos(cenv, v.f, v.x, v.body)
+        if t is Clos or t is FixClos:
+            cenv = Env({x: self.convert(w, path + (("cenv", x),), vis)
+                        for x, w in v.env.items()})
+            if t is Clos:
+                return Clos(cenv, v.x, v.body)
+            return FixClos(cenv, v.f, v.x, v.body)
         if t is Opaque:
             raise NotCircuitable("placeholder reached the gate compiler")
         raise NotCircuitable(f"no gate encoding for {v!r}")
@@ -514,98 +398,34 @@ class Compiler:
         self.inputs.append(InputDecl(owner, path, (w,), True))
         return w
 
-    # -- public round trips --------------------------------------------------
-
-    def cv_to_value(self, cv: CV) -> Optional[Value]:
-        t = type(cv)
-        if t is CPubInt:
-            return FfiInt(cv.n)
-        if t is CPubBool:
-            return Bool(cv.b)
-        if t is CPubStr:
-            return FfiStr(cv.s)
-        if t is CUnit:
-            return UNIT
-        if t is CPrin:
-            return PrinVal(cv.name)
-        if t is CPrins:
-            return PrinsVal(cv.ps)
-        if t is CPair:
-            f = self.cv_to_value(cv.fst)
-            s = self.cv_to_value(cv.snd)
-            return FfiPair(f, s) if f is not None and s is not None else None
-        if t is CList:
-            items = [self.cv_to_value(i) for i in cv.items]
-            if any(i is None for i in items):
-                return None
-            return FfiList(tuple(items))
-        if t is CSealed:
-            if cv.inner is None:
-                return None
-            inner = self.cv_to_value(cv.inner)
-            return Sealed(cv.ps, inner) if inner is not None else None
-        if t is CMap:
-            entries = {}
-            for q, w in cv.entries:
-                got = self.cv_to_value(w)
-                if got is None:
-                    return None
-                entries[q] = got
-            return VMap.of(entries)
-        return None
-
-    def value_to_cv(self, v: Value) -> CV:
-        t = type(v)
-        if t is FfiInt:
-            return CPubInt(v.n)
-        if t is Bool:
-            return CPubBool(v.b)
-        if t is FfiStr:
-            return CPubStr(v.s)
-        if t is Unit:
-            return CUnit()
-        if t is PrinVal:
-            return CPrin(v.name)
-        if t is PrinsVal:
-            return CPrins(v.ps)
-        if t is FfiPair:
-            return CPair(self.value_to_cv(v.fst), self.value_to_cv(v.snd))
-        if t is FfiList:
-            return CList(tuple(self.value_to_cv(i) for i in v.items))
-        if t is Sealed:
-            return CSealed(v.ps, self.value_to_cv(v.v))
-        if t is VMap:
-            return CMap(tuple((q, self.value_to_cv(w)) for q, w in v.entries))
-        raise NotCircuitable(f"host produced {v!r}, which has no gate encoding")
-
     # -- coercions -----------------------------------------------------------
 
-    def as_int_wires(self, cv: CV) -> tuple[int, ...]:
-        t = type(cv)
+    def as_int_wires(self, v: Value) -> tuple[int, ...]:
+        t = type(v)
         if t is CInt:
-            if len(cv.wires) != self.width:
+            if len(v.wires) != self.width:
                 raise NotCircuitable("mixed word widths")
-            return cv.wires
-        if t is CPubInt:
-            return self.b.const_word(cv.n, self.width)
-        raise NotCircuitable(f"expected an integer, got {type(cv).__name__}")
+            return v.wires
+        if t is FfiInt:
+            return self.b.const_word(v.n, self.width)
+        raise NotCircuitable(f"expected an integer, got {t.__name__}")
 
-    def as_bit(self, cv: CV) -> int:
-        t = type(cv)
+    def as_bit(self, v: Value) -> int:
+        t = type(v)
         if t is CBit:
-            return cv.wire
-        if t is CPubBool:
-            return self.b.const(1 if cv.b else 0)
-        raise NotCircuitable(f"expected a boolean, got {type(cv).__name__}")
+            return v.wire
+        if t is Bool:
+            return self.b.const(1 if v.b else 0)
+        raise NotCircuitable(f"expected a boolean, got {t.__name__}")
 
-    def as_list(self, cv: CV) -> CList:
-        if type(cv) is CList:
-            return cv
-        raise NotCircuitable(f"expected a list, got {type(cv).__name__}")
+    def as_list(self, v: Value) -> FfiList:
+        if type(v) is FfiList:
+            return v
+        raise NotCircuitable(f"expected a list, got {type(v).__name__}")
 
     # -- multiplexing --------------------------------------------------------
 
-    def mux(self, c: int, t: CV, f: CV) -> CV:
+    def mux(self, c: int, t: Value, f: Value) -> Value:
         tt, tf = type(t), type(f)
         if tt in _INT_LIKE and tf in _INT_LIKE:
             return CInt(mux_wires(self.b, c, self.as_int_wires(t),
@@ -614,13 +434,14 @@ class Compiler:
             return CBit(self.b.xor(self.as_bit(f),
                                    self.b.and_(c, self.b.xor(self.as_bit(t),
                                                              self.as_bit(f)))))
-        if tt is CPair and tf is CPair:
-            return CPair(self.mux(c, t.fst, f.fst), self.mux(c, t.snd, f.snd))
-        if tt is CList and tf is CList:
+        if tt is FfiPair and tf is FfiPair:
+            return FfiPair(self.mux(c, t.fst, f.fst),
+                           self.mux(c, t.snd, f.snd))
+        if tt is FfiList and tf is FfiList:
             if len(t.items) != len(f.items):
                 raise NotCircuitable("branches build lists of different lengths")
-            return CList(tuple(self.mux(c, a, b)
-                               for a, b in zip(t.items, f.items)))
+            return FfiList(tuple(self.mux(c, a, b)
+                                 for a, b in zip(t.items, f.items)))
         if tt is CMaskedList and tf is CMaskedList:
             if len(t.items) != len(f.items):
                 raise NotCircuitable("branches build lists of different lengths")
@@ -628,26 +449,24 @@ class Compiler:
                             for pt, pf in zip(t.present, f.present))
             return CMaskedList(present, tuple(self.mux(c, a, b)
                                               for a, b in zip(t.items, f.items)))
-        if tt is CUnit and tf is CUnit:
-            return t
         if t == f:
             return t
-        if tt is CSealed and tf is CSealed and t.ps == f.ps:
-            if t.inner is None or f.inner is None:
+        if tt is Sealed and tf is Sealed and t.ps == f.ps:
+            if type(t.v) is Opaque or type(f.v) is Opaque:
                 raise NotCircuitable("branch seals contents nobody here holds")
-            return CSealed(t.ps, self.mux(c, t.inner, f.inner))
-        if tt is CMap and tf is CMap:
-            if tuple(q for q, _ in t.entries) != tuple(q for q, _ in f.entries):
+            return Sealed(t.ps, self.mux(c, t.v, f.v))
+        if tt is VMap and tf is VMap:
+            if t.keys() != f.keys():
                 raise NotCircuitable("branches build maps over different parties")
-            return CMap(tuple((q, self.mux(c, a, b))
+            return VMap(tuple((q, self.mux(c, a, b))
                               for (q, a), (_, b) in zip(t.entries, f.entries)))
         raise NotCircuitable(
-            f"cannot merge {type(t).__name__} with {type(f).__name__} "
+            f"cannot merge {tt.__name__} with {tf.__name__} "
             f"under a private branch")
 
     # -- host call lowerings ---------------------------------------------------
 
-    def lower_ffi(self, name: str, args: list[CV]) -> CV:
+    def lower_ffi(self, name: str, args: list[Value]) -> Value:
         b = self.b
         if name == "mk_sh":
             if len(args) != 1:
@@ -688,13 +507,11 @@ class Compiler:
             raise NotCircuitable("comb_sh applied to a non-handle")
 
         # anything fully public runs on the host, exactly like the reference
-        vals = [self.cv_to_value(a) for a in args]
-        if all(v is not None for v in vals):
+        if all(is_public(a) for a in args):
             try:
-                out = ffi_mod.exec_ffi(name, tuple(vals))
+                return ffi_mod.exec_ffi(name, tuple(args))
             except WysError as ex:
                 raise NotCircuitable(f"host call failed: {ex}") from None
-            return self.value_to_cv(out)
 
         if name in ("add", "sub"):
             xs = self.as_int_wires(args[0])
@@ -718,19 +535,19 @@ class Compiler:
         if name == "or":
             return CBit(b.or_(self.as_bit(args[0]), self.as_bit(args[1])))
         if name == "pair":
-            return CPair(args[0], args[1])
+            return FfiPair(args[0], args[1])
         if name == "fst":
-            if type(args[0]) is CPair:
+            if type(args[0]) is FfiPair:
                 return args[0].fst
             raise NotCircuitable("fst of a non-pair")
         if name == "snd":
-            if type(args[0]) is CPair:
+            if type(args[0]) is FfiPair:
                 return args[0].snd
             raise NotCircuitable("snd of a non-pair")
         if name == "list":
-            return CList(tuple(args))
+            return FfiList(tuple(args))
         if name == "cons":
-            return CList((args[0],) + self.as_list(args[1]).items)
+            return FfiList((args[0],) + self.as_list(args[1]).items)
         if name == "hd":
             items = self.as_list(args[0]).items
             if not items:
@@ -740,16 +557,16 @@ class Compiler:
             items = self.as_list(args[0]).items
             if not items:
                 raise NotCircuitable("tl of an empty list")
-            return CList(items[1:])
+            return FfiList(items[1:])
         if name == "is_nil":
-            return CPubBool(not self.as_list(args[0]).items)
+            return Bool(not self.as_list(args[0]).items)
         if name == "length":
-            return CPubInt(len(self.as_list(args[0]).items))
+            return FfiInt(len(self.as_list(args[0]).items))
         if name == "append":
-            return CList(self.as_list(args[0]).items +
-                         self.as_list(args[1]).items)
+            return FfiList(self.as_list(args[0]).items +
+                           self.as_list(args[1]).items)
         if name == "nth":
-            if type(args[1]) is not CPubInt:
+            if type(args[1]) is not FfiInt:
                 raise NotCircuitable("list index depends on private data")
             items = self.as_list(args[0]).items
             i = args[1].n
@@ -763,24 +580,24 @@ class Compiler:
                                    self.as_list(args[1]))
         raise NotCircuitable(f"no secure lowering for host call {name}")
 
-    def _eq_bit(self, x: CV, y: CV) -> int:
+    def _eq_bit(self, x: Value, y: Value) -> int:
         tx, ty = type(x), type(y)
         if tx in _INT_LIKE and ty in _INT_LIKE:
             return eq_wires(self.b, self.as_int_wires(x), self.as_int_wires(y))
         if tx in _BOOL_LIKE and ty in _BOOL_LIKE:
             return self.b.not_(self.b.xor(self.as_bit(x), self.as_bit(y)))
         raise NotCircuitable(
-            f"no private equality over {type(x).__name__} and {type(y).__name__}")
+            f"no private equality over {tx.__name__} and {ty.__name__}")
 
-    def _mem_bit(self, x: CV, items: tuple[CV, ...]) -> int:
+    def _mem_bit(self, x: Value, items: tuple[Value, ...]) -> int:
         acc = self.b.const(0)
         for it in items:
             acc = self.b.or_(acc, self._eq_bit(x, it))
         return acc
 
-    def _intersect(self, la: CList, lb: CList) -> CV:
+    def _intersect(self, la: FfiList, lb: FfiList) -> Value:
         if not la.items or not lb.items:
-            return CList(())
+            return FfiList(())
         present = []
         masked = []
         for x in la.items:
@@ -789,47 +606,46 @@ class Compiler:
             masked.append(self._mask_item(pbit, x))
         return CMaskedList(tuple(present), tuple(masked))
 
-    def _mask_item(self, pbit: int, cv: CV) -> CV:
-        t = type(cv)
+    def _mask_item(self, pbit: int, v: Value) -> Value:
+        t = type(v)
         if t in _INT_LIKE:
             return CInt(tuple(self.b.and_(pbit, w)
-                              for w in self.as_int_wires(cv)))
+                              for w in self.as_int_wires(v)))
         if t in _BOOL_LIKE:
-            return CBit(self.b.and_(pbit, self.as_bit(cv)))
+            return CBit(self.b.and_(pbit, self.as_bit(v)))
         raise NotCircuitable(
-            f"list elements of {type(cv).__name__} cannot be masked")
+            f"list elements of {t.__name__} cannot be masked")
 
     # -- the symbolic evaluator ----------------------------------------------
 
-    def ceval(self, env: dict, e: Expr) -> CV:
+    def ceval(self, env: Env, e: Expr) -> Value:
         t = type(e)
         if t is Const:
-            return self.value_to_cv(e.v)
+            return e.v
         if t is Var:
             try:
-                return env[e.x]
-            except KeyError:
+                return env.get(e.x)
+            except UnboundVariable:
                 raise NotCircuitable(f"unbound variable {e.x}") from None
         if t is Let:
-            bound = self.ceval(env, e.bound)
-            env2 = dict(env)
-            env2[e.x] = bound
-            return self.ceval(env2, e.body)
+            return self.ceval(env.extend(e.x, self.ceval(env, e.bound)),
+                              e.body)
         if t is Lam:
-            fv = free_vars(e)
-            return CClos(tuple(sorted((x, cv) for x, cv in env.items()
-                                      if x in fv)), e.x, e.body)
+            return Clos(env.restrict(e.fv), e.x, e.body)
         if t is Fix:
-            fv = free_vars(e)
-            return CFixClos(tuple(sorted((x, cv) for x, cv in env.items()
-                                         if x in fv)), e.f, e.x, e.body)
+            return FixClos(env.restrict(e.fv), e.f, e.x, e.body)
         if t is App:
             fn = self.ceval(env, e.fn)
             arg = self.ceval(env, e.arg)
-            return self.apply(fn, arg)
+            if type(fn) is Clos:
+                return self.ceval(fn.env.extend(fn.x, arg), fn.body)
+            if type(fn) is FixClos:
+                return self.ceval(fn.env.extend(fn.f, fn).extend(fn.x, arg),
+                                  fn.body)
+            raise NotCircuitable("calling a non-function")
         if t is If:
             cond = self.ceval(env, e.cond)
-            if type(cond) is CPubBool:
+            if type(cond) is Bool:
                 return self.ceval(env, e.then if cond.b else e.els)
             if type(cond) is CBit:
                 tv = self.ceval(env, e.then)
@@ -841,114 +657,92 @@ class Compiler:
             return self.lower_ffi(e.name, args)
         if t is Seal:
             ps = self.ceval(env, e.ps)
-            if type(ps) is not CPrins:
+            if type(ps) is not PrinsVal:
                 raise NotCircuitable("seal set is not a principal set")
             if not ps.ps.subset_of(self.parties):
                 raise NotCircuitable(f"sealing for {ps.ps} inside {self.parties}")
-            return CSealed(ps.ps, self.ceval(env, e.body))
+            return Sealed(ps.ps, self.ceval(env, e.body))
         if t is Reveal:
-            cv = self.ceval(env, e.e)
-            if type(cv) is not CSealed:
+            v = self.ceval(env, e.e)
+            if type(v) is not Sealed:
                 raise NotCircuitable("revealing a value that is not sealed")
-            if not cv.ps.intersects(self.parties):
-                raise NotCircuitable(f"no block member may open a seal for {cv.ps}")
-            if cv.inner is None:
+            if not v.ps.intersects(self.parties):
+                raise NotCircuitable(f"no block member may open a seal for {v.ps}")
+            if type(v.v) is Opaque:
                 raise NotCircuitable("no block member holds the sealed contents")
-            return cv.inner
+            return v.v
         if t is MkMap:
             ps = self.ceval(env, e.ps)
-            if type(ps) is not CPrins:
+            if type(ps) is not PrinsVal:
                 raise NotCircuitable("map domain is not a principal set")
             if not ps.ps.subset_of(self.parties):
                 raise NotCircuitable(f"map domain {ps.ps} outside {self.parties}")
-            cv = self.ceval(env, e.v)
-            return CMap(tuple((p, cv) for p in ps.ps))
+            v = self.ceval(env, e.v)
+            return VMap(tuple((p, v) for p in ps.ps))
         if t is Project:
             pv = self.ceval(env, e.prin)
-            if type(pv) is not CPrin:
+            if type(pv) is not PrinVal:
                 raise NotCircuitable("projection key is not a principal")
             m = self.ceval(env, e.m)
-            if type(m) is not CMap:
+            if type(m) is not VMap:
                 raise NotCircuitable("projecting from a non-map")
             if pv.name not in self.parties:
                 raise NotCircuitable(f"{pv.name} is outside the block")
-            for q, cv in m.entries:
-                if q == pv.name:
-                    return cv
-            raise NotCircuitable(f"no map entry for {pv.name}")
+            v = m.get(pv.name)
+            if v is None:
+                raise NotCircuitable(f"no map entry for {pv.name}")
+            return v
         if t is Concat:
             m1 = self.ceval(env, e.m1)
             m2 = self.ceval(env, e.m2)
-            if type(m1) is not CMap or type(m2) is not CMap:
+            if type(m1) is not VMap or type(m2) is not VMap:
                 raise NotCircuitable("concatenating non-maps")
-            ks1 = {q for q, _ in m1.entries}
-            ks2 = {q for q, _ in m2.entries}
-            if ks1 & ks2:
+            if set(m1.keys()) & set(m2.keys()):
                 raise NotCircuitable("map domains overlap")
-            return CMap(tuple(sorted(m1.entries + m2.entries)))
+            return VMap(tuple(sorted(m1.entries + m2.entries)))
         if t is AsPar or t is AsSec:
             raise NotCircuitable("nested blocks cannot run under gates")
         raise NotCircuitable(f"no gate translation for {type(e).__name__}")
 
-    def apply(self, fn: CV, arg: CV) -> CV:
-        if type(fn) is CClos:
-            env = dict(fn.cenv)
-            env[fn.x] = arg
-            return self.ceval(env, fn.body)
-        if type(fn) is CFixClos:
-            env = dict(fn.cenv)
-            env[fn.f] = fn
-            env[fn.x] = arg
-            return self.ceval(env, fn.body)
-        raise NotCircuitable("calling a non-function")
-
     # -- outputs ---------------------------------------------------------------
 
-    def build_output(self, cv: CV, recipients: frozenset) -> Decode:
-        t = type(cv)
-        if t in (CPubInt, CPubBool, CPubStr, CUnit, CPrin, CPrins):
-            return DConst(self.cv_to_value(cv))
+    def add_outputs(self, v: Value, recipients: frozenset) -> None:
+        """Register every output wire of the result ``v`` with the block
+        members who may read it."""
+        t = type(v)
+        if t in _PUBLIC_SCALARS:
+            return
         if t is CInt:
-            for w in cv.wires:
+            for w in v.wires:
                 self.outputs.append((w, recipients))
-            return DInt(cv.wires)
-        if t is CBit:
-            self.outputs.append((cv.wire, recipients))
-            return DBool(cv.wire)
-        if t is CPair:
-            return DPair(self.build_output(cv.fst, recipients),
-                         self.build_output(cv.snd, recipients))
-        if t is CList:
-            return DList(tuple(self.build_output(i, recipients)
-                               for i in cv.items))
-        if t is CMap:
-            entries = []
-            for q, w in cv.entries:
-                entries.append((q, self.build_output(w, recipients & {q})))
-            return DMap(tuple(entries))
-        if t is CSealed:
-            if cv.inner is None:
-                return DSealed(cv.ps, None)
-            inner = self.build_output(cv.inner,
-                                      recipients & frozenset(cv.ps.names))
-            return DSealed(cv.ps, inner)
-        if t is CShareOut:
-            for w in cv.last_wires:
-                self.outputs.append((w, frozenset((cv.last,))))
-            return DShare(cv.ps, cv.width, cv.masks, cv.last, cv.last_wires)
-        if t is CShareIn:
-            for p, wires in cv.words:
+        elif t is CBit:
+            self.outputs.append((v.wire, recipients))
+        elif t is FfiPair:
+            self.add_outputs(v.fst, recipients)
+            self.add_outputs(v.snd, recipients)
+        elif t is FfiList:
+            for i in v.items:
+                self.add_outputs(i, recipients)
+        elif t is VMap:
+            for q, w in v.entries:
+                self.add_outputs(w, recipients & {q})
+        elif t is Sealed:
+            if type(v.v) is not Opaque:
+                self.add_outputs(v.v, recipients & frozenset(v.ps.names))
+        elif t is CShareOut:
+            for w in v.last_wires:
+                self.outputs.append((w, frozenset((v.last,))))
+        elif t is CShareIn:
+            for p, wires in v.words:
                 for w in wires:
                     self.outputs.append((w, frozenset((p,))))
-            return DShareEcho(cv.ps, cv.width, cv.words)
-        if t is CMaskedList:
-            for w in cv.present:
+        elif t is CMaskedList:
+            for w in v.present:
                 self.outputs.append((w, recipients))
-            return DMaskedList(cv.present,
-                               tuple(self.build_output(i, recipients)
-                                     for i in cv.items))
-        raise NotCircuitable(
-            f"a block cannot return a {type(cv).__name__}")
+            for i in v.items:
+                self.add_outputs(i, recipients)
+        else:
+            raise NotCircuitable(f"a block cannot return a {t.__name__}")
 
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
@@ -959,17 +753,15 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
     try:
         comp = Compiler(parties, width, mint)
         fv = free_vars(body)
-        cenv = {}
         vis = frozenset(parties.names)
-        for x, v in env.items():
-            if x in fv:
-                cenv[x] = comp.convert(v, (("var", x),), vis)
+        cenv = Env({x: comp.convert(v, (("var", x),), vis)
+                    for x, v in env.items() if x in fv})
         result = comp.ceval(cenv, body)
-        decode = comp.build_output(result, frozenset(parties.names))
+        comp.add_outputs(result, vis)
     finally:
         sys.setrecursionlimit(limit)
     return Circuit(parties, width, comp.b.gates, comp.b.n, comp.inputs,
-                   comp.outputs, decode)
+                   comp.outputs, result)
 
 
 # ---------------------------------------------------------------------------
@@ -1020,7 +812,7 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int
             raise MissingInput(f"no environment for {decl.party}")
         try:
             v = _walk(env, decl.path, decl.party)
-        except (MissingInput,) as ex:
+        except (MissingInput,):
             raise
         except Exception as ex:
             raise MissingInput(f"{decl.party}: cannot read {decl.path}: {ex}") from None
@@ -1056,53 +848,49 @@ def eval_circuit(circ: Circuit, party_bits: dict[str, dict[int, int]]) -> dict[i
     return wv
 
 
-def decode_output(d: Decode, party: str, wv: dict[int, int]) -> Value:
-    t = type(d)
-    if t is DConst:
-        return d.v
-    if t is DInt:
-        word = 0
-        for i, w in enumerate(d.wires):
-            word |= wv[w] << i
-        return FfiInt(decode_word(word, len(d.wires)))
-    if t is DBool:
-        return Bool(bool(wv[d.wire]))
-    if t is DPair:
-        return FfiPair(decode_output(d.fst, party, wv),
-                       decode_output(d.snd, party, wv))
-    if t is DList:
-        return FfiList(tuple(decode_output(i, party, wv) for i in d.items))
-    if t is DMap:
-        entries = tuple((q, decode_output(sub, party, wv))
-                        for q, sub in d.entries if q == party)
-        return VMap(entries)
-    if t is DSealed:
-        if party in d.ps and d.inner is not None:
-            return Sealed(d.ps, decode_output(d.inner, party, wv))
-        return Sealed(d.ps, Opaque())
-    if t is DShare:
-        if party == d.last:
-            word = 0
-            for i, w in enumerate(d.last_wires):
-                word |= wv[w] << i
+def _word(wires, wv: dict[int, int]) -> int:
+    word = 0
+    for i, w in enumerate(wires):
+        word |= wv[w] << i
+    return word
+
+
+def decode_output(v: Value, party: str, wv: dict[int, int]) -> Value:
+    """``party``'s view of a block result, read from its output wires."""
+    t = type(v)
+    if t in _PUBLIC_SCALARS:
+        return v
+    if t is CInt:
+        return FfiInt(decode_word(_word(v.wires, wv), len(v.wires)))
+    if t is CBit:
+        return Bool(bool(wv[v.wire]))
+    if t is FfiPair:
+        return FfiPair(decode_output(v.fst, party, wv),
+                       decode_output(v.snd, party, wv))
+    if t is FfiList:
+        return FfiList(tuple(decode_output(i, party, wv) for i in v.items))
+    if t is VMap:
+        return VMap(tuple((q, decode_output(w, party, wv))
+                          for q, w in v.entries if q == party))
+    if t is Sealed:
+        if party in v.ps and type(v.v) is not Opaque:
+            return Sealed(v.ps, decode_output(v.v, party, wv))
+        return Sealed(v.ps, OPAQUE)
+    if t is CShareOut:
+        if party == v.last:
+            word = _word(v.last_wires, wv)
         else:
-            word = dict(d.masks)[party]
-        return ShareVal(d.ps, ((party, word),), d.width)
-    if t is DShareEcho:
-        words = dict(d.words)
+            word = dict(v.masks)[party]
+        return ShareVal(v.ps, ((party, word),), v.width)
+    if t is CShareIn:
+        words = dict(v.words)
         if party not in words:
-            return ShareVal(d.ps, (), d.width)
-        word = 0
-        for i, w in enumerate(words[party]):
-            word |= wv[w] << i
-        return ShareVal(d.ps, ((party, word),), d.width)
-    if t is DMaskedList:
-        out = []
-        for pw, sub in zip(d.present, d.items):
-            if wv[pw]:
-                out.append(decode_output(sub, party, wv))
-        return FfiList(tuple(out))
-    raise CircuitError(f"bad decode node {d!r}")
+            return ShareVal(v.ps, (), v.width)
+        return ShareVal(v.ps, ((party, _word(words[party], wv)),), v.width)
+    if t is CMaskedList:
+        return FfiList(tuple(decode_output(i, party, wv)
+                             for pw, i in zip(v.present, v.items) if wv[pw]))
+    raise CircuitError(f"bad decode node {v!r}")
 
 
 def dump_circuit(circ: Circuit) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .circuit import (
@@ -26,13 +26,13 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    AsSecFn, Clos, Config, DomainMismatch, Env, Expr, FixClos, Frame, Mode,
-    PAR, PrinSet, Protocol, SEC, TMsg, Trace, UNIT, Value, WysError,
-    combine_envs, is_value, slice_config, slice_env, slice_value,
+    AsSecFn, Clos, Config, Env, Expr, FixClos, Mode, PAR, PrinSet, Protocol,
+    SEC, TMsg, Trace, UNIT, Value, combine_envs, is_value, slice_config,
+    slice_env, slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, NeedsSec, Next, RunResult, Runtime, Stuck, initial_config,
-    machine_step, run as st_run, step as st_step,
+    DEFAULT_FUEL, NeedsSec, Next, Runtime, Stuck, machine_step,
+    run as st_run, step as st_step,
 )
 
 
@@ -281,7 +281,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 c = par[p]
                 frame = c.stack[-1]
                 if type(frame.ctx) is not AsSecFn or frame.ctx.ps != s:
-                    return finish("stuck", 0,
+                    return finish("stuck", tick,
                                   f"party {p} is not waiting on {s}")
                 if type(inst) is IdealSec:
                     vp = slice_value(p, inst.result())

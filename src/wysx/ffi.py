@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 from .lang import (
     ArityError, Bool, FALSE, FfiInt, FfiList, FfiPair, FfiStr, FfiTypeError,
-    OpaqueArg, TRUE, UNIT, UnknownFfi, Value, contains_bare_opaque,
+    OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque,
 )
 
 WORD_MASK = (1 << 64) - 1
@@ -57,7 +57,6 @@ class HostFn:
     name: str
     arity: Optional[int]  # None means variadic
     fn: Optional[Callable[..., Value]]
-    lowerable: bool = False   # has a boolean-circuit lowering
     needs_mode: bool = False  # interpreted by the stepper, not a host body
 
 
@@ -219,41 +218,41 @@ def _cols_any(bs: Value, ncols: Value) -> Value:
 BUILTINS: dict[str, HostFn] = {}
 
 
-def _register(name: str, arity: Optional[int], fn, lowerable: bool = False):
-    BUILTINS[name] = HostFn(name, arity, fn, lowerable=lowerable)
+def _register(name: str, arity: Optional[int], fn):
+    BUILTINS[name] = HostFn(name, arity, fn)
 
 
-_register("add", 2, _add, lowerable=True)
-_register("sub", 2, _sub, lowerable=True)
+_register("add", 2, _add)
+_register("sub", 2, _sub)
 _register("mul", 2, _mul)
-_register("gt", 2, _gt, lowerable=True)
-_register("lt", 2, _lt, lowerable=True)
-_register("ge", 2, _ge, lowerable=True)
-_register("eq", 2, _eq, lowerable=True)
-_register("not", 1, _not, lowerable=True)
-_register("and", 2, _and, lowerable=True)
-_register("or", 2, _or, lowerable=True)
-_register("pair", 2, _pair_mk, lowerable=True)
-_register("fst", 1, _fst, lowerable=True)
-_register("snd", 1, _snd, lowerable=True)
-_register("list", None, _list_mk, lowerable=True)
-_register("cons", 2, _cons, lowerable=True)
-_register("hd", 1, _hd, lowerable=True)
-_register("tl", 1, _tl, lowerable=True)
-_register("is_nil", 1, _is_nil, lowerable=True)
-_register("length", 1, _length, lowerable=True)
-_register("nth", 2, _nth, lowerable=True)
-_register("append", 2, _append, lowerable=True)
-_register("list_mem", 2, _list_mem, lowerable=True)
-_register("list_intersect", 2, _list_intersect, lowerable=True)
+_register("gt", 2, _gt)
+_register("lt", 2, _lt)
+_register("ge", 2, _ge)
+_register("eq", 2, _eq)
+_register("not", 1, _not)
+_register("and", 2, _and)
+_register("or", 2, _or)
+_register("pair", 2, _pair_mk)
+_register("fst", 1, _fst)
+_register("snd", 1, _snd)
+_register("list", None, _list_mk)
+_register("cons", 2, _cons)
+_register("hd", 1, _hd)
+_register("tl", 1, _tl)
+_register("is_nil", 1, _is_nil)
+_register("length", 1, _length)
+_register("nth", 2, _nth)
+_register("append", 2, _append)
+_register("list_mem", 2, _list_mem)
+_register("list_intersect", 2, _list_intersect)
 _register("list_diff", 2, _list_diff)
 _register("filter_by_flags", 2, _filter_by_flags)
 _register("rows_any", 2, _rows_any)
 _register("cols_any", 2, _cols_any)
 
 # share primitives: bodies live in the interpreters / circuit compiler
-BUILTINS["mk_sh"] = HostFn("mk_sh", 1, None, lowerable=True, needs_mode=True)
-BUILTINS["comb_sh"] = HostFn("comb_sh", 1, None, lowerable=True, needs_mode=True)
+BUILTINS["mk_sh"] = HostFn("mk_sh", 1, None, needs_mode=True)
+BUILTINS["comb_sh"] = HostFn("comb_sh", 1, None, needs_mode=True)
 
 
 def lookup(name: str) -> HostFn:

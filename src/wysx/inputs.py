@@ -23,8 +23,8 @@ from typing import Any
 
 from .lang import (
     Bool, Clos, Env, FfiInt, FfiList, FfiPair, FfiStr, FixClos, OPAQUE,
-    Opaque, PrinSet, PrinVal, PrinsVal, Sealed, ShareVal, TMsg, TScope,
-    Trace, UNIT, Unit, Value, VMap, WysError,
+    Opaque, PrinSet, PrinVal, PrinsVal, Sealed, ShareVal, TMsg, Trace,
+    UNIT, Unit, Value, VMap, WysError,
 )
 
 
@@ -168,7 +168,8 @@ def env_from_json(obj: Any, where: str = "inputs") -> Env:
 def load_env_file(path: str) -> Env:
     with open(path) as fh:
         try:
-            obj = json.load(fh)
+            return env_from_json(json.load(fh), path)
         except json.JSONDecodeError as ex:
             raise InputError(f"{path}: {ex}") from None
-    return env_from_json(obj, path)
+        except RecursionError:
+            raise InputError(f"{path}: input nested too deeply") from None

@@ -14,7 +14,7 @@ families are the workhorses of the simulation and confluence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ parsing what it prints yields the same tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .lang import (
     App, AsPar, AsSec, Bool, Clos, Concat, Const, Expr, FALSE, Ffi, FfiInt,
     FfiList, FfiPair, FfiStr, Fix, FixClos, If, Lam, Let, MkMap, Opaque,
     PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed, ShareVal,
-    TMsg, TScope, TRUE, UNIT, Unit, Value, Var, VMap, WysError,
+    TMsg, TRUE, UNIT, Unit, Value, Var, VMap, WysError,
 )
 
 
@@ -53,6 +53,10 @@ RESERVED = {
 
 _DELIMS = set("(); \t\r\n\"")
 
+# The parser recurses up to twice per open parenthesis; this bound keeps the
+# deepest accepted program well inside Python's default recursion limit.
+MAX_NESTING = 400
+
 
 @dataclass(frozen=True)
 class Tok:
@@ -66,6 +70,7 @@ def tokenize(src: str) -> list[Tok]:
     toks = []
     i, line, col = 0, 1, 1
     n = len(src)
+    depth = 0
     while i < n:
         ch = src[i]
         if ch == "\n":
@@ -82,11 +87,15 @@ def tokenize(src: str) -> list[Tok]:
                 i += 1
             continue
         if ch == "(":
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
             toks.append(Tok("lparen", "(", line, col))
             i += 1
             col += 1
             continue
         if ch == ")":
+            depth -= 1
             toks.append(Tok("rparen", ")", line, col))
             i += 1
             col += 1

@@ -19,7 +19,7 @@ from wysx.sexp import parse
 from wysx.st import Runtime, run as st_run
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    Builder, Circuit, DBool, InputDecl, bind_inputs, compile_sec_thunk,
+    Builder, CBit, Circuit, InputDecl, bind_inputs, compile_sec_thunk,
     decode_output, eval_circuit,
 )
 from wysx.gmw import gmw_eval
@@ -296,7 +296,7 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
         circ = Circuit(AB, 1, b.gates, b.n,
                        [InputDecl("a", (("var", "x"),), (x,), True),
                         InputDecl("b", (("var", "y"),), (y,), True)],
-                       [(z, frozenset({"a", "b"}))], DBool(z))
+                       [(z, frozenset({"a", "b"}))], CBit(z))
         assert (circ.and_count, circ.and_depth) == (1, 1)
         for seed in range(10):
             for xa in (0, 1):

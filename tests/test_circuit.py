@@ -3,7 +3,8 @@
 import pytest
 
 from wysx.lang import (
-    Bool, Env, FfiInt, FfiPair, PrinSet, Sealed, slice_env,
+    Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal, slice_env,
+    slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -219,3 +220,45 @@ def test_dump_circuit_is_readable():
     assert "ands=" in text
     assert "INPUT a" in text and "INPUT b" in text
     assert "OUT " in text
+
+
+# every result shape decodes to the reference machine's per-party view
+
+SHAPES = {
+    "public int": "(ffi add 2 3)",
+    "public string": '"hi"',
+    "unit": "()",
+    "wire int": "(ffi add (reveal xa) (reveal xb))",
+    "pair of wire and public": "(tuple (ffi gt (reveal xa) (reveal xb)) 7)",
+    "list": "(list (reveal xa) (reveal xb) 1)",
+    "map": "(concat (mkmap (prins a) (reveal xb)) (mkmap (prins b) 4))",
+    "seal to one party": "(seal (prins a) (reveal xb))",
+    "minted handle": "(ffi mk_sh (reveal xa))",
+    "handle echo": "h",
+    "masked list": "(ffi list_intersect (reveal la) (reveal lb))",
+    "private if over pairs": "(if (ffi gt (reveal xa) (reveal xb)) "
+                             "(tuple (reveal xa) true) (tuple (reveal xb) false))",
+}
+
+
+def shapes_env():
+    return Env({
+        "xa": Sealed(A, FfiInt(5)), "xb": Sealed(B, FfiInt(9)),
+        "la": Sealed(A, FfiList((FfiInt(1), FfiInt(2), FfiInt(3)))),
+        "lb": Sealed(B, FfiList((FfiInt(2), FfiInt(3), FfiInt(4)))),
+        "h": ShareVal.of(AB, {"a": 3, "b": 10}, 8),
+    })
+
+
+@pytest.mark.parametrize("body", SHAPES.values(), ids=SHAPES.keys())
+def test_decoded_result_matches_reference_slices(body):
+    from wysx.st import Runtime, run
+    env = shapes_env()
+    ref = run(parse(f"(as_sec (prins a b) (lam _ {body}))"), env=env,
+              rt=Runtime(seed=4, width=8))
+    assert ref.status == "done"
+    circ = compile_sec_thunk(env, parse(body), AB, 8, ShareMint(4))
+    wv = eval_circuit(circ, bind_inputs(circ, {p: slice_env(p, env)
+                                               for p in AB}))
+    for p in AB:
+        assert decode_output(circ.decode, p, wv) == slice_value(p, ref.value), p

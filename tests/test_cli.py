@@ -5,6 +5,7 @@ import json
 import pytest
 
 from wysx.cli import main
+from wysx.sexp import MAX_NESTING
 
 
 def write(tmp_path, name, obj):
@@ -165,3 +166,33 @@ def test_run_respects_width(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == -56
     assert main(["run", str(prog), "--prins", "a,b", "--width", "16"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 200
+
+
+def nested_program(depth):
+    body = "1"
+    for _ in range(depth):
+        body = f"(ffi add 1 {body})"
+    return body
+
+
+@pytest.mark.parametrize("mode", ["st", "ds"])
+def test_nesting_past_the_limit_is_a_one_line_error(tmp_path, capsys, mode):
+    at_limit = tmp_path / "at_limit.wyx"
+    at_limit.write_text(nested_program(MAX_NESTING))
+    assert main(["run", str(at_limit), "--prins", "a", "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "done"
+    past = tmp_path / "past.wyx"
+    past.write_text(nested_program(MAX_NESTING + 1))
+    assert main(["run", str(past), "--prins", "a", "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    # the offending "(" opens the (MAX_NESTING + 1)-th "(ffi add 1 " chunk
+    assert err == (f"error: 1:{1 + 11 * MAX_NESTING}: nesting deeper than "
+                   f"{MAX_NESTING}\n")
+
+
+def test_deeply_nested_input_is_a_one_line_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"x": ' + "[" * 100000 + "]" * 100000 + "}")
+    assert main(["run", "median", "--inputs", f"a={deep}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {deep}: input nested too deeply\n"

@@ -11,7 +11,7 @@ from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
 from wysx.sexp import parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    AND, Builder, Circuit, DBool, InputDecl, bind_inputs, compile_sec_thunk,
+    AND, Builder, CBit, Circuit, InputDecl, bind_inputs, compile_sec_thunk,
     decode_output, eval_circuit,
 )
 from wysx import gmw
@@ -46,7 +46,7 @@ def single_and_circuit():
     circ = Circuit(AB, 1, b.gates, b.n,
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True)],
-                   [(z, frozenset({"a", "b"}))], DBool(z))
+                   [(z, frozenset({"a", "b"}))], CBit(z))
     assert (circ.and_count, circ.and_depth) == (1, 1)
     return circ, x, y, z
 
@@ -145,7 +145,7 @@ def and_chain_circuit():
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True),
                     InputDecl("c", (("var", "z"),), (z,), True)],
-                   [(w, frozenset({"a", "b", "c"}))], DBool(w))
+                   [(w, frozenset({"a", "b", "c"}))], CBit(w))
     assert (circ.and_count, circ.and_depth) == (2, 2)
     return circ, x, y, z, w
 
@@ -187,7 +187,7 @@ def random_circuit(rng, parties, n_inputs, n_gates):
         k = rng.randint(1, len(parties))
         outputs.append((w, frozenset(rng.sample(parties, k))))
     return Circuit(PrinSet.of(*parties), 1, b.gates, b.n, decls, outputs,
-                   DBool(outputs[0][0])), decls
+                   CBit(outputs[0][0])), decls
 
 
 def checked_depths(circ):
@@ -320,3 +320,60 @@ def test_view_check_catches_missing_randomness(monkeypatch):
     circ, x, y, z, w = and_chain_circuit()
     assert open_view_distance(circ, {"a": x, "b": y, "c": z},
                               monkeypatch) > 0.05
+
+
+def two_layer_circuit(width=4):
+    """Two AND layers of ``width`` gates each over a's and b's input bits."""
+    b = Builder()
+    xs = [b.input_wire() for _ in range(width)]
+    ys = [b.input_wire() for _ in range(width)]
+    zs = [b.and_(x, y) for x, y in zip(xs, ys)]
+    us = [b.and_(zs[i], zs[(i + 1) % width]) for i in range(width)]
+    circ = Circuit(AB, width, b.gates, b.n,
+                   [InputDecl("a", (("var", "x"),), tuple(xs), False),
+                    InputDecl("b", (("var", "y"),), tuple(ys), False)],
+                   [(u, frozenset({"a", "b"})) for u in us], CBit(us[0]))
+    assert [len(ands) for _, ands in circ.layers] == [width, width, 0]
+    return circ, xs, ys
+
+
+def test_triples_and_input_pieces_are_fresh_and_full_width(monkeypatch):
+    # one-AND layers cannot show these defects in per-message marginals: a
+    # triple reused across layers, a dealer word or an input piece drawn
+    # shorter than its layer
+    circ, xs, ys = two_layer_circuit()
+    dealt, pieces = [], []
+    make, send = gmw.make_triples, Channel.send
+
+    def logged_make(n, parties, rng):
+        dealt.append(make(n, parties, rng))
+        return dealt[-1]
+
+    def logged_send(self, kind, n, word):
+        if kind == "input":
+            pieces.append((self.src, n, word))
+        send(self, kind, n, word)
+
+    monkeypatch.setattr(gmw, "make_triples", logged_make)
+    monkeypatch.setattr(Channel, "send", logged_send)
+    bits = {"a": dict(zip(xs, (1, 0, 1, 1))), "b": dict(zip(ys, (0, 1, 1, 0)))}
+    seen = set()  # (word label, bit position, bit value)
+    for seed in range(64):
+        dealt.clear()
+        pieces.clear()
+        gmw_eval(circ, bits, seed)
+        assert len(dealt) == 2 and dealt[0] != dealt[1], seed
+        for r, t in enumerate(dealt):
+            for k, name in ((0, "a"), (1, "b")):
+                words = {p: t[p][k] for p in AB}
+                words["joint"] = words["a"] ^ words["b"]
+                for who, word in words.items():
+                    for i in range(4):
+                        seen.add(((r, name, who), i, (word >> i) & 1))
+        assert [(src, n) for src, n, _ in pieces] == [("a", 4), ("b", 4)]
+        for src, n, word in pieces:
+            for i in range(n):
+                seen.add((("input", src), i, (word >> i) & 1))
+    constant = {(label, i) for label, i, v in seen
+                if (label, i, 1 - v) not in seen}
+    assert not constant, sorted(constant)
