@@ -6,9 +6,9 @@ its value and trace, and exhaustive small-domain checkers for the security
 properties the examples exhibit.  The oracles share no code with the
 interpreters, so agreement between the two is meaningful evidence.
 
-The accessors ``unseal``, ``v_of_sh`` and ``ps_of_sh`` peek inside sealed and
-shared values.  They exist only for harness code; programs have no way to
-call them.
+The accessors ``unseal`` and ``v_of_sh`` peek inside sealed and shared
+values.  They exist only for harness code; programs have no way to call
+them.
 """
 
 from __future__ import annotations
@@ -110,10 +110,6 @@ def deal_env(rands: dict[str, int], hist: Sequence[ShareVal]) -> Env:
 def unseal(v: Value) -> Value:
     assert type(v) is Sealed
     return v.v
-
-
-def ps_of_sh(sh: ShareVal) -> PrinSet:
-    return sh.ps
 
 
 def v_of_sh(sh: ShareVal) -> int:

@@ -9,6 +9,10 @@ result value. That value is also the decode tree: each party's view of the
 block result is it with the wire nodes read back from output wires and with
 the map entries and seals the party may not see hidden.
 
+Fully public host calls and the shape-only builtins of ``ffi.SHAPE_ONLY``
+run on their host bodies, exactly as on the reference machine; only the
+other builtins have gate lowerings.
+
 Integers are two's complement at a fixed width. Branching on private
 booleans compiles both arms and multiplexes them, so control flow never
 depends on secrets; branching on public booleans follows the taken arm
@@ -28,13 +32,15 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import ffi as ffi_mod
 from .lang import (
     App, AsPar, AsSec, Bool, Clos, Concat, Const, Env, Expr, Ffi, FfiInt,
-    FfiList, FfiPair, FfiStr, Fix, FixClos, If, Lam, Let, MkMap, OPAQUE,
-    Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
-    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, free_vars,
+    FfiList, FfiPair, FfiStr, Fix, FixClos, Handle, If, Lam, Let, MkMap,
+    OPAQUE, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
+    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, can_seal,
+    children, free_vars, with_children,
 )
 from .shares import ShareMint, decode_word, encode_word
 
@@ -220,7 +226,7 @@ class CBit(Value):
 
 
 @dataclass(frozen=True, slots=True)
-class CShareIn(Value):
+class CShareIn(Handle):
     """A handle fed into the block: each holder contributes its word."""
 
     ps: PrinSet
@@ -229,7 +235,7 @@ class CShareIn(Value):
 
 
 @dataclass(frozen=True, slots=True)
-class CShareOut(Value):
+class CShareOut(Handle):
     """A handle minted inside the block."""
 
     ps: PrinSet
@@ -257,13 +263,9 @@ def is_public(v: Value) -> bool:
     t = type(v)
     if t in _PUBLIC_SCALARS:
         return True
-    if t is FfiPair:
-        return is_public(v.fst) and is_public(v.snd)
-    if t is FfiList:
-        return all(is_public(i) for i in v.items)
-    if t is VMap:
-        return all(is_public(w) for _, w in v.entries)
-    return t is Sealed and is_public(v.v)
+    if t is FfiPair or t is FfiList or t is VMap or t is Sealed:
+        return all(is_public(w) for w in children(v))
+    return False
 
 
 @dataclass
@@ -468,9 +470,15 @@ class Compiler:
 
     def lower_ffi(self, name: str, args: list[Value]) -> Value:
         b = self.b
+        try:
+            hf = ffi_mod.check_call(name, args)
+            if not hf.needs_mode and (name in ffi_mod.SHAPE_ONLY or
+                                      all(is_public(a) for a in args)):
+                return ffi_mod.exec_ffi(name, tuple(args))
+        except WysError as ex:
+            raise NotCircuitable(f"host call failed: {ex}") from None
+
         if name == "mk_sh":
-            if len(args) != 1:
-                raise NotCircuitable("mk_sh takes one argument")
             vw = self.as_int_wires(args[0])
             masks = self.mint.draw_masks(self.parties, self.width)
             acc = 0
@@ -482,8 +490,6 @@ class Compiler:
                              tuple(sorted(masks.items())),
                              self.parties.names[-1], vw, last_wires)
         if name == "comb_sh":
-            if len(args) != 1:
-                raise NotCircuitable("comb_sh takes one argument")
             h = args[0]
             if type(h) is CShareOut:
                 return CInt(h.value_wires)
@@ -506,13 +512,6 @@ class Compiler:
                 return CInt(tuple(out))
             raise NotCircuitable("comb_sh applied to a non-handle")
 
-        # anything fully public runs on the host, exactly like the reference
-        if all(is_public(a) for a in args):
-            try:
-                return ffi_mod.exec_ffi(name, tuple(args))
-            except WysError as ex:
-                raise NotCircuitable(f"host call failed: {ex}") from None
-
         if name in ("add", "sub"):
             xs = self.as_int_wires(args[0])
             ys = self.as_int_wires(args[1])
@@ -534,45 +533,6 @@ class Compiler:
             return CBit(b.and_(self.as_bit(args[0]), self.as_bit(args[1])))
         if name == "or":
             return CBit(b.or_(self.as_bit(args[0]), self.as_bit(args[1])))
-        if name == "pair":
-            return FfiPair(args[0], args[1])
-        if name == "fst":
-            if type(args[0]) is FfiPair:
-                return args[0].fst
-            raise NotCircuitable("fst of a non-pair")
-        if name == "snd":
-            if type(args[0]) is FfiPair:
-                return args[0].snd
-            raise NotCircuitable("snd of a non-pair")
-        if name == "list":
-            return FfiList(tuple(args))
-        if name == "cons":
-            return FfiList((args[0],) + self.as_list(args[1]).items)
-        if name == "hd":
-            items = self.as_list(args[0]).items
-            if not items:
-                raise NotCircuitable("hd of an empty list")
-            return items[0]
-        if name == "tl":
-            items = self.as_list(args[0]).items
-            if not items:
-                raise NotCircuitable("tl of an empty list")
-            return FfiList(items[1:])
-        if name == "is_nil":
-            return Bool(not self.as_list(args[0]).items)
-        if name == "length":
-            return FfiInt(len(self.as_list(args[0]).items))
-        if name == "append":
-            return FfiList(self.as_list(args[0]).items +
-                           self.as_list(args[1]).items)
-        if name == "nth":
-            if type(args[1]) is not FfiInt:
-                raise NotCircuitable("list index depends on private data")
-            items = self.as_list(args[0]).items
-            i = args[1].n
-            if not 0 <= i < len(items):
-                raise NotCircuitable("list index out of range")
-            return items[i]
         if name == "list_mem":
             return CBit(self._mem_bit(args[0], self.as_list(args[1]).items))
         if name == "list_intersect":
@@ -661,7 +621,10 @@ class Compiler:
                 raise NotCircuitable("seal set is not a principal set")
             if not ps.ps.subset_of(self.parties):
                 raise NotCircuitable(f"sealing for {ps.ps} inside {self.parties}")
-            return Sealed(ps.ps, self.ceval(env, e.body))
+            v = self.ceval(env, e.body)
+            if not can_seal(ps.ps, v):
+                raise NotCircuitable(f"value not sealable for {ps.ps}")
+            return Sealed(ps.ps, v)
         if t is Reveal:
             v = self.ceval(env, e.e)
             if type(v) is not Sealed:
@@ -717,12 +680,9 @@ class Compiler:
                 self.outputs.append((w, recipients))
         elif t is CBit:
             self.outputs.append((v.wire, recipients))
-        elif t is FfiPair:
-            self.add_outputs(v.fst, recipients)
-            self.add_outputs(v.snd, recipients)
-        elif t is FfiList:
-            for i in v.items:
-                self.add_outputs(i, recipients)
+        elif t is FfiPair or t is FfiList:
+            for w in children(v):
+                self.add_outputs(w, recipients)
         elif t is VMap:
             for q, w in v.entries:
                 self.add_outputs(w, recipients & {q})
@@ -864,33 +824,29 @@ def decode_output(v: Value, party: str, wv: dict[int, int]) -> Value:
         return FfiInt(decode_word(_word(v.wires, wv), len(v.wires)))
     if t is CBit:
         return Bool(bool(wv[v.wire]))
-    if t is FfiPair:
-        return FfiPair(decode_output(v.fst, party, wv),
-                       decode_output(v.snd, party, wv))
-    if t is FfiList:
-        return FfiList(tuple(decode_output(i, party, wv) for i in v.items))
-    if t is VMap:
-        return VMap(tuple((q, decode_output(w, party, wv))
-                          for q, w in v.entries if q == party))
     if t is Sealed:
-        if party in v.ps and type(v.v) is not Opaque:
-            return Sealed(v.ps, decode_output(v.v, party, wv))
-        return Sealed(v.ps, OPAQUE)
-    if t is CShareOut:
+        if party not in v.ps or type(v.v) is Opaque:
+            return Sealed(v.ps, OPAQUE)
+    elif t is VMap:
+        v = VMap(tuple(e for e in v.entries if e[0] == party))
+    elif t is CShareOut:
         if party == v.last:
             word = _word(v.last_wires, wv)
         else:
             word = dict(v.masks)[party]
         return ShareVal(v.ps, ((party, word),), v.width)
-    if t is CShareIn:
+    elif t is CShareIn:
         words = dict(v.words)
         if party not in words:
             return ShareVal(v.ps, (), v.width)
         return ShareVal(v.ps, ((party, _word(words[party], wv)),), v.width)
-    if t is CMaskedList:
+    elif t is CMaskedList:
         return FfiList(tuple(decode_output(i, party, wv)
                              for pw, i in zip(v.present, v.items) if wv[pw]))
-    raise CircuitError(f"bad decode node {v!r}")
+    elif t is not FfiPair and t is not FfiList:
+        raise CircuitError(f"bad decode node {v!r}")
+    kids = map(decode_output, children(v), repeat(party), repeat(wv))
+    return with_children(v, tuple(kids))
 
 
 def dump_circuit(circ: Circuit) -> str:

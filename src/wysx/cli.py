@@ -219,6 +219,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
+    except RecursionError:
+        # values built at run time have no depth bound but the host stack
+        print("error: value nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

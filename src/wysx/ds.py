@@ -27,12 +27,12 @@ from .circuit import (
 from .gmw import gmw_eval
 from .lang import (
     AsSecFn, Clos, Config, Env, Expr, FixClos, Mode, PAR, PrinSet, Protocol,
-    SEC, TMsg, Trace, UNIT, Value, combine_envs, is_value, slice_config,
+    SEC, TMsg, Trace, Value, combine_envs, is_value, slice_config,
     slice_env, slice_value,
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Next, Runtime, Stuck, machine_step,
-    run as st_run, step as st_step,
+    run as st_run, step as st_step, thunk_env,
 )
 
 
@@ -123,9 +123,9 @@ class DsResult:
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
 
 
-def _thunk_joint(closures: list[Value]) -> tuple[Env, Env, Expr, str]:
-    """Merge the waiting parties' thunks. Returns (combined closure env,
-    machine env, body, shape error or '')."""
+def _thunk_joint(closures: list[Value]) -> tuple[Env, Expr, str]:
+    """Merge the waiting parties' thunks. Returns (machine env, body, shape
+    error or '')."""
     shapes = set()
     for c in closures:
         if type(c) is Clos:
@@ -133,23 +133,17 @@ def _thunk_joint(closures: list[Value]) -> tuple[Env, Env, Expr, str]:
         elif type(c) is FixClos:
             shapes.add(("fix", c.f, c.x, c.body))
         else:
-            return None, None, None, f"waiting on a non-function {c!r}"
+            return None, None, f"waiting on a non-function {c!r}"
     if len(shapes) > 1:
-        return None, None, None, "parties disagree on the block's code"
+        return None, None, "parties disagree on the block's code"
     env = combine_envs([c.env for c in closures])
     c0 = closures[0]
     if type(c0) is Clos:
-        machine_env = env.extend(c0.x, UNIT)
+        joint = Clos(env, c0.x, c0.body)
     else:
         joint = FixClos(env, c0.f, c0.x, c0.body)
-        machine_env = env.extend(c0.f, joint).extend(c0.x, UNIT)
-    return env, machine_env, c0.body, ""
-
-
-def _party_thunk_env(clos: Value) -> Env:
-    if type(clos) is Clos:
-        return clos.env.extend(clos.x, UNIT)
-    return clos.env.extend(clos.f, clos).extend(clos.x, UNIT)
+    machine_env, body = thunk_env(joint)
+    return machine_env, body, ""
 
 
 def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
@@ -222,7 +216,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             s = target
             group = waiting[s]
             closures = [group[p].clos for p in s.names]
-            _, machine_env, body, err = _thunk_joint(closures)
+            machine_env, body, err = _thunk_joint(closures)
             if err:
                 return finish("stuck", tick, f"joint block {s}: {err}")
             sec_entries += 1
@@ -235,7 +229,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 try:
                     circ = compile_sec_thunk(machine_env, body, s,
                                              rt.width, rt.mint)
-                    party_envs = {p: _party_thunk_env(group[p].clos)
+                    party_envs = {p: thunk_env(group[p].clos)[0]
                                   for p in s.names}
                     bits = bind_inputs(circ, party_envs)
                 except CircuitError as ex:

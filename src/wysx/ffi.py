@@ -7,6 +7,10 @@ see a value cannot compute with it.
 ``mk_sh`` and ``comb_sh`` are declared here but not given host bodies: the
 interpreters route them to the share runtime because they depend on the
 current mode and on the shared randomness source.
+
+The builtins in ``SHAPE_ONLY`` only take apart or assemble pairs and lists
+and never look inside an element, so inside joint blocks the gate compiler
+runs their host bodies too, on values that hold wire nodes.
 """
 
 from __future__ import annotations
@@ -158,6 +162,11 @@ def _append(l1: Value, l2: Value) -> Value:
     return FfiList(_list(l1, "append") + _list(l2, "append"))
 
 
+# bodies that never look inside an element
+SHAPE_ONLY = frozenset(("pair", "fst", "snd", "list", "cons", "hd", "tl",
+                        "is_nil", "length", "nth", "append"))
+
+
 def _list_mem(x: Value, l: Value) -> Value:
     return TRUE if x in _list(l, "list_mem") else FALSE
 
@@ -262,12 +271,18 @@ def lookup(name: str) -> HostFn:
         raise UnknownFfi(name) from None
 
 
-def exec_ffi(name: str, args: tuple[Value, ...]) -> Value:
+def check_call(name: str, args) -> HostFn:
+    """The builtin ``name``, once ``args`` is known to fit its arity."""
     hf = lookup(name)
-    if hf.needs_mode:
-        raise FfiTypeError(f"{name} must be handled by the interpreter")
     if hf.arity is not None and len(args) != hf.arity:
         raise ArityError(f"{name}: expected {hf.arity} args, got {len(args)}")
+    return hf
+
+
+def exec_ffi(name: str, args: tuple[Value, ...]) -> Value:
+    hf = check_call(name, args)
+    if hf.needs_mode:
+        raise FfiTypeError(f"{name} must be handled by the interpreter")
     for a in args:
         if contains_bare_opaque(a):
             raise OpaqueArg(f"{name} applied to another party's data")

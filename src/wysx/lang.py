@@ -14,6 +14,7 @@ families are the workhorses of the simulation and confluence checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Union
 
 
@@ -183,8 +184,15 @@ class Opaque(Value):
     """Placeholder for data a party does not hold."""
 
 
+class Handle(Value):
+    """Base of share handles; a handle over ``ps`` may be sealed only for
+    exactly ``ps``."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, slots=True)
-class ShareVal(Value):
+class ShareVal(Handle):
     """Secret-shared machine word.
 
     ``words`` maps each holder to its additive (xor) share of the value,
@@ -616,31 +624,63 @@ class Protocol:
 
 
 # ---------------------------------------------------------------------------
+# child traversal: the one place that knows which values hold other values
+
+def children(v: Value) -> tuple[Value, ...]:
+    """The values directly inside ``v``; empty for leaves."""
+    t = type(v)
+    if t is FfiPair:
+        return (v.fst, v.snd)
+    if t is FfiList:
+        return v.items
+    if t is VMap:
+        return tuple(w for _, w in v.entries)
+    if t is Sealed:
+        return (v.v,)
+    if t is Clos or t is FixClos:
+        return tuple(w for _, w in v.env.items())
+    return ()
+
+
+def with_children(v: Value, kids: tuple[Value, ...]) -> Value:
+    """``v`` with the values directly inside it replaced by ``kids``, given
+    in ``children`` order.
+
+    Walkers build ``kids`` as ``tuple(map(f, children(v)))``: unlike a
+    comprehension or a helper that calls ``f``, that adds no Python frame,
+    so a walk costs one frame per nesting level of the value.
+    """
+    t = type(v)
+    if t is FfiPair:
+        return FfiPair(kids[0], kids[1])
+    if t is FfiList:
+        return FfiList(kids)
+    if t is VMap:
+        return VMap(tuple(zip(v.keys(), kids)))
+    if t is Sealed:
+        return Sealed(v.ps, kids[0])
+    if t is Clos or t is FixClos:
+        env = Env(dict(zip((x for x, _ in v.env.items()), kids)))
+        if t is Clos:
+            return Clos(env, v.x, v.body)
+        return FixClos(env, v.f, v.x, v.body)
+    return v
+
+
+# ---------------------------------------------------------------------------
 # slicing: a party's view of joint data
 
 def slice_value(p: Principal, v: Value) -> Value:
     t = type(v)
     if t is Sealed:
-        if p in v.ps:
-            return Sealed(v.ps, slice_value(p, v.v))
-        return Sealed(v.ps, OPAQUE)
-    if t is VMap:
-        mine = v.get(p)
-        if mine is None:
-            return VMap(())
-        return VMap(((p, slice_value(p, mine)),))
-    if t is FfiPair:
-        return FfiPair(slice_value(p, v.fst), slice_value(p, v.snd))
-    if t is FfiList:
-        return FfiList(tuple(slice_value(p, i) for i in v.items))
-    if t is ShareVal:
+        if p not in v.ps:
+            return Sealed(v.ps, OPAQUE)
+    elif t is VMap:
+        v = VMap(tuple(e for e in v.entries if e[0] == p))
+    elif t is ShareVal:
         w = v.word_of(p)
         return ShareVal(v.ps, ((p, w),) if w is not None else (), v.width)
-    if t is Clos:
-        return Clos(slice_env(p, v.env), v.x, v.body)
-    if t is FixClos:
-        return FixClos(slice_env(p, v.env), v.f, v.x, v.body)
-    return v  # leaves: principals, sets, unit, bools, ints, strings, opaque
+    return with_children(v, tuple(map(partial(slice_value, p), children(v))))
 
 
 def slice_env(p: Principal, env: Env) -> Env:
@@ -768,48 +808,26 @@ def combine_envs(envs: list[Env]) -> Env:
 # ---------------------------------------------------------------------------
 # sealing legality
 
-def can_seal(ps: PrinSet, v: Value) -> bool:
-    """Dynamic check applied when a par block wraps up its result.
+def can_seal(ps: PrinSet, v: Value, in_closure: bool = False) -> bool:
+    """Dynamic check applied when a value is sealed or a par block wraps
+    up its result.
 
     Share handles may only be sealed for exactly their holders, and a sealed
     closure must not smuggle concrete data addressed to parties outside the
-    seal.  Everything else is sealable.
+    seal (``in_closure``: ``v`` sits in a closure's environment).
+    Everything else is sealable.
     """
-    t = type(v)
-    if t is ShareVal:
+    if isinstance(v, Handle):
         return v.ps == ps
-    if t in (Clos, FixClos):
-        for _, w in v.env.items():
-            if not _closure_cap_ok(ps, w):
-                return False
-        return True
-    if t is Sealed:
-        return can_seal(ps, v.v)
-    if t is VMap:
-        return all(can_seal(ps, w) for _, w in v.entries)
-    if t is FfiPair:
-        return can_seal(ps, v.fst) and can_seal(ps, v.snd)
-    if t is FfiList:
-        return all(can_seal(ps, i) for i in v.items)
-    return True
-
-
-def _closure_cap_ok(ps: PrinSet, v: Value) -> bool:
     t = type(v)
     if t is Sealed:
-        if type(v.v) is not Opaque and not ps.subset_of(v.ps):
+        if in_closure:
+            return type(v.v) is Opaque or ps.subset_of(v.ps)
+    elif t is Clos or t is FixClos:
+        in_closure = True
+    for w in children(v):
+        if not can_seal(ps, w, in_closure):
             return False
-        return True
-    if t is ShareVal:
-        return v.ps == ps
-    if t in (Clos, FixClos):
-        return all(_closure_cap_ok(ps, w) for _, w in v.env.items())
-    if t is VMap:
-        return all(_closure_cap_ok(ps, w) for _, w in v.entries)
-    if t is FfiPair:
-        return _closure_cap_ok(ps, v.fst) and _closure_cap_ok(ps, v.snd)
-    if t is FfiList:
-        return all(_closure_cap_ok(ps, i) for i in v.items)
     return True
 
 
@@ -821,16 +839,11 @@ def contains_bare_opaque(v: Value) -> bool:
     t = type(v)
     if t is Opaque:
         return True
-    if t in (Sealed, ShareVal):
+    if t is Sealed or t is ShareVal:
         return False
-    if t is VMap:
-        return any(contains_bare_opaque(w) for _, w in v.entries)
-    if t is FfiPair:
-        return contains_bare_opaque(v.fst) or contains_bare_opaque(v.snd)
-    if t is FfiList:
-        return any(contains_bare_opaque(i) for i in v.items)
-    if t in (Clos, FixClos):
-        return any(contains_bare_opaque(w) for _, w in v.env.items())
+    for w in children(v):
+        if contains_bare_opaque(w):
+            return True
     return False
 
 

@@ -31,10 +31,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .lang import (
-    App, AsPar, AsSec, Bool, Clos, Concat, Const, Expr, FALSE, Ffi, FfiInt,
-    FfiList, FfiPair, FfiStr, Fix, FixClos, If, Lam, Let, MkMap, Opaque,
-    PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed, ShareVal,
-    TMsg, TRUE, UNIT, Unit, Value, Var, VMap, WysError,
+    App, AsPar, AsSec, Bool, Concat, Const, Expr, FALSE, Ffi, FfiInt, FfiStr,
+    Fix, If, Lam, Let, MkMap, PrinSet, PrinVal, PrinsVal, Project, Reveal,
+    Seal, TRUE, UNIT, Unit, Value, Var, WysError,
 )
 
 
@@ -430,37 +429,3 @@ def _print_literal(v: Value) -> str:
     if t is PrinsVal:
         return "(prins " + " ".join(v.ps.names) + ")"
     raise WysError(f"not a literal: {v!r}")
-
-
-def format_value(v: Value) -> str:
-    """Readable one-line rendering of any runtime value."""
-    t = type(v)
-    if t in (FfiInt, Bool, FfiStr, Unit, PrinVal, PrinsVal):
-        return _print_literal(v)
-    if t is Opaque:
-        return "_"
-    if t is FfiPair:
-        return f"({format_value(v.fst)}, {format_value(v.snd)})"
-    if t is FfiList:
-        return "[" + " ".join(format_value(i) for i in v.items) + "]"
-    if t is Sealed:
-        return f"<sealed {v.ps} {format_value(v.v)}>"
-    if t is VMap:
-        inner = ", ".join(f"{p}: {format_value(w)}" for p, w in v.entries)
-        return "{" + inner + "}"
-    if t is ShareVal:
-        words = ",".join(f"{p}:{w}" for p, w in v.words)
-        return f"<share {v.ps} w{v.width} {words}>"
-    if t is Clos or t is FixClos:
-        return "<fun>"
-    return repr(v)
-
-
-def format_trace(tr) -> str:
-    parts = []
-    for elt in tr:
-        if type(elt) is TMsg:
-            parts.append(f"msg {format_value(elt.v)}")
-        else:
-            parts.append(f"scope {elt.ps} [" + format_trace(elt.t) + "]")
-    return "; ".join(parts)

@@ -70,12 +70,6 @@ class ShareMint:
         masks[ps.names[-1]] = acc
         return masks
 
-    def fork(self, salt: int) -> "ShareMint":
-        """Independent stream for a nested protocol instance."""
-        material = f"{self.seed}|fork|{salt}".encode()
-        sub = int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-        return ShareMint(sub)
-
 
 def mk_sh_value(mode: Mode, v: Value, mint: ShareMint, width: int) -> ShareVal:
     if not mode.is_sec():

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from . import ffi as ffi_mod
 from .lang import (
     App, AppArg, AppFn, AsPar, AsParBody, AsParFn, AsParPs, AsSec, AsSecBody,
-    AsSecFn, AsSecPs, ArityError, Bool, Clos, Code, Concat, ConcatLeft,
+    AsSecFn, AsSecPs, Bool, Clos, Code, Concat, ConcatLeft,
     ConcatRight, Config, Const, Env, EvalCtx, Expr, Ffi, FfiCtx, FixClos,
     Fix, Frame, If, IfCtx, Lam, Let, LetCtx, MkMap, MkMapPs, MkMapVal, Mode,
     Opaque, PAR, PrinSet, PrinVal, PrinsVal, Project, ProjectMap,
@@ -77,19 +77,17 @@ def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
     """Execute a host call. Returns (value, None) or (None, reason)."""
     try:
         if name == "mk_sh":
-            if len(args) != 1:
-                raise ArityError("mk_sh takes one argument")
+            ffi_mod.check_call(name, args)
             return mk_sh_value(mode, args[0], rt.mint, rt.width), None
         if name == "comb_sh":
-            if len(args) != 1:
-                raise ArityError("comb_sh takes one argument")
+            ffi_mod.check_call(name, args)
             return comb_sh_value(mode, args[0]), None
         return ffi_mod.exec_ffi(name, args), None
     except WysError as ex:
         return None, f"{type(ex).__name__}: {ex}"
 
 
-def _thunk_env(v: Value) -> Optional[tuple[Env, Expr]]:
+def thunk_env(v: Value) -> Optional[tuple[Env, Expr]]:
     """Environment and body for applying a block thunk to the unit value."""
     if type(v) is Clos:
         return v.env.extend(v.x, UNIT), v.body
@@ -316,7 +314,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
 
     if t is AsParFn:
         s = ctx.ps
-        te = _thunk_env(v)
+        te = thunk_env(v)
         if te is None:
             return Stuck("par-enter", f"not a function: {v!r}")
         env2, body = te
@@ -353,7 +351,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
 
     if t is AsSecFn:
         s = ctx.ps
-        te = _thunk_env(v)
+        te = thunk_env(v)
         if te is None:
             return Stuck("sec-enter", f"not a function: {v!r}")
         if party is None:

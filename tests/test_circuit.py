@@ -1,10 +1,15 @@
 """Boolean circuits: wire algebra, thunk compilation, clear evaluation."""
 
+import hashlib
+import itertools
+
 import pytest
 
+from wysx import apps, ffi, st
+from wysx.ds import ds_run
 from wysx.lang import (
     Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal, slice_env,
-    slice_value,
+    slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -262,3 +267,98 @@ def test_decoded_result_matches_reference_slices(body):
                                                for p in AB}))
     for p in AB:
         assert decode_output(circ.decode, p, wv) == slice_value(p, ref.value), p
+
+
+SWEEP_ARGS = ("2", "(reveal xa)", "(ffi gt (reveal xb) 3)", "(reveal la)",
+              "(tuple (reveal xa) 1)")
+
+
+def test_every_builtin_call_under_gmw_matches_the_reference_or_sticks():
+    env = shapes_env()
+    for name in ffi.BUILTINS:
+        for k in range(4):
+            for args in itertools.product(SWEEP_ARGS, repeat=k):
+                call = " ".join((name,) + args)
+                src = f"(as_sec (prins a b) (lam _ (ffi {call})))"
+                res = ds_run(parse(src), env, AB, backend="gmw")
+                if res.status != "done":
+                    continue
+                ref = st.run(parse(src), env, AB)
+                assert ref.status == "done", src
+                for p in AB:
+                    assert res.parties[p] == (slice_value(p, ref.value),
+                                              slice_trace(p, ref.trace)), src
+
+
+def test_private_list_index_is_not_circuitable():
+    with pytest.raises(NotCircuitable):
+        compile_sec_thunk(shapes_env(),
+                          parse("(ffi nth (list 1 2) (reveal xa))"),
+                          AB, 8, ShareMint(0))
+
+
+def test_sealing_a_handle_for_a_subset_is_stuck_on_every_path():
+    e = parse("(as_sec (prins a b) (lam _ (seal (prins a) (ffi mk_sh 1))))")
+    assert st.run(e, Env(), AB).status == "stuck"
+    for backend in ("ideal", "gmw"):
+        assert ds_run(e, Env(), AB, backend=backend).status == "stuck", backend
+
+
+def corpus_digests() -> dict[str, str]:
+    """Per corpus cell and width: a digest of every joint block's gates and
+    every party's status, value and trace under the GMW backend."""
+    out = {}
+    narrow = sorted({cell.min_width for cell in apps.corpus()})
+    for w in (32, *narrow):
+        for cell in apps.corpus(w):
+            if w not in (32, cell.min_width):
+                continue
+            res = ds_run(apps.load_program(cell.program), cell.env, cell.ps,
+                         st.Runtime(0, w), backend="gmw")
+            text = [res.status] + [dump_circuit(c) for _, c in res.circuits]
+            text += [f"{p} {v!r} {t!r}" for p, (v, t) in res.parties.items()]
+            out[f"{cell.name}@{w}"] = hashlib.sha256(
+                "\n".join(text).encode()).hexdigest()[:16]
+    return out
+
+
+CORPUS_DIGESTS = {
+    "median/low@32": "63ba8700472fefca",
+    "median/high@32": "4e5a9c6b448f3219",
+    "median_opt/low@32": "9df5a0b9898b2e64",
+    "median_opt/high@32": "43be2ec1d8a07743",
+    "psi/overlap@32": "4e8ace2a05b196ee",
+    "psi/disjoint@32": "46352ef31400be87",
+    "psi/empty@32": "8f9fc867b66296bc",
+    "psi_interim/overlap@32": "a8fbc3f2e869c694",
+    "psi_interim/empty@32": "7965cadd15b080d1",
+    "psi_opt/overlap@32": "671756ee295b493f",
+    "psi_opt/dup@32": "0faa561f904f8c13",
+    "check_fresh/hit@32": "c48eb81abb2327ef",
+    "check_fresh/miss@32": "f7272fa8bebf5da5",
+    "check_fresh/empty@32": "5732127f347ab53c",
+    "deal/empty-51@32": "d18fc822eb45f52c",
+    "deal/fresh@32": "5a8d668cce1b4a0a",
+    "deal/repeat@32": "a3ec6437d6a3e72c",
+    "median/low@4": "d779169dfb030a58",
+    "median/high@4": "844dd8ffb16da4d4",
+    "median_opt/low@4": "d07f8d8f2d3624cd",
+    "median_opt/high@4": "4c28847877ce8061",
+    "psi/overlap@4": "141ac8a0eaa06195",
+    "psi/disjoint@4": "e47c28dbf0275882",
+    "psi/empty@4": "5b7d8db2adab9be7",
+    "psi_interim/overlap@4": "1dd4ba906eeafaf0",
+    "psi_interim/empty@4": "7965cadd15b080d1",
+    "psi_opt/overlap@4": "45e9c0d77b2cfc22",
+    "psi_opt/dup@4": "e900644536ce0150",
+    "check_fresh/hit@4": "57f7873f15ab1599",
+    "check_fresh/miss@4": "e3a863f9bffb9120",
+    "check_fresh/empty@4": "5732127f347ab53c",
+    "deal/empty-51@9": "4b26fc9c439344eb",
+    "deal/fresh@9": "b13454bffda67652",
+    "deal/repeat@9": "587c7ebc442de4cd",
+}
+
+
+def test_corpus_circuits_and_results_are_pinned():
+    assert corpus_digests() == CORPUS_DIGESTS

@@ -196,3 +196,16 @@ def test_deeply_nested_input_is_a_one_line_error(tmp_path, capsys):
     assert main(["run", "median", "--inputs", f"a={deep}"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {deep}: input nested too deeply\n"
+
+
+@pytest.mark.parametrize("mode,depth", [("st", 2000), ("ds", 2000),
+                                        ("ds", 900)])
+def test_deep_runtime_value_is_a_one_line_error(tmp_path, capsys, mode,
+                                                depth):
+    # 2000 overflows in the host calls that build the value, 900 only in
+    # writing the result as JSON
+    prog = tmp_path / "deep.wyx"
+    prog.write_text("((fix f n (if (ffi eq n 0) 0 "
+                    f"(ffi pair n (f (ffi sub n 1))))) {depth})")
+    assert main(["run", str(prog), "--prins", "a", "--mode", mode]) == 1
+    assert capsys.readouterr().err == "error: value nested too deeply\n"

@@ -2,13 +2,8 @@
 
 import pytest
 
-from wysx.lang import (
-    App, AsSec, Bool, Const, FfiInt, OPAQUE, PrinSet, Sealed, ShareVal, TMsg,
-    TScope, UNIT, VMap, Var,
-)
-from wysx.sexp import (
-    ParseError, format_trace, format_value, parse, print_expr, tokenize,
-)
+from wysx.lang import App, Bool, Const, FfiInt, Var
+from wysx.sexp import ParseError, parse, print_expr, tokenize
 
 from _proggen import gen_program
 
@@ -100,18 +95,3 @@ def test_print_parse_round_trip_generated():
         e = gen_program(seed)
         assert parse(print_expr(e)) == e, seed
 
-
-def test_format_value_shapes():
-    A = PrinSet.of("a")
-    AB = PrinSet.of("a", "b")
-    assert format_value(Sealed(A, FfiInt(5))) == "<sealed {a} 5>"
-    assert format_value(Sealed(A, OPAQUE)) == "<sealed {a} _>"
-    assert format_value(VMap.of({"a": FfiInt(1)})) == "{a: 1}"
-    assert format_value(ShareVal.of(AB, {"a": 3}, 8)) == "<share {a,b} w8 a:3>"
-    assert format_value(UNIT) == "()"
-
-
-def test_format_trace_shapes():
-    t = (TMsg(FfiInt(2)), TScope(PrinSet.of("a"), (TMsg(Bool(True)),)))
-    assert format_trace(t) == "msg 2; scope {a} [msg true]"
-    assert format_trace(()) == ""
