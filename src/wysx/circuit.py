@@ -219,10 +219,16 @@ def mux_wires(b: Builder, c: int, ts, fs):
 class CInt(Value):
     wires: tuple[int, ...]
 
+    def __repr__(self) -> str:  # short enough for a one-line stuck reason
+        return f"CInt({len(self.wires)} wires)"
+
 
 @dataclass(frozen=True, slots=True)
 class CBit(Value):
     wire: int
+
+    def __repr__(self) -> str:
+        return f"CBit(wire {self.wire})"
 
 
 @dataclass(frozen=True, slots=True)

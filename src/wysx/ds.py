@@ -64,13 +64,11 @@ SecInst = Union[IdealSec, GmwSec]
 
 # ---------------------------------------------------------------------------
 # schedulers
-
-_KIND_ORDER = {"exit": 0, "sec-step": 1, "enter": 2, "local": 3}
-
-
-def _move_key(m):
-    return (_KIND_ORDER[m[0]], str(m[1]))
-
+#
+# ``ds_run`` hands ``pick`` the enabled moves in canonical order: every
+# ``exit``, then every ``sec-step``, then every ``enter``, then every
+# ``local`` move, each kind sorted by ``str(target)``. ``pick`` returns one
+# of them.
 
 class RoundRobin:
     """Deterministic baseline: joint work first, then parties in rotation."""
@@ -79,13 +77,9 @@ class RoundRobin:
         self._i = 0
 
     def pick(self, moves):
-        moves = sorted(moves, key=_move_key)
-        for kind in ("exit", "sec-step", "enter"):
-            hits = [m for m in moves if m[0] == kind]
-            if hits:
-                return hits[0]
-        locals_ = [m for m in moves if m[0] == "local"]
-        pick = locals_[self._i % len(locals_)]
+        if moves[0][0] != "local":
+            return moves[0]
+        pick = moves[self._i % len(moves)]
         self._i += 1
         return pick
 
@@ -98,7 +92,7 @@ class SeededRandom:
         self._rng = random.Random(f"sched|{seed}")
 
     def pick(self, moves):
-        return self._rng.choice(sorted(moves, key=_move_key))
+        return self._rng.choice(moves)
 
 
 def parse_sched(text: str):
@@ -151,6 +145,9 @@ def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
+_DONE = object()  # step-cache marker of a party whose config is terminal
+
+
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
            sched=None, backend: str = "ideal",
            fuel: int = DEFAULT_FUEL) -> DsResult:
@@ -176,32 +173,46 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         return DsResult(status, parties, Protocol(dict(par), dict(sec)),
                         ticks, reason, sec_entries, tuple(circuits))
 
+    # One step result per party, computed the first time its config is seen
+    # and dropped when ``par[p]`` changes (its local move, or its slice at a
+    # block's exit); _DONE marks a terminal config. Reusing it across ticks is
+    # sound because a local step depends only on the config: party machines
+    # stay in PAR mode, ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise
+    # ModeError outside a joint block before they touch ``rt.mint``. Joint
+    # blocks are stepped on their own move, never cached.
+    steps: dict[str, object] = {}
+
     for tick in range(fuel):
-        moves = []
-        outcomes = {}
+        locals_ = []
         waiting: dict[PrinSet, dict[str, NeedsSec]] = {}
-        for s, inst in sec.items():
-            moves.append(("exit", s) if inst.done else ("sec-step", s))
         for p in ps:
-            c = par[p]
-            if c.is_terminal():
-                continue
-            out = machine_step(c, rt, p)
-            outcomes[p] = out
+            out = steps.get(p)
+            if out is None:
+                c = par[p]
+                out = _DONE if c.is_terminal() else machine_step(c, rt, p)
+                steps[p] = out
             if type(out) is Next:
-                moves.append(("local", p))
+                locals_.append(("local", p))
             elif type(out) is NeedsSec:
                 if out.ps not in sec:
                     waiting.setdefault(out.ps, {})[p] = out
-            else:  # Stuck
+            elif out is not _DONE:  # Stuck
                 return finish("stuck", tick,
                               f"party {p} stuck at {out.rule}: {out.reason}")
-        for s, group in waiting.items():
-            if set(group) == set(s.names):
-                moves.append(("enter", s))
+        # canonical order: exit, sec-step, enter, local, each by str(target);
+        # ps is sorted, so the local moves already are
+        blocks = sorted(sec, key=str) if len(sec) > 1 else list(sec)
+        moves = [("exit", s) for s in blocks if sec[s].done]
+        moves += [("sec-step", s) for s in blocks if not sec[s].done]
+        ready = [s for s, group in waiting.items()
+                 if set(group) == set(s.names)]
+        if len(ready) > 1:
+            ready.sort(key=str)
+        moves += [("enter", s) for s in ready]
+        moves += locals_
 
         if not moves:
-            if all(c.is_terminal() for c in par.values()) and not sec:
+            if not sec and all(out is _DONE for out in steps.values()):
                 return finish("done", tick)
             return finish("stuck", tick, "no enabled move: parties are "
                           "waiting for partners that never arrive")
@@ -209,7 +220,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         kind, target = sched.pick(moves)
 
         if kind == "local":
-            par[target] = outcomes[target].config
+            par[target] = steps.pop(target).config
             continue
 
         if kind == "enter":
@@ -284,6 +295,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 trace = frame.trace + c.trace + (TMsg(vp),)
                 par[p] = Config(frame.mode, c.stack[:-1], frame.env,
                                 trace, vp)
+                del steps[p]
             continue
 
     return finish("fuel", fuel)

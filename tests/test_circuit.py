@@ -297,6 +297,15 @@ def test_private_list_index_is_not_circuitable():
                           AB, 8, ShareMint(0))
 
 
+def test_gmw_stuck_reason_names_a_wire_bundle_briefly():
+    # a wire bundle names its width, not every wire number
+    e = parse("(as_sec (prins a b) (lam _ (ffi nth (list 1 2) (reveal xa))))")
+    res = ds_run(e, shapes_env(), AB, backend="gmw")
+    assert res.status == "stuck"
+    assert "CInt(32 wires)" in res.reason
+    assert len(res.reason) <= 100, res.reason
+
+
 def test_sealing_a_handle_for_a_subset_is_stuck_on_every_path():
     e = parse("(as_sec (prins a b) (lam _ (seal (prins a) (ffi mk_sh 1))))")
     assert st.run(e, Env(), AB).status == "stuck"

@@ -1,15 +1,18 @@
 """Distributed semantics: local machines, joint blocks, schedules, checks."""
 
+import hashlib
+import itertools
 import sys
 
 import pytest
 
+from wysx import apps, ds
 from wysx.lang import (
     Env, FfiInt, OPAQUE, PrinSet, Sealed, ShareVal, TMsg, TScope, VMap,
     slice_trace, slice_value,
 )
 from wysx.sexp import parse
-from wysx.st import Runtime, run as st_run
+from wysx.st import Runtime, machine_step, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
@@ -239,3 +242,161 @@ def test_deep_block_runs_do_not_depend_on_run_order():
         assert res.status == "done", (backend, res.reason)
         assert res.parties["a"][0] == FfiInt(305)
         assert sys.getrecursionlimit() == limit
+
+
+# ---------------------------------------------------------------------------
+# the step cache and the canonical move order
+
+class Recording:
+    """Hands each pick to ``inner`` and keeps every move list and pick."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.offered = []
+        self.picked = []
+
+    def pick(self, moves):
+        self.offered.append(list(moves))
+        move = self.inner.pick(moves)
+        self.picked.append(move)
+        return move
+
+
+def schedules(n_random):
+    return [RoundRobin()] + [SeededRandom(i) for i in range(n_random)]
+
+
+def test_local_steps_are_pure_on_every_corpus_config(monkeypatch):
+    # ds_run steps each party config once and reuses the result until the
+    # config changes; that is sound only if a local step is a function of
+    # its config and never draws from the share mint
+    seen = []
+
+    def record(c, rt, p):
+        seen.append((c, p))
+        return machine_step(c, rt, p)
+
+    monkeypatch.setattr(ds, "machine_step", record)
+    for cell, backend in itertools.product(apps.corpus(), ("ideal", "gmw")):
+        rt = Runtime(0, 32)
+        seen.clear()
+        res = ds_run(apps.load_program(cell.program), cell.env, cell.ps, rt,
+                     backend=backend)
+        assert res.status == "done", (cell.name, backend, res.reason)
+        assert seen, cell.name
+        drawn = dict(rt.mint._counters)
+        for c, p in seen:
+            assert machine_step(c, rt, p) == machine_step(c, rt, p), cell.name
+        assert rt.mint._counters == drawn, cell.name
+
+
+def test_share_minted_outside_a_block_is_stuck_and_draws_nothing():
+    rt = Runtime(0, 32)
+    res = ds_run(parse("(ffi mk_sh 1)"), Env(), AB, rt)
+    assert res.status == "stuck"
+    assert "ModeError" in res.reason
+    assert rt.mint._counters == {}
+
+
+# Two joint blocks in flight, or ready to enter, at once. In "prefixed" the
+# block {ab,c} sorts before {a}, though a is the first party.
+CONCURRENT = {
+    "four": (PrinSet.of("a", "b", "c", "d"), """
+(let x (as_par (prins a b) (lam _
+         (as_sec (prins a b) (lam _ (ffi add (reveal xa) (reveal xb))))))
+ (let y (as_par (prins c d) (lam _
+          (as_sec (prins c d) (lam _ (ffi sub (reveal xd) (reveal xc))))))
+  (as_sec (prins a b c d) (lam _ (ffi add (reveal x) (reveal y))))))"""),
+    "prefixed": (PrinSet.of("a", "ab", "c"), """
+(let x (as_par (prins a) (lam _ (let t (reveal xa)
+         (as_sec (prins a) (lam _ (ffi add t 1))))))
+ (let y (as_par (prins ab c) (lam _
+          (as_sec (prins ab c) (lam _ (ffi add (reveal xab) (reveal xc))))))
+  (as_sec (prins a ab c) (lam _ (ffi add (reveal x) (reveal y))))))"""),
+}
+
+
+def concurrent_env(ps):
+    return Env({f"x{p}": Sealed(PrinSet.of(p), FfiInt(n))
+                for n, p in enumerate(ps, 3)})
+
+
+def schedule_digest(e, env, ps, width, n_random):
+    """Digest of every party's status, ticks, stuck reason, value and trace
+    and of the picked moves, under round robin and ``n_random`` seeded
+    schedules on both backends."""
+    h = hashlib.sha256()
+    for backend in ("ideal", "gmw"):
+        for sched in schedules(n_random):
+            rec = Recording(sched)
+            res = ds_run(e, env, ps, Runtime(0, width), rec, backend)
+            log = [f"{kind} {target}" for kind, target in rec.picked]
+            h.update(repr((res.status, res.ticks, res.reason,
+                           sorted(res.parties.items()), log)).encode())
+    return h.hexdigest()[:16]
+
+
+def corpus_schedule_digests() -> dict[str, str]:
+    out = {}
+    for cell in apps.corpus():
+        out[cell.name] = schedule_digest(apps.load_program(cell.program),
+                                         cell.env, cell.ps, 32, 6)
+    for name, (ps, src) in CONCURRENT.items():
+        out[f"concurrent/{name}"] = schedule_digest(
+            parse(src), concurrent_env(ps), ps, 32, 40)
+    return out
+
+
+SCHEDULE_DIGESTS = {
+    "median/low": "50c3f7405286fcca",
+    "median/high": "2c2508dc041eac95",
+    "median_opt/low": "7957acb245537475",
+    "median_opt/high": "1ba54f1ea0a69b5a",
+    "psi/overlap": "13a65fc471c2d5e1",
+    "psi/disjoint": "384aeaba3b17cb06",
+    "psi/empty": "384aeaba3b17cb06",
+    "psi_interim/overlap": "9311c3dd3f74edbd",
+    "psi_interim/empty": "f43ce21038500267",
+    "psi_opt/overlap": "199b6262d72d0144",
+    "psi_opt/dup": "d0c32b49685b357e",
+    "check_fresh/hit": "004d5e61a6703c2d",
+    "check_fresh/miss": "c3307289ef87f67f",
+    "check_fresh/empty": "dd2193c1a369c2d7",
+    "deal/empty-51": "700306427633cbc9",
+    "deal/fresh": "1a8db53c7c0683c3",
+    "deal/repeat": "01770448eb6a017e",
+    "concurrent/four": "05bebe3d1b94d09e",
+    "concurrent/prefixed": "6cfc03f8e0cdb5cc",
+}
+
+
+def test_schedules_are_pinned():
+    assert corpus_schedule_digests() == SCHEDULE_DIGESTS
+
+
+KIND_ORDER = {"exit": 0, "sec-step": 1, "enter": 2, "local": 3}
+
+
+@pytest.mark.parametrize("name", CONCURRENT)
+def test_moves_arrive_in_canonical_order(name):
+    ps, src = CONCURRENT[name]
+    e, env = parse(src), concurrent_env(ps)
+    want = st_run(e, env, ps).value
+    together = set()  # kinds seen with two or more joint blocks in one list
+    for backend in ("ideal", "gmw"):
+        for sched in schedules(40):
+            rec = Recording(sched)
+            res = ds_run(e, env, ps, Runtime(0, 32), rec, backend)
+            assert res.status == "done", res.reason
+            for p in ps:
+                assert res.parties[p][0] == want
+            for moves, move in zip(rec.offered, rec.picked):
+                keys = [(KIND_ORDER[kind], str(t)) for kind, t in moves]
+                assert keys == sorted(keys), moves
+                assert move in moves
+                joint = [kind for kind, _ in moves if kind != "local"]
+                if joint.count("enter") > 1:
+                    together.add("enter")
+                if len(joint) - joint.count("enter") > 1:
+                    together.add("in flight")
+    assert together == {"enter", "in flight"}
