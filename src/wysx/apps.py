@@ -6,9 +6,8 @@ its value and trace, and exhaustive small-domain checkers for the security
 properties the examples exhibit.  The oracles share no code with the
 interpreters, so agreement between the two is meaningful evidence.
 
-The accessors ``unseal`` and ``v_of_sh`` peek inside sealed and shared
-values.  They exist only for harness code; programs have no way to call
-them.
+The accessor ``v_of_sh`` recombines a share handle.  It exists only for
+harness code; programs have no way to call it.
 """
 
 from __future__ import annotations
@@ -105,11 +104,6 @@ def deal_env(rands: dict[str, int], hist: Sequence[ShareVal]) -> Env:
 
 # ---------------------------------------------------------------------------
 # harness-only accessors
-
-
-def unseal(v: Value) -> Value:
-    assert type(v) is Sealed
-    return v.v
 
 
 def v_of_sh(sh: ShareVal) -> int:

@@ -11,7 +11,12 @@ the map entries and seals the party may not see hidden.
 
 Fully public host calls and the shape-only builtins of ``ffi.SHAPE_ONLY``
 run on their host bodies, exactly as on the reference machine; only the
-other builtins have gate lowerings.
+other builtins have gate lowerings. Sealing, revealing, map building,
+projection and concatenation apply the reference machine's own
+``st.check_first_operand`` and ``st.apply_rule`` in the block's joint
+mode, so a block sticks for the same reason on every backend. The compiler
+adds one check of its own: a revealed seal's contents must be held by a
+member.
 
 Integers are two's complement at a fixed width. Branching on private
 booleans compiles both arms and multiplexes them, so control flow never
@@ -36,13 +41,14 @@ from itertools import repeat
 
 from . import ffi as ffi_mod
 from .lang import (
-    App, AsPar, AsSec, Bool, Clos, Concat, Const, Env, Expr, Ffi, FfiInt,
-    FfiList, FfiPair, FfiStr, Fix, FixClos, Handle, If, Lam, Let, MkMap,
-    OPAQUE, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
-    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, can_seal,
-    children, free_vars, with_children,
+    OPAQUE, OPERANDS, SEC, App, AsPar, AsSec, Bool, Clos, Concat, Const, Env,
+    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, FixClos, Handle, If,
+    Lam, Let, MkMap, Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project,
+    Reveal, Seal, Sealed, ShareVal, UnboundVariable, Unit, Value, VMap, Var,
+    WysError, children, free_vars, with_children,
 )
 from .shares import ShareMint, decode_word, encode_word
+from .st import Stuck, apply_rule, check_first_operand
 
 
 class CircuitError(WysError):
@@ -327,11 +333,13 @@ class Circuit:
 
 _INT_LIKE = (CInt, FfiInt)
 _BOOL_LIKE = (CBit, Bool)
+_VALUE_RULES = (Seal, Reveal, MkMap, Project, Concat)
 
 
 class Compiler:
     def __init__(self, parties: PrinSet, width: int, mint: ShareMint):
         self.parties = parties
+        self.mode = Mode(SEC, parties)
         self.width = width
         self.mint = mint
         self.b = Builder()
@@ -621,54 +629,22 @@ class Compiler:
         if t is Ffi:
             args = [self.ceval(env, a) for a in e.args]
             return self.lower_ffi(e.name, args)
-        if t is Seal:
-            ps = self.ceval(env, e.ps)
-            if type(ps) is not PrinsVal:
-                raise NotCircuitable("seal set is not a principal set")
-            if not ps.ps.subset_of(self.parties):
-                raise NotCircuitable(f"sealing for {ps.ps} inside {self.parties}")
-            v = self.ceval(env, e.body)
-            if not can_seal(ps.ps, v):
-                raise NotCircuitable(f"value not sealable for {ps.ps}")
-            return Sealed(ps.ps, v)
-        if t is Reveal:
-            v = self.ceval(env, e.e)
-            if type(v) is not Sealed:
-                raise NotCircuitable("revealing a value that is not sealed")
-            if not v.ps.intersects(self.parties):
-                raise NotCircuitable(f"no block member may open a seal for {v.ps}")
-            if type(v.v) is Opaque:
+        if t in _VALUE_RULES:
+            # the reference machine's checks and rules, in the block's mode
+            args = []
+            for a in OPERANDS[t](e):
+                v = self.ceval(env, a)
+                if not args:
+                    stuck = check_first_operand(e, v)
+                    if stuck is not None:
+                        raise NotCircuitable(stuck.reason)
+                args.append(v)
+            out = apply_rule(e, tuple(args), self.mode, None)
+            if type(out) is Stuck:
+                raise NotCircuitable(out.reason)
+            if t is Reveal and type(out) is Opaque:
                 raise NotCircuitable("no block member holds the sealed contents")
-            return v.v
-        if t is MkMap:
-            ps = self.ceval(env, e.ps)
-            if type(ps) is not PrinsVal:
-                raise NotCircuitable("map domain is not a principal set")
-            if not ps.ps.subset_of(self.parties):
-                raise NotCircuitable(f"map domain {ps.ps} outside {self.parties}")
-            v = self.ceval(env, e.v)
-            return VMap(tuple((p, v) for p in ps.ps))
-        if t is Project:
-            pv = self.ceval(env, e.prin)
-            if type(pv) is not PrinVal:
-                raise NotCircuitable("projection key is not a principal")
-            m = self.ceval(env, e.m)
-            if type(m) is not VMap:
-                raise NotCircuitable("projecting from a non-map")
-            if pv.name not in self.parties:
-                raise NotCircuitable(f"{pv.name} is outside the block")
-            v = m.get(pv.name)
-            if v is None:
-                raise NotCircuitable(f"no map entry for {pv.name}")
-            return v
-        if t is Concat:
-            m1 = self.ceval(env, e.m1)
-            m2 = self.ceval(env, e.m2)
-            if type(m1) is not VMap or type(m2) is not VMap:
-                raise NotCircuitable("concatenating non-maps")
-            if set(m1.keys()) & set(m2.keys()):
-                raise NotCircuitable("map domains overlap")
-            return VMap(tuple(sorted(m1.entries + m2.entries)))
+            return out
         if t is AsPar or t is AsSec:
             raise NotCircuitable("nested blocks cannot run under gates")
         raise NotCircuitable(f"no gate translation for {type(e).__name__}")

@@ -116,12 +116,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _out_of_fuel(fuel: int, unit: str) -> int:
+    print(f"run fuel: no result within {fuel} {unit}", file=sys.stderr)
+    return 1
+
+
 def cmd_run(args) -> int:
     expr = _read_program(args.program)
     env, ps = _gather_env(args)
     rt = Runtime(seed=args.seed, width=args.width)
     if args.mode == "st":
         r = run(expr, env, ps, rt, args.fuel)
+        if r.status == "fuel":
+            return _out_of_fuel(args.fuel, "steps")
         if r.status != "done":
             print(f"run {r.status}: {r.stuck_rule}: {r.stuck_reason}",
                   file=sys.stderr)
@@ -133,6 +140,8 @@ def cmd_run(args) -> int:
         return 0
     res = ds_run(expr, env, ps, rt, parse_sched(args.sched),
                  args.backend, args.fuel)
+    if res.status == "fuel":
+        return _out_of_fuel(args.fuel, "ticks")
     if res.status != "done":
         print(f"run {res.status}: {res.reason}", file=sys.stderr)
         return 1
@@ -199,6 +208,8 @@ def cmd_dump(args) -> int:
     for label, circ in res.circuits:
         print(f"# joint block {label}")
         print(dump_circuit(circ))
+    if res.status == "fuel":
+        return _out_of_fuel(args.fuel, "ticks")
     if res.status != "done":
         print(f"run {res.status}: {res.reason}", file=sys.stderr)
         return 1

@@ -26,9 +26,9 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    AsSecFn, Clos, Config, Env, Expr, FixClos, Mode, PAR, PrinSet, Protocol,
-    SEC, TMsg, Trace, Value, combine_envs, is_value, slice_config,
-    slice_env, slice_value,
+    AsSec, Clos, Config, Env, Expr, FixClos, Mode, Operands, PAR, PrinSet,
+    PrinsVal, Protocol, SEC, TMsg, Trace, Value, combine_envs, is_value,
+    slice_config, slice_env, slice_value,
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Next, Runtime, Stuck, machine_step,
@@ -285,7 +285,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             for p in s.names:
                 c = par[p]
                 frame = c.stack[-1]
-                if type(frame.ctx) is not AsSecFn or frame.ctx.ps != s:
+                ctx = frame.ctx
+                if (type(ctx) is not Operands or type(ctx.e) is not AsSec
+                        or ctx.done != (PrinsVal(s),)):
                     return finish("stuck", tick,
                                   f"party {p} is not waiting on {s}")
                 if type(inst) is IdealSec:

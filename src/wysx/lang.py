@@ -328,6 +328,24 @@ class Ffi(Expr):
     args: tuple[Expr, ...]
 
 
+# The operands of each compound expression, in evaluation order.  A ``Let``
+# evaluates only its bound expression and an ``If`` only its condition; the
+# node's rule then picks what runs next.
+OPERANDS = {
+    Let: lambda e: (e.bound,),
+    If: lambda e: (e.cond,),
+    App: lambda e: (e.fn, e.arg),
+    AsPar: lambda e: (e.ps, e.fn),
+    AsSec: lambda e: (e.ps, e.fn),
+    Seal: lambda e: (e.ps, e.body),
+    Reveal: lambda e: (e.e,),
+    MkMap: lambda e: (e.ps, e.v),
+    Project: lambda e: (e.prin, e.m),
+    Concat: lambda e: (e.m1, e.m2),
+    Ffi: lambda e: e.args,
+}
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     """Free variables of ``e``. Each ``Lam`` and ``Fix`` computes its own
     once, when built, so a walk stops at the nearest binder node."""
@@ -340,28 +358,12 @@ def free_vars(e: Expr) -> frozenset[str]:
         return e.fv
     if t is Let:
         return free_vars(e.bound) | (free_vars(e.body) - {e.x})
-    if t is App:
-        return free_vars(e.fn) | free_vars(e.arg)
     if t is If:
         return free_vars(e.cond) | free_vars(e.then) | free_vars(e.els)
-    if t is AsPar or t is AsSec:
-        return free_vars(e.ps) | free_vars(e.fn)
-    if t is Seal:
-        return free_vars(e.ps) | free_vars(e.body)
-    if t is Reveal:
-        return free_vars(e.e)
-    if t is MkMap:
-        return free_vars(e.ps) | free_vars(e.v)
-    if t is Project:
-        return free_vars(e.prin) | free_vars(e.m)
-    if t is Concat:
-        return free_vars(e.m1) | free_vars(e.m2)
-    if t is Ffi:
-        out = frozenset()
-        for a in e.args:
-            out |= free_vars(a)
-        return out
-    raise TypeError(f"not an expression: {e!r}")
+    ops = OPERANDS.get(t)
+    if ops is None:
+        raise TypeError(f"not an expression: {e!r}")
+    return frozenset().union(*map(free_vars, ops(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +477,21 @@ class Mode:
         return self.tag == SEC
 
 
-# Evaluation contexts, one constructor per single-hole position.  The two
-# Body constructors mark suspension points of as_par / as_sec blocks; they
-# carry distinct pop rules (scoping, sealing, message publication) and are
-# deliberately kept apart from the plain seal argument position.
+# Evaluation contexts.  ``Operands`` is the one-hole frame of every compound
+# expression: the values of the operands evaluated so far and the operands
+# still to run, in ``OPERANDS`` order.  The two Body frames mark suspension
+# points of as_par / as_sec blocks; they carry distinct pop rules (scoping,
+# sealing, message publication).
 
 class EvalCtx:
     __slots__ = ()
 
 
 @dataclass(slots=True)
-class AsParPs(EvalCtx):
-    fn: Expr
-
-
-@dataclass(slots=True)
-class AsParFn(EvalCtx):
-    ps: PrinSet
+class Operands(EvalCtx):
+    e: Expr
+    done: tuple[Value, ...]
+    pending: tuple[Expr, ...]
 
 
 @dataclass(slots=True)
@@ -500,92 +500,8 @@ class AsParBody(EvalCtx):
 
 
 @dataclass(slots=True)
-class AsSecPs(EvalCtx):
-    fn: Expr
-
-
-@dataclass(slots=True)
-class AsSecFn(EvalCtx):
-    ps: PrinSet
-
-
-@dataclass(slots=True)
 class AsSecBody(EvalCtx):
     ps: PrinSet
-
-
-@dataclass(slots=True)
-class SealPs(EvalCtx):
-    body: Expr
-
-
-@dataclass(slots=True)
-class SealBody(EvalCtx):
-    ps: PrinSet
-
-
-@dataclass(slots=True)
-class RevealHole(EvalCtx):
-    pass
-
-
-@dataclass(slots=True)
-class MkMapPs(EvalCtx):
-    v: Expr
-
-
-@dataclass(slots=True)
-class MkMapVal(EvalCtx):
-    ps: PrinSet
-
-
-@dataclass(slots=True)
-class ProjectPrin(EvalCtx):
-    m: Expr
-
-
-@dataclass(slots=True)
-class ProjectMap(EvalCtx):
-    prin: Principal
-
-
-@dataclass(slots=True)
-class ConcatLeft(EvalCtx):
-    m2: Expr
-
-
-@dataclass(slots=True)
-class ConcatRight(EvalCtx):
-    m1: Value
-
-
-@dataclass(slots=True)
-class FfiCtx(EvalCtx):
-    name: str
-    done: tuple[Value, ...]
-    pending: tuple[Expr, ...]
-
-
-@dataclass(slots=True)
-class LetCtx(EvalCtx):
-    x: str
-    body: Expr
-
-
-@dataclass(slots=True)
-class AppFn(EvalCtx):
-    arg: Expr
-
-
-@dataclass(slots=True)
-class AppArg(EvalCtx):
-    fn: Value
-
-
-@dataclass(slots=True)
-class IfCtx(EvalCtx):
-    then: Expr
-    els: Expr
 
 
 @dataclass(slots=True)
@@ -700,14 +616,10 @@ def slice_trace(p: Principal, t: Trace) -> Trace:
 
 
 def _slice_ctx(p: Principal, ctx: EvalCtx) -> EvalCtx:
-    t = type(ctx)
-    if t is AppArg:
-        return AppArg(slice_value(p, ctx.fn))
-    if t is ConcatRight:
-        return ConcatRight(slice_value(p, ctx.m1))
-    if t is FfiCtx:
-        return FfiCtx(ctx.name, tuple(slice_value(p, v) for v in ctx.done), ctx.pending)
-    return ctx  # remaining constructors hold expressions or plain tokens only
+    if type(ctx) is Operands:
+        return Operands(ctx.e, tuple(slice_value(p, v) for v in ctx.done),
+                        ctx.pending)
+    return ctx  # the Body frames hold a principal set only
 
 
 def _slice_frame(p: Principal, f: Frame) -> Frame:

@@ -5,6 +5,14 @@ or a value being plugged back into the innermost frame. Every frame records
 the mode, environment and trace at suspension time, so block entry and exit
 restore them exactly.
 
+A compound expression pushes one ``Operands`` frame and runs its operands
+in ``lang.OPERANDS`` order. Plugging a value checks the first operand
+(``check_first_operand``), moves on to the next one, and once all are in
+applies the rule for the node. The value rules of ``seal``, ``reveal``,
+``mkmap``, ``project`` and ``concat`` live in ``apply_rule``, which the
+gate compiler calls as well, so joint blocks follow one copy of them on
+every backend.
+
 The same decompose/plug core also drives the distributed interpreter's
 per-party machines: ``machine_step`` takes an optional party name and
 switches the handful of rules whose joint and local behaviour differ
@@ -18,14 +26,11 @@ from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
-    App, AppArg, AppFn, AsPar, AsParBody, AsParFn, AsParPs, AsSec, AsSecBody,
-    AsSecFn, AsSecPs, Bool, Clos, Code, Concat, ConcatLeft,
-    ConcatRight, Config, Const, Env, EvalCtx, Expr, Ffi, FfiCtx, FixClos,
-    Fix, Frame, If, IfCtx, Lam, Let, LetCtx, MkMap, MkMapPs, MkMapVal, Mode,
-    Opaque, PAR, PrinSet, PrinVal, PrinsVal, Project, ProjectMap,
-    ProjectPrin, Reveal, RevealHole, SEC, Seal, SealBody, SealPs, Sealed,
-    TMsg, TScope, Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError,
-    can_seal, free_vars, is_value,
+    OPAQUE, OPERANDS, App, AsPar, AsParBody, AsSec, AsSecBody, Bool, Clos,
+    Concat, Config, Const, Env, Expr, Ffi, FixClos, Fix, Frame, If, Lam,
+    Let, MkMap, Mode, Operands, PAR, PrinSet, PrinVal, PrinsVal, Project,
+    Reveal, SEC, Seal, Sealed, TMsg, TScope, Trace, UNIT, UnboundVariable,
+    Value, VMap, Var, WysError, can_seal, free_vars, is_value,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -36,6 +41,8 @@ class Runtime:
     """Per-run services: the share mint and the shared word width."""
 
     def __init__(self, seed: int = 0, width: int = 32):
+        if width < 1:
+            raise ValueError(f"width must be at least 1, got {width}")
         self.seed = seed
         self.width = width
         self.mint = ShareMint(seed)
@@ -66,11 +73,6 @@ StepOut = Union[Next, Stuck, NeedsSec]
 
 def initial_config(e: Expr, env: Env, ps: PrinSet) -> Config:
     return Config(Mode(PAR, ps), (), env, (), e)
-
-
-def _push(c: Config, ctx: EvalCtx, focus: Code) -> Config:
-    frame = Frame(c.mode, c.env, ctx, c.trace)
-    return Config(c.mode, c.stack + (frame,), c.env, (), focus)
 
 
 def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
@@ -113,34 +115,129 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
     if t is Fix:
         clos = FixClos(c.env.restrict(free_vars(e)), e.f, e.x, e.body)
         return Next(Config(c.mode, c.stack, c.env, c.trace, clos), "rec-closure")
-    if t is Let:
-        return Next(_push(c, LetCtx(e.x, e.body), e.bound), "let-push")
-    if t is App:
-        return Next(_push(c, AppFn(e.arg), e.fn), "app-push")
-    if t is If:
-        return Next(_push(c, IfCtx(e.then, e.els), e.cond), "if-push")
-    if t is AsPar:
-        return Next(_push(c, AsParPs(e.fn), e.ps), "par-push")
-    if t is AsSec:
-        return Next(_push(c, AsSecPs(e.fn), e.ps), "sec-push")
+    operands = OPERANDS.get(t)
+    if operands is None:
+        return Stuck("descend", f"not an expression: {e!r}")
+    ops = operands(e)
+    if ops:
+        frame = Frame(c.mode, c.env, Operands(e, (), ops[1:]), c.trace)
+        return Next(Config(c.mode, c.stack + (frame,), c.env, (), ops[0]),
+                    "push")
+    # a host call without arguments
+    v, err = _run_host(e.name, (), c.mode, rt)
+    if err is not None:
+        return Stuck("ffi-apply", err)
+    return Next(Config(c.mode, c.stack, c.env, c.trace, v), "ffi-apply")
+
+
+_SET_OPERAND = {AsPar: "par-ps", AsSec: "sec-ps", Seal: "seal-ps",
+                MkMap: "mkmap-ps"}
+
+
+def check_first_operand(e: Expr, v: Value) -> Optional[Stuck]:
+    """Check the value ``v`` of the first of several operands of ``e``
+    before the next operand runs."""
+    t = type(e)
+    rule = _SET_OPERAND.get(t)
+    if rule is not None:
+        if type(v) is not PrinsVal:
+            return Stuck(rule, f"not a principal set: {v!r}")
+        if not v.ps and (t is AsPar or t is AsSec):
+            return Stuck(rule, "empty principal set")
+    elif t is Project:
+        if type(v) is not PrinVal:
+            return Stuck("project-prin", f"not a principal: {v!r}")
+    elif t is Concat:
+        if type(v) is not VMap:
+            return Stuck("concat", f"not a map: {v!r}")
+    return None
+
+
+def apply_rule(e: Expr, args: tuple[Value, ...], mode: Mode,
+               party: Optional[str]) -> Union[Value, Stuck]:
+    """The value rule of a ``seal``, ``reveal``, ``mkmap``, ``project`` or
+    ``concat`` node whose operands evaluated to ``args``, in ``mode``.
+
+    ``party`` selects the semantics: None for the joint machine (and for
+    the gate compiler, whose mode is its block's), a principal name for
+    that party's local machine. Each rule is named after its node in lower
+    case.
+    """
+    t = type(e)
+    v = args[-1]
     if t is Seal:
-        return Next(_push(c, SealPs(e.body), e.ps), "seal-push")
+        s = args[0].ps
+        if party is not None:
+            # local machines keep only their own copy of the contents
+            return Sealed(s, v if party in s else OPAQUE)
+        if not s.subset_of(mode.ps):
+            return Stuck("seal", f"sealing for {s} outside mode {mode.ps}")
+        if not can_seal(s, v):
+            return Stuck("seal", f"value not sealable for {s}: {v!r}")
+        return Sealed(s, v)
+
     if t is Reveal:
-        return Next(_push(c, RevealHole(), e.e), "reveal-push")
+        if type(v) is not Sealed:
+            return Stuck("reveal", f"not a sealed value: {v!r}")
+        if party is not None:
+            if party not in v.ps:
+                return Stuck("reveal", f"{party} outside seal set {v.ps}")
+        elif mode.is_par():
+            if not mode.ps.subset_of(v.ps):
+                return Stuck("reveal",
+                             f"mode {mode.ps} not inside seal set {v.ps}")
+        elif not mode.ps.intersects(v.ps):
+            return Stuck("reveal",
+                         f"mode {mode.ps} disjoint from seal set {v.ps}")
+        return v.v
+
     if t is MkMap:
-        return Next(_push(c, MkMapPs(e.v), e.ps), "mkmap-push")
+        s = args[0].ps
+        if party is None:
+            if mode.is_sec():
+                if not s.subset_of(mode.ps):
+                    return Stuck("mkmap", f"{s} outside mode {mode.ps}")
+                return VMap.of({p: v for p in s})
+            if type(v) is not Sealed:
+                return Stuck("mkmap", f"expected a sealed value, got {v!r}")
+            if not (s.subset_of(mode.ps) and s.subset_of(v.ps)):
+                return Stuck("mkmap",
+                             f"{s} outside mode {mode.ps} or seal set {v.ps}")
+            return VMap.of({p: v.v for p in s})
+        if party not in s:
+            return VMap(())
+        if type(v) is not Sealed:
+            return Stuck("mkmap", f"expected a sealed value, got {v!r}")
+        if party not in v.ps:
+            return Stuck("mkmap", f"{party} cannot open seal for {v.ps}")
+        return VMap(((party, v.v),))
+
+    if type(v) is not VMap:
+        return Stuck(t.__name__.lower(), f"not a map: {v!r}")
+
     if t is Project:
-        return Next(_push(c, ProjectPrin(e.m), e.prin), "project-push")
-    if t is Concat:
-        return Next(_push(c, ConcatLeft(e.m2), e.m1), "concat-push")
-    if t is Ffi:
-        if not e.args:
-            v, err = _run_host(e.name, (), c.mode, rt)
-            if err is not None:
-                return Stuck("ffi-apply", err)
-            return Next(Config(c.mode, c.stack, c.env, c.trace, v), "ffi-apply")
-        return Next(_push(c, FfiCtx(e.name, (), e.args[1:]), e.args[0]), "ffi-push")
-    return Stuck("descend", f"not an expression: {e!r}")
+        q = args[0].name
+        if party is not None:
+            if q != party:
+                return Stuck("project", f"{party} projecting {q}")
+        elif mode.is_par():
+            if mode.ps != PrinSet.of(q):
+                return Stuck("project", f"projecting {q} in mode {mode.ps}")
+        elif q not in mode.ps:
+            return Stuck("project", f"{q} outside mode {mode.ps}")
+        got = v.get(q)
+        if got is None:
+            return Stuck("project", f"no entry for {q}")
+        return got
+
+    # Concat
+    m1 = args[0]
+    ks1, ks2 = set(m1.keys()), set(v.keys())
+    if ks1 & ks2:
+        return Stuck("concat", f"overlapping domains: {sorted(ks1 & ks2)}")
+    d = dict(m1.entries)
+    d.update(v.entries)
+    return VMap.of(d)
 
 
 def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
@@ -153,231 +250,122 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
     rest = c.stack[:-1]
     v = c.code
     ctx = frame.ctx
-    t = type(ctx)
     merged = frame.trace + c.trace
 
-    def restore(code: Value, rule: str, trace: Trace = merged,
-                mode: Mode = frame.mode) -> Next:
-        return Next(Config(mode, rest, frame.env, trace, code), rule)
-
-    def shift(new_ctx: EvalCtx, focus: Code, rule: str) -> Next:
-        nf = Frame(frame.mode, frame.env, new_ctx, merged)
-        return Next(Config(frame.mode, rest + (nf,), frame.env, (), focus), rule)
-
-    # ---- plain sequencing ------------------------------------------------
-    if t is LetCtx:
-        env2 = frame.env.extend(ctx.x, v)
-        return Next(Config(frame.mode, rest, env2, merged, ctx.body), "let-bind")
-
-    if t is AppFn:
-        return shift(AppArg(v), ctx.arg, "app-arg")
-
-    if t is AppArg:
-        fn = ctx.fn
-        ft = type(fn)
-        if ft is Clos:
-            env2 = fn.env.extend(fn.x, v)
-            return Next(Config(frame.mode, rest, env2, merged, fn.body), "apply")
-        if ft is FixClos:
-            env2 = fn.env.extend(fn.f, fn).extend(fn.x, v)
-            return Next(Config(frame.mode, rest, env2, merged, fn.body), "apply")
-        return Stuck("apply", f"not a function: {fn!r}")
-
-    if t is IfCtx:
-        if type(v) is not Bool:
-            return Stuck("if-branch", f"condition is not a boolean: {v!r}")
-        branch = ctx.then if v.b else ctx.els
-        return Next(Config(frame.mode, rest, frame.env, merged, branch), "if-branch")
-
-    if t is FfiCtx:
-        done = ctx.done + (v,)
+    if type(ctx) is Operands:
+        e = ctx.e
         if ctx.pending:
-            return shift(FfiCtx(ctx.name, done, ctx.pending[1:]),
-                         ctx.pending[0], "ffi-arg")
-        out, err = _run_host(ctx.name, done, frame.mode, rt)
-        if err is not None:
-            return Stuck("ffi-apply", err)
-        return restore(out, "ffi-apply")
+            if not ctx.done:
+                stuck = check_first_operand(e, v)
+                if stuck is not None:
+                    return stuck
+            nf = Frame(frame.mode, frame.env,
+                       Operands(e, ctx.done + (v,), ctx.pending[1:]), merged)
+            return Next(Config(frame.mode, rest + (nf,), frame.env, (),
+                               ctx.pending[0]), "next-operand")
+        t = type(e)
 
-    # ---- sealing ---------------------------------------------------------
-    if t is SealPs:
-        if type(v) is not PrinsVal:
-            return Stuck("seal-ps", f"not a principal set: {v!r}")
-        return shift(SealBody(v.ps), ctx.body, "seal-body")
+        # ---- plain sequencing --------------------------------------------
+        if t is Let:
+            env2 = frame.env.extend(e.x, v)
+            return Next(Config(frame.mode, rest, env2, merged, e.body),
+                        "let-bind")
 
-    if t is SealBody:
-        s = ctx.ps
+        if t is App:
+            fn = ctx.done[0]
+            ft = type(fn)
+            if ft is Clos:
+                env2 = fn.env.extend(fn.x, v)
+            elif ft is FixClos:
+                env2 = fn.env.extend(fn.f, fn).extend(fn.x, v)
+            else:
+                return Stuck("apply", f"not a function: {fn!r}")
+            return Next(Config(frame.mode, rest, env2, merged, fn.body),
+                        "apply")
+
+        if t is If:
+            if type(v) is not Bool:
+                return Stuck("if-branch", f"condition is not a boolean: {v!r}")
+            branch = e.then if v.b else e.els
+            return Next(Config(frame.mode, rest, frame.env, merged, branch),
+                        "if-branch")
+
+        if t is Ffi:
+            out, err = _run_host(e.name, ctx.done + (v,), frame.mode, rt)
+            if err is not None:
+                return Stuck("ffi-apply", err)
+            return Next(Config(frame.mode, rest, frame.env, merged, out),
+                        "ffi-apply")
+
+        # ---- block entry -------------------------------------------------
+        if t is AsPar or t is AsSec:
+            return _enter(v, frame, rest, merged, party)
+
+        out = apply_rule(e, ctx.done + (v,), frame.mode, party)
+        if type(out) is Stuck:
+            return out
+        return Next(Config(frame.mode, rest, frame.env, merged, out),
+                    t.__name__.lower())
+
+    # ---- block exit --------------------------------------------------------
+    s = ctx.ps
+    if type(ctx) is AsParBody:
+        trace = merged
         if party is None:
-            if not s.subset_of(frame.mode.ps):
-                return Stuck("seal", f"sealing for {s} outside mode {frame.mode.ps}")
             if not can_seal(s, v):
-                return Stuck("seal", f"value not sealable for {s}: {v!r}")
-            return restore(Sealed(s, v), "seal")
-        # local machines keep only their own copy of the contents
-        return restore(Sealed(s, v if party in s else Opaque()), "seal")
+                return Stuck("par-return",
+                             f"result not sealable for {s}: {v!r}")
+            trace = frame.trace + (TScope(s, c.trace),)
+        return Next(Config(frame.mode, rest, frame.env, trace, Sealed(s, v)),
+                    "par-return")
 
-    if t is RevealHole:
-        if type(v) is not Sealed:
-            return Stuck("reveal", f"not a sealed value: {v!r}")
-        if party is None:
-            m = frame.mode
-            if m.is_par():
-                if not m.ps.subset_of(v.ps):
-                    return Stuck("reveal",
-                                 f"mode {m.ps} not inside seal set {v.ps}")
-            else:
-                if not m.ps.intersects(v.ps):
-                    return Stuck("reveal",
-                                 f"mode {m.ps} disjoint from seal set {v.ps}")
-        else:
-            if party not in v.ps:
-                return Stuck("reveal", f"{party} outside seal set {v.ps}")
-        return restore(v.v, "reveal")
+    if party is not None:
+        return Stuck("sec-return", "local machine inside a joint block")
+    if c.trace:
+        return Stuck("sec-return", "joint block produced scoped output")
+    return Next(Config(frame.mode, rest, frame.env,
+                       frame.trace + (TMsg(v),), v), "sec-return")
 
-    # ---- per-principal maps ------------------------------------------------
-    if t is MkMapPs:
-        if type(v) is not PrinsVal:
-            return Stuck("mkmap-ps", f"not a principal set: {v!r}")
-        return shift(MkMapVal(v.ps), ctx.v, "mkmap-val")
 
-    if t is MkMapVal:
-        s = ctx.ps
-        if party is None:
-            m = frame.mode
-            if m.is_sec():
-                if not s.subset_of(m.ps):
-                    return Stuck("mkmap", f"{s} outside mode {m.ps}")
-                return restore(VMap.of({p: v for p in s}), "mkmap")
-            if type(v) is not Sealed:
-                return Stuck("mkmap", f"expected a sealed value, got {v!r}")
-            if not (s.subset_of(m.ps) and s.subset_of(v.ps)):
-                return Stuck("mkmap",
-                             f"{s} outside mode {m.ps} or seal set {v.ps}")
-            return restore(VMap.of({p: v.v for p in s}), "mkmap")
-        if party not in s:
-            return restore(VMap(()), "mkmap")
-        if type(v) is not Sealed:
-            return Stuck("mkmap", f"expected a sealed value, got {v!r}")
-        if party not in v.ps:
-            return Stuck("mkmap", f"{party} cannot open seal for {v.ps}")
-        return restore(VMap(((party, v.v),)), "mkmap")
-
-    if t is ProjectPrin:
-        if type(v) is not PrinVal:
-            return Stuck("project-prin", f"not a principal: {v!r}")
-        return shift(ProjectMap(v.name), ctx.m, "project-map")
-
-    if t is ProjectMap:
-        q = ctx.prin
-        if type(v) is not VMap:
-            return Stuck("project", f"not a map: {v!r}")
-        if party is None:
-            m = frame.mode
-            if m.is_par():
-                if m.ps != PrinSet.of(q):
-                    return Stuck("project",
-                                 f"projecting {q} in mode {m.ps}")
-            else:
-                if q not in m.ps:
-                    return Stuck("project", f"{q} outside mode {m.ps}")
-        else:
-            if q != party:
-                return Stuck("project", f"{party} projecting {q}")
-        got = v.get(q)
-        if got is None:
-            return Stuck("project", f"no entry for {q}")
-        return restore(got, "project")
-
-    if t is ConcatLeft:
-        if type(v) is not VMap:
-            return Stuck("concat", f"not a map: {v!r}")
-        return shift(ConcatRight(v), ctx.m2, "concat-right")
-
-    if t is ConcatRight:
-        m1 = ctx.m1
-        if type(v) is not VMap:
-            return Stuck("concat", f"not a map: {v!r}")
-        ks1, ks2 = set(m1.keys()), set(v.keys())
-        if ks1 & ks2:
-            return Stuck("concat", f"overlapping domains: {sorted(ks1 & ks2)}")
-        d = dict(m1.entries)
-        d.update(v.entries)
-        return restore(VMap.of(d), "concat")
-
-    # ---- block entry and exit ---------------------------------------------
-    if t is AsParPs:
-        if type(v) is not PrinsVal:
-            return Stuck("par-ps", f"not a principal set: {v!r}")
-        if len(v.ps) == 0:
-            return Stuck("par-ps", "empty principal set")
-        return shift(AsParFn(v.ps), ctx.fn, "par-fn")
-
-    if t is AsParFn:
-        s = ctx.ps
-        te = thunk_env(v)
+def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
+           party: Optional[str]) -> StepOut:
+    """Enter the as_par or as_sec block of ``frame`` on its thunk ``v``."""
+    e = frame.ctx.e
+    s = frame.ctx.done[0].ps
+    m = frame.mode
+    te = thunk_env(v)
+    if type(e) is AsPar:
         if te is None:
             return Stuck("par-enter", f"not a function: {v!r}")
         env2, body = te
         if party is None:
-            m = frame.mode
             if not (m.is_par() and s.subset_of(m.ps)):
                 return Stuck("par-enter",
                              f"cannot delegate to {s} from {m.tag} {m.ps}")
-            nf = Frame(m, frame.env, AsParBody(s), merged)
-            return Next(Config(Mode(PAR, s), rest + (nf,), env2, (), body),
-                        "par-enter")
-        if party not in s:
+            m2 = Mode(PAR, s)
+        elif party not in s:
             # everything inside is someone else's business
-            return restore(Sealed(s, Opaque()), "par-skip")
-        nf = Frame(frame.mode, frame.env, AsParBody(s), merged)
-        return Next(Config(frame.mode, rest + (nf,), env2, (), body),
-                    "par-enter")
+            return Next(Config(m, rest, frame.env, merged, Sealed(s, OPAQUE)),
+                        "par-skip")
+        else:
+            m2 = m
+        nf = Frame(m, frame.env, AsParBody(s), merged)
+        return Next(Config(m2, rest + (nf,), env2, (), body), "par-enter")
 
-    if t is AsParBody:
-        s = ctx.ps
-        if party is None:
-            if not can_seal(s, v):
-                return Stuck("par-return", f"result not sealable for {s}: {v!r}")
-            tr = frame.trace + (TScope(s, c.trace),)
-            return restore(Sealed(s, v), "par-return", trace=tr)
-        return restore(Sealed(s, v), "par-return")
-
-    if t is AsSecPs:
-        if type(v) is not PrinsVal:
-            return Stuck("sec-ps", f"not a principal set: {v!r}")
-        if len(v.ps) == 0:
-            return Stuck("sec-ps", "empty principal set")
-        return shift(AsSecFn(v.ps), ctx.fn, "sec-fn")
-
-    if t is AsSecFn:
-        s = ctx.ps
-        te = thunk_env(v)
-        if te is None:
-            return Stuck("sec-enter", f"not a function: {v!r}")
-        if party is None:
-            m = frame.mode
-            if not (m.is_par() and m.ps == s):
-                return Stuck("sec-enter",
-                             f"joint block over {s} requires exactly those "
-                             f"parties, mode is {m.tag} {m.ps}")
-            env2, body = te
-            nf = Frame(m, frame.env, AsSecBody(s), merged)
-            return Next(Config(Mode(SEC, s), rest + (nf,), env2, (), body),
-                        "sec-enter")
-        if party not in s:
-            return Stuck("sec-enter", f"{party} outside joint set {s}")
-        return NeedsSec(s, v)
-
-    if t is AsSecBody:
-        s = ctx.ps
-        if party is not None:
-            return Stuck("sec-return", "local machine inside a joint block")
-        if c.trace:
-            return Stuck("sec-return", "joint block produced scoped output")
-        tr = frame.trace + (TMsg(v),)
-        return restore(v, "sec-return", trace=tr)
-
-    return Stuck("plug", f"unhandled context {ctx!r}")
+    if te is None:
+        return Stuck("sec-enter", f"not a function: {v!r}")
+    if party is None:
+        if not (m.is_par() and m.ps == s):
+            return Stuck("sec-enter",
+                         f"joint block over {s} requires exactly those "
+                         f"parties, mode is {m.tag} {m.ps}")
+        env2, body = te
+        nf = Frame(m, frame.env, AsSecBody(s), merged)
+        return Next(Config(Mode(SEC, s), rest + (nf,), env2, (), body),
+                    "sec-enter")
+    if party not in s:
+        return Stuck("sec-enter", f"{party} outside joint set {s}")
+    return NeedsSec(s, v)
 
 
 def machine_step(c: Config, rt: Runtime, party: Optional[str] = None) -> StepOut:

@@ -313,6 +313,31 @@ def test_sealing_a_handle_for_a_subset_is_stuck_on_every_path():
         assert ds_run(e, Env(), AB, backend=backend).status == "stuck", backend
 
 
+SHARED_RULE_BODIES = (
+    "(seal (prins c) 1)", "(seal 5 1)",
+    "(reveal 5)", "(reveal (seal (prins c) 1))",
+    "(mkmap (prins c) 1)", "(mkmap 5 1)",
+    "(project (prin c) (mkmap (prins a) 1))",
+    "(project 5 (mkmap (prins a) 1))",
+    "(project (prin b) (mkmap (prins a) 1))",
+    "(concat (mkmap (prins a) 1) (mkmap (prins a) 2))",
+    "(concat 5 (mkmap (prins a) 2))",
+)
+
+
+@pytest.mark.parametrize("body", SHARED_RULE_BODIES)
+def test_joint_value_rules_stick_alike_on_every_backend(body):
+    # the gate compiler applies the reference machine's seal, reveal, map,
+    # projection and concatenation rules, so it sticks for the same reason
+    e = parse(f"(as_sec (prins a b) (lam _ {body}))")
+    ref = st.run(e, Env(), AB)
+    assert ref.status == "stuck"
+    for backend in ("ideal", "gmw"):
+        res = ds_run(e, Env(), AB, backend=backend)
+        assert res.status == "stuck", backend
+        assert ref.stuck_reason in res.reason, backend
+
+
 def corpus_digests() -> dict[str, str]:
     """Per corpus cell and width: a digest of every joint block's gates and
     every party's status, value and trace under the GMW backend."""

@@ -209,3 +209,26 @@ def test_deep_runtime_value_is_a_one_line_error(tmp_path, capsys, mode,
                     f"(ffi pair n (f (ffi sub n 1))))) {depth})")
     assert main(["run", str(prog), "--prins", "a", "--mode", mode]) == 1
     assert capsys.readouterr().err == "error: value nested too deeply\n"
+
+
+@pytest.mark.parametrize("mode", [["--mode", "st"],
+                                  ["--mode", "ds", "--backend", "gmw"]],
+                         ids=["st", "gmw"])
+@pytest.mark.parametrize("width", [0, -1])
+def test_width_below_one_is_a_one_line_error(tmp_path, capsys, mode, width):
+    prog = tmp_path / "gt.wyx"
+    prog.write_text("(as_sec (prins a b) (lam _ (ffi gt 2 1)))")
+    assert main(["run", str(prog), "--prins", "a,b", "--width", str(width),
+                 *mode]) == 1
+    assert capsys.readouterr().err == \
+        f"error: width must be at least 1, got {width}\n"
+
+
+@pytest.mark.parametrize("mode,unit", [("st", "steps"), ("ds", "ticks")])
+def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
+    prog = tmp_path / "loop.wyx"
+    prog.write_text("((fix f x (f x)) 1)")
+    assert main(["run", str(prog), "--prins", "a,b", "--fuel", "3",
+                 "--mode", mode]) == 1
+    assert capsys.readouterr().err == \
+        f"run fuel: no result within 3 {unit}\n"

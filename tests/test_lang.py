@@ -3,9 +3,9 @@
 import pytest
 
 from wysx.lang import (
-    AppArg, Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
+    Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
     FfiList, FfiPair, FfiStr, FixClos, Frame, Mode, ModeError, OPAQUE, Opaque,
-    PAR, PrinSet, PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
+    Operands, PAR, PrinSet, PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
     UNIT, UnboundVariable, Var, VMap, can_seal, combine_envs, combine_many,
     combine_values, contains_bare_opaque, flatten_trace, free_vars,
     slice_config, slice_env, slice_trace, slice_value,
@@ -121,14 +121,19 @@ def test_slice_config_requires_matching_par_mode():
 
 
 def test_slice_config_projects_stack():
+    # (pair s t) suspended after its first operand, a value sealed for a
+    e = Ffi("pair", (Var("s"), Var("t")))
     frame = Frame(Mode(PAR, AB), Env({"x": Sealed(A, FfiInt(7))}),
-                  AppArg(Clos(Env(), "y", Var("y"))), (TMsg(FfiInt(1)),))
+                  Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),)),
+                  (TMsg(FfiInt(1)),))
     c = Config(Mode(PAR, AB), (frame,), Env(), (), Const(UNIT))
     proto = slice_config(AB, c)
     fa = proto.par["a"].stack[0]
     fb = proto.par["b"].stack[0]
     assert fa.env.get("x") == Sealed(A, FfiInt(7))
     assert fb.env.get("x") == Sealed(A, OPAQUE)
+    assert fa.ctx == Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),))
+    assert fb.ctx == Operands(e, (Sealed(A, OPAQUE),), (Var("t"),))
     assert fa.mode == Mode(PAR, A) and fb.mode == Mode(PAR, B)
 
 
