@@ -3,11 +3,12 @@
 A joint block's thunk is evaluated symbolically over the interpreters' own
 values: public data stays a plain ``lang`` value, private data becomes a
 wire node, and pairs, lists, maps and seals hold either. The result is a
-flat gate list (CONST/XOR/AND/NOT), input declarations saying which party
-feeds which wires from where in its local environment, and the block's
-result value. That value is also the decode tree: each party's view of the
-block result is it with the wire nodes read back from output wires and with
-the map entries and seals the party may not see hidden.
+flat list of gates, each a tuple (CONST/XOR/AND/NOT, out, a, b) filed under
+its AND layer as the builder emits it; input declarations saying which
+party feeds which wires from where in its local environment; and the
+block's result value. That value is also the decode tree: each party's
+view of the block result is it with the wire nodes read back from output
+wires and with the map entries and seals the party may not see hidden.
 
 Fully public host calls and the shape-only builtins of ``ffi.SHAPE_ONLY``
 run on their host bodies, exactly as on the reference machine; only the
@@ -38,6 +39,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import eq
 
 from . import ffi as ffi_mod
 from .lang import (
@@ -68,14 +70,8 @@ class MissingInput(CircuitError):
 
 CONST, XOR, AND, NOT = "CONST", "XOR", "AND", "NOT"
 
-
-@dataclass(slots=True)
-class Gate:
-    op: str
-    out: int
-    a: int = -1
-    b: int = -1
-    bit: int = 0
+# A gate is a plain tuple (op, out, a, b). CONST keeps its bit in a; CONST
+# and NOT have b = -1.
 
 
 Path = tuple  # steps: ("var", x) ("unseal",) ("fst",) ("snd",) ("idx", i)
@@ -91,74 +87,108 @@ class InputDecl:
 
 
 class Builder:
-    """Wire allocator with light constant folding."""
+    """Wire allocator with light constant folding.
+
+    Every gate is filed under its AND layer as it is emitted. The builder
+    knows each wire's AND-depth, and ``layers[r]`` holds the local gates of
+    depth r and the AND gates of depth r + 1, each in builder order; the
+    last layer has no AND gates. Builder order is a topological order, so
+    an operand's depth is always known when a gate reads it."""
 
     def __init__(self):
-        self.gates: list[Gate] = []
+        self.gates: list[tuple] = []
         self.n = 0
-        self.known: dict[int, int] = {}
+        self.depth: list[int] = []  # AND-depth of each wire
+        self.layers: list[tuple[list, list]] = [([], [])]
+        self.known: dict[int, int] = {}  # the constant wires and their bits
         self._const_wire: dict[int, int] = {}
-        self.input_wires: set[int] = set()
 
-    def fresh(self) -> int:
+    def input_word(self, width: int) -> tuple[int, ...]:
         w = self.n
-        self.n += 1
-        return w
+        self.n = w + width
+        self.depth += repeat(0, width)
+        return tuple(range(w, w + width))
 
     def input_wire(self) -> int:
-        w = self.fresh()
-        self.input_wires.add(w)
-        return w
+        return self.input_word(1)[0]
 
     def const(self, bit: int) -> int:
         bit &= 1
         got = self._const_wire.get(bit)
         if got is not None:
             return got
-        w = self.fresh()
-        self.gates.append(Gate(CONST, w, bit=bit))
+        w = self.n
+        self.n = w + 1
+        self.depth.append(0)
+        g = (CONST, w, bit, -1)
+        self.gates.append(g)
+        self.layers[0][0].append(g)
         self.known[w] = bit
         self._const_wire[bit] = w
         return w
 
     def xor(self, a: int, b: int) -> int:
-        ka, kb = self.known.get(a), self.known.get(b)
-        if ka is not None and kb is not None:
-            return self.const(ka ^ kb)
-        if ka == 0:
-            return b
-        if kb == 0:
-            return a
-        if ka == 1:
-            return self.not_(b)
-        if kb == 1:
-            return self.not_(a)
-        if a == b:
+        known = self.known
+        if a in known or b in known or a == b:
+            ka, kb = known.get(a), known.get(b)
+            if ka is not None and kb is not None:
+                return self.const(ka ^ kb)
+            if ka == 0:
+                return b
+            if kb == 0:
+                return a
+            if ka == 1:
+                return self.not_(b)
+            if kb == 1:
+                return self.not_(a)
             return self.const(0)
-        w = self.fresh()
-        self.gates.append(Gate(XOR, w, a, b))
+        w = self.n
+        self.n = w + 1
+        depth = self.depth
+        d = depth[a]
+        if depth[b] > d:
+            d = depth[b]
+        depth.append(d)
+        g = (XOR, w, a, b)
+        self.gates.append(g)
+        self.layers[d][0].append(g)
         return w
 
     def and_(self, a: int, b: int) -> int:
-        ka, kb = self.known.get(a), self.known.get(b)
-        if ka == 0 or kb == 0:
-            return self.const(0)
-        if ka == 1:
-            return b
-        if kb == 1:
+        known = self.known
+        if a in known or b in known or a == b:
+            ka, kb = known.get(a), known.get(b)
+            if ka == 0 or kb == 0:
+                return self.const(0)
+            if ka == 1:
+                return b
             return a
-        if a == b:
-            return a
-        w = self.fresh()
-        self.gates.append(Gate(AND, w, a, b))
+        w = self.n
+        self.n = w + 1
+        depth = self.depth
+        d = depth[a]
+        if depth[b] > d:
+            d = depth[b]
+        depth.append(d + 1)
+        g = (AND, w, a, b)
+        self.gates.append(g)
+        layers = self.layers
+        layers[d][1].append(g)
+        if d + 1 == len(layers):
+            layers.append(([], []))
         return w
 
     def not_(self, a: int) -> int:
         ka = self.known.get(a)
         if ka is not None:
             return self.const(1 - ka)
-        w = self.fresh()
-        self.gates.append(Gate(NOT, w, a))
+        w = self.n
+        self.n = w + 1
+        d = self.depth[a]
+        self.depth.append(d)
+        g = (NOT, w, a, -1)
+        self.gates.append(g)
+        self.layers[d][0].append(g)
         return w
 
     def or_(self, a: int, b: int) -> int:
@@ -167,6 +197,75 @@ class Builder:
     def const_word(self, n: int, width: int) -> tuple[int, ...]:
         n = encode_word(n, width)
         return tuple(self.const((n >> i) & 1) for i in range(width))
+
+    # word emitters: the same gates, in the same order, as the scalar calls
+    # they stand for, emitted in one call once no operand can fold
+
+    def xnor_word(self, xs, ys) -> list[int]:
+        """``not_(xor(x, y))`` for each bit pair, XOR and NOT interleaved."""
+        keys = self.known.keys()
+        if (not keys.isdisjoint(xs) or not keys.isdisjoint(ys)
+                or any(map(eq, xs, ys))):
+            return [self.not_(self.xor(x, y)) for x, y in zip(xs, ys)]
+        gates, depth, layers = self.gates, self.depth, self.layers
+        w = self.n
+        out = []
+        for x, y in zip(xs, ys):
+            d = depth[x]
+            if depth[y] > d:
+                d = depth[y]
+            depth.append(d)
+            depth.append(d)
+            v = w + 1
+            g = (XOR, w, x, y)
+            h = (NOT, v, w, -1)
+            gates.append(g)
+            gates.append(h)
+            local = layers[d][0]
+            local.append(g)
+            local.append(h)
+            out.append(v)
+            w = v + 1
+        self.n = w
+        return out
+
+    def and_tree(self, bits) -> int:
+        """AND of ``bits`` as a balanced tree, emitted level by level; an odd
+        bit out moves up a level unchanged."""
+        if not bits:
+            return self.const(1)
+        if (len(set(bits)) < len(bits)
+                or not self.known.keys().isdisjoint(bits)):
+            while len(bits) > 1:
+                nxt = [self.and_(bits[i], bits[i + 1])
+                       for i in range(0, len(bits) - 1, 2)]
+                if len(bits) % 2:
+                    nxt.append(bits[-1])
+                bits = nxt
+            return bits[0]
+        # fresh outputs are distinct and unknown, so no level can fold
+        gates, depth, layers = self.gates, self.depth, self.layers
+        w = self.n
+        while len(bits) > 1:
+            nxt = []
+            for i in range(0, len(bits) - 1, 2):
+                x, y = bits[i], bits[i + 1]
+                d = depth[x]
+                if depth[y] > d:
+                    d = depth[y]
+                depth.append(d + 1)
+                g = (AND, w, x, y)
+                gates.append(g)
+                layers[d][1].append(g)
+                if d + 1 == len(layers):
+                    layers.append(([], []))
+                nxt.append(w)
+                w += 1
+            if len(bits) % 2:
+                nxt.append(bits[-1])
+            bits = nxt
+        self.n = w
+        return bits[0]
 
 
 def add_wires(b: Builder, xs, ys, carry_in=None):
@@ -196,15 +295,7 @@ def gt_wires(b: Builder, xs, ys) -> int:
 
 
 def eq_wires(b: Builder, xs, ys) -> int:
-    bits = [b.not_(b.xor(x, y)) for x, y in zip(xs, ys)]
-    while len(bits) > 1:
-        nxt = []
-        for i in range(0, len(bits) - 1, 2):
-            nxt.append(b.and_(bits[i], bits[i + 1]))
-        if len(bits) % 2:
-            nxt.append(bits[-1])
-        bits = nxt
-    return bits[0] if bits else b.const(1)
+    return b.and_tree(b.xnor_word(xs, ys))
 
 
 def mux_wires(b: Builder, c: int, ts, fs):
@@ -284,48 +375,20 @@ def is_public(v: Value) -> bool:
 class Circuit:
     parties: PrinSet
     width: int
-    gates: list[Gate]
+    gates: list[tuple]  # (op, out, a, b), in builder order
     n_wires: int
+    # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
+    # each in builder order, as ``Builder`` files them
+    layers: list[tuple[list, list]] = field(repr=False)
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
     decode: Value  # the block's result, wire nodes included
     and_count: int = field(init=False)
     and_depth: int = field(init=False)
-    # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
-    # each in builder order; the last layer has no AND gates
-    layers: list[tuple[list[Gate], list[Gate]]] = field(init=False,
-                                                        repr=False)
 
     def __post_init__(self):
-        """Layer the gates by AND-depth in one pass. Builder order is a
-        topological order, so a wire's depth is known before any gate that
-        reads it."""
-        depth = [0] * self.n_wires
-        layers: list[tuple[list[Gate], list[Gate]]] = [([], [])]
-        for g in self.gates:
-            op = g.op
-            if op == AND:
-                d = depth[g.a]
-                if depth[g.b] > d:
-                    d = depth[g.b]
-                layers[d][1].append(g)
-                d += 1
-                if d == len(layers):
-                    layers.append(([], []))
-            else:
-                if op == XOR:
-                    d = depth[g.a]
-                    if depth[g.b] > d:
-                        d = depth[g.b]
-                elif op == NOT:
-                    d = depth[g.a]
-                else:
-                    d = 0
-                layers[d][0].append(g)
-            depth[g.out] = d
-        self.layers = layers
-        self.and_count = sum(len(ands) for _, ands in layers)
-        self.and_depth = len(layers) - 1
+        self.and_count = sum(len(ands) for _, ands in self.layers)
+        self.and_depth = len(self.layers) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +451,7 @@ class Compiler:
             wpath = path + (("word",),)
             for p in v.ps:
                 if p in vis:
-                    wires = tuple(self.b.input_wire() for _ in range(v.width))
+                    wires = self.b.input_word(v.width)
                     self.inputs.append(InputDecl(p, wpath, wires, False))
                     words.append((p, wires))
             return CShareIn(v.ps, v.width, tuple(words))
@@ -404,7 +467,7 @@ class Compiler:
 
     def _secret_int(self, path: Path, vis: frozenset) -> tuple[int, ...]:
         owner = sorted(vis)[0]
-        wires = tuple(self.b.input_wire() for _ in range(self.width))
+        wires = self.b.input_word(self.width)
         self.inputs.append(InputDecl(owner, path, wires, False))
         return wires
 
@@ -702,7 +765,8 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
         comp.add_outputs(result, vis)
     finally:
         sys.setrecursionlimit(limit)
-    return Circuit(parties, width, comp.b.gates, comp.b.n, comp.inputs,
+    b = comp.b
+    return Circuit(parties, width, b.gates, b.n, b.layers, comp.inputs,
                    comp.outputs, result)
 
 
@@ -778,15 +842,15 @@ def eval_circuit(circ: Circuit, party_bits: dict[str, dict[int, int]]) -> dict[i
     wv: dict[int, int] = {}
     for bits in party_bits.values():
         wv.update(bits)
-    for g in circ.gates:
-        if g.op == CONST:
-            wv[g.out] = g.bit
-        elif g.op == XOR:
-            wv[g.out] = wv[g.a] ^ wv[g.b]
-        elif g.op == AND:
-            wv[g.out] = wv[g.a] & wv[g.b]
+    for op, o, a, b in circ.gates:
+        if op == CONST:
+            wv[o] = a
+        elif op == XOR:
+            wv[o] = wv[a] ^ wv[b]
+        elif op == AND:
+            wv[o] = wv[a] & wv[b]
         else:
-            wv[g.out] = 1 - wv[g.a]
+            wv[o] = 1 - wv[a]
     return wv
 
 
@@ -840,13 +904,13 @@ def dump_circuit(circ: Circuit) -> str:
         kind = "bool" if decl.is_bool else "int"
         ws = ",".join(f"x{w}" for w in decl.wires)
         lines.append(f"INPUT {decl.party} {kind} {path} {ws}")
-    for g in circ.gates:
-        if g.op == CONST:
-            lines.append(f"CONST x{g.out} <- {g.bit}")
-        elif g.op == NOT:
-            lines.append(f"NOT x{g.out} <- x{g.a}")
+    for op, o, a, b in circ.gates:
+        if op == CONST:
+            lines.append(f"CONST x{o} <- {a}")
+        elif op == NOT:
+            lines.append(f"NOT x{o} <- x{a}")
         else:
-            lines.append(f"{g.op} x{g.out} <- x{g.a} x{g.b}")
+            lines.append(f"{op} x{o} <- x{a} x{b}")
     for w, recips in circ.outputs:
         lines.append(f"OUT x{w} -> {','.join(sorted(recips))}")
     return "\n".join(lines) + "\n"

@@ -99,7 +99,10 @@ def parse_sched(text: str):
     if text == "rr":
         return RoundRobin()
     if text.startswith("rand:"):
-        return SeededRandom(int(text.split(":", 1)[1]))
+        try:
+            return SeededRandom(int(text[5:]))
+        except ValueError:
+            pass
     raise ValueError(f"unknown scheduler {text!r} (use rr or rand:SEED)")
 
 
@@ -157,6 +160,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         sched = RoundRobin()
     if backend not in ("ideal", "gmw"):
         raise ValueError(f"unknown backend {backend!r}")
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
 
     par: dict[str, Config] = {
         p: Config(Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
@@ -370,6 +375,8 @@ def check_confluence(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                      fuel: int = DEFAULT_FUEL) -> CheckReport:
     """Every schedule must drive the distributed machines to the same
     terminal state."""
+    if n_schedules < 1:
+        raise ValueError(f"schedules must be at least 1, got {n_schedules}")
     base = ds_run(e, env, ps, Runtime(seed, width), RoundRobin(),
                   backend, fuel)
     if base.status == "fuel":

@@ -8,12 +8,13 @@ seeded dealer, standing in for an offline phase.
 
 The run is simulated in rounds over FIFO channels: one round to share
 inputs, one round per layer of AND gates, one round to reveal outputs to
-their recipients. The layers are the ones ``Circuit`` computes once when it
-is built: round r evaluates the local gates of AND-depth r and then opens
-every AND gate of depth r + 1 at once. Each party keeps its shares in a list
-indexed by wire and handles a layer as packed words, one bit per gate, so a
-layer's triples are three words per party and each message is one word with
-an explicit bit count. Wire identities never travel; both ends derive message
+their recipients. The layers are the ones the circuit builder files each
+gate under as it emits it: round r evaluates the local gates of AND-depth r
+and then opens every AND gate of depth r + 1 at once. Gates are plain
+(op, out, a, b) tuples, read by unpacking. Each party keeps its shares in a
+list indexed by wire and handles a layer as packed words, one bit per gate,
+so a layer's triples are three words per party and each message is one word
+with an explicit bit count. Wire identities never travel; both ends derive message
 layout from the public circuit, so channel payloads are pure bits and the
 per-kind counters pin the protocol's exact communication pattern.
 """
@@ -159,21 +160,20 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
         for i, p in enumerate(parties):
             s = shares[p]
             first = 1 if i == 0 else 0
-            for g in local:
-                op = g.op
+            for op, o, a, b in local:
                 if op == XOR:
-                    s[g.out] = s[g.a] ^ s[g.b]
+                    s[o] = s[a] ^ s[b]
                 elif op == NOT:
-                    s[g.out] = s[g.a] ^ first
+                    s[o] = s[a] ^ first
                 else:
-                    s[g.out] = g.bit & first
+                    s[o] = a & first
         if not ands:
             continue
         # each party blinds its operand shares with triple shares and opens
         # both words as one 2m-bit message: d in the low m bits, e above
         m = len(ands)
-        lhs = [g.a for g in ands]
-        rhs = [g.b for g in ands]
+        lhs = [g[2] for g in ands]
+        rhs = [g[3] for g in ands]
         triples = make_triples(m, parties, dealer_rng)
         blinded = {}
         for p in parties:
@@ -185,7 +185,7 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
                 if q != p:
                     channels[(p, q)].send("open", 2 * m, word)
         mask = (1 << m) - 1
-        outs = [g.out for g in ands]
+        outs = [g[1] for g in ands]
         for i, p in enumerate(parties):
             both = blinded[p]
             for q in parties:

@@ -400,6 +400,8 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         ps = PrinSet.of("a", "b")
     if rt is None:
         rt = Runtime()
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
     c = initial_config(e, env, ps)
     steps = 0
     secs = 0

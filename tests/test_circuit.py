@@ -40,15 +40,15 @@ def wires_for(b, n, width):
 def word_of(b, wires, wv=None):
     if wv is None:
         wv = {}
-    for g in b.gates:
-        if g.op == CONST:
-            wv[g.out] = g.bit
-        elif g.op == XOR:
-            wv[g.out] = wv[g.a] ^ wv[g.b]
-        elif g.op == AND:
-            wv[g.out] = wv[g.a] & wv[g.b]
-        elif g.op == NOT:
-            wv[g.out] = 1 - wv[g.a]
+    for op, o, x, y in b.gates:
+        if op == CONST:
+            wv[o] = x
+        elif op == XOR:
+            wv[o] = wv[x] ^ wv[y]
+        elif op == AND:
+            wv[o] = wv[x] & wv[y]
+        elif op == NOT:
+            wv[o] = 1 - wv[x]
     out = 0
     for i, w in enumerate(wires):
         out |= wv[w] << i
@@ -97,6 +97,106 @@ def test_mux_picks_by_condition():
         assert decode_word(word_of(b, zs), width) == (3 if c else -5)
 
 
+# The checks above build words from constants, so the builder folds every
+# gate away. The ones below feed input wires, bound only at evaluation, so
+# the gates are really emitted; the constant, repeated and overlapping
+# operands reach the folding paths with live wires beside them.
+
+def signed_range(width):
+    return range(-(1 << (width - 1)), 1 << (width - 1))
+
+
+def bind(wires, n):
+    word = encode_word(n, len(wires))
+    return {w: (word >> i) & 1 for i, w in enumerate(wires)}
+
+
+def check_word_ops(b, xs, ys, assignments):
+    """Replay add, sub, both comparisons, eq and mux over the words ``xs``
+    and ``ys`` under each (input bits, x, y) against integer semantics."""
+    width = len(xs)
+    c = b.input_wire()
+    add, sub = add_wires(b, xs, ys), sub_wires(b, xs, ys)
+    gt, lt = gt_wires(b, xs, ys), gt_wires(b, ys, xs)
+    eq, mux = eq_wires(b, xs, ys), mux_wires(b, c, xs, ys)
+    checks = 0
+    for bits, x, y in assignments:
+        for cv in (0, 1):
+            wv = dict(bits)
+            wv[c] = cv
+            word_of(b, (), wv)
+
+            def val(ws):
+                return decode_word(sum(wv[w] << i for i, w in enumerate(ws)),
+                                   width)
+
+            case = (width, x, y, cv)
+            assert val(add) == decode_word(encode_word(x + y, width),
+                                           width), case
+            assert val(sub) == decode_word(encode_word(x - y, width),
+                                           width), case
+            assert (wv[gt], wv[lt], wv[eq]) == (x > y, x < y, x == y), case
+            assert val(mux) == (x if cv else y), case
+            checks += 1
+    return checks
+
+
+def input_word(b, width):
+    return tuple(b.input_wire() for _ in range(width))
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_word_ops_on_two_input_words(width):
+    b = Builder()
+    xs, ys = input_word(b, width), input_word(b, width)
+    checks = check_word_ops(b, xs, ys, (
+        ({**bind(xs, x), **bind(ys, y)}, x, y)
+        for x in signed_range(width) for y in signed_range(width)))
+    assert checks == 2 << (2 * width)
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_word_ops_on_an_input_word_and_a_constant_word(width):
+    for y in signed_range(width):
+        for const_left in (False, True):
+            b = Builder()
+            xs, ys = input_word(b, width), wires_for(b, y, width)
+            cases = [(bind(xs, x), x, y) for x in signed_range(width)]
+            if const_left:
+                xs, ys = ys, xs
+                cases = [(bits, y, x) for bits, x, y in cases]
+            assert check_word_ops(b, xs, ys, cases) == 2 << width
+
+
+@pytest.mark.parametrize("width", range(1, 6))
+def test_word_ops_on_the_same_word_twice(width):
+    b = Builder()
+    xs = input_word(b, width)
+    checks = check_word_ops(b, xs, xs, ((bind(xs, x), x, x)
+                                        for x in signed_range(width)))
+    assert checks == 2 << width
+
+
+@pytest.mark.parametrize("width", range(2, 6))
+def test_word_ops_on_words_that_share_wires(width):
+    for shared in range(1, (1 << width) - 1):  # some bits, never all
+        b = Builder()
+        xs = input_word(b, width)
+        ys = tuple(x if shared >> i & 1 else b.input_wire()
+                   for i, x in enumerate(xs))
+        own = [i for i in range(width) if not shared >> i & 1]
+        cases = []
+        for x in signed_range(width):
+            xw = encode_word(x, width)
+            for free in range(1 << len(own)):
+                yw = xw & shared
+                for j, i in enumerate(own):
+                    yw |= (free >> j & 1) << i
+                y = decode_word(yw, width)
+                cases.append(({**bind(xs, x), **bind(ys, y)}, x, y))
+        assert check_word_ops(b, xs, ys, cases) == 2 * len(cases)
+
+
 def test_builder_folds_constants():
     b = Builder()
     x = b.input_wire()
@@ -105,6 +205,50 @@ def test_builder_folds_constants():
     assert b.and_(x, b.const(0)) == b.const(0)
     assert b.xor(x, x) == b.const(0)
     assert b.and_(x, x) == x
+
+
+def scalar_and_tree(b, bits):
+    while len(bits) > 1:
+        nxt = [b.and_(bits[i], bits[i + 1])
+               for i in range(0, len(bits) - 1, 2)]
+        if len(bits) % 2:
+            nxt.append(bits[-1])
+        bits = nxt
+    return bits[0] if bits else b.const(1)
+
+
+def scalar_eq(b, xs, ys):
+    return scalar_and_tree(b, [b.not_(b.xor(x, y)) for x, y in zip(xs, ys)])
+
+
+def emitter_operands(b):
+    """Operands for the word emitters: input words, constant words, one
+    word twice, words sharing wires, and words whose bits sit at different
+    AND-depths, at odd and even widths."""
+    xs, ys = input_word(b, 5), input_word(b, 5)
+    mixed = tuple(b.and_(x, y) if i % 2 else x
+                  for i, (x, y) in enumerate(zip(xs, ys)))
+    deep = (b.and_(mixed[1], mixed[3]),) + mixed[1:]
+    words = [(xs, ys), (xs, wires_for(b, 5, 5)), (wires_for(b, -3, 5), ys),
+             (xs, xs), (xs, xs[:2] + ys[2:]), (mixed, ys), (ys, deep),
+             (xs[:4], deep[:4]), (xs[:1], ys[:1]), ((), ())]
+    trees = [list(xs), [xs[0], xs[1], xs[0]], [xs[0], b.const(1), xs[2]],
+             [b.const(0)], list(mixed), list(deep)]
+    return words, trees
+
+
+def test_word_emitters_match_the_scalar_calls_gate_for_gate():
+    # same gates, same wire numbers, same layers as one call per gate
+    fast, slow = Builder(), Builder()
+    words, trees = emitter_operands(fast)
+    assert emitter_operands(slow) == (words, trees)
+    calls = [(eq_wires, scalar_eq, xs, ys) for xs, ys in words]
+    calls += [(Builder.and_tree, scalar_and_tree, bits) for bits in trees]
+    for f, ref, *args in calls:
+        assert f(fast, *args) == ref(slow, *args), args
+        assert (fast.n, fast.gates, fast.depth, fast.layers) == \
+            (slow.n, slow.gates, slow.depth, slow.layers), args
+    assert len(fast.layers) == 6
 
 
 # thunk compilation

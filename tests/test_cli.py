@@ -232,3 +232,37 @@ def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
                  "--mode", mode]) == 1
     assert capsys.readouterr().err == \
         f"run fuel: no result within 3 {unit}\n"
+
+
+@pytest.mark.parametrize("schedules", [0, -3])
+def test_confluence_without_schedules_is_a_one_line_error(tmp_path, capsys,
+                                                          schedules):
+    # a check that replays no schedule beside the baseline proves nothing
+    prog = tmp_path / "add.wyx"
+    prog.write_text("(ffi add 1 2)")
+    assert main(["check", "confluence", str(prog), "--prins", "a,b",
+                 "--schedules", str(schedules)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: schedules must be at least 1, got {schedules}\n"
+
+
+@pytest.mark.parametrize("mode", ["st", "ds"])
+def test_negative_fuel_is_a_one_line_error(tmp_path, capsys, mode):
+    prog = tmp_path / "add.wyx"
+    prog.write_text("(ffi add 1 2)")
+    assert main(["run", str(prog), "--prins", "a,b", "--fuel", "-1",
+                 "--mode", mode]) == 1
+    assert capsys.readouterr().err == \
+        "error: fuel must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("sched", ["rand:x", "rand:", "rr:1", "bogus"])
+def test_bad_scheduler_names_the_expected_forms(tmp_path, capsys, sched):
+    prog = tmp_path / "add.wyx"
+    prog.write_text("(ffi add 1 2)")
+    assert main(["run", str(prog), "--prins", "a,b", "--mode", "ds",
+                 "--sched", sched]) == 1
+    assert capsys.readouterr().err == \
+        f"error: unknown scheduler {sched!r} (use rr or rand:SEED)\n"

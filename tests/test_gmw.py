@@ -11,10 +11,11 @@ from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
 from wysx.sexp import parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    AND, Builder, CBit, Circuit, InputDecl, bind_inputs, compile_sec_thunk,
-    decode_output, eval_circuit,
+    AND, CONST, Builder, CBit, Circuit, InputDecl, bind_inputs,
+    compile_sec_thunk, decode_output, eval_circuit,
 )
-from wysx import gmw
+from wysx import apps, gmw
+from wysx.ds import ds_run
 from wysx.gmw import Channel, ProtocolError, gmw_eval, make_triples
 
 A = PrinSet.of("a")
@@ -43,7 +44,7 @@ def single_and_circuit():
     x = b.input_wire()
     y = b.input_wire()
     z = b.and_(x, y)
-    circ = Circuit(AB, 1, b.gates, b.n,
+    circ = Circuit(AB, 1, b.gates, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True)],
                    [(z, frozenset({"a", "b"}))], CBit(z))
@@ -141,7 +142,7 @@ def and_chain_circuit():
     y = b.input_wire()
     z = b.input_wire()
     w = b.and_(b.and_(x, y), z)
-    circ = Circuit(ABC, 1, b.gates, b.n,
+    circ = Circuit(ABC, 1, b.gates, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True),
                     InputDecl("c", (("var", "z"),), (z,), True)],
@@ -186,8 +187,8 @@ def random_circuit(rng, parties, n_inputs, n_gates):
     for w in rng.sample(range(b.n), min(b.n, 6)):
         k = rng.randint(1, len(parties))
         outputs.append((w, frozenset(rng.sample(parties, k))))
-    return Circuit(PrinSet.of(*parties), 1, b.gates, b.n, decls, outputs,
-                   CBit(outputs[0][0])), decls
+    return Circuit(PrinSet.of(*parties), 1, b.gates, b.n, b.layers, decls,
+                   outputs, CBit(outputs[0][0])), decls
 
 
 def checked_depths(circ):
@@ -195,18 +196,32 @@ def checked_depths(circ):
     checking that the circuit's layers partition its gates by that depth
     in builder order."""
     depth = {}
-    for g in circ.gates:
-        ins = [depth.get(w, 0) for w in (g.a, g.b) if w >= 0]
-        depth[g.out] = max(ins, default=0) + (g.op == AND)
-    assert circ.and_count == sum(g.op == AND for g in circ.gates)
+    for op, o, a, b in circ.gates:
+        ins = () if op == CONST else [depth.get(w, 0) for w in (a, b)
+                                      if w >= 0]
+        depth[o] = max(ins, default=0) + (op == AND)
+    assert circ.and_count == sum(g[0] == AND for g in circ.gates)
     assert circ.and_depth == max(depth.values(), default=0)
     assert len(circ.layers) == circ.and_depth + 1
     for r, (local, ands) in enumerate(circ.layers):
         assert local == [g for g in circ.gates
-                         if g.op != AND and depth[g.out] == r]
+                         if g[0] != AND and depth[g[1]] == r]
         assert ands == [g for g in circ.gates
-                        if g.op == AND and depth[g.out] == r + 1]
+                        if g[0] == AND and depth[g[1]] == r + 1]
     return depth
+
+
+def test_emitted_layers_match_gate_depths_on_corpus_circuits():
+    # random circuits reach the builder's scalar calls only; the corpus
+    # blocks also reach its word emitters
+    blocks = 0
+    for cell in apps.corpus(32):
+        res = ds_run(apps.load_program(cell.program), cell.env, cell.ps,
+                     backend="gmw")
+        for _, circ in res.circuits:
+            checked_depths(circ)
+            blocks += 1
+    assert blocks == 47
 
 
 def test_protocol_matches_clear_evaluation_on_random_circuits():
@@ -217,7 +232,7 @@ def test_protocol_matches_clear_evaluation_on_random_circuits():
             circ, decls = random_circuit(rng, parties, rng.randint(2, 5),
                                          rng.randint(5, 40))
             depth = checked_depths(circ)
-            order = [depth[g.out] for g in circ.gates]
+            order = [depth[g[1]] for g in circ.gates]
             inversions += any(d < max(order[:i], default=0)
                               for i, d in enumerate(order))
             for assignment in itertools.product((0, 1), repeat=len(decls)):
@@ -329,7 +344,7 @@ def two_layer_circuit(width=4):
     ys = [b.input_wire() for _ in range(width)]
     zs = [b.and_(x, y) for x, y in zip(xs, ys)]
     us = [b.and_(zs[i], zs[(i + 1) % width]) for i in range(width)]
-    circ = Circuit(AB, width, b.gates, b.n,
+    circ = Circuit(AB, width, b.gates, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), tuple(xs), False),
                     InputDecl("b", (("var", "y"),), tuple(ys), False)],
                    [(u, frozenset({"a", "b"})) for u in us], CBit(us[0]))
