@@ -1,8 +1,12 @@
 """Single-machine reference semantics: reductions, blocks, stuck states."""
 
+import hashlib
+
+from _proggen import base_env, gen_program
+from wysx import apps
 from wysx.lang import (
-    Bool, Env, FfiInt, FfiList, FfiPair, OPAQUE, PrinSet, Sealed, ShareVal,
-    TMsg, TScope, UNIT, VMap,
+    AsPar, AsSec, Bool, Const, Env, FfiInt, FfiList, FfiPair, Lam, OPAQUE,
+    PrinSet, PrinsVal, Sealed, ShareVal, TMsg, TScope, UNIT, VMap,
 )
 from wysx.sexp import parse
 from wysx.st import DEFAULT_FUEL, Runtime, run
@@ -186,7 +190,6 @@ def test_sec_entry_counter():
 
 def test_empty_party_set_is_stuck():
     # the parser already refuses (prins), so build the term directly
-    from wysx.lang import AsSec, AsPar, Const, Lam, PrinsVal, Var
     empty = Const(PrinsVal(PrinSet.of()))
     thunk = Lam("_", Const(FfiInt(1)))
     r = run(AsSec(empty, thunk))
@@ -305,3 +308,90 @@ def test_tuple_sugar_is_a_pair():
     assert v.fst == FfiInt(1)
     assert v.snd.fst == FfiInt(2)
     assert v.snd.snd == FfiInt(3)
+
+
+# pinned reference runs
+
+XA_XAB = Env({"xa": Sealed(A, FfiInt(5)), "xab": Sealed(AB, FfiInt(6))})
+XA_XC = Env({"xa": Sealed(A, FfiInt(5)),
+             "xc": Sealed(PrinSet.of("c"), FfiInt(9))})
+HANDLE_AB = ShareVal.of(AB, {"a": 1, "b": 2}, 32)
+EMPTY_SET = Const(PrinsVal(PrinSet.of()))
+
+# The stuck, unbound-variable and fuel cases above: (source or term, env,
+# fuel).
+EDGE_CASES = [
+    ("(if 5 1 2)", None, DEFAULT_FUEL),
+    ("(ffi add oops 1)", None, DEFAULT_FUEL),
+    ("((fix f n (f n)) 0)", None, 500),
+    ("(ffi add 1)", None, DEFAULT_FUEL),
+    ("(ffi bogus 1)", None, DEFAULT_FUEL),
+    ("(ffi hd (list))", None, DEFAULT_FUEL),
+    ("(ffi add 1 true)", None, DEFAULT_FUEL),
+    ("(ffi fst y)", Env({"y": FfiPair(FfiInt(1), OPAQUE)}), DEFAULT_FUEL),
+    ("(seal (prins a c) 5)", None, DEFAULT_FUEL),
+    ("(reveal xa)", XA_XAB, DEFAULT_FUEL),
+    ("(as_sec (prins a b) (lam _ (reveal xc)))", XA_XC, DEFAULT_FUEL),
+    ("(reveal 5)", None, DEFAULT_FUEL),
+    ("(as_par (prins a c) (lam _ 1))", None, DEFAULT_FUEL),
+    ("(as_par (prins a) 5)", None, DEFAULT_FUEL),
+    ("(as_par (prins a) (lam _ x))", Env({"x": HANDLE_AB}), DEFAULT_FUEL),
+    ("(as_sec (prins a b) (lam _ (as_par (prins a) (lam _ 1))))", None,
+     DEFAULT_FUEL),
+    ("(as_sec (prins a) (lam _ 1))", None, DEFAULT_FUEL),
+    ("(as_sec (prins a b) (lam _ (as_sec (prins a b) (lam _ 1))))", None,
+     DEFAULT_FUEL),
+    ("(mkmap (prins a) 3)", None, DEFAULT_FUEL),
+    ("(let m (mkmap (prins a) (seal (prins a) 7)) (project (prin a) m))",
+     None, DEFAULT_FUEL),
+    ("(as_par (prins a) (lam _ (project (prin a) m)))",
+     Env({"m": VMap.of({"b": FfiInt(1)})}), DEFAULT_FUEL),
+    ("(concat (mkmap (prins a) (seal (prins a) 1)) "
+     "(mkmap (prins a) (seal (prins a) 2)))", None, DEFAULT_FUEL),
+    ("(ffi mk_sh 5)", None, DEFAULT_FUEL),
+    ("(ffi comb_sh h)", Env({"h": HANDLE_AB}), DEFAULT_FUEL),
+    (AsSec(EMPTY_SET, Lam("_", Const(FfiInt(1)))), None, DEFAULT_FUEL),
+    (AsPar(EMPTY_SET, Lam("_", Const(FfiInt(1)))), None, DEFAULT_FUEL),
+]
+
+
+def run_digest(results) -> str:
+    h = hashlib.sha256()
+    for r in results:
+        h.update(repr((r.status, r.steps, r.sec_entries, repr(r.value),
+                       repr(r.trace), r.stuck_rule,
+                       r.stuck_reason)).encode())
+    return h.hexdigest()[:16]
+
+
+def reference_run_digests() -> dict[str, str]:
+    """Digests of every ``run`` result over the corpus at width 32 and at
+    each cell's ``min_width``, 200 generated programs and the edge cases."""
+    def corpus_runs():
+        narrow = sorted({cell.min_width for cell in apps.corpus()})
+        for w in (32, *narrow):
+            for cell in apps.corpus(w):
+                if w in (32, cell.min_width):
+                    yield run(apps.load_program(cell.program), cell.env,
+                              cell.ps, Runtime(0, w))
+
+    env = base_env()
+    return {
+        "corpus": run_digest(corpus_runs()),
+        "proggen": run_digest(run(gen_program(seed), env, AB)
+                              for seed in range(200)),
+        "edge": run_digest(
+            run(parse(e) if type(e) is str else e, env, fuel=fuel)
+            for e, env, fuel in EDGE_CASES),
+    }
+
+
+REFERENCE_RUN_DIGESTS = {
+    "corpus": "cd8f10ddf3cc9e55",
+    "proggen": "2a823c0c167cd874",
+    "edge": "851e55e795957fec",
+}
+
+
+def test_reference_runs_are_pinned():
+    assert reference_run_digests() == REFERENCE_RUN_DIGESTS
