@@ -218,8 +218,14 @@ def cmd_dump(args) -> int:
     return 0
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; parsing leaves it as is
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.cmd == "run":
             return cmd_run(args)

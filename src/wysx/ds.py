@@ -32,7 +32,7 @@ from .lang import (
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Next, Runtime, Stuck, machine_step,
-    run as st_run, step as st_step, thunk_env,
+    machine_step as st_step, run as st_run, thunk_env,
 )
 
 

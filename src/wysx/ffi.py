@@ -264,16 +264,11 @@ BUILTINS["mk_sh"] = HostFn("mk_sh", 1, None, needs_mode=True)
 BUILTINS["comb_sh"] = HostFn("comb_sh", 1, None, needs_mode=True)
 
 
-def lookup(name: str) -> HostFn:
-    try:
-        return BUILTINS[name]
-    except KeyError:
-        raise UnknownFfi(name) from None
-
-
 def check_call(name: str, args) -> HostFn:
     """The builtin ``name``, once ``args`` is known to fit its arity."""
-    hf = lookup(name)
+    hf = BUILTINS.get(name)
+    if hf is None:
+        raise UnknownFfi(name)
     if hf.arity is not None and len(args) != hf.arity:
         raise ArityError(f"{name}: expected {hf.arity} args, got {len(args)}")
     return hf

@@ -527,7 +527,8 @@ class Config:
     code: Code
 
     def is_terminal(self) -> bool:
-        return self.mode.is_par() and not self.stack and isinstance(self.code, Value)
+        return (not self.stack and isinstance(self.code, Value)
+                and self.mode.tag == PAR)
 
 
 @dataclass
@@ -746,15 +747,23 @@ def can_seal(ps: PrinSet, v: Value, in_closure: bool = False) -> bool:
 # ---------------------------------------------------------------------------
 # misc helpers
 
+# values that hold no bare placeholder: leaves, and the two wrappers that
+# protect what they hold
+_NO_BARE_OPAQUE = frozenset({Unit, Bool, FfiInt, FfiStr, PrinVal, PrinsVal,
+                             Sealed, ShareVal})
+
+
 def contains_bare_opaque(v: Value) -> bool:
     """True if v holds a placeholder not protected by a seal or a share."""
     t = type(v)
+    if t in _NO_BARE_OPAQUE:
+        return False
     if t is Opaque:
         return True
-    if t is Sealed or t is ShareVal:
-        return False
     for w in children(v):
-        if contains_bare_opaque(w):
+        t = type(w)
+        if t is Opaque or (t not in _NO_BARE_OPAQUE
+                           and contains_bare_opaque(w)):
             return True
     return False
 

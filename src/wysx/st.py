@@ -13,6 +13,10 @@ applies the rule for the node. The value rules of ``seal``, ``reveal``,
 gate compiler calls as well, so joint blocks follow one copy of them on
 every backend.
 
+``run`` is the joint machine's loop. It makes ``machine_step``'s value test
+and the terminal test in one place and calls ``_descend`` or ``_plug``
+itself, so a step costs one call below the loop.
+
 The same decompose/plug core also drives the distributed interpreter's
 per-party machines: ``machine_step`` takes an optional party name and
 switches the handful of rules whose joint and local behaviour differ
@@ -30,7 +34,7 @@ from .lang import (
     Concat, Config, Const, Env, Expr, Ffi, FixClos, Fix, Frame, If, Lam,
     Let, MkMap, Mode, Operands, PAR, PrinSet, PrinVal, PrinsVal, Project,
     Reveal, SEC, Seal, Sealed, TMsg, TScope, Trace, UNIT, UnboundVariable,
-    Value, VMap, Var, WysError, can_seal, free_vars, is_value,
+    Value, VMap, Var, WysError, can_seal, free_vars,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -48,19 +52,19 @@ class Runtime:
         self.mint = ShareMint(seed)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Next:
     config: Config
     rule: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Stuck:
     rule: str
     reason: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NeedsSec:
     """A local machine is waiting at a joint block it cannot run alone."""
 
@@ -101,24 +105,27 @@ def thunk_env(v: Value) -> Optional[tuple[Env, Expr]]:
 def _descend(c: Config, rt: Runtime) -> StepOut:
     e = c.code
     t = type(e)
-    if t is Const:
-        return Next(Config(c.mode, c.stack, c.env, c.trace, e.v), "lit")
     if t is Var:
         try:
             v = c.env.get(e.x)
         except UnboundVariable:
             return Stuck("var", f"unbound variable {e.x}")
         return Next(Config(c.mode, c.stack, c.env, c.trace, v), "var")
+    if t is Const:
+        return Next(Config(c.mode, c.stack, c.env, c.trace, e.v), "lit")
     if t is Lam:
         clos = Clos(c.env.restrict(free_vars(e)), e.x, e.body)
         return Next(Config(c.mode, c.stack, c.env, c.trace, clos), "closure")
     if t is Fix:
         clos = FixClos(c.env.restrict(free_vars(e)), e.f, e.x, e.body)
         return Next(Config(c.mode, c.stack, c.env, c.trace, clos), "rec-closure")
-    operands = OPERANDS.get(t)
-    if operands is None:
-        return Stuck("descend", f"not an expression: {e!r}")
-    ops = operands(e)
+    if t is Ffi:
+        ops = e.args
+    else:
+        operands = OPERANDS.get(t)
+        if operands is None:
+            return Stuck("descend", f"not an expression: {e!r}")
+        ops = operands(e)
     if ops:
         frame = Frame(c.mode, c.env, Operands(e, (), ops[1:]), c.trace)
         return Next(Config(c.mode, c.stack + (frame,), c.env, (), ops[0]),
@@ -250,7 +257,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
     rest = c.stack[:-1]
     v = c.code
     ctx = frame.ctx
-    merged = frame.trace + c.trace
+    merged = frame.trace + c.trace if c.trace else frame.trace
 
     if type(ctx) is Operands:
         e = ctx.e
@@ -265,7 +272,21 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                                ctx.pending[0]), "next-operand")
         t = type(e)
 
-        # ---- plain sequencing --------------------------------------------
+        # ---- plain sequencing, most frequent first -----------------------
+        if t is Ffi:
+            out, err = _run_host(e.name, ctx.done + (v,), frame.mode, rt)
+            if err is not None:
+                return Stuck("ffi-apply", err)
+            return Next(Config(frame.mode, rest, frame.env, merged, out),
+                        "ffi-apply")
+
+        if t is If:
+            if type(v) is not Bool:
+                return Stuck("if-branch", f"condition is not a boolean: {v!r}")
+            branch = e.then if v.b else e.els
+            return Next(Config(frame.mode, rest, frame.env, merged, branch),
+                        "if-branch")
+
         if t is Let:
             env2 = frame.env.extend(e.x, v)
             return Next(Config(frame.mode, rest, env2, merged, e.body),
@@ -282,20 +303,6 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                 return Stuck("apply", f"not a function: {fn!r}")
             return Next(Config(frame.mode, rest, env2, merged, fn.body),
                         "apply")
-
-        if t is If:
-            if type(v) is not Bool:
-                return Stuck("if-branch", f"condition is not a boolean: {v!r}")
-            branch = e.then if v.b else e.els
-            return Next(Config(frame.mode, rest, frame.env, merged, branch),
-                        "if-branch")
-
-        if t is Ffi:
-            out, err = _run_host(e.name, ctx.done + (v,), frame.mode, rt)
-            if err is not None:
-                return Stuck("ffi-apply", err)
-            return Next(Config(frame.mode, rest, frame.env, merged, out),
-                        "ffi-apply")
 
         # ---- block entry -------------------------------------------------
         if t is AsPar or t is AsSec:
@@ -368,16 +375,15 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
     return NeedsSec(s, v)
 
 
+_HALT = Stuck("halt", "no frame to return to")
+
+
 def machine_step(c: Config, rt: Runtime, party: Optional[str] = None) -> StepOut:
-    if is_value(c.code):
+    if isinstance(c.code, Value):
         if not c.stack:
-            return Stuck("halt", "no frame to return to")
+            return _HALT
         return _plug(c, rt, party)
     return _descend(c, rt)
-
-
-def step(c: Config, rt: Runtime) -> StepOut:
-    return machine_step(c, rt, None)
 
 
 @dataclass
@@ -403,17 +409,23 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
     c = initial_config(e, env, ps)
-    steps = 0
     secs = 0
-    while steps < fuel:
-        if c.is_terminal():
-            return RunResult("done", c.code, c.trace, c, steps, secs)
-        out = step(c, rt)
+    # machine_step with party None, and the terminal test, inline
+    for steps in range(fuel):
+        code = c.code
+        if isinstance(code, Value):
+            if c.stack:
+                out = _plug(c, rt, None)
+            elif c.mode.tag == PAR:
+                return RunResult("done", code, c.trace, c, steps, secs)
+            else:
+                out = _HALT
+        else:
+            out = _descend(c, rt)
         if type(out) is Stuck:
             return RunResult("stuck", None, c.trace, c, steps, secs,
                              out.rule, out.reason)
         c = out.config
-        steps += 1
         if out.rule == "sec-enter":
             secs += 1
-    return RunResult("fuel", None, c.trace, c, steps, secs)
+    return RunResult("fuel", None, c.trace, c, fuel, secs)

@@ -96,6 +96,31 @@ def test_bad_usage_exits_2():
     assert ex.value.code == 2
 
 
+def test_parser_is_built_once_and_reused(median_files, capsys, monkeypatch):
+    import wysx.cli as cli
+    built = []
+    orig = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return orig()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    a, b = median_files
+    runs = [["run", "median", "--inputs", f"a={a}", f"b={b}"],
+            ["run", "median", "--mode", "ds", "--inputs", f"a={a}", f"b={b}"]]
+    outs = []
+    for argv in runs + runs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    with pytest.raises(SystemExit):
+        main(["run"])
+    # nothing one call parses carries over into the next
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    assert len(built) == 1
+
+
 def test_check_sim(median_files, capsys):
     a, b = median_files
     rc = main(["check", "sim", "median", "--inputs", f"a={a}", f"b={b}"])

@@ -249,6 +249,41 @@ def test_contains_bare_opaque():
     assert not contains_bare_opaque(FfiInt(3))
 
 
+def test_contains_bare_opaque_looks_past_leaves_and_wrappers():
+    hist = [ShareVal.of(ABC, {"a": i, "b": 2 * i, "c": 3}, 32)
+            for i in range(5)]
+    # a placeholder after a run of share handles is still found
+    assert contains_bare_opaque(FfiList((*hist, OPAQUE)))
+    assert not contains_bare_opaque(FfiList(tuple(hist)))
+    # in a map entry or a closure environment it is bare
+    assert contains_bare_opaque(VMap.of({"a": FfiInt(1), "b": OPAQUE}))
+    assert contains_bare_opaque(
+        Clos(Env({"h": hist[0], "x": OPAQUE}), "y", Var("x")))
+    assert contains_bare_opaque(FixClos(
+        Env({"p": FfiPair(FfiInt(1), OPAQUE)}), "f", "y", Var("p")))
+    # a seal or a share handle protects what it holds
+    assert not contains_bare_opaque(FfiList((Sealed(AB, OPAQUE), *hist)))
+    assert not contains_bare_opaque(VMap.of({"a": Sealed(A, OPAQUE)}))
+    assert not contains_bare_opaque(ShareVal.of(AB, {"a": 1}, 32))
+    for leaf in (UNIT, Bool(False), FfiStr("s"), PrinVal("a"), PrinsVal(AB)):
+        assert not contains_bare_opaque(leaf)
+        assert not contains_bare_opaque(FfiPair(leaf, FfiList((leaf,))))
+
+
+def test_host_call_on_a_bare_placeholder_sticks():
+    from wysx.sexp import parse
+    from wysx.st import run
+    hist = FfiList(tuple(ShareVal.of(ABC, {"a": i, "b": i, "c": i}, 32)
+                         for i in range(3)))
+    env = Env({"hist": hist, "o": OPAQUE, "tail": FfiList((OPAQUE,))})
+    for src, name in (("(ffi append hist (list o))", "list"),
+                      ("(ffi append hist tail)", "append")):
+        r = run(parse(src), env, ABC)
+        assert r.status == "stuck" and r.stuck_rule == "ffi-apply"
+        assert r.stuck_reason == \
+            f"OpaqueArg: {name} applied to another party's data"
+
+
 def test_values_hashable():
     vs = {FfiInt(1), Bool(True), Sealed(A, FfiInt(1)),
           VMap.of({"a": FfiInt(1)}), UNIT, OPAQUE, PrinVal("a"), PrinsVal(AB)}
