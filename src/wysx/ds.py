@@ -31,7 +31,7 @@ from .lang import (
     slice_config, slice_env, slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, NeedsSec, Next, Runtime, Stuck, machine_step,
+    DEFAULT_FUEL, NeedsSec, Runtime, Stuck, machine_step,
     machine_step as st_step, run as st_run, thunk_env,
 )
 
@@ -196,7 +196,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 c = par[p]
                 out = _DONE if c.is_terminal() else machine_step(c, rt, p)
                 steps[p] = out
-            if type(out) is Next:
+            if type(out) is Config:
                 locals_.append(("local", p))
             elif type(out) is NeedsSec:
                 if out.ps not in sec:
@@ -225,7 +225,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         kind, target = sched.pick(moves)
 
         if kind == "local":
-            par[target] = steps.pop(target).config
+            par[target] = steps.pop(target)
             continue
 
         if kind == "enter":
@@ -267,8 +267,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     return finish("stuck", tick,
                                   f"joint block {target} stuck at "
                                   f"{out.rule}: {out.reason}")
-                inst.machine = out.config
-                m = inst.machine
+                inst.machine = m = out
                 if not m.stack and is_value(m.code):
                     if m.trace:
                         return finish("stuck", tick,

@@ -13,6 +13,7 @@ applies the rule for the node. The value rules of ``seal``, ``reveal``,
 gate compiler calls as well, so joint blocks follow one copy of them on
 every backend.
 
+A step yields the next ``Config`` itself, or why it cannot be taken.
 ``run`` is the joint machine's loop. It makes ``machine_step``'s value test
 and the terminal test in one place and calls ``_descend`` or ``_plug``
 itself, so a step costs one call below the loop.
@@ -53,12 +54,6 @@ class Runtime:
 
 
 @dataclass(slots=True)
-class Next:
-    config: Config
-    rule: str
-
-
-@dataclass(slots=True)
 class Stuck:
     rule: str
     reason: str
@@ -72,7 +67,9 @@ class NeedsSec:
     clos: Value  # the thunk, environment included
 
 
-StepOut = Union[Next, Stuck, NeedsSec]
+# What a step yields: the next configuration, the rule that blocks it, or,
+# on a party's local machine, the joint block it waits at.
+StepOut = Union[Config, Stuck, NeedsSec]
 
 
 def initial_config(e: Expr, env: Env, ps: PrinSet) -> Config:
@@ -110,15 +107,15 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
             v = c.env.get(e.x)
         except UnboundVariable:
             return Stuck("var", f"unbound variable {e.x}")
-        return Next(Config(c.mode, c.stack, c.env, c.trace, v), "var")
+        return Config(c.mode, c.stack, c.env, c.trace, v)
     if t is Const:
-        return Next(Config(c.mode, c.stack, c.env, c.trace, e.v), "lit")
+        return Config(c.mode, c.stack, c.env, c.trace, e.v)
     if t is Lam:
         clos = Clos(c.env.restrict(free_vars(e)), e.x, e.body)
-        return Next(Config(c.mode, c.stack, c.env, c.trace, clos), "closure")
+        return Config(c.mode, c.stack, c.env, c.trace, clos)
     if t is Fix:
         clos = FixClos(c.env.restrict(free_vars(e)), e.f, e.x, e.body)
-        return Next(Config(c.mode, c.stack, c.env, c.trace, clos), "rec-closure")
+        return Config(c.mode, c.stack, c.env, c.trace, clos)
     if t is Ffi:
         ops = e.args
     else:
@@ -128,13 +125,12 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
         ops = operands(e)
     if ops:
         frame = Frame(c.mode, c.env, Operands(e, (), ops[1:]), c.trace)
-        return Next(Config(c.mode, c.stack + (frame,), c.env, (), ops[0]),
-                    "push")
+        return Config(c.mode, c.stack + (frame,), c.env, (), ops[0])
     # a host call without arguments
     v, err = _run_host(e.name, (), c.mode, rt)
     if err is not None:
         return Stuck("ffi-apply", err)
-    return Next(Config(c.mode, c.stack, c.env, c.trace, v), "ffi-apply")
+    return Config(c.mode, c.stack, c.env, c.trace, v)
 
 
 _SET_OPERAND = {AsPar: "par-ps", AsSec: "sec-ps", Seal: "seal-ps",
@@ -268,8 +264,8 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                     return stuck
             nf = Frame(frame.mode, frame.env,
                        Operands(e, ctx.done + (v,), ctx.pending[1:]), merged)
-            return Next(Config(frame.mode, rest + (nf,), frame.env, (),
-                               ctx.pending[0]), "next-operand")
+            return Config(frame.mode, rest + (nf,), frame.env, (),
+                          ctx.pending[0])
         t = type(e)
 
         # ---- plain sequencing, most frequent first -----------------------
@@ -277,20 +273,17 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
             out, err = _run_host(e.name, ctx.done + (v,), frame.mode, rt)
             if err is not None:
                 return Stuck("ffi-apply", err)
-            return Next(Config(frame.mode, rest, frame.env, merged, out),
-                        "ffi-apply")
+            return Config(frame.mode, rest, frame.env, merged, out)
 
         if t is If:
             if type(v) is not Bool:
                 return Stuck("if-branch", f"condition is not a boolean: {v!r}")
             branch = e.then if v.b else e.els
-            return Next(Config(frame.mode, rest, frame.env, merged, branch),
-                        "if-branch")
+            return Config(frame.mode, rest, frame.env, merged, branch)
 
         if t is Let:
             env2 = frame.env.extend(e.x, v)
-            return Next(Config(frame.mode, rest, env2, merged, e.body),
-                        "let-bind")
+            return Config(frame.mode, rest, env2, merged, e.body)
 
         if t is App:
             fn = ctx.done[0]
@@ -301,8 +294,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                 env2 = fn.env.extend(fn.f, fn).extend(fn.x, v)
             else:
                 return Stuck("apply", f"not a function: {fn!r}")
-            return Next(Config(frame.mode, rest, env2, merged, fn.body),
-                        "apply")
+            return Config(frame.mode, rest, env2, merged, fn.body)
 
         # ---- block entry -------------------------------------------------
         if t is AsPar or t is AsSec:
@@ -311,8 +303,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
         out = apply_rule(e, ctx.done + (v,), frame.mode, party)
         if type(out) is Stuck:
             return out
-        return Next(Config(frame.mode, rest, frame.env, merged, out),
-                    t.__name__.lower())
+        return Config(frame.mode, rest, frame.env, merged, out)
 
     # ---- block exit --------------------------------------------------------
     s = ctx.ps
@@ -323,15 +314,13 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                 return Stuck("par-return",
                              f"result not sealable for {s}: {v!r}")
             trace = frame.trace + (TScope(s, c.trace),)
-        return Next(Config(frame.mode, rest, frame.env, trace, Sealed(s, v)),
-                    "par-return")
+        return Config(frame.mode, rest, frame.env, trace, Sealed(s, v))
 
     if party is not None:
         return Stuck("sec-return", "local machine inside a joint block")
     if c.trace:
         return Stuck("sec-return", "joint block produced scoped output")
-    return Next(Config(frame.mode, rest, frame.env,
-                       frame.trace + (TMsg(v),), v), "sec-return")
+    return Config(frame.mode, rest, frame.env, frame.trace + (TMsg(v),), v)
 
 
 def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
@@ -352,12 +341,11 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             m2 = Mode(PAR, s)
         elif party not in s:
             # everything inside is someone else's business
-            return Next(Config(m, rest, frame.env, merged, Sealed(s, OPAQUE)),
-                        "par-skip")
+            return Config(m, rest, frame.env, merged, Sealed(s, OPAQUE))
         else:
             m2 = m
         nf = Frame(m, frame.env, AsParBody(s), merged)
-        return Next(Config(m2, rest + (nf,), env2, (), body), "par-enter")
+        return Config(m2, rest + (nf,), env2, (), body)
 
     if te is None:
         return Stuck("sec-enter", f"not a function: {v!r}")
@@ -368,8 +356,7 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
                          f"parties, mode is {m.tag} {m.ps}")
         env2, body = te
         nf = Frame(m, frame.env, AsSecBody(s), merged)
-        return Next(Config(Mode(SEC, s), rest + (nf,), env2, (), body),
-                    "sec-enter")
+        return Config(Mode(SEC, s), rest + (nf,), env2, (), body)
     if party not in s:
         return Stuck("sec-enter", f"{party} outside joint set {s}")
     return NeedsSec(s, v)
@@ -425,7 +412,7 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         if type(out) is Stuck:
             return RunResult("stuck", None, c.trace, c, steps, secs,
                              out.rule, out.reason)
-        c = out.config
-        if out.rule == "sec-enter":
-            secs += 1
+        if out.mode.tag == SEC and c.mode.tag == PAR:
+            secs += 1  # sec-enter: the one step from a par into a sec mode
+        c = out
     return RunResult("fuel", None, c.trace, c, fuel, secs)
