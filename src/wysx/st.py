@@ -13,7 +13,6 @@ applies the rule for the node. The value rules of ``seal``, ``reveal``,
 gate compiler calls as well, so joint blocks follow one copy of them on
 every backend.
 
-A step yields the next ``Config`` itself, or why it cannot be taken.
 ``run`` is the joint machine's loop. It makes ``machine_step``'s value test
 and the terminal test in one place and calls ``_descend`` or ``_plug``
 itself, so a step costs one call below the loop.
