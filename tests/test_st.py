@@ -381,8 +381,8 @@ def reference_run_digests() -> dict[str, str]:
         "proggen": run_digest(run(gen_program(seed), env, AB)
                               for seed in range(200)),
         "edge": run_digest(
-            run(parse(e) if type(e) is str else e, env, fuel=fuel)
-            for e, env, fuel in EDGE_CASES),
+            run(parse(e) if type(e) is str else e, case_env, fuel=fuel)
+            for e, case_env, fuel in EDGE_CASES),
     }
 
 
