@@ -2,8 +2,9 @@
 
 import pytest
 
+from wysx.apps import PROGRAM_NAMES, program_source
 from wysx.lang import App, Bool, Const, FfiInt, Var
-from wysx.sexp import ParseError, parse, print_expr, tokenize
+from wysx.sexp import MAX_NESTING, ParseError, parse, print_expr, tokenize
 
 from _proggen import gen_program
 
@@ -95,3 +96,113 @@ def test_print_parse_round_trip_generated():
         e = gen_program(seed)
         assert parse(print_expr(e)) == e, seed
 
+
+
+def test_print_parse_round_trip_bundled():
+    for name in PROGRAM_NAMES:
+        e = parse(program_source(name))
+        assert parse(print_expr(e)) == e, name
+
+
+# Malformed programs and the exact error each one reports. Every form has a
+# missing part, an extra part and an unterminated input.
+ERRORS = [
+    ("(let x 1)", "1:9: unexpected )"),
+    ("(let x 1 2 3)", "1:12: too many parts in (let ...)"),
+    ("(let x 1 2", "1:10: expected ), found end of input"),
+    ("(let x 1", "1:8: expected an expression, found end of input"),
+    ("(let", "1:2: expected a variable name, found end of input"),
+    ("(let 1 2 3)", "1:6: (let ...) needs a variable name"),
+    ("(lam x)", "1:7: unexpected )"),
+    ("(lam x y z)", "1:10: too many parts in (lam ...)"),
+    ("(lam x y", "1:8: expected ), found end of input"),
+    ('(lam "s" x)', "1:6: (lam ...) needs a variable name"),
+    ("(fix f x)", "1:9: unexpected )"),
+    ("(fix f x y z)", "1:12: too many parts in (fix ...)"),
+    ("(fix f x y", "1:10: expected ), found end of input"),
+    ("(fix f", "1:6: expected a variable name, found end of input"),
+    ("(if c t)", "1:8: unexpected )"),
+    ("(if c t e f)", "1:11: too many parts in (if ...)"),
+    ("(if c t e", "1:9: expected ), found end of input"),
+    ("(as_par ps)", "1:11: unexpected )"),
+    ("(as_par ps f g)", "1:14: too many parts in (as_par ...)"),
+    ("(as_par ps f", "1:12: expected ), found end of input"),
+    ("(as_sec ps)", "1:11: unexpected )"),
+    ("(as_sec ps f g)", "1:14: too many parts in (as_sec ...)"),
+    ("(as_sec ps f", "1:12: expected ), found end of input"),
+    ("(seal ps)", "1:9: unexpected )"),
+    ("(seal ps e f)", "1:12: too many parts in (seal ...)"),
+    ("(seal ps e", "1:10: expected ), found end of input"),
+    ("(reveal)", "1:8: unexpected )"),
+    ("(reveal e f)", "1:11: too many parts in (reveal ...)"),
+    ("(reveal e", "1:9: expected ), found end of input"),
+    ("(mkmap ps)", "1:10: unexpected )"),
+    ("(mkmap ps v w)", "1:13: too many parts in (mkmap ...)"),
+    ("(mkmap ps v", "1:11: expected ), found end of input"),
+    ("(project p)", "1:11: unexpected )"),
+    ("(project p m n)", "1:14: too many parts in (project ...)"),
+    ("(project p m", "1:12: expected ), found end of input"),
+    ("(concat m)", "1:10: unexpected )"),
+    ("(concat m n o)", "1:13: too many parts in (concat ...)"),
+    ("(concat m n", "1:11: expected ), found end of input"),
+    ("(tuple 1)", "1:9: unexpected )"),
+    ("(tuple 1 2 3)", "1:12: too many parts in (tuple ...)"),
+    ("(tuple 1 2", "1:10: expected ), found end of input"),
+    ("(ffi)", "1:5: (ffi ...) needs a function name"),
+    ("(ffi 3 x)", "1:6: (ffi ...) needs a function name"),
+    ("(ffi add 1", "1:2: unterminated (ffi"),
+    ("(ffi", "1:2: expected a host function name, found end of input"),
+    ("(list 1", "1:2: unterminated (list"),
+    ("(list", "1:2: unterminated (list"),
+    ("(prin)", "1:6: (prin ...) needs principal names"),
+    ("(prin a b)", "1:9: too many parts in (prin ...)"),
+    ("(prin a", "1:7: expected ), found end of input"),
+    ("(prin", "1:2: expected a principal name, found end of input"),
+    ("(prin 3)", "1:7: (prin ...) needs principal names"),
+    ("(prin if)", "1:7: (prin ...) needs principal names"),
+    ("(prins)", "1:2: (prins) needs at least one principal"),
+    ("(prins a", "1:2: unterminated (prins"),
+    ("(prins a 3)", "1:10: (prins ...) needs principal names"),
+    ("(prins a if)", "1:10: (prins ...) needs principal names"),
+    ("(lam if x)", "1:6: if is a keyword, not a variable"),
+    ("(let true 1 2)", "1:6: true is a keyword, not a variable"),
+    ("(fix f lam x)", "1:8: lam is a keyword, not a variable"),
+    ("(lam x if)", "1:8: if is a keyword, not a variable"),
+    ("(f)", "1:1: application needs an argument"),
+    ("(f x", "1:1: unterminated ("),
+    ("(", "1:1: unterminated ("),
+    ("(true 1)", "1:2: true is not a form"),
+    ("(false)", "1:2: false is not a form"),
+    (")", "1:1: unexpected )"),
+    ("1 2", "1:3: trailing input after the program"),
+    ("(f x) y", "1:7: trailing input after the program"),
+    ("", "1:1: empty program"),
+    ("(let x\n  (lam) x)", "2:7: (lam ...) needs a variable name"),
+]
+
+
+@pytest.mark.parametrize("src,msg", ERRORS, ids=[s for s, _ in ERRORS])
+def test_parse_error_text(src, msg):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == msg
+
+
+# One template per form with an expression part; "{}" is where it nests.
+NESTING = [
+    "(let x 1 {})", "(let x {} 2)", "(lam x {})", "(fix f x {})",
+    "(if {} 1 2)", "(if c 1 {})", "(as_par {} f)", "(as_sec ps {})",
+    "(seal ps {})", "(reveal {})", "(mkmap {} v)", "(project p {})",
+    "(concat {} m)", "(ffi add 1 {})", "(list 1 {})", "(tuple {} 2)",
+    "(f {})", "({} x)",
+]
+
+
+@pytest.mark.parametrize("template", NESTING)
+def test_each_form_parses_at_the_nesting_limit(template):
+    src = "(prins a)"
+    for _ in range(MAX_NESTING - 1):
+        src = template.format(src)
+    assert type(parse(src)) is type(parse(template.format("1")))
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse(template.format(src))
