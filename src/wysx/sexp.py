@@ -5,29 +5,19 @@ Forms:
     (prin a)            principal literal
     (prins a b)         principal-set literal
     5  true  "s"  ()    scalar literals
-    (let x e1 e2)       binding
-    (lam x e)           function
-    (fix f x e)         recursive function
     (f a b)             application, curried left to right
-    (if c t e)          conditional
-    (as_par ps f)       run a thunk as each listed party
-    (as_sec ps f)       run a thunk jointly
-    (seal ps e)         address a value to a set
-    (reveal e)          open an addressed value
-    (mkmap ps e)        build a per-party map
-    (project p m)       read one party's entry
-    (concat m1 m2)      disjoint map union
     (ffi name e...)     host call
     (list e...)         sugar for (ffi list ...)
     (tuple e1 e2)       sugar for (ffi pair ...)
 
-Comments run from ';' to end of line. The printer inverts the parser:
-parsing what it prints yields the same tree.
+and the fixed-arity forms of ``FORMS``. Comments run from ';' to end of
+line. The printer inverts the parser: parsing what it prints yields the
+same tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .lang import (
@@ -44,15 +34,28 @@ class ParseError(WysError):
         self.col = col
 
 
-RESERVED = {
-    "let", "lam", "fix", "if", "as_par", "as_sec", "seal", "reveal",
-    "mkmap", "project", "concat", "ffi", "list", "tuple", "prin", "prins",
-    "true", "false",
+# The fixed-arity forms: keyword -> (node class, the kinds of its parts in
+# the class's field order), where "x" is a variable name and "e" an
+# expression.
+FORMS = {
+    "let": (Let, "xee"),         # (let x e1 e2)   binding
+    "lam": (Lam, "xe"),          # (lam x e)       function
+    "fix": (Fix, "xxe"),         # (fix f x e)     recursive function
+    "if": (If, "eee"),           # (if c t e)      conditional
+    "as_par": (AsPar, "ee"),     # (as_par ps f)   run a thunk as each party
+    "as_sec": (AsSec, "ee"),     # (as_sec ps f)   run a thunk jointly
+    "seal": (Seal, "ee"),        # (seal ps e)     address a value to a set
+    "reveal": (Reveal, "e"),     # (reveal e)      open an addressed value
+    "mkmap": (MkMap, "ee"),      # (mkmap ps e)    build a per-party map
+    "project": (Project, "ee"),  # (project p m)   read one party's entry
+    "concat": (Concat, "ee"),    # (concat m1 m2)  disjoint map union
 }
+
+RESERVED = {*FORMS, "ffi", "list", "tuple", "prin", "prins", "true", "false"}
 
 _DELIMS = set("(); \t\r\n\"")
 
-# The parser recurses up to twice per open parenthesis; this bound keeps the
+# The parser recurses once per open parenthesis; this bound keeps the
 # deepest accepted program well inside Python's default recursion limit.
 MAX_NESTING = 400
 
@@ -172,6 +175,8 @@ class _Parser:
         return t
 
     def expr(self) -> Expr:
+        # One frame per parenthesis: forms read their parts in this frame's
+        # loops, never through a helper that itself calls ``expr``.
         t = self.next("an expression")
         if t.kind == "int":
             return Const(FfiInt(int(t.text)))
@@ -188,163 +193,84 @@ class _Parser:
             return Var(t.text)
         if t.kind == "rparen":
             raise ParseError("unexpected )", t.line, t.col)
-        # lparen
         head = self.peek()
         if head is None:
             raise ParseError("unterminated (", t.line, t.col)
         if head.kind == "rparen":
-            self.next(")")
+            self.i += 1
             return Const(UNIT)
-        if head.kind == "sym" and head.text in RESERVED:
-            self.next("keyword")
-            return self.form(head)
-        # application
-        fn = self.expr()
-        args = []
+        k = head.text if head.kind == "sym" and head.text in RESERVED else ""
+        if k:
+            self.i += 1
+        if k in FORMS or k == "tuple":
+            make, kinds = FORMS.get(k, (_pair, "ee"))
+            parts = []
+            for kind in kinds:
+                parts.append(self.binder(k) if kind == "x" else self.expr())
+            self.close(k)
+            return make(*parts)
+        if k == "prin":
+            name = self.prin_name(k)
+            self.close(k)
+            return Const(PrinVal(name))
+        if k in ("true", "false"):
+            raise ParseError(f"{k} is not a form", head.line, head.col)
+        # the variadic tail of an application, ffi, list or prins
+        if k == "ffi":
+            name = self.next("a host function name")
+            if name.kind != "sym":
+                raise ParseError("(ffi ...) needs a function name",
+                                 name.line, name.col)
+        if not k:
+            head = t  # an application reports at its "("
+        items = [] if k else [self.expr()]
         while True:
             nxt = self.peek()
             if nxt is None:
-                raise ParseError("unterminated (", t.line, t.col)
+                raise ParseError(f"unterminated ({k}", head.line, head.col)
             if nxt.kind == "rparen":
-                self.next(")")
+                self.i += 1
                 break
-            args.append(self.expr())
-        if not args:
+            items.append(self.prin_name(k) if k == "prins" else self.expr())
+        if k == "ffi":
+            return Ffi(name.text, tuple(items))
+        if k == "list":
+            return Ffi("list", tuple(items))
+        if k == "prins":
+            if not items:
+                raise ParseError("(prins) needs at least one principal",
+                                 head.line, head.col)
+            return Const(PrinsVal(PrinSet.of(*items)))
+        if len(items) == 1:
             raise ParseError("application needs an argument", t.line, t.col)
-        out = fn
-        for a in args:
+        out = items[0]
+        for a in items[1:]:
             out = App(out, a)
         return out
 
-    def close(self, head: Tok):
+    def close(self, k: str):
         t = self.next(")")
         if t.kind != "rparen":
-            raise ParseError(f"too many parts in ({head.text} ...)",
-                             t.line, t.col)
+            raise ParseError(f"too many parts in ({k} ...)", t.line, t.col)
 
-    def binder(self, head: Tok) -> str:
+    def binder(self, k: str) -> str:
         t = self.next("a variable name")
         if t.kind != "sym":
-            raise ParseError(f"({head.text} ...) needs a variable name",
-                             t.line, t.col)
-        if t.text in RESERVED or t.text in ("true", "false"):
+            raise ParseError(f"({k} ...) needs a variable name", t.line, t.col)
+        if t.text in RESERVED:
             raise ParseError(f"{t.text} is a keyword, not a variable",
                              t.line, t.col)
         return t.text
 
-    def prin_name(self, head: Tok) -> str:
+    def prin_name(self, k: str) -> str:
         t = self.next("a principal name")
         if t.kind != "sym" or t.text in RESERVED:
-            raise ParseError(f"({head.text} ...) needs principal names",
-                             t.line, t.col)
+            raise ParseError(f"({k} ...) needs principal names", t.line, t.col)
         return t.text
 
-    def form(self, head: Tok) -> Expr:
-        k = head.text
-        if k == "prin":
-            name = self.prin_name(head)
-            self.close(head)
-            return Const(PrinVal(name))
-        if k == "prins":
-            names = []
-            while True:
-                t = self.peek()
-                if t is None:
-                    raise ParseError("unterminated (prins", head.line, head.col)
-                if t.kind == "rparen":
-                    self.next(")")
-                    break
-                names.append(self.prin_name(head))
-            if not names:
-                raise ParseError("(prins) needs at least one principal",
-                                 head.line, head.col)
-            return Const(PrinsVal(PrinSet.of(*names)))
-        if k == "let":
-            x = self.binder(head)
-            bound = self.expr()
-            body = self.expr()
-            self.close(head)
-            return Let(x, bound, body)
-        if k == "lam":
-            x = self.binder(head)
-            body = self.expr()
-            self.close(head)
-            return Lam(x, body)
-        if k == "fix":
-            f = self.binder(head)
-            x = self.binder(head)
-            body = self.expr()
-            self.close(head)
-            return Fix(f, x, body)
-        if k == "if":
-            c = self.expr()
-            t = self.expr()
-            e = self.expr()
-            self.close(head)
-            return If(c, t, e)
-        if k == "as_par" or k == "as_sec":
-            ps = self.expr()
-            fn = self.expr()
-            self.close(head)
-            return AsPar(ps, fn) if k == "as_par" else AsSec(ps, fn)
-        if k == "seal":
-            ps = self.expr()
-            body = self.expr()
-            self.close(head)
-            return Seal(ps, body)
-        if k == "reveal":
-            e = self.expr()
-            self.close(head)
-            return Reveal(e)
-        if k == "mkmap":
-            ps = self.expr()
-            v = self.expr()
-            self.close(head)
-            return MkMap(ps, v)
-        if k == "project":
-            p = self.expr()
-            m = self.expr()
-            self.close(head)
-            return Project(p, m)
-        if k == "concat":
-            m1 = self.expr()
-            m2 = self.expr()
-            self.close(head)
-            return Concat(m1, m2)
-        if k == "ffi":
-            t = self.next("a host function name")
-            if t.kind != "sym":
-                raise ParseError("(ffi ...) needs a function name",
-                                 t.line, t.col)
-            args = []
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise ParseError("unterminated (ffi", head.line, head.col)
-                if nxt.kind == "rparen":
-                    self.next(")")
-                    break
-                args.append(self.expr())
-            return Ffi(t.text, tuple(args))
-        if k == "list":
-            args = []
-            while True:
-                nxt = self.peek()
-                if nxt is None:
-                    raise ParseError("unterminated (list", head.line, head.col)
-                if nxt.kind == "rparen":
-                    self.next(")")
-                    break
-                args.append(self.expr())
-            return Ffi("list", tuple(args))
-        if k == "tuple":
-            a = self.expr()
-            b = self.expr()
-            self.close(head)
-            return Ffi("pair", (a, b))
-        if k in ("true", "false"):
-            raise ParseError(f"{k} is not a form", head.line, head.col)
-        raise ParseError(f"unknown form {k}", head.line, head.col)
+
+def _pair(a: Expr, b: Expr) -> Expr:
+    return Ffi("pair", (a, b))
 
 
 def parse(src: str) -> Expr:
@@ -363,52 +289,39 @@ def parse(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
+# node class -> (keyword, (field name, part kind) for each init field)
+_SPELLING = {
+    cls: (k, tuple(zip([f.name for f in fields(cls) if f.init], kinds)))
+    for k, (cls, kinds) in FORMS.items()
+}
+
+
 def print_expr(e: Expr) -> str:
     t = type(e)
     if t is Const:
         return _print_literal(e.v)
     if t is Var:
         return e.x
-    if t is Let:
-        return f"(let {e.x} {print_expr(e.bound)} {print_expr(e.body)})"
-    if t is Lam:
-        return f"(lam {e.x} {print_expr(e.body)})"
-    if t is Fix:
-        return f"(fix {e.f} {e.x} {print_expr(e.body)})"
+    if t in _SPELLING:
+        k, parts = _SPELLING[t]
+        out = "(" + k
+        for name, kind in parts:
+            v = getattr(e, name)
+            out += " " + (v if kind == "x" else print_expr(v))
+        return out + ")"
     if t is App:
-        parts = []
-        cur = e
-        while type(cur) is App:
-            parts.append(cur.arg)
-            cur = cur.fn
-        parts.append(cur)
-        parts.reverse()
-        return "(" + " ".join(print_expr(p) for p in parts) + ")"
-    if t is If:
-        return (f"(if {print_expr(e.cond)} {print_expr(e.then)} "
-                f"{print_expr(e.els)})")
-    if t is AsPar:
-        return f"(as_par {print_expr(e.ps)} {print_expr(e.fn)})"
-    if t is AsSec:
-        return f"(as_sec {print_expr(e.ps)} {print_expr(e.fn)})"
-    if t is Seal:
-        return f"(seal {print_expr(e.ps)} {print_expr(e.body)})"
-    if t is Reveal:
-        return f"(reveal {print_expr(e.e)})"
-    if t is MkMap:
-        return f"(mkmap {print_expr(e.ps)} {print_expr(e.v)})"
-    if t is Project:
-        return f"(project {print_expr(e.prin)} {print_expr(e.m)})"
-    if t is Concat:
-        return f"(concat {print_expr(e.m1)} {print_expr(e.m2)})"
+        items = []
+        while type(e) is App:
+            items.append(e.arg)
+            e = e.fn
+        items.append(e)
+        return "(" + " ".join(map(print_expr, reversed(items))) + ")"
     if t is Ffi:
-        if e.name == "list":
-            inner = " ".join(print_expr(a) for a in e.args)
-            return f"(list {inner})" if inner else "(list)"
         if e.name == "pair" and len(e.args) == 2:
-            return f"(tuple {print_expr(e.args[0])} {print_expr(e.args[1])})"
-        inner = " ".join(print_expr(a) for a in e.args)
-        return f"(ffi {e.name} {inner})" if inner else f"(ffi {e.name})"
+            k = "tuple"
+        else:
+            k = "list" if e.name == "list" else "ffi " + e.name
+        return "(" + " ".join([k, *map(print_expr, e.args)]) + ")"
     raise WysError(f"cannot print {e!r}")
 
 
