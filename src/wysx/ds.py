@@ -27,7 +27,7 @@ from .circuit import (
 from .gmw import gmw_eval
 from .lang import (
     AsSec, Clos, Config, Env, Expr, FixClos, Mode, Operands, PAR, PrinSet,
-    PrinsVal, Protocol, SEC, TMsg, Trace, Value, combine_envs, is_value,
+    PrinsVal, SEC, TMsg, Trace, Value, combine_envs, is_value,
     slice_config, slice_env, slice_value,
 )
 from .st import (
@@ -113,7 +113,7 @@ def parse_sched(text: str):
 class DsResult:
     status: str  # done | stuck | fuel
     parties: dict[str, tuple[Optional[Value], Trace]]
-    protocol: Protocol
+    par: dict[str, Config]  # each party's final configuration
     ticks: int
     reason: Optional[str] = None
     sec_entries: int = 0
@@ -175,8 +175,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     def finish(status: str, ticks: int, reason: Optional[str] = None) -> DsResult:
         parties = {p: (c.code if c.is_terminal() else None, c.trace)
                    for p, c in par.items()}
-        return DsResult(status, parties, Protocol(dict(par), dict(sec)),
-                        ticks, reason, sec_entries, tuple(circuits))
+        return DsResult(status, parties, dict(par), ticks, reason,
+                        sec_entries, tuple(circuits))
 
     # One step result per party, computed the first time its config is seen
     # and dropped when ``par[p]`` changes (its local move, or its slice at a
@@ -361,10 +361,9 @@ def check_simulation(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                                f"[{name}] distributed run {dres.status}: "
                                f"{dres.reason}")
         for p in ps:
-            if sliced.par[p] != dres.protocol.par[p]:
+            if sliced[p] != dres.par[p]:
                 return CheckReport("fail", "[" + name + "] " +
-                                   _config_diff(p, sliced.par[p],
-                                                dres.protocol.par[p]))
+                                   _config_diff(p, sliced[p], dres.par[p]))
     return CheckReport("pass")
 
 
@@ -389,8 +388,8 @@ def check_confluence(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                                f"baseline {base.status} ({other.reason})")
         if base.status == "done":
             for p in ps:
-                if base.protocol.par[p] != other.protocol.par[p]:
+                if base.par[p] != other.par[p]:
                     return CheckReport("fail", "[rand:" + str(i) + "] " +
-                                       _config_diff(p, base.protocol.par[p],
-                                                    other.protocol.par[p]))
+                                       _config_diff(p, base.par[p],
+                                                    other.par[p]))
     return CheckReport("pass")

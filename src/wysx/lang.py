@@ -377,6 +377,13 @@ class Env:
     def __init__(self, bindings: Optional[dict[str, Value]] = None):
         self._b = dict(bindings) if bindings else {}
 
+    @staticmethod
+    def _own(b: dict[str, Value]) -> "Env":
+        """An Env over ``b`` itself, for a dict that nothing else holds."""
+        env = object.__new__(Env)
+        env._b = b
+        return env
+
     def get(self, x: str) -> Value:
         try:
             return self._b[x]
@@ -389,10 +396,10 @@ class Env:
     def extend(self, x: str, v: Value) -> "Env":
         b = dict(self._b)
         b[x] = v
-        return Env(b)
+        return Env._own(b)
 
     def restrict(self, names) -> "Env":
-        return Env({x: v for x, v in self._b.items() if x in names})
+        return Env._own({x: v for x, v in self._b.items() if x in names})
 
     def names(self) -> frozenset[str]:
         return frozenset(self._b)
@@ -531,15 +538,6 @@ class Config:
                 and self.mode.tag == PAR)
 
 
-@dataclass
-class Protocol:
-    """Distributed state: one local config per party plus the joint
-    computations in flight, keyed by their party set."""
-
-    par: dict[Principal, Config]
-    sec: dict[PrinSet, object]
-
-
 # ---------------------------------------------------------------------------
 # child traversal: the one place that knows which values hold other values
 
@@ -577,7 +575,7 @@ def with_children(v: Value, kids: tuple[Value, ...]) -> Value:
     if t is Sealed:
         return Sealed(v.ps, kids[0])
     if t is Clos or t is FixClos:
-        env = Env(dict(zip((x for x, _ in v.env.items()), kids)))
+        env = Env._own(dict(zip((x for x, _ in v.env.items()), kids)))
         if t is Clos:
             return Clos(env, v.x, v.body)
         return FixClos(env, v.f, v.x, v.body)
@@ -601,7 +599,7 @@ def slice_value(p: Principal, v: Value) -> Value:
 
 
 def slice_env(p: Principal, env: Env) -> Env:
-    return Env({x: slice_value(p, v) for x, v in env.items()})
+    return Env._own({x: slice_value(p, v) for x, v in env.items()})
 
 
 def slice_trace(p: Principal, t: Trace) -> Trace:
@@ -628,7 +626,7 @@ def _slice_frame(p: Principal, f: Frame) -> Frame:
                  _slice_ctx(p, f.ctx), slice_trace(p, f.trace))
 
 
-def slice_config(s: PrinSet, c: Config) -> Protocol:
+def slice_config(s: PrinSet, c: Config) -> dict[Principal, Config]:
     """Project a joint par-mode config to one local config per member."""
     if not (c.mode.is_par() and c.mode.ps == s):
         raise ModeError(f"can only slice a par-mode config over its own set, "
@@ -641,7 +639,7 @@ def slice_config(s: PrinSet, c: Config) -> Protocol:
                         slice_env(p, c.env),
                         slice_trace(p, c.trace),
                         code)
-    return Protocol(par, {})
+    return par
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +713,7 @@ def combine_envs(envs: list[Env]) -> Env:
     b = {}
     for x in names:
         b[x] = combine_many([e.get(x) for e in envs])
-    return Env(b)
+    return Env._own(b)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,16 @@ def test_env_restrict_and_eq():
     assert Env({"x": FfiInt(1)}) == r
 
 
+def test_env_never_shares_bindings():
+    b = {"x": FfiInt(1)}
+    e = Env(b)
+    b["y"] = FfiInt(2)  # the caller's dict stays the caller's
+    assert e.names() == {"x"}
+    e.extend("z", FfiInt(3))
+    e.restrict(set())
+    assert e.names() == {"x"} and e.get("x") == FfiInt(1)
+
+
 def test_free_vars():
     e = Let("x", Var("y"), App(Lam("z", Var("z")), Var("x")))
     assert free_vars(e) == {"y"}
@@ -127,9 +137,9 @@ def test_slice_config_projects_stack():
                   Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),)),
                   (TMsg(FfiInt(1)),))
     c = Config(Mode(PAR, AB), (frame,), Env(), (), Const(UNIT))
-    proto = slice_config(AB, c)
-    fa = proto.par["a"].stack[0]
-    fb = proto.par["b"].stack[0]
+    par = slice_config(AB, c)
+    fa = par["a"].stack[0]
+    fb = par["b"].stack[0]
     assert fa.env.get("x") == Sealed(A, FfiInt(7))
     assert fb.env.get("x") == Sealed(A, OPAQUE)
     assert fa.ctx == Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),))
