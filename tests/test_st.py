@@ -257,6 +257,13 @@ def test_share_mint_and_combine_round_trip():
     assert r.value == FfiInt(5)
 
 
+def test_comb_sh_rejects_a_handle_missing_a_word():
+    env = Env({"h": ShareVal.of(AB, {"a": 1}, 32)})
+    r = stuck("(as_sec (prins a b) (lam _ (ffi comb_sh h)))", env)
+    assert r.stuck_reason == ("PartySetMismatch: handle missing words "
+                              "for ['b']")
+
+
 def test_share_words_xor_to_value():
     rt = Runtime(seed=3, width=8)
     r = run(parse("(as_sec (prins a b) (lam _ (ffi mk_sh 200)))"), rt=rt)
