@@ -377,13 +377,6 @@ class Env:
     def __init__(self, bindings: Optional[dict[str, Value]] = None):
         self._b = dict(bindings) if bindings else {}
 
-    @staticmethod
-    def _own(b: dict[str, Value]) -> "Env":
-        """An Env over ``b`` itself, for a dict that nothing else holds."""
-        env = object.__new__(Env)
-        env._b = b
-        return env
-
     def get(self, x: str) -> Value:
         try:
             return self._b[x]
@@ -394,12 +387,16 @@ class Env:
         return x in self._b
 
     def extend(self, x: str, v: Value) -> "Env":
-        b = dict(self._b)
+        # the new dict is the Env's own, so skip the copy in __init__
+        env = object.__new__(Env)
+        b = env._b = dict(self._b)
         b[x] = v
-        return Env._own(b)
+        return env
 
     def restrict(self, names) -> "Env":
-        return Env._own({x: v for x, v in self._b.items() if x in names})
+        env = object.__new__(Env)
+        env._b = {x: v for x, v in self._b.items() if x in names}
+        return env
 
     def names(self) -> frozenset[str]:
         return frozenset(self._b)
@@ -575,7 +572,7 @@ def with_children(v: Value, kids: tuple[Value, ...]) -> Value:
     if t is Sealed:
         return Sealed(v.ps, kids[0])
     if t is Clos or t is FixClos:
-        env = Env._own(dict(zip((x for x, _ in v.env.items()), kids)))
+        env = Env(dict(zip((x for x, _ in v.env.items()), kids)))
         if t is Clos:
             return Clos(env, v.x, v.body)
         return FixClos(env, v.f, v.x, v.body)
@@ -599,7 +596,7 @@ def slice_value(p: Principal, v: Value) -> Value:
 
 
 def slice_env(p: Principal, env: Env) -> Env:
-    return Env._own({x: slice_value(p, v) for x, v in env.items()})
+    return Env({x: slice_value(p, v) for x, v in env.items()})
 
 
 def slice_trace(p: Principal, t: Trace) -> Trace:
@@ -713,7 +710,7 @@ def combine_envs(envs: list[Env]) -> Env:
     b = {}
     for x in names:
         b[x] = combine_many([e.get(x) for e in envs])
-    return Env._own(b)
+    return Env(b)
 
 
 # ---------------------------------------------------------------------------

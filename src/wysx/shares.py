@@ -87,7 +87,7 @@ def comb_sh_value(mode: Mode, v: Value) -> FfiInt:
         raise FfiTypeError(f"comb_sh: expected a share handle, got {v!r}")
     if v.ps != mode.ps:
         raise PartySetMismatch(f"handle for {v.ps} recombined by {mode.ps}")
-    if tuple(q for q, _ in v.words) != v.ps.names:  # both sorted
+    if [q for q, _ in v.words] != list(v.ps.names):  # both sorted
         missing = [p for p in v.ps if v.word_of(p) is None]
         if missing:
             raise PartySetMismatch(f"handle missing words for {missing}")
