@@ -1,5 +1,6 @@
 """Distributed semantics: local machines, joint blocks, schedules, checks."""
 
+import functools
 import hashlib
 import itertools
 import sys
@@ -17,6 +18,8 @@ from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
 )
+
+from _proggen import base_env, gen_program
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -97,17 +100,21 @@ def test_local_stuck_is_reported():
     env = Env({"xa": Sealed(A, FfiInt(5))})
     st, ds = both("(reveal xa)", env)
     assert st.status == "stuck"
-    assert ds.status == "stuck"
+    assert (ds.status, ds.ticks, ds.reason) == (
+        "stuck", 4, "party b stuck at reveal: b outside seal set {a}")
+
+
+# a reaches a two-party block from inside its own private region; b skipped
+# that region entirely and terminates, so a waits forever
+DEADLOCK = "(as_par (prins a) (lam _ (as_sec (prins a b) (lam _ 1))))"
 
 
 def test_joint_block_deadlock_when_partner_never_arrives():
-    # a reaches a two-party block from inside its own private region; b
-    # skipped that region entirely and terminates, so a waits forever
-    src = "(as_par (prins a) (lam _ (as_sec (prins a b) (lam _ 1))))"
-    st, ds = both(src)
+    st, ds = both(DEADLOCK)
     assert st.status == "stuck"  # the reference machine rejects it too
-    assert ds.status == "stuck"
-    assert "wait" in ds.reason
+    assert (ds.status, ds.ticks, ds.reason) == (
+        "stuck", 14, "no enabled move: parties are waiting for partners "
+        "that never arrive")
 
 
 def test_parties_progress_through_independent_regions():
@@ -321,28 +328,33 @@ def concurrent_env(ps):
                 for n, p in enumerate(ps, 3)})
 
 
-def schedule_digest(e, env, ps, width, n_random):
-    """Digest of every party's status, ticks, stuck reason, value and trace
-    and of the picked moves, under round robin and ``n_random`` seeded
-    schedules on both backends."""
-    h = hashlib.sha256()
+def schedule_digests(e, env, ps, width, n_random):
+    """Two digests over round robin and ``n_random`` seeded schedules on
+    both backends: one of every party's status, ticks, stuck reason, value
+    and trace and of the picked moves, and one of every move list offered."""
+    runs, offered = hashlib.sha256(), hashlib.sha256()
     for backend in ("ideal", "gmw"):
         for sched in schedules(n_random):
             rec = Recording(sched)
             res = ds_run(e, env, ps, Runtime(0, width), rec, backend)
             log = [f"{kind} {target}" for kind, target in rec.picked]
-            h.update(repr((res.status, res.ticks, res.reason,
-                           sorted(res.parties.items()), log)).encode())
-    return h.hexdigest()[:16]
+            runs.update(repr((res.status, res.ticks, res.reason,
+                              sorted(res.parties.items()), log)).encode())
+            for moves in rec.offered:
+                offered.update(repr([f"{kind} {target}"
+                                     for kind, target in moves]).encode())
+            offered.update(b"|")
+    return runs.hexdigest()[:16], offered.hexdigest()[:16]
 
 
-def corpus_schedule_digests() -> dict[str, str]:
+@functools.cache
+def corpus_schedule_digests() -> dict[str, tuple[str, str]]:
     out = {}
     for cell in apps.corpus():
-        out[cell.name] = schedule_digest(apps.load_program(cell.program),
-                                         cell.env, cell.ps, 32, 6)
+        out[cell.name] = schedule_digests(apps.load_program(cell.program),
+                                          cell.env, cell.ps, 32, 6)
     for name, (ps, src) in CONCURRENT.items():
-        out[f"concurrent/{name}"] = schedule_digest(
+        out[f"concurrent/{name}"] = schedule_digests(
             parse(src), concurrent_env(ps), ps, 32, 40)
     return out
 
@@ -371,7 +383,90 @@ SCHEDULE_DIGESTS = {
 
 
 def test_schedules_are_pinned():
-    assert corpus_schedule_digests() == SCHEDULE_DIGESTS
+    got = {name: runs for name, (runs, _) in corpus_schedule_digests().items()}
+    assert got == SCHEDULE_DIGESTS
+
+
+OFFERED_DIGESTS = {
+    "median/low": "b802c9ab6f5a776e",
+    "median/high": "b802c9ab6f5a776e",
+    "median_opt/low": "3aadcfc26ff7a46a",
+    "median_opt/high": "3aadcfc26ff7a46a",
+    "psi/overlap": "5e91ebbda0d7fdfc",
+    "psi/disjoint": "5e91ebbda0d7fdfc",
+    "psi/empty": "5e91ebbda0d7fdfc",
+    "psi_interim/overlap": "bba3f00524c0a2fb",
+    "psi_interim/empty": "1d59fb06c4afdebc",
+    "psi_opt/overlap": "bcdd6363af449359",
+    "psi_opt/dup": "6bf76eac34caa9ae",
+    "check_fresh/hit": "977d3a61492ef173",
+    "check_fresh/miss": "b7ee021f208a17ec",
+    "check_fresh/empty": "e442c8aee5017523",
+    "deal/empty-51": "8f566a15273b9468",
+    "deal/fresh": "6b1e51cdb4c9320f",
+    "deal/repeat": "5a9f0969c38af497",
+    "concurrent/four": "b85cce59b5a3e7e4",
+    "concurrent/prefixed": "8a147ca1facf63bb",
+}
+
+
+def test_offered_moves_are_pinned():
+    got = {name: offered
+           for name, (_, offered) in corpus_schedule_digests().items()}
+    assert got == OFFERED_DIGESTS
+
+
+# Runs that stick. Generated programs run to completion on a and b; with a
+# bystander c most stick at c's first joint block or reveal, and three stick
+# under GMW at a multiplication.
+STUCK_SEEDS_ABC = (2, 7, 9, 11, 13, 17, 21, 24, 27, 36, 41)
+STUCK_SEEDS_GMW = (98, 201, 319)
+
+
+def stuck_cases():
+    yield ("local", parse("(reveal xa)"),
+           Env({"xa": Sealed(A, FfiInt(5))}), AB, ("ideal", "gmw"))
+    yield "deadlock", parse(DEADLOCK), Env(), AB, ("ideal", "gmw")
+    for seed in STUCK_SEEDS_ABC:
+        yield (f"proggen/{seed}", gen_program(seed), base_env(), ABC,
+               ("ideal", "gmw"))
+    for seed in STUCK_SEEDS_GMW:
+        yield f"proggen-gmw/{seed}", gen_program(seed), base_env(), AB, ("gmw",)
+
+
+STUCK_DIGESTS = {
+    "local": "d788ce60c3fc19b7",
+    "deadlock": "a9626ed6d9f33c0f",
+    "proggen/2": "5efeaf7f1969af51",
+    "proggen/7": "9cd39322d13862d5",
+    "proggen/9": "a6a9a3f43817ae8c",
+    "proggen/11": "48fdf2d689d15878",
+    "proggen/13": "0ac50cb074c01bbc",
+    "proggen/17": "9b9c0be1da9d98ce",
+    "proggen/21": "a3e350d3828e30ca",
+    "proggen/24": "82efa82f843921f0",
+    "proggen/27": "9e47fd7eba360592",
+    "proggen/36": "a6a9a3f43817ae8c",
+    "proggen/41": "69bc8bfdda1c1372",
+    "proggen-gmw/98": "37d90dd2d7b3baec",
+    "proggen-gmw/201": "37d90dd2d7b3baec",
+    "proggen-gmw/319": "e2bb9331ed604a13",
+}
+
+
+def test_stuck_runs_are_pinned():
+    # the tick, the party and the reason of every stuck run, under round
+    # robin and 20 seeded schedules
+    got = {}
+    for name, e, env, ps, backends in stuck_cases():
+        h = hashlib.sha256()
+        for backend in backends:
+            for sched in schedules(20):
+                res = ds_run(e, env, ps, Runtime(0, 32), sched, backend)
+                assert res.status == "stuck", (name, backend, res.status)
+                h.update(repr((res.status, res.ticks, res.reason)).encode())
+        got[name] = h.hexdigest()[:16]
+    assert got == STUCK_DIGESTS
 
 
 KIND_ORDER = {"exit": 0, "sec-step": 1, "enter": 2, "local": 3}
