@@ -68,7 +68,8 @@ SecInst = Union[IdealSec, GmwSec]
 # ``ds_run`` hands ``pick`` the enabled moves in canonical order: every
 # ``exit``, then every ``sec-step``, then every ``enter``, then every
 # ``local`` move, each kind sorted by ``str(target)``. ``pick`` returns one
-# of them.
+# of them. The moves come as a tuple that ``ds_run`` keeps between ticks, so
+# ``pick`` may get the same object on many ticks and must not mutate it.
 
 class RoundRobin:
     """Deterministic baseline: joint work first, then parties in rotation."""
@@ -179,53 +180,72 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                         sec_entries, tuple(circuits))
 
     # One step result per party, computed the first time its config is seen
-    # and dropped when ``par[p]`` changes (its local move, or its slice at a
+    # and replaced when ``par[p]`` changes (its local move, or its slice at a
     # block's exit); _DONE marks a terminal config. Reusing it across ticks is
     # sound because a local step depends only on the config: party machines
     # stay in PAR mode, ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise
     # ModeError outside a joint block before they touch ``rt.mint``. Joint
     # blocks are stepped on their own move, never cached.
+    #
+    # The move list is kept as one tuple between ticks. After a local move
+    # only the moved party's entry is new; while it is again a ``Config``
+    # the list is unchanged, so it is reused as it is. Anything else (a
+    # party that now waits, terminates or sticks, an enter, an exit or a
+    # block that finishes) sets ``moves`` to None and the list is rebuilt.
     steps: dict[str, object] = {}
+    local_moves = {p: ("local", p) for p in ps}
+    moves = None
+    moved = None  # the party whose local move was the last pick
 
     for tick in range(fuel):
-        locals_ = []
-        waiting: dict[PrinSet, dict[str, NeedsSec]] = {}
-        for p in ps:
-            out = steps.get(p)
-            if out is None:
-                c = par[p]
-                out = _DONE if c.is_terminal() else machine_step(c, rt, p)
-                steps[p] = out
-            if type(out) is Config:
-                locals_.append(("local", p))
-            elif type(out) is NeedsSec:
-                if out.ps not in sec:
-                    waiting.setdefault(out.ps, {})[p] = out
-            elif out is not _DONE:  # Stuck
-                return finish("stuck", tick,
-                              f"party {p} stuck at {out.rule}: {out.reason}")
-        # canonical order: exit, sec-step, enter, local, each by str(target);
-        # ps is sorted, so the local moves already are
-        blocks = sorted(sec, key=str) if len(sec) > 1 else list(sec)
-        moves = [("exit", s) for s in blocks if sec[s].done]
-        moves += [("sec-step", s) for s in blocks if not sec[s].done]
-        ready = [s for s, group in waiting.items()
-                 if set(group) == set(s.names)]
-        if len(ready) > 1:
-            ready.sort(key=str)
-        moves += [("enter", s) for s in ready]
-        moves += locals_
-
-        if not moves:
-            if not sec and all(out is _DONE for out in steps.values()):
-                return finish("done", tick)
-            return finish("stuck", tick, "no enabled move: parties are "
-                          "waiting for partners that never arrive")
+        if moved is not None:
+            c = par[moved]
+            out = _DONE if c.is_terminal() else machine_step(c, rt, moved)
+            steps[moved] = out
+            if type(out) is not Config:
+                moves = None
+            moved = None
+        if moves is None:
+            locals_ = []
+            waiting: dict[PrinSet, dict[str, NeedsSec]] = {}
+            for p in ps:
+                out = steps.get(p)
+                if out is None:
+                    c = par[p]
+                    out = _DONE if c.is_terminal() else machine_step(c, rt, p)
+                    steps[p] = out
+                if type(out) is Config:
+                    locals_.append(local_moves[p])
+                elif type(out) is NeedsSec:
+                    if out.ps not in sec:
+                        waiting.setdefault(out.ps, {})[p] = out
+                elif out is not _DONE:  # Stuck
+                    return finish("stuck", tick,
+                                  f"party {p} stuck at {out.rule}: "
+                                  f"{out.reason}")
+            # canonical order: exit, sec-step, enter, local, each by
+            # str(target); ps is sorted, so the local moves already are
+            blocks = sorted(sec, key=str) if len(sec) > 1 else list(sec)
+            built = [("exit", s) for s in blocks if sec[s].done]
+            built += [("sec-step", s) for s in blocks if not sec[s].done]
+            ready = [s for s, group in waiting.items()
+                     if set(group) == set(s.names)]
+            if len(ready) > 1:
+                ready.sort(key=str)
+            built += [("enter", s) for s in ready]
+            built += locals_
+            moves = tuple(built)
+            if not moves:
+                if not sec and all(out is _DONE for out in steps.values()):
+                    return finish("done", tick)
+                return finish("stuck", tick, "no enabled move: parties are "
+                              "waiting for partners that never arrive")
 
         kind, target = sched.pick(moves)
 
         if kind == "local":
-            par[target] = steps.pop(target)
+            par[target] = steps[target]
+            moved = target
             continue
 
         if kind == "enter":
@@ -253,21 +273,20 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 sec[s] = GmwSec(s, circ, bits,
                                 _gmw_seed(rt.seed, s, idx))
                 circuits.append((f"{s}#{idx}", circ))
+            moves = None
             continue
 
         if kind == "sec-step":
             inst = sec[target]
             if type(inst) is IdealSec:
                 m = inst.machine
-                if not m.stack and is_value(m.code):
-                    inst.done = True
-                    continue
-                out = st_step(m, rt)
-                if type(out) is Stuck:
-                    return finish("stuck", tick,
-                                  f"joint block {target} stuck at "
-                                  f"{out.rule}: {out.reason}")
-                inst.machine = m = out
+                if m.stack or not is_value(m.code):
+                    out = st_step(m, rt)
+                    if type(out) is Stuck:
+                        return finish("stuck", tick,
+                                      f"joint block {target} stuck at "
+                                      f"{out.rule}: {out.reason}")
+                    inst.machine = m = out
                 if not m.stack and is_value(m.code):
                     if m.trace:
                         return finish("stuck", tick,
@@ -281,6 +300,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     for p in target.names
                 }
                 inst.done = True
+            if inst.done:  # its sec-step move becomes an exit
+                moves = None
             continue
 
         if kind == "exit":
@@ -302,6 +323,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 par[p] = Config(frame.mode, c.stack[:-1], frame.env,
                                 trace, vp)
                 del steps[p]
+            moves = None
             continue
 
     return finish("fuel", fuel)
@@ -344,6 +366,8 @@ def check_simulation(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
     distributed run, state for state."""
     if schedules is None:
         schedules = default_schedules()
+    if not schedules:
+        raise ValueError("schedules must not be empty")
     sres = st_run(e, env, ps, Runtime(seed, width), fuel)
     if sres.status == "stuck":
         return CheckReport("vacuous",
@@ -356,6 +380,12 @@ def check_simulation(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
         sched = mk()
         dres = ds_run(e, env, ps, Runtime(seed, width), sched, backend, fuel)
         name = type(sched).__name__
+        if dres.status == "fuel":
+            # a tick is one party's step, so a run needs more ticks than
+            # the reference run needs steps
+            return CheckReport("inconclusive",
+                               f"[{name}] distributed run ran out of fuel: "
+                               f"no result within {fuel} ticks")
         if dres.status != "done":
             return CheckReport("fail",
                                f"[{name}] distributed run {dres.status}: "

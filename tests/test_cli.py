@@ -259,6 +259,17 @@ def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
         f"run fuel: no result within 3 {unit}\n"
 
 
+def test_check_sim_out_of_ticks_is_inconclusive(tmp_path, capsys):
+    # the reference run needs 19 steps; three parties need 57 ticks
+    prog = tmp_path / "lets.wyx"
+    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))")
+    assert main(["check", "sim", str(prog), "--prins", "a,b,c",
+                 "--fuel", "20"]) == 1
+    assert capsys.readouterr().out == (
+        "INCONCLUSIVE: [RoundRobin] distributed run ran out of fuel: "
+        "no result within 20 ticks\n")
+
+
 @pytest.mark.parametrize("schedules", [0, -3])
 def test_confluence_without_schedules_is_a_one_line_error(tmp_path, capsys,
                                                           schedules):

@@ -202,6 +202,28 @@ def test_check_simulation_inconclusive_on_fuel():
     assert rep.status == "inconclusive"
 
 
+# 19 reference steps, 57 ticks over three parties
+THREE_LETS = "(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))"
+
+
+def test_check_simulation_inconclusive_when_only_ds_runs_out_of_fuel():
+    e = parse(THREE_LETS)
+    assert st_run(e, Env(), ABC, fuel=20).status == "done"
+    rep = check_simulation(e, Env(), ABC, fuel=20)
+    assert (rep.status, rep.detail) == (
+        "inconclusive", "[RoundRobin] distributed run ran out of fuel: "
+        "no result within 20 ticks")
+    rep = check_simulation(e, Env(), ABC, fuel=20,
+                           schedules=[lambda: SeededRandom(3)])
+    assert rep.detail.startswith("[SeededRandom] ")
+    assert check_simulation(e, Env(), ABC, fuel=58).status == "pass"
+
+
+def test_check_simulation_refuses_an_empty_schedule_list():
+    with pytest.raises(ValueError, match="schedules must not be empty"):
+        check_simulation(parse("(ffi add 1 2)"), Env(), AB, schedules=[])
+
+
 def test_check_confluence_passes():
     env = Env({"xa": Sealed(A, FfiInt(4)), "xb": Sealed(B, FfiInt(9))})
     src = """(let u (as_par (prins a) (lam _ (reveal xa)))
