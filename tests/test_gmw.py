@@ -1,5 +1,6 @@
 """Share-based protocol execution against the in-the-clear evaluator."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -14,8 +15,9 @@ from wysx.circuit import (
     AND, CONST, Builder, CBit, Circuit, InputDecl, bind_inputs,
     compile_sec_thunk, decode_output, eval_circuit,
 )
-from wysx import apps, gmw
+from wysx import apps, ds, gmw
 from wysx.ds import ds_run
+from wysx.st import Runtime
 from wysx.gmw import Channel, ProtocolError, gmw_eval, make_triples
 
 A = PrinSet.of("a")
@@ -224,32 +226,42 @@ def test_emitted_layers_match_gate_depths_on_corpus_circuits():
     assert blocks == 47
 
 
-def test_protocol_matches_clear_evaluation_on_random_circuits():
+def random_circuit_runs():
+    """(circuit, [(input bits, dealer seed), ...]) for 25 random circuits
+    over two parties and 25 over three, every input assignment each."""
     rng = random.Random(5)
-    inversions = 0
     for parties in (("a", "b"), ("a", "b", "c")):
         for _ in range(25):
             circ, decls = random_circuit(rng, parties, rng.randint(2, 5),
                                          rng.randint(5, 40))
-            depth = checked_depths(circ)
-            order = [depth[g[1]] for g in circ.gates]
-            inversions += any(d < max(order[:i], default=0)
-                              for i, d in enumerate(order))
+            runs = []
             for assignment in itertools.product((0, 1), repeat=len(decls)):
                 bits = {p: {} for p in parties}
                 for decl, v in zip(decls, assignment):
                     bits[decl.party][decl.wires[0]] = v
-                clear = eval_circuit(circ, bits)
-                prot = gmw_eval(circ, bits, rng.randrange(1000))
-                for p in parties:
-                    want = {w: clear[w] for w, recips in circ.outputs
-                            if p in recips}
-                    assert prot.outputs[p] == want
-                assert prot.rounds == circ.and_depth + 2
-                assert prot.and_rounds == circ.and_depth
-                assert prot.triples_used == circ.and_count
-                for ch in prot.channels.values():
-                    assert ch.sent["open"] == 2 * circ.and_count
+                runs.append((bits, rng.randrange(1000)))
+            yield circ, runs
+
+
+def test_protocol_matches_clear_evaluation_on_random_circuits():
+    inversions = 0
+    for circ, runs in random_circuit_runs():
+        depth = checked_depths(circ)
+        order = [depth[g[1]] for g in circ.gates]
+        inversions += any(d < max(order[:i], default=0)
+                          for i, d in enumerate(order))
+        for bits, seed in runs:
+            clear = eval_circuit(circ, bits)
+            prot = gmw_eval(circ, bits, seed)
+            for p in circ.parties.names:
+                want = {w: clear[w] for w, recips in circ.outputs
+                        if p in recips}
+                assert prot.outputs[p] == want
+            assert prot.rounds == circ.and_depth + 2
+            assert prot.and_rounds == circ.and_depth
+            assert prot.triples_used == circ.and_count
+            for ch in prot.channels.values():
+                assert ch.sent["open"] == 2 * circ.and_count
     assert inversions > 10
 
 
@@ -392,3 +404,76 @@ def test_triples_and_input_pieces_are_fresh_and_full_width(monkeypatch):
     constant = {(label, i) for label, i, v in seen
                 if (label, i, 1 - v) not in seen}
     assert not constant, sorted(constant)
+
+
+def many_party_runs():
+    """Hand-built random circuits over one party and over nine, so that a
+    party index past the eighth is covered, with a few input assignments
+    and dealer seeds each."""
+    rng = random.Random("many-parties")
+    for parties in (("a",), tuple("abcdefghi")):
+        for _ in range(4):
+            circ, decls = random_circuit(rng, parties,
+                                         rng.randint(len(parties), 12),
+                                         rng.randint(10, 60))
+            runs = []
+            for _ in range(4):
+                bits = {p: {} for p in parties}
+                for decl in decls:
+                    bits[decl.party][decl.wires[0]] = rng.getrandbits(1)
+                runs.append((bits, rng.randrange(1000)))
+            yield circ, runs
+
+
+def corpus_block_runs(monkeypatch):
+    """(circuit, [(input bits, dealer seed), ...]) for every GMW block the
+    corpus reaches at widths 32 and 9, under dealer seeds 0-2."""
+    blocks = []
+    real = ds.gmw_eval
+
+    def record(circ, bits, seed):
+        blocks.append((circ, bits))
+        return real(circ, bits, seed)
+
+    monkeypatch.setattr(ds, "gmw_eval", record)
+    for w in (32, 9):
+        for cell in apps.corpus(w):
+            if cell.min_width <= w:
+                res = ds_run(apps.load_program(cell.program), cell.env,
+                             cell.ps, Runtime(0, w), backend="gmw")
+                assert res.status == "done", (cell.name, w, res.reason)
+    monkeypatch.setattr(ds, "gmw_eval", real)
+    return [(circ, [(bits, seed) for seed in range(3)])
+            for circ, bits in blocks]
+
+
+TRANSCRIPT_DIGEST = (
+    "14d7ba3b2c127d91c0b3b3c98e0c01758ec406eab34286c5e7ebb750d909b435")
+
+
+def test_protocol_transcripts_are_pinned(monkeypatch):
+    # every message of every channel in send order, and every result field,
+    # over the corpus blocks, the random circuits and 1- and 9-party circuits
+    cases = corpus_block_runs(monkeypatch)
+    assert len(cases) == 94
+    cases += [*random_circuit_runs(), *many_party_runs()]
+    log = []
+    send = Channel.send
+
+    def logged(self, kind, n, word):
+        log.append((self.src, self.dst, kind, n, word))
+        send(self, kind, n, word)
+
+    monkeypatch.setattr(Channel, "send", logged)
+    h = hashlib.sha256()
+    for circ, runs in cases:
+        for bits, seed in runs:
+            log.clear()
+            res = gmw_eval(circ, bits, seed)
+            sent = sorted((k, sorted(ch.sent.items()))
+                          for k, ch in res.channels.items())
+            outputs = sorted((p, sorted(o.items()))
+                             for p, o in res.outputs.items())
+            h.update(repr((log, outputs, res.rounds, res.and_rounds,
+                           res.triples_used, sent)).encode())
+    assert h.hexdigest() == TRANSCRIPT_DIGEST
