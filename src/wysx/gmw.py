@@ -7,16 +7,18 @@ exactly two opened bits (the two blinded operands). Triples come from a
 seeded dealer, standing in for an offline phase.
 
 The run is simulated in rounds over FIFO channels: one round to share
-inputs, one round per layer of AND gates, one round to reveal outputs to
-their recipients. The layers are the ones the circuit builder files each
-gate under as it emits it: round r evaluates the local gates of AND-depth r
-and then opens every AND gate of depth r + 1 at once. Gates are plain
-(op, out, a, b) tuples, read by unpacking. Each party keeps its shares in a
-list indexed by wire and handles a layer as packed words, one bit per gate,
-so a layer's triples are three words per party and each message is one word
-with an explicit bit count. Wire identities never travel; both ends derive message
-layout from the public circuit, so channel payloads are pure bits and the
-per-kind counters pin the protocol's exact communication pattern.
+inputs, one per layer of AND gates (round r evaluates the local gates of
+AND-depth r, then opens every AND gate of depth r + 1 at once), one to
+reveal outputs to their recipients. A message is one word, a bit per wire
+of a layout both ends derive from the public circuit, so channel payloads
+are pure bits and the per-kind counters pin the exact communication.
+
+All parties' shares are evaluated packed, as in the SIMD evaluation of GMW
+(Schneider-Zohner, ABY): one int per wire, bit i party i's share, in byte
+planes of 8 parties. XOR is one ``^`` per plane; NOT flips party 0's bit,
+as party 0 alone carries public constants. A party's word is read out of a
+plane through a ``bytes.translate`` table per bit position, and an AND
+layer's words go back in with one carry-free sum per plane.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import Circuit, NOT, XOR
+from .circuit import CONST, Circuit
 from .lang import WysError
 
 
@@ -87,51 +89,61 @@ def make_triples(n: int, parties: tuple[str, ...], rng: random.Random):
     return shares
 
 
-_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# _BIT[i] reads bit i of a byte as an ascii digit
+_BIT = [bytes(b"01"[(v >> i) & 1] for v in range(256)) for i in range(8)]
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _pack(bits) -> int:
-    """One word from 0/1 ints, the first one in the lowest bit."""
-    digits = bytes(bits)[::-1].translate(_TO_DIGITS)
-    return int(digits, 2) if digits else 0
+def _split(planes: list, wires: list[int], k: int) -> list[int]:
+    """Each party's word over ``wires``, bit j from wires[j]: one byte per
+    wire from each plane, read through the table of the party's bit."""
+    words: list[int] = []
+    for s in planes:
+        raw = bytes(map(s.__getitem__, wires))[::-1]
+        words += [int(raw.translate(bit), 2) for bit in _BIT[:k - len(words)]]
+    return words
 
 
-def _gather(shares: list, wires: list[int]) -> int:
-    """Pack the shares on ``wires`` into a word, bit i from wires[i]."""
-    return _pack(map(shares.__getitem__, wires))
-
-
-def _scatter(shares: list, wires: list[int], word: int):
-    """Store bit i of ``word`` as the share on wires[i]."""
-    bits = format(word, "b").zfill(len(wires)).encode()[::-1]
-    for w, bit in zip(wires, bits.translate(_FROM_DIGITS)):
-        shares[w] = bit
+def _merge(planes: list, wires: list[int], words: list[int]):
+    """The inverse of ``_split``: store bit j of words[i] as party i's share
+    on wires[j]. Spread to one byte per bit, the words of a plane's parties
+    add up without carries."""
+    m = len(wires)
+    for t, s in enumerate(planes):
+        total = 0
+        for i, word in enumerate(words[8 * t:8 * t + 8]):
+            total += int.from_bytes(
+                f"{word:0{m}b}".encode().translate(_FROM_DIGITS), "big") << i
+        for w, v in zip(wires, total.to_bytes(m, "little")):
+            s[w] = v
 
 
 def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
              dealer_seed: int) -> GmwResult:
     parties = circ.parties.names
+    k = len(parties)
     dealer_rng = random.Random(f"dealer|{dealer_seed}")
 
     channels = {(p, q): Channel(p, q)
                 for p in parties for q in parties if p != q}
-    shares: dict[str, list[int]] = {p: [0] * circ.n_wires for p in parties}
+    # each party's links to and from the others, in party order
+    to = [[channels[(p, q)] for q in parties if q != p] for p in parties]
+    frm = [[channels[(q, p)] for q in parties if q != p] for p in parties]
+    # planes[t][w]: the shares of parties 8t to 8t + 7 on wire w, one bit
+    # each. The extra last slot holds the shares of the public 1: NOT and
+    # CONST gates have b = -1, so a NOT is an XOR with it.
+    planes = [[0] * circ.n_wires + [0 if t else 1] for t in range(0, k, 8)]
 
     # message layouts everyone derives from the public circuit
     in_wires: dict[str, list[int]] = {p: [] for p in parties}
     for decl in circ.inputs:
         in_wires[decl.party].extend(decl.wires)
-    out_for: dict[str, list[int]] = {p: [] for p in parties}
-    seen: dict[str, set] = {p: set() for p in parties}
-    for w, recips in circ.outputs:
-        for r in recips:
-            if r in out_for and w not in seen[r]:
-                seen[r].add(w)
-                out_for[r].append(w)
+    out_for = {r: list(dict.fromkeys(w for w, recips in circ.outputs
+                                     if r in recips)) for r in parties}
 
     # round 1: owners split their input bits and deal the pieces out
-    for p in parties:
+    dealt = {p: [0] * k for p in parties}  # owner -> words on owner's wires
+    for i, p in enumerate(parties):
         mine = party_inputs.get(p, {})
         wires = in_wires[p]
         missing = [w for w in wires if w not in mine]
@@ -139,84 +151,68 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
             raise ProtocolError(f"{p} has no bits for wires {missing}")
         srng = random.Random(f"wrap|{dealer_seed}|{p}")
         n = len(wires)
-        own = _pack(mine[w] & 1 for w in wires)
-        for q in parties:
-            if q != p:
-                piece = srng.getrandbits(n)
-                own ^= piece
-                channels[(p, q)].send("input", n, piece)
-        _scatter(shares[p], wires, own)
+        bits = bytes(mine[w] & 1 for w in reversed(wires))
+        own = int(bits.translate(_BIT[0]) or b"0", 2)  # wires[0] lowest
+        for ch in to[i]:
+            piece = srng.getrandbits(n)
+            own ^= piece
+            ch.send("input", n, piece)
+        dealt[p][i] = own
+    for i in range(k):
+        for ch in frm[i]:
+            dealt[ch.src][i] = ch.recv("input", len(in_wires[ch.src]))
     for p in parties:
-        for q in parties:
-            if q != p:
-                wires = in_wires[q]
-                _scatter(shares[p], wires,
-                         channels[(q, p)].recv("input", len(wires)))
+        _merge(planes, in_wires[p], dealt[p])
 
     rounds = 1
     and_rounds = triples_used = 0
     for local, ands in circ.layers:
-        # share-local gates; the first party alone carries public constants
-        for i, p in enumerate(parties):
-            s = shares[p]
-            first = 1 if i == 0 else 0
+        # share-local gates, 8 parties per plane; party 0 holds the constants
+        for s in planes:
             for op, o, a, b in local:
-                if op == XOR:
-                    s[o] = s[a] ^ s[b]
-                elif op == NOT:
-                    s[o] = s[a] ^ first
+                if op == CONST:
+                    s[o] = a & s[-1]
                 else:
-                    s[o] = a & first
+                    s[o] = s[a] ^ s[b]
         if not ands:
             continue
         # each party blinds its operand shares with triple shares and opens
         # both words as one 2m-bit message: d in the low m bits, e above
         m = len(ands)
-        lhs = [g[2] for g in ands]
-        rhs = [g[3] for g in ands]
+        both = _split(planes, [g[2] for g in ands] + [g[3] for g in ands], k)
         triples = make_triples(m, parties, dealer_rng)
-        blinded = {}
-        for p in parties:
-            ta, tb, _ = triples[p]
-            word = ((_gather(shares[p], lhs) ^ ta)
-                    | (_gather(shares[p], rhs) ^ tb) << m)
-            blinded[p] = word
-            for q in parties:
-                if q != p:
-                    channels[(p, q)].send("open", 2 * m, word)
-        mask = (1 << m) - 1
-        outs = [g[1] for g in ands]
         for i, p in enumerate(parties):
-            both = blinded[p]
-            for q in parties:
-                if q != p:
-                    both ^= channels[(q, p)].recv("open", 2 * m)
-            d, e = both & mask, both >> m
+            ta, tb, _ = triples[p]
+            both[i] ^= ta | tb << m
+            for ch in to[i]:
+                ch.send("open", 2 * m, both[i])
+        zs = []
+        for i, p in enumerate(parties):
+            opened = both[i]
+            for ch in frm[i]:
+                opened ^= ch.recv("open", 2 * m)
+            d, e = opened & ((1 << m) - 1), opened >> m
             ta, tb, tc = triples[p]
-            z = tc ^ (d & tb) ^ (e & ta)
-            if i == 0:
-                z ^= d & e
-            _scatter(shares[p], outs, z)
+            # party 0 alone adds the public product d AND e
+            zs.append(tc ^ (d & tb) ^ (e & ta) ^ (d & e if i == 0 else 0))
+        _merge(planes, [g[1] for g in ands], zs)
         rounds += 1
         and_rounds += 1
         triples_used += m
 
     # final round: reveal each output wire to its recipients only
-    for p in parties:
-        for r in parties:
-            if r != p and out_for[r]:
-                channels[(p, r)].send("output", len(out_for[r]),
-                                      _gather(shares[p], out_for[r]))
+    held = {r: _split(planes, out_for[r], k) for r in parties if out_for[r]}
+    for i in range(k):
+        for ch in to[i]:
+            if ch.dst in held:
+                ch.send("output", len(out_for[ch.dst]), held[ch.dst][i])
     outputs: dict[str, dict[int, int]] = {p: {} for p in parties}
-    for r in parties:
-        wires = out_for[r]
-        if not wires:
-            continue
-        acc = _gather(shares[r], wires)
-        for q in parties:
-            if q != r:
-                acc ^= channels[(q, r)].recv("output", len(wires))
-        outputs[r] = {w: (acc >> i) & 1 for i, w in enumerate(wires)}
+    for i, r in enumerate(parties):
+        if r in held:
+            acc = held[r][i]
+            for ch in frm[i]:
+                acc ^= ch.recv("output", len(out_for[r]))
+            outputs[r] = {w: (acc >> j) & 1 for j, w in enumerate(out_for[r])}
     rounds += 1
 
     return GmwResult(outputs, rounds, and_rounds, triples_used, channels)
