@@ -326,6 +326,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             moves = None
             continue
 
+    if not sec and all(c.is_terminal() for c in par.values()):
+        return finish("done", fuel)  # the last tick ended the run
     return finish("fuel", fuel)
 
 

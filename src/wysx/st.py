@@ -414,4 +414,6 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         if out.mode.tag == SEC and c.mode.tag == PAR:
             secs += 1  # sec-enter: the one step from a par into a sec mode
         c = out
+    if c.is_terminal():  # the last step ended the run
+        return RunResult("done", c.code, c.trace, c, fuel, secs)
     return RunResult("fuel", None, c.trace, c, fuel, secs)

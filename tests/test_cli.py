@@ -270,6 +270,24 @@ def test_check_sim_out_of_ticks_is_inconclusive(tmp_path, capsys):
         "no result within 20 ticks\n")
 
 
+@pytest.mark.parametrize("mode,fuel", [("st", 19), ("ds", 57)])
+def test_fuel_is_enough_for_exactly_the_run(tmp_path, capsys, mode, fuel):
+    # the reference run takes 19 steps, the distributed one 57 ticks
+    prog = tmp_path / "lets.wyx"
+    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))")
+    argv = ["run", str(prog), "--prins", "a,b,c", "--mode", mode]
+    assert main([*argv, "--fuel", str(fuel)]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "done"
+    unit = {"st": "steps", "ds": "ticks"}[mode]
+    assert main([*argv, "--fuel", str(fuel - 1)]) == 1
+    assert capsys.readouterr().err == \
+        f"run fuel: no result within {fuel - 1} {unit}\n"
+    if mode == "ds":
+        assert main(["check", "sim", str(prog), "--prins", "a,b,c",
+                     "--fuel", str(fuel)]) == 0
+        assert capsys.readouterr().out == "PASS\n"
+
+
 @pytest.mark.parametrize("schedules", [0, -3])
 def test_confluence_without_schedules_is_a_one_line_error(tmp_path, capsys,
                                                           schedules):

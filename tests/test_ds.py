@@ -219,6 +219,19 @@ def test_check_simulation_inconclusive_when_only_ds_runs_out_of_fuel():
     assert check_simulation(e, Env(), ABC, fuel=58).status == "pass"
 
 
+def test_fuel_counts_ticks():
+    # 57 ticks need exactly 57 units of fuel: the last tick ends the run
+    e = parse(THREE_LETS)
+    res = ds_run(e, Env(), ABC, fuel=57)
+    assert (res.status, res.ticks) == ("done", 57)
+    assert ds_run(e, Env(), ABC, fuel=56).status == "fuel"
+    assert check_simulation(e, Env(), ABC, fuel=57).status == "pass"
+    rep = check_simulation(e, Env(), ABC, fuel=56)
+    assert (rep.status, rep.detail) == (
+        "inconclusive", "[RoundRobin] distributed run ran out of fuel: "
+        "no result within 56 ticks")
+
+
 def test_check_simulation_refuses_an_empty_schedule_list():
     with pytest.raises(ValueError, match="schedules must not be empty"):
         check_simulation(parse("(ffi add 1 2)"), Env(), AB, schedules=[])

@@ -69,6 +69,15 @@ def test_fuel_runs_out():
     assert r.steps == 500
 
 
+def test_fuel_counts_steps():
+    # 19 steps need exactly 19 units of fuel: the last step ends the run
+    src = "(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))"
+    r = go(src, ps=PrinSet.of("a", "b", "c"), fuel=19)
+    assert (r.status, r.steps, r.value) == ("done", 19, FfiInt(9))
+    r = go(src, ps=PrinSet.of("a", "b", "c"), fuel=18)
+    assert (r.status, r.steps) == ("fuel", 18)
+
+
 def test_pairs_and_lists():
     assert done("(ffi fst (ffi pair 1 2))").value == FfiInt(1)
     assert done("(ffi snd (ffi pair 1 2))").value == FfiInt(2)
