@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from _proggen import base_env, gen_program
 from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -263,6 +264,28 @@ def test_protocol_matches_clear_evaluation_on_random_circuits():
             for ch in prot.channels.values():
                 assert ch.sent["open"] == 2 * circ.and_count
     assert inversions > 10
+
+
+def test_gmw_backend_equals_ideal_on_generated_programs():
+    # Width 4 is left out: base_env holds 11 and 23, which the gate backend
+    # wraps to 4-bit two's complement and the ideal backend does not.
+    env = base_env()
+    sticks = blocks = 0
+    for w in (9, 16, 32):
+        for seed in range(300):
+            e = gen_program(seed)
+            ideal = ds_run(e, env, AB, Runtime(0, w), backend="ideal")
+            assert ideal.status == "done", (w, seed, ideal.reason)
+            res = ds_run(e, env, AB, Runtime(0, w), backend="gmw")
+            blocks += len(res.circuits)
+            # mul on private data has no gate lowering, so such a block sticks
+            if res.reason == ("joint block {a,b}: no secure lowering for "
+                              "host call mul"):
+                sticks += 1
+                continue
+            assert (res.status, res.parties) == ("done", ideal.parties), \
+                (w, seed, res.reason)
+    assert (sticks, blocks) == (6, 3 * 116)
 
 
 def test_malformed_message_raises_protocol_error(monkeypatch):
