@@ -17,8 +17,8 @@ All parties' shares are evaluated packed, as in the SIMD evaluation of GMW
 (Schneider-Zohner, ABY): one int per wire, bit i party i's share, in byte
 planes of 8 parties. XOR is one ``^`` per plane; NOT flips party 0's bit,
 as party 0 alone carries public constants. A party's word is read out of a
-plane through a ``bytes.translate`` table per bit position, and an AND
-layer's words go back in with one carry-free sum per plane.
+plane with a ``bytes.translate`` table per bit position; the words of an AND
+layer go back in with one carry-free sum per plane.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .circuit import CONST, Circuit
+from .circuit import Circuit, NOT, XOR
 from .lang import WysError
 
 
@@ -90,8 +90,13 @@ def make_triples(n: int, parties: tuple[str, ...], rng: random.Random):
 
 
 # _BIT[i] reads bit i of a byte as an ascii digit
-_BIT = [bytes(b"01"[(v >> i) & 1] for v in range(256)) for i in range(8)]
+_BIT = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
 _FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bits(word: int, m: int) -> bytes:
+    """The m low bits of ``word`` as 0/1 bytes, the lowest bit last."""
+    return f"{word:0{m}b}".encode().translate(_FROM_DIGITS)
 
 
 def _split(planes: list, wires: list[int], k: int) -> list[int]:
@@ -105,15 +110,13 @@ def _split(planes: list, wires: list[int], k: int) -> list[int]:
 
 
 def _merge(planes: list, wires: list[int], words: list[int]):
-    """The inverse of ``_split``: store bit j of words[i] as party i's share
-    on wires[j]. Spread to one byte per bit, the words of a plane's parties
-    add up without carries."""
+    """Store bit j of words[i] as party i's share on wires[j]: spread to a
+    byte per bit, the words of a plane's parties add up without carries."""
     m = len(wires)
     for t, s in enumerate(planes):
         total = 0
         for i, word in enumerate(words[8 * t:8 * t + 8]):
-            total += int.from_bytes(
-                f"{word:0{m}b}".encode().translate(_FROM_DIGITS), "big") << i
+            total += int.from_bytes(_bits(word, m), "big") << i
         for w, v in zip(wires, total.to_bytes(m, "little")):
             s[w] = v
 
@@ -129,17 +132,14 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
     # each party's links to and from the others, in party order
     to = [[channels[(p, q)] for q in parties if q != p] for p in parties]
     frm = [[channels[(q, p)] for q in parties if q != p] for p in parties]
-    # planes[t][w]: the shares of parties 8t to 8t + 7 on wire w, one bit
-    # each. The extra last slot holds the shares of the public 1: NOT and
-    # CONST gates have b = -1, so a NOT is an XOR with it.
-    planes = [[0] * circ.n_wires + [0 if t else 1] for t in range(0, k, 8)]
+    # planes[t][w]: the shares of parties 8t to 8t + 7 on wire w, one bit each
+    planes = [[0] * circ.n_wires for _ in range(0, k, 8)]
 
     # message layouts everyone derives from the public circuit
-    in_wires: dict[str, list[int]] = {p: [] for p in parties}
-    for decl in circ.inputs:
-        in_wires[decl.party].extend(decl.wires)
-    out_for = {r: list(dict.fromkeys(w for w, recips in circ.outputs
-                                     if r in recips)) for r in parties}
+    in_wires = {p: [w for d in circ.inputs if d.party == p for w in d.wires]
+                for p in parties}
+    out_for = {r: list(dict.fromkeys([w for w, recips in circ.outputs
+                                      if r in recips])) for r in parties}
 
     # round 1: owners split their input bits and deal the pieces out
     dealt = {p: [0] * k for p in parties}  # owner -> words on owner's wires
@@ -168,12 +168,15 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
     and_rounds = triples_used = 0
     for local, ands in circ.layers:
         # share-local gates, 8 parties per plane; party 0 holds the constants
-        for s in planes:
+        for t, s in enumerate(planes):
+            one = 0 if t else 1
             for op, o, a, b in local:
-                if op == CONST:
-                    s[o] = a & s[-1]
-                else:
+                if op == XOR:
                     s[o] = s[a] ^ s[b]
+                elif op == NOT:
+                    s[o] = s[a] ^ one
+                else:
+                    s[o] = a & one
         if not ands:
             continue
         # each party blinds its operand shares with triple shares and opens
@@ -212,7 +215,8 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
             acc = held[r][i]
             for ch in frm[i]:
                 acc ^= ch.recv("output", len(out_for[r]))
-            outputs[r] = {w: (acc >> j) & 1 for j, w in enumerate(out_for[r])}
+            outputs[r] = dict(zip(out_for[r],
+                                  _bits(acc, len(out_for[r]))[::-1]))
     rounds += 1
 
     return GmwResult(outputs, rounds, and_rounds, triples_used, channels)
