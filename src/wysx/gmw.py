@@ -99,12 +99,12 @@ def _bits(word: int, m: int) -> bytes:
     return f"{word:0{m}b}".encode().translate(_FROM_DIGITS)
 
 
-def _split(planes: list, wires: list[int], k: int) -> list[int]:
-    """Each party's word over ``wires``, bit j from wires[j]: one byte per
-    wire from each plane, read through the table of the party's bit."""
+def _split(raws, k: int) -> list[int]:
+    """The k parties' words out of each plane's bytes in ``raws``, one byte
+    per wire: bit j of party i's word is bit i % 8 of byte j."""
     words: list[int] = []
-    for s in planes:
-        raw = bytes(map(s.__getitem__, wires))[::-1]
+    for raw in raws:
+        raw = raw[::-1]
         words += [int(raw.translate(bit), 2) for bit in _BIT[:k - len(words)]]
     return words
 
@@ -164,7 +164,6 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
     for p in parties:
         _merge(planes, in_wires[p], dealt[p])
 
-    rounds = 1
     and_rounds = triples_used = 0
     for local, ands in circ.layers:
         # share-local gates, 8 parties per plane; party 0 holds the constants
@@ -182,7 +181,8 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
         # each party blinds its operand shares with triple shares and opens
         # both words as one 2m-bit message: d in the low m bits, e above
         m = len(ands)
-        both = _split(planes, [g[2] for g in ands] + [g[3] for g in ands], k)
+        both = _split((bytes([s[g[2]] for g in ands] + [s[g[3]] for g in ands])
+                       for s in planes), k)
         triples = make_triples(m, parties, dealer_rng)
         for i, p in enumerate(parties):
             ta, tb, _ = triples[p]
@@ -199,12 +199,12 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
             # party 0 alone adds the public product d AND e
             zs.append(tc ^ (d & tb) ^ (e & ta) ^ (d & e if i == 0 else 0))
         _merge(planes, [g[1] for g in ands], zs)
-        rounds += 1
         and_rounds += 1
         triples_used += m
 
     # final round: reveal each output wire to its recipients only
-    held = {r: _split(planes, out_for[r], k) for r in parties if out_for[r]}
+    held = {r: _split((bytes([s[w] for w in out_for[r]]) for s in planes), k)
+            for r in parties if out_for[r]}
     for i in range(k):
         for ch in to[i]:
             if ch.dst in held:
@@ -217,6 +217,6 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
                 acc ^= ch.recv("output", len(out_for[r]))
             outputs[r] = dict(zip(out_for[r],
                                   _bits(acc, len(out_for[r]))[::-1]))
-    rounds += 1
-
-    return GmwResult(outputs, rounds, and_rounds, triples_used, channels)
+    # rounds: the input round, one per AND layer and the output round
+    return GmwResult(outputs, and_rounds + 2, and_rounds, triples_used,
+                     channels)
