@@ -17,12 +17,12 @@ the medians, ``change_better_pairs`` (pairs where the change reads better;
 ties count for neither), ``median_gap`` (how far the change's median is
 better than the parent's, negative when worse) and ``parent_iqr``. It also
 records each run's attempted, failed and correct verdicts and host speed,
-and the host. With ``--out`` the workload's block is added to FILE (or
-replaces the block of the same workload); without it the document goes to
-stdout. ``--claim METRIC:RATIO`` adds a verdict on that metric: met when
-the ratio of the medians reaches RATIO in the better direction, the change
-wins at least 9 of every 10 pairs and the median gap exceeds the parent's
-interquartile range.
+and the host note of the change's first run. With ``--out`` the workload's
+block is added to FILE (or replaces the block of the same workload);
+without it the document goes to stdout. ``--claim METRIC:RATIO`` adds a
+verdict on that metric: met when the ratio of the medians reaches RATIO in
+the better direction, the change wins at least 9 of every 10 pairs and the
+median gap exceeds the parent's interquartile range.
 
 Only the standard library is used.
 """
@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import re
 import statistics
 import subprocess
@@ -99,20 +98,6 @@ def verdict(block: dict, metric: str, ratio: float, better: str) -> dict:
     }
 
 
-def host_note() -> dict:
-    cpu = "unknown"
-    try:
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            for line in fh:
-                if line.startswith("model name"):
-                    cpu = line.split(":", 1)[1].strip()
-                    break
-    except OSError:
-        pass
-    return {"cpu": cpu, "nproc": os.cpu_count(),
-            "python": platform.python_version()}
-
-
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``bench/run.py`` run in checkout ``root``."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload",
@@ -125,8 +110,13 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
                            f"({out.returncode}): {out.stderr.strip()}")
     result = json.loads(lines[-1])
     speed = _SPEED.search(out.stdout)
+    # the run's own record under bench/out holds its host note
+    with open(os.path.join(root, "bench", "out",
+                           f"{workload}-s{seed}-t0.json"),
+              encoding="utf-8") as fh:
+        host = json.load(fh)["host"]
     return {"attempted": result["attempted"], "failed": result["failed"],
-            "correct": result["correct"],
+            "correct": result["correct"], "host": host,
             "host_speed": float(speed.group(1)) if speed else None,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
@@ -142,6 +132,7 @@ def measure(parent_dir: str, change_dir: str, workload: str,
             print(f"pair {i} seed {seed} {side}: "
                   f"{runs[side][-1]['metrics']}", file=sys.stderr)
     block = {
+        "host": runs["change"][0]["host"],
         "seeds": seeds,
         "pairs": len(seeds),
         "attempted_failed_correct": {
@@ -185,7 +176,7 @@ def main(argv=None) -> int:
             doc = json.load(fh)
     doc.update(command="python3 bench/run.py --workload W --seed S "
                        f"--seconds {args.seconds:g} --trace 0",
-               method=METHOD, host=host_note())
+               method=METHOD, host=block.pop("host"))
     doc.setdefault("workloads", {})[args.workload] = block
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
