@@ -482,6 +482,34 @@ def test_joint_value_rules_stick_alike_on_every_backend(body):
         assert ref.stuck_reason in res.reason, backend
 
 
+# closures built outside a joint block and applied in it, and closures built
+# in it: each reaches the gate compiler's closure conversion or application
+CLOSURE_BLOCKS = (
+    ("(let g (as_par (prins a) (lam _ (let v (reveal xa) (lam y (ffi add v y)))))"
+     " (as_sec (prins a b) (lam _ ((reveal g) (reveal xb)))))", 34),
+    ("(let g (as_par (prins a) (lam _ (let v (reveal xa)"
+     " (fix f y (if (ffi eq y 0) v (f (ffi sub y 1)))))))"
+     " (as_sec (prins a b) (lam _ (ffi add ((reveal g) 2) (reveal xb)))))", 34),
+    ("(as_sec (prins a b) (lam _ ((lam y (ffi add y (reveal xb))) (reveal xa))))",
+     34),
+    ("(as_sec (prins a b) (lam _ ((fix f n (if (ffi eq n 0) (reveal xa)"
+     " (ffi add 1 (f (ffi sub n 1))))) 3)))", 14),
+)
+
+
+def test_closures_run_alike_through_gmw_blocks():
+    env = Env({"xa": Sealed(A, FfiInt(11)), "xb": Sealed(B, FfiInt(23))})
+    for src, want in CLOSURE_BLOCKS:
+        for w in (32, 9):
+            ideal, gmw = (ds_run(parse(src), env, AB, st.Runtime(0, w),
+                                 backend=backend)
+                          for backend in ("ideal", "gmw"))
+            assert gmw.status == ideal.status == "done", (src, w, gmw.reason)
+            assert gmw.parties == ideal.parties, (src, w)
+            for p in AB:
+                assert ideal.parties[p][0] == FfiInt(want), (src, w, p)
+
+
 def corpus_digests() -> dict[str, str]:
     """Per corpus cell and width: a digest of every joint block's gates and
     every party's status, value and trace under the GMW backend."""
