@@ -44,10 +44,10 @@ from operator import eq
 from . import ffi as ffi_mod
 from .lang import (
     OPAQUE, OPERANDS, SEC, App, AsPar, AsSec, Bool, Clos, Concat, Const, Env,
-    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, FixClos, Handle, If,
-    Lam, Let, MkMap, Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project,
-    Reveal, Seal, Sealed, ShareVal, UnboundVariable, Unit, Value, VMap, Var,
-    WysError, children, free_vars, with_children,
+    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, Handle, If, Lam, Let,
+    MkMap, Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal,
+    Sealed, ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError,
+    children, free_vars, with_children,
 )
 from .shares import ShareMint, decode_word, encode_word
 from .st import Stuck, apply_rule, check_first_operand
@@ -308,7 +308,7 @@ def mux_wires(b: Builder, c: int, ts, fs):
 # Compile-time data are ``lang`` values. Public scalars stay as they are;
 # pairs, lists, maps and seals may also hold the wire nodes below. A seal
 # that no block member can open is ``Sealed(ps, OPAQUE)``, and a closure is
-# a ``Clos`` or ``FixClos`` over an ``Env`` of compile-time values. The
+# a ``Clos`` over an ``Env`` of compile-time values. The
 # block's result is also its decode tree: ``decode_output`` reads the wire
 # nodes back from output wires and hides what a party may not see.
 
@@ -455,12 +455,10 @@ class Compiler:
                     self.inputs.append(InputDecl(p, wpath, wires, False))
                     words.append((p, wires))
             return CShareIn(v.ps, v.width, tuple(words))
-        if t is Clos or t is FixClos:
+        if t is Clos:
             cenv = Env({x: self.convert(w, path + (("cenv", x),), vis)
                         for x, w in v.env.items()})
-            if t is Clos:
-                return Clos(cenv, v.x, v.body)
-            return FixClos(cenv, v.f, v.x, v.body)
+            return Clos(cenv, v.x, v.body, v.f)
         if t is Opaque:
             raise NotCircuitable("placeholder reached the gate compiler")
         raise NotCircuitable(f"no gate encoding for {v!r}")
@@ -667,19 +665,14 @@ class Compiler:
         if t is Let:
             return self.ceval(env.extend(e.x, self.ceval(env, e.bound)),
                               e.body)
-        if t is Lam:
-            return Clos(env.restrict(e.fv), e.x, e.body)
-        if t is Fix:
-            return FixClos(env.restrict(e.fv), e.f, e.x, e.body)
+        if t is Lam or t is Fix:
+            return Clos(env.restrict(e.fv), e.x, e.body, e.f)
         if t is App:
             fn = self.ceval(env, e.fn)
             arg = self.ceval(env, e.arg)
-            if type(fn) is Clos:
-                return self.ceval(fn.env.extend(fn.x, arg), fn.body)
-            if type(fn) is FixClos:
-                return self.ceval(fn.env.extend(fn.f, fn).extend(fn.x, arg),
-                                  fn.body)
-            raise NotCircuitable("calling a non-function")
+            if type(fn) is not Clos:
+                raise NotCircuitable("calling a non-function")
+            return self.ceval(fn.bind(arg), fn.body)
         if t is If:
             cond = self.ceval(env, e.cond)
             if type(cond) is Bool:
@@ -801,7 +794,7 @@ def _walk(env: Env, path: Path, party: str) -> Value:
                 raise MissingInput(f"{party}: handle holds no word for them")
             return FfiInt(w)  # already raw bits, caller slices
         elif tag == "cenv":
-            if type(v) not in (Clos, FixClos):
+            if type(v) is not Clos:
                 raise MissingInput(f"{party}: expected a closure on {path}")
             v = v.env.get(step[1])
         else:

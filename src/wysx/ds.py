@@ -26,13 +26,13 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    AsSec, Clos, Config, Env, Expr, FixClos, Mode, Operands, PAR, PrinSet,
-    PrinsVal, SEC, TMsg, Trace, Value, combine_envs, is_value,
-    slice_config, slice_env, slice_value,
+    AsSec, Clos, Config, Env, Expr, Mode, Operands, PAR, PrinSet, PrinsVal,
+    SEC, TMsg, Trace, UNIT, Value, combine_envs, is_value, slice_config,
+    slice_env, slice_value,
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Runtime, Stuck, machine_step,
-    machine_step as st_step, run as st_run, thunk_env,
+    machine_step as st_step, run as st_run,
 )
 
 
@@ -119,29 +119,6 @@ class DsResult:
     reason: Optional[str] = None
     sec_entries: int = 0
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
-
-
-def _thunk_joint(closures: list[Value]) -> tuple[Env, Expr, str]:
-    """Merge the waiting parties' thunks. Returns (machine env, body, shape
-    error or '')."""
-    shapes = set()
-    for c in closures:
-        if type(c) is Clos:
-            shapes.add(("lam", c.x, c.body))
-        elif type(c) is FixClos:
-            shapes.add(("fix", c.f, c.x, c.body))
-        else:
-            return None, None, f"waiting on a non-function {c!r}"
-    if len(shapes) > 1:
-        return None, None, "parties disagree on the block's code"
-    env = combine_envs([c.env for c in closures])
-    c0 = closures[0]
-    if type(c0) is Clos:
-        joint = Clos(env, c0.x, c0.body)
-    else:
-        joint = FixClos(env, c0.f, c0.x, c0.body)
-    machine_env, body = thunk_env(joint)
-    return machine_env, body, ""
 
 
 def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
@@ -250,24 +227,27 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
         if kind == "enter":
             s = target
-            group = waiting[s]
-            closures = [group[p].clos for p in s.names]
-            machine_env, body, err = _thunk_joint(closures)
-            if err:
-                return finish("stuck", tick, f"joint block {s}: {err}")
+            # a party waits at a block only on a closure (``st._enter``)
+            thunks = [waiting[s][p].clos for p in s.names]
+            c0 = thunks[0]
+            if any((c.f, c.x, c.body) != (c0.f, c0.x, c0.body)
+                   for c in thunks):
+                return finish("stuck", tick, f"joint block {s}: parties "
+                              f"disagree on the block's code")
+            joint = Clos(combine_envs([c.env for c in thunks]), c0.x,
+                         c0.body, c0.f)
             sec_entries += 1
             if backend == "ideal":
-                sec[s] = IdealSec(s, Config(Mode(SEC, s), (), machine_env,
-                                            (), body))
+                sec[s] = IdealSec(s, Config(Mode(SEC, s), (),
+                                            joint.bind(UNIT), (), c0.body))
             else:
                 idx = gmw_counters.get(s, 0)
                 gmw_counters[s] = idx + 1
                 try:
-                    circ = compile_sec_thunk(machine_env, body, s,
+                    circ = compile_sec_thunk(joint.bind(UNIT), c0.body, s,
                                              rt.width, rt.mint)
-                    party_envs = {p: thunk_env(group[p].clos)[0]
-                                  for p in s.names}
-                    bits = bind_inputs(circ, party_envs)
+                    bits = bind_inputs(circ, {p: c.bind(UNIT) for p, c
+                                              in zip(s.names, thunks)})
                 except CircuitError as ex:
                     return finish("stuck", tick, f"joint block {s}: {ex}")
                 sec[s] = GmwSec(s, circ, bits,

@@ -22,7 +22,7 @@ import json
 from typing import Any
 
 from .lang import (
-    Bool, Clos, Env, FfiInt, FfiList, FfiPair, FfiStr, FixClos, OPAQUE,
+    Bool, Clos, Env, FfiInt, FfiList, FfiPair, FfiStr, OPAQUE,
     Opaque, PrinSet, PrinVal, PrinsVal, Sealed, ShareVal, TMsg, Trace,
     UNIT, Unit, Value, VMap, WysError,
 )
@@ -134,7 +134,7 @@ def value_to_json(v: Value) -> Any:
         return {"unit": None}
     if t is Opaque:
         return {"opaque": None}
-    if t is Clos or t is FixClos:
+    if t is Clos:
         return {"closure": None}
     raise InputError(f"cannot encode {v!r}")
 

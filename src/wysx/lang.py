@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,7 @@ class Lam(Expr):
     x: str
     body: Expr
     fv: frozenset[str] = field(init=False, repr=False, compare=False)
+    f: ClassVar[None] = None  # no self-name, unlike a ``Fix``
 
     def __post_init__(self):
         object.__setattr__(self, "fv", free_vars(self.body) - {self.x})
@@ -420,14 +421,17 @@ class Clos(Value):
     env: Env
     x: str
     body: Expr
+    f: Optional[str] = None  # a ``fix`` closure's own name
 
-
-@dataclass(frozen=True, slots=True)
-class FixClos(Value):
-    env: Env
-    f: str
-    x: str
-    body: Expr
+    def bind(self, arg: Value) -> Env:
+        """The environment of the body applied to ``arg``: ``arg`` under
+        ``x`` and, for a ``fix`` closure, the closure itself under ``f``."""
+        env = object.__new__(Env)
+        b = env._b = dict(self.env._b)
+        if self.f is not None:
+            b[self.f] = self
+        b[self.x] = arg
+        return env
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +553,7 @@ def children(v: Value) -> tuple[Value, ...]:
         return tuple(w for _, w in v.entries)
     if t is Sealed:
         return (v.v,)
-    if t is Clos or t is FixClos:
+    if t is Clos:
         return tuple(w for _, w in v.env.items())
     return ()
 
@@ -571,11 +575,9 @@ def with_children(v: Value, kids: tuple[Value, ...]) -> Value:
         return VMap(tuple(zip(v.keys(), kids)))
     if t is Sealed:
         return Sealed(v.ps, kids[0])
-    if t is Clos or t is FixClos:
+    if t is Clos:
         env = Env(dict(zip((x for x, _ in v.env.items()), kids)))
-        if t is Clos:
-            return Clos(env, v.x, v.body)
-        return FixClos(env, v.f, v.x, v.body)
+        return Clos(env, v.x, v.body, v.f)
     return v
 
 
@@ -679,13 +681,9 @@ def combine_values(v1: Value, v2: Value) -> Value:
         w1.update(w2)
         return ShareVal.of(v1.ps, w1, v1.width)
     if t1 is Clos:
-        if v1.x != v2.x or v1.body != v2.body:
-            raise CombineConflict("closures over different code")
-        return Clos(combine_envs([v1.env, v2.env]), v1.x, v1.body)
-    if t1 is FixClos:
         if (v1.f, v1.x, v1.body) != (v2.f, v2.x, v2.body):
-            raise CombineConflict("recursive closures over different code")
-        return FixClos(combine_envs([v1.env, v2.env]), v1.f, v1.x, v1.body)
+            raise CombineConflict("closures over different code")
+        return Clos(combine_envs([v1.env, v2.env]), v1.x, v1.body, v1.f)
     if v1 == v2:
         return v1
     raise CombineConflict(f"{v1!r} vs {v2!r}")
@@ -731,7 +729,7 @@ def can_seal(ps: PrinSet, v: Value, in_closure: bool = False) -> bool:
     if t is Sealed:
         if in_closure:
             return type(v.v) is Opaque or ps.subset_of(v.ps)
-    elif t is Clos or t is FixClos:
+    elif t is Clos:
         in_closure = True
     for w in children(v):
         if not can_seal(ps, w, in_closure):

@@ -31,10 +31,10 @@ from typing import Optional, Union
 from . import ffi as ffi_mod
 from .lang import (
     OPAQUE, OPERANDS, App, AsPar, AsParBody, AsSec, AsSecBody, Bool, Clos,
-    Concat, Config, Const, Env, Expr, Ffi, FixClos, Fix, Frame, If, Lam,
-    Let, MkMap, Mode, Operands, PAR, PrinSet, PrinVal, PrinsVal, Project,
-    Reveal, SEC, Seal, Sealed, TMsg, TScope, Trace, UNIT, UnboundVariable,
-    Value, VMap, Var, WysError, can_seal, free_vars,
+    Concat, Config, Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap,
+    Mode, Operands, PAR, PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC,
+    Seal, Sealed, TMsg, TScope, Trace, UNIT, UnboundVariable, Value, VMap,
+    Var, WysError, can_seal,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -63,7 +63,7 @@ class NeedsSec:
     """A local machine is waiting at a joint block it cannot run alone."""
 
     ps: PrinSet
-    clos: Value  # the thunk, environment included
+    clos: Clos  # the thunk, environment included
 
 
 # What a step yields: the next configuration, the rule that blocks it, or,
@@ -89,15 +89,6 @@ def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
         return None, f"{type(ex).__name__}: {ex}"
 
 
-def thunk_env(v: Value) -> Optional[tuple[Env, Expr]]:
-    """Environment and body for applying a block thunk to the unit value."""
-    if type(v) is Clos:
-        return v.env.extend(v.x, UNIT), v.body
-    if type(v) is FixClos:
-        return v.env.extend(v.f, v).extend(v.x, UNIT), v.body
-    return None
-
-
 def _descend(c: Config, rt: Runtime) -> StepOut:
     e = c.code
     t = type(e)
@@ -109,11 +100,8 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
         return Config(c.mode, c.stack, c.env, c.trace, v)
     if t is Const:
         return Config(c.mode, c.stack, c.env, c.trace, e.v)
-    if t is Lam:
-        clos = Clos(c.env.restrict(free_vars(e)), e.x, e.body)
-        return Config(c.mode, c.stack, c.env, c.trace, clos)
-    if t is Fix:
-        clos = FixClos(c.env.restrict(free_vars(e)), e.f, e.x, e.body)
+    if t is Lam or t is Fix:
+        clos = Clos(c.env.restrict(e.fv), e.x, e.body, e.f)
         return Config(c.mode, c.stack, c.env, c.trace, clos)
     if t is Ffi:
         ops = e.args
@@ -286,14 +274,9 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
 
         if t is App:
             fn = ctx.done[0]
-            ft = type(fn)
-            if ft is Clos:
-                env2 = fn.env.extend(fn.x, v)
-            elif ft is FixClos:
-                env2 = fn.env.extend(fn.f, fn).extend(fn.x, v)
-            else:
+            if type(fn) is not Clos:
                 return Stuck("apply", f"not a function: {fn!r}")
-            return Config(frame.mode, rest, env2, merged, fn.body)
+            return Config(frame.mode, rest, fn.bind(v), merged, fn.body)
 
         # ---- block entry -------------------------------------------------
         if t is AsPar or t is AsSec:
@@ -325,14 +308,13 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
 def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
            party: Optional[str]) -> StepOut:
     """Enter the as_par or as_sec block of ``frame`` on its thunk ``v``."""
-    e = frame.ctx.e
+    is_par = type(frame.ctx.e) is AsPar
+    if type(v) is not Clos:
+        return Stuck("par-enter" if is_par else "sec-enter",
+                     f"not a function: {v!r}")
     s = frame.ctx.done[0].ps
     m = frame.mode
-    te = thunk_env(v)
-    if type(e) is AsPar:
-        if te is None:
-            return Stuck("par-enter", f"not a function: {v!r}")
-        env2, body = te
+    if is_par:
         if party is None:
             if not (m.is_par() and s.subset_of(m.ps)):
                 return Stuck("par-enter",
@@ -344,18 +326,15 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
         else:
             m2 = m
         nf = Frame(m, frame.env, AsParBody(s), merged)
-        return Config(m2, rest + (nf,), env2, (), body)
+        return Config(m2, rest + (nf,), v.bind(UNIT), (), v.body)
 
-    if te is None:
-        return Stuck("sec-enter", f"not a function: {v!r}")
     if party is None:
         if not (m.is_par() and m.ps == s):
             return Stuck("sec-enter",
                          f"joint block over {s} requires exactly those "
                          f"parties, mode is {m.tag} {m.ps}")
-        env2, body = te
         nf = Frame(m, frame.env, AsSecBody(s), merged)
-        return Config(Mode(SEC, s), rest + (nf,), env2, (), body)
+        return Config(Mode(SEC, s), rest + (nf,), v.bind(UNIT), (), v.body)
     if party not in s:
         return Stuck("sec-enter", f"{party} outside joint set {s}")
     return NeedsSec(s, v)

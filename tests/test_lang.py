@@ -4,7 +4,7 @@ import pytest
 
 from wysx.lang import (
     Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
-    FfiList, FfiPair, FfiStr, FixClos, Frame, Mode, ModeError, OPAQUE, Opaque,
+    FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, Opaque,
     Operands, PAR, PrinSet, PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
     UNIT, UnboundVariable, Var, VMap, can_seal, combine_envs, combine_many,
     combine_values, contains_bare_opaque, flatten_trace, free_vars,
@@ -269,8 +269,8 @@ def test_contains_bare_opaque_looks_past_leaves_and_wrappers():
     assert contains_bare_opaque(VMap.of({"a": FfiInt(1), "b": OPAQUE}))
     assert contains_bare_opaque(
         Clos(Env({"h": hist[0], "x": OPAQUE}), "y", Var("x")))
-    assert contains_bare_opaque(FixClos(
-        Env({"p": FfiPair(FfiInt(1), OPAQUE)}), "f", "y", Var("p")))
+    assert contains_bare_opaque(Clos(
+        Env({"p": FfiPair(FfiInt(1), OPAQUE)}), "y", Var("p"), "f"))
     # a seal or a share handle protects what it holds
     assert not contains_bare_opaque(FfiList((Sealed(AB, OPAQUE), *hist)))
     assert not contains_bare_opaque(VMap.of({"a": Sealed(A, OPAQUE)}))
