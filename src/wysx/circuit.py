@@ -36,7 +36,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import eq
@@ -398,6 +397,13 @@ _INT_LIKE = (CInt, FfiInt)
 _BOOL_LIKE = (CBit, Bool)
 _VALUE_RULES = (Seal, Reveal, MkMap, Project, Concat)
 
+# How deep ``ceval`` may nest. Any block body the parser accepts fits
+# (``sexp.MAX_NESTING``), and as a level takes at most two frames, a compile
+# stays inside the default recursion limit of 1000. A block that nests
+# deeper sticks: a recursion unrolled past the bound, or one that never ends
+# because its stop condition is private and both arms are compiled.
+MAX_CEVAL_DEPTH = 400
+
 
 class Compiler:
     def __init__(self, parties: PrinSet, width: int, mint: ShareMint):
@@ -653,7 +659,11 @@ class Compiler:
 
     # -- the symbolic evaluator ----------------------------------------------
 
-    def ceval(self, env: Env, e: Expr) -> Value:
+    def ceval(self, env: Env, e: Expr, depth: int = 0) -> Value:
+        if depth == MAX_CEVAL_DEPTH:
+            raise NotCircuitable(f"block nests deeper than {MAX_CEVAL_DEPTH} "
+                                 f"evaluation levels under gates")
+        d = depth + 1
         t = type(e)
         if t is Const:
             return e.v
@@ -663,33 +673,33 @@ class Compiler:
             except UnboundVariable:
                 raise NotCircuitable(f"unbound variable {e.x}") from None
         if t is Let:
-            return self.ceval(env.extend(e.x, self.ceval(env, e.bound)),
-                              e.body)
+            return self.ceval(env.extend(e.x, self.ceval(env, e.bound, d)),
+                              e.body, d)
         if t is Lam or t is Fix:
             return Clos(env.restrict(e.fv), e.x, e.body, e.f)
         if t is App:
-            fn = self.ceval(env, e.fn)
-            arg = self.ceval(env, e.arg)
+            fn = self.ceval(env, e.fn, d)
+            arg = self.ceval(env, e.arg, d)
             if type(fn) is not Clos:
                 raise NotCircuitable("calling a non-function")
-            return self.ceval(fn.bind(arg), fn.body)
+            return self.ceval(fn.bind(arg), fn.body, d)
         if t is If:
-            cond = self.ceval(env, e.cond)
+            cond = self.ceval(env, e.cond, d)
             if type(cond) is Bool:
-                return self.ceval(env, e.then if cond.b else e.els)
+                return self.ceval(env, e.then if cond.b else e.els, d)
             if type(cond) is CBit:
-                tv = self.ceval(env, e.then)
-                fv_ = self.ceval(env, e.els)
+                tv = self.ceval(env, e.then, d)
+                fv_ = self.ceval(env, e.els, d)
                 return self.mux(cond.wire, tv, fv_)
             raise NotCircuitable("branch condition is not a boolean")
         if t is Ffi:
-            args = [self.ceval(env, a) for a in e.args]
+            args = [self.ceval(env, a, d) for a in e.args]
             return self.lower_ffi(e.name, args)
         if t in _VALUE_RULES:
             # the reference machine's checks and rules, in the block's mode
             args = []
             for a in OPERANDS[t](e):
-                v = self.ceval(env, a)
+                v = self.ceval(env, a, d)
                 if not args:
                     stuck = check_first_operand(e, v)
                     if stuck is not None:
@@ -745,19 +755,13 @@ class Compiler:
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
                       mint: ShareMint) -> Circuit:
-    # symbolic evaluation recurses once per nesting level of the block
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 20000))
-    try:
-        comp = Compiler(parties, width, mint)
-        fv = free_vars(body)
-        vis = frozenset(parties.names)
-        cenv = Env({x: comp.convert(v, (("var", x),), vis)
-                    for x, v in env.items() if x in fv})
-        result = comp.ceval(cenv, body)
-        comp.add_outputs(result, vis)
-    finally:
-        sys.setrecursionlimit(limit)
+    comp = Compiler(parties, width, mint)
+    fv = free_vars(body)
+    vis = frozenset(parties.names)
+    cenv = Env({x: comp.convert(v, (("var", x),), vis)
+                for x, v in env.items() if x in fv})
+    result = comp.ceval(cenv, body)
+    comp.add_outputs(result, vis)
     b = comp.b
     return Circuit(parties, width, b.gates, b.n, b.layers, comp.inputs,
                    comp.outputs, result)

@@ -11,10 +11,10 @@ from wysx.lang import (
     Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal, slice_env,
     slice_trace, slice_value,
 )
-from wysx.sexp import parse
+from wysx.sexp import MAX_NESTING, ParseError, parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    AND, CONST, NOT, XOR,
+    AND, CONST, MAX_CEVAL_DEPTH, NOT, XOR,
     Builder, MissingInput, NotCircuitable, add_wires, bind_inputs,
     compile_sec_thunk, decode_output, decode_word, dump_circuit, encode_word,
     eq_wires, eval_circuit, gt_wires, mux_wires, sub_wires,
@@ -508,6 +508,40 @@ def test_closures_run_alike_through_gmw_blocks():
             assert gmw.parties == ideal.parties, (src, w)
             for p in AB:
                 assert ideal.parties[p][0] == FfiInt(want), (src, w, p)
+
+
+# a recursion that stops on a private condition: the reference machine ends
+# it, while the gates, which compile both arms, would unroll it forever
+PRIVATE_STOP = ("(let g (as_par (prins a) (lam _ (let v (reveal xa)"
+                " (fix f y (if (ffi gt y v) y (f (ffi add y 5)))))))"
+                " (as_sec (prins a b) (lam _ ((reveal g) 1))))")
+DEPTH_REASON = (f"joint block {{a,b}}: block nests deeper than "
+                f"{MAX_CEVAL_DEPTH} evaluation levels under gates")
+
+
+def test_unrolling_past_the_depth_bound_sticks():
+    env = Env({"xa": Sealed(A, FfiInt(11))})
+    e = parse(PRIVATE_STOP)
+    assert st.run(e, env, AB).value == FfiInt(16)
+    assert ds_run(e, env, AB).parties["a"][0] == FfiInt(16)
+    res = ds_run(e, env, AB, backend="gmw")
+    assert (res.status, res.reason) == ("stuck", DEPTH_REASON)
+
+
+def test_a_block_nested_to_the_parse_limit_compiles():
+    # as_sec, lam and reveal take three of the parser's nesting levels
+    def block(depth):
+        body = "(reveal xa)"
+        for _ in range(depth):
+            body = f"(ffi add 1 {body})"
+        return f"(as_sec (prins a b) (lam _ {body}))"
+    depth = MAX_NESTING - 3
+    with pytest.raises(ParseError):
+        parse(block(depth + 1))
+    env = Env({"xa": Sealed(A, FfiInt(11))})
+    res = ds_run(parse(block(depth)), env, AB, backend="gmw")
+    assert res.status == "done", res.reason
+    assert res.parties["b"][0] == FfiInt(11 + depth)
 
 
 def corpus_digests() -> dict[str, str]:

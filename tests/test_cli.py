@@ -200,6 +200,23 @@ def nested_program(depth):
     return body
 
 
+def test_unbounded_unrolling_under_gmw_is_a_one_line_stuck_run(tmp_path,
+                                                                capsys):
+    from test_circuit import DEPTH_REASON, PRIVATE_STOP
+    prog = tmp_path / "private_stop.wyx"
+    prog.write_text(PRIVATE_STOP)
+    a = write(tmp_path, "a.json", {"xa": {"sealed": {"ps": ["a"], "v": 11}}})
+    b = write(tmp_path, "b.json", {"xa": {"sealed": {"ps": ["a"]}}})
+    argv = ["run", str(prog), "--prins", "a,b", "--inputs", f"a={a}", f"b={b}",
+            "--mode", "ds"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["parties"]["a"]["value"] == 16
+    assert main([*argv, "--backend", "gmw"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"run stuck: {DEPTH_REASON}\n"
+
+
 @pytest.mark.parametrize("mode", ["st", "ds"])
 def test_nesting_past_the_limit_is_a_one_line_error(tmp_path, capsys, mode):
     at_limit = tmp_path / "at_limit.wyx"
