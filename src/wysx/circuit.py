@@ -267,6 +267,13 @@ class Builder:
         return bits[0]
 
 
+def fits(n: int, width: int) -> bool:
+    """``n`` is in the signed range of ``width`` bits. The gates compute in
+    that two's complement, so an input or constant outside it would wrap to
+    another value; the block sticks instead."""
+    return -(1 << (width - 1)) <= n < 1 << (width - 1)
+
+
 def add_wires(b: Builder, xs, ys, carry_in=None):
     out = []
     c = b.const(0) if carry_in is None else carry_in
@@ -490,6 +497,9 @@ class Compiler:
                 raise NotCircuitable("mixed word widths")
             return v.wires
         if t is FfiInt:
+            if not fits(v.n, self.width):
+                raise NotCircuitable(
+                    f"constant {v.n} does not fit {self.width} bits")
             return self.b.const_word(v.n, self.width)
         raise NotCircuitable(f"expected an integer, got {t.__name__}")
 
@@ -806,6 +816,10 @@ def _walk(env: Env, path: Path, party: str) -> Value:
     return v
 
 
+def path_text(path: Path) -> str:
+    return "/".join(":".join(str(p) for p in step) for step in path)
+
+
 def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int, int]]:
     """Per-party wire assignments pulled from each party's local environment."""
     out: dict[str, dict[int, int]] = {p: {} for p in circ.parties}
@@ -828,7 +842,13 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int
         else:
             if type(v) is not FfiInt:
                 raise MissingInput(f"{decl.party}: expected an int on {decl.path}")
-            word = encode_word(v.n, len(decl.wires))
+            n = len(decl.wires)
+            # a share word is raw bits; anything else is a signed int
+            if decl.path[-1] != ("word",) and not fits(v.n, n):
+                raise CircuitError(f"{decl.party}: input {v.n} at "
+                                   f"{path_text(decl.path)} does not fit "
+                                   f"{n} bits")
+            word = encode_word(v.n, n)
             for i, w in enumerate(decl.wires):
                 out[decl.party][w] = (word >> i) & 1
     return out
@@ -897,10 +917,9 @@ def dump_circuit(circ: Circuit) -> str:
              f"width={circ.width} wires={circ.n_wires} "
              f"ands={circ.and_count} depth={circ.and_depth}"]
     for decl in circ.inputs:
-        path = "/".join(":".join(str(p) for p in step) for step in decl.path)
         kind = "bool" if decl.is_bool else "int"
         ws = ",".join(f"x{w}" for w in decl.wires)
-        lines.append(f"INPUT {decl.party} {kind} {path} {ws}")
+        lines.append(f"INPUT {decl.party} {kind} {path_text(decl.path)} {ws}")
     for op, o, a, b in circ.gates:
         if op == CONST:
             lines.append(f"CONST x{o} <- {a}")

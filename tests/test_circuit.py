@@ -510,6 +510,20 @@ def test_closures_run_alike_through_gmw_blocks():
                 assert ideal.parties[p][0] == FfiInt(want), (src, w, p)
 
 
+def test_inputs_and_constants_outside_the_width_stick():
+    # at 4 bits the gates hold -8..7; anything else would wrap
+    def gmw(x, body):
+        e = parse(f"(as_sec (prins a b) (lam _ {body}))")
+        env = Env({"xa": Sealed(A, FfiInt(x))})
+        return ds_run(e, env, AB, st.Runtime(0, 4), backend="gmw")
+    assert gmw(7, "(ffi sub (reveal xa) -8)").status == "done"
+    assert gmw(-8, "(ffi add (reveal xa) 7)").parties["a"][0] == FfiInt(-1)
+    assert gmw(8, "(ffi add (reveal xa) 1)").reason == \
+        "joint block {a,b}: a: input 8 at var:xa/unseal does not fit 4 bits"
+    assert gmw(1, "(ffi add (reveal xa) -9)").reason == \
+        "joint block {a,b}: constant -9 does not fit 4 bits"
+
+
 # a recursion that stops on a private condition: the reference machine ends
 # it, while the gates, which compile both arms, would unroll it forever
 PRIVATE_STOP = ("(let g (as_par (prins a) (lam _ (let v (reveal xa)"

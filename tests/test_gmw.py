@@ -267,25 +267,34 @@ def test_protocol_matches_clear_evaluation_on_random_circuits():
 
 
 def test_gmw_backend_equals_ideal_on_generated_programs():
-    # Width 4 is left out: base_env holds 11 and 23, which the gate backend
-    # wraps to 4-bit two's complement and the ideal backend does not.
+    # A block the ideal backend runs sticks under the gates in two cases:
+    # mul on private data has no gate lowering, and an input or a constant
+    # outside the signed range of the width would wrap, so it is refused
+    # (base_env holds 11 and 23, which do not fit 4 bits).
     env = base_env()
-    sticks = blocks = 0
-    for w in (9, 16, 32):
+    sticks = Counter()
+    blocks = 0
+    for w in (4, 9, 16, 32):
         for seed in range(300):
             e = gen_program(seed)
             ideal = ds_run(e, env, AB, Runtime(0, w), backend="ideal")
             assert ideal.status == "done", (w, seed, ideal.reason)
             res = ds_run(e, env, AB, Runtime(0, w), backend="gmw")
             blocks += len(res.circuits)
-            # mul on private data has no gate lowering, so such a block sticks
             if res.reason == ("joint block {a,b}: no secure lowering for "
                               "host call mul"):
-                sticks += 1
+                sticks[w, "mul"] += 1
+                continue
+            if res.status == "stuck" and res.reason.endswith(
+                    f"does not fit {w} bits"):
+                sticks[w, "input" if ": input " in res.reason
+                       else "constant"] += 1
                 continue
             assert (res.status, res.parties) == ("done", ideal.parties), \
                 (w, seed, res.reason)
-    assert (sticks, blocks) == (6, 3 * 116)
+    assert sticks == {(4, "mul"): 2, (4, "input"): 23, (4, "constant"): 2,
+                      (9, "mul"): 2, (16, "mul"): 2, (32, "mul"): 2}
+    assert blocks == 85 + 3 * 116
 
 
 def test_malformed_message_raises_protocol_error(monkeypatch):
