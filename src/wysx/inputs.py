@@ -81,12 +81,21 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
             ps = _ps(body.get("ps"), where)
             words = body.get("words")
             width = body.get("width")
-            if not isinstance(words, dict) or not isinstance(width, int):
+            if not isinstance(words, dict):
                 raise InputError(f"{where}: share needs words and width")
+            # host ints wrap at 64 bits (ffi._wrap64); checked before any
+            # word, so a huge width never reaches ``1 << width``
+            if type(width) is not int or not 1 <= width <= 64:
+                raise InputError(f"{where}.width: a share width is an "
+                                 f"integer from 1 to 64, got {width!r}")
             for p, w in words.items():
-                if p not in ps or not isinstance(w, int):
+                if p not in ps:
                     raise InputError(f"{where}: bad share word for {p}")
-            return ShareVal.of(ps, {p: w for p, w in words.items()}, width)
+                if type(w) is not int or not 0 <= w < 1 << width:
+                    raise InputError(f"{where}.words.{p}: a {width}-bit share "
+                                     f"word is an integer from 0 to "
+                                     f"{(1 << width) - 1}, got {w!r}")
+            return ShareVal.of(ps, words, width)
         if tag == "unit":
             return UNIT
         if tag == "opaque":

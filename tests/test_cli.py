@@ -87,6 +87,21 @@ def test_bad_input_file_is_an_error(tmp_path, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("backend", ["ideal", "gmw"])
+def test_bad_share_handles_are_one_line_errors(tmp_path, capsys, backend):
+    from test_inputs import BAD_SHARES
+    prog = tmp_path / "comb.wyx"
+    prog.write_text("(as_sec (prins a b) (lam _ (ffi comb_sh h)))")
+    for i, share in enumerate(BAD_SHARES):
+        inp = write(tmp_path, f"h{i}.json", {"h": share})
+        assert main(["run", str(prog), "--prins", "a,b", "--inputs",
+                     f"a={inp}", "--mode", "ds", "--backend", backend]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "", share
+        assert captured.err.startswith(f"error: {inp}.h."), share
+        assert captured.err.count("\n") == 1 and captured.err[-1] == "\n"
+
+
 def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as ex:
         main(["run"])  # missing program

@@ -1,6 +1,7 @@
 """JSON codec for values, traces, and per-party input files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -63,6 +64,16 @@ def test_round_trip_survives_slicing():
             assert json_to_value(value_to_json(s)) == s
 
 
+# share handles whose width is not 1-64 or whose words do not fit it
+BAD_SHARES = [
+    {"share": {"ps": ["a"], "words": {"a": 1}, "width": width}}
+    for width in (0, -3, True, 65, 2 ** 40, 8.0, None)
+] + [
+    {"share": {"ps": ["a"], "words": {"a": word}, "width": 4}}
+    for word in (-5, 16, 1000, True, 1.0)
+]
+
+
 def test_bad_inputs_raise():
     bad = [
         {"sealed": {}},
@@ -70,6 +81,7 @@ def test_bad_inputs_raise():
         {"sealed": {"ps": [3]}},
         {"share": {"ps": ["a"], "words": {"a": "x"}, "width": 8}},
         {"share": {"ps": ["a"], "words": {"b": 1}, "width": 8}},
+        *BAD_SHARES,
         {"map": [1, 2]},
         {"tuple": [1]},
         {"unknown_tag": 1},
@@ -79,6 +91,28 @@ def test_bad_inputs_raise():
     for obj in bad:
         with pytest.raises(InputError):
             json_to_value(obj)
+
+
+def test_share_limits_name_the_field():
+    for width, word in ((1, 1), (4, 15), (64, 2 ** 64 - 1)):
+        assert json_to_value({"share": {"ps": ["a"], "words": {"a": word},
+                                        "width": width}}).width == width
+    with pytest.raises(InputError, match=r"^h\.width: .* got True$"):
+        json_to_value(BAD_SHARES[2], "h")
+    with pytest.raises(InputError, match=r"^h\.words\.a: a 4-bit share word "
+                                         r"is an integer from 0 to 15, got -5$"):
+        json_to_value(BAD_SHARES[7], "h")
+
+
+def test_a_huge_share_width_is_refused_before_it_is_used():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError):
+            json_to_value(BAD_SHARES[4])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_trace_encoding():
