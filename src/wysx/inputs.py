@@ -82,7 +82,7 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
             words = body.get("words")
             width = body.get("width")
             if not isinstance(words, dict):
-                raise InputError(f"{where}: share needs words and width")
+                raise InputError(f"{where}: share needs a words object")
             # host ints wrap at 64 bits (ffi._wrap64); checked before any
             # word, so a huge width never reaches ``1 << width``
             if type(width) is not int or not 1 <= width <= 64:
