@@ -9,6 +9,7 @@ one-key objects cover the rest:
                                             null means the holder is absent)
     {"map": {"a": 5}}                       per-party map
     {"share": {"ps": ["a","b"], "words": {"a": 3}, "width": 8}}
+                                            width 1-64, words 0 to 2**width-1
     {"unit": null}  {"opaque": null}
 
 An input file is one JSON object mapping variable names to values. Traces
