@@ -384,6 +384,9 @@ SHAPES = {
     "seal to one party": "(seal (prins a) (reveal xb))",
     "minted handle": "(ffi mk_sh (reveal xa))",
     "handle echo": "h",
+    "handle minted and recombined": "(ffi comb_sh (ffi mk_sh (reveal xa)))",
+    "handle in a map": "(mkmap (prins a) h)",
+    "minted handle in a map": "(mkmap (prins a) (ffi mk_sh (reveal xa)))",
     "masked list": "(ffi list_intersect (reveal la) (reveal lb))",
     "private if over pairs": "(if (ffi gt (reveal xa) (reveal xb)) "
                              "(tuple (reveal xa) true) (tuple (reveal xb) false))",
