@@ -7,8 +7,8 @@ flat list of gates, each a tuple (CONST/XOR/AND/NOT, out, a, b) filed under
 its AND layer as the builder emits it; input declarations saying which
 party feeds which wires from where in its local environment; and the
 block's result value. That value is also the decode tree: each party's
-view of the block result is it with the wire nodes read back from output
-wires and with the map entries and seals the party may not see hidden.
+view of the block result is its slice (``lang.slice_value``, as on the
+ideal backend) with the wire nodes read back from output wires.
 
 Fully public host calls and the shape-only builtins of ``ffi.SHAPE_ONLY``
 run on their host bodies, exactly as on the reference machine; only the
@@ -25,7 +25,7 @@ depends on secrets; branching on public booleans follows the taken arm
 only, which keeps compile-time effects (share minting) aligned with the
 reference semantics.
 
-Share handles get special treatment. A handle flowing in becomes per-party
+Share handles stay ``ShareVal``s. A handle flowing in becomes per-party
 input wires, one word per holder. A handle minted inside the block uses the
 same deterministic mask stream as the reference interpreter: every holder
 but the canonically last gets a pure mask as its word, and the last word is
@@ -43,10 +43,10 @@ from operator import eq
 from . import ffi as ffi_mod
 from .lang import (
     OPAQUE, OPERANDS, SEC, App, AsPar, AsSec, Bool, Clos, Concat, Const, Env,
-    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, Handle, If, Lam, Let,
-    MkMap, Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal,
-    Sealed, ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError,
-    children, free_vars, with_children,
+    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, If, Lam, Let, MkMap,
+    Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
+    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, children,
+    free_vars, slice_value, with_children,
 )
 from .shares import ShareMint, decode_word, encode_word
 from .st import Stuck, apply_rule, check_first_operand
@@ -312,11 +312,14 @@ def mux_wires(b: Builder, c: int, ts, fs):
 # wire nodes
 #
 # Compile-time data are ``lang`` values. Public scalars stay as they are;
-# pairs, lists, maps and seals may also hold the wire nodes below. A seal
-# that no block member can open is ``Sealed(ps, OPAQUE)``, and a closure is
-# a ``Clos`` over an ``Env`` of compile-time values. The
-# block's result is also its decode tree: ``decode_output`` reads the wire
-# nodes back from output wires and hides what a party may not see.
+# pairs, lists, maps and seals may also hold the wire nodes below, and a
+# share handle is a ``ShareVal`` whose words are ints (masks known at
+# compile time) or ``CInt`` wire nodes (input words, or the last holder's
+# minted word). A seal that no block member can open is
+# ``Sealed(ps, OPAQUE)``, and a closure is a ``Clos`` over an ``Env`` of
+# compile-time values. The block's result is also its decode tree:
+# ``decode_output`` takes a party's slice of it, as the ideal backend does,
+# and reads the wire nodes left back from output wires.
 
 @dataclass(frozen=True, slots=True)
 class CInt(Value):
@@ -332,27 +335,6 @@ class CBit(Value):
 
     def __repr__(self) -> str:
         return f"CBit(wire {self.wire})"
-
-
-@dataclass(frozen=True, slots=True)
-class CShareIn(Handle):
-    """A handle fed into the block: each holder contributes its word."""
-
-    ps: PrinSet
-    width: int
-    words: tuple[tuple[str, tuple[int, ...]], ...]
-
-
-@dataclass(frozen=True, slots=True)
-class CShareOut(Handle):
-    """A handle minted inside the block."""
-
-    ps: PrinSet
-    width: int
-    masks: tuple[tuple[str, int], ...]  # all holders but the last
-    last: str
-    value_wires: tuple[int, ...]
-    last_wires: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -459,15 +441,15 @@ class Compiler:
                 entries.append((q, self.convert(w, path + (("entry", q),),
                                                 vis & {q})))
             return VMap(tuple(entries))
-        if t is ShareVal:
+        if t is ShareVal:  # each holder in view feeds its word
             words = []
             wpath = path + (("word",),)
             for p in v.ps:
                 if p in vis:
                     wires = self.b.input_word(v.width)
                     self.inputs.append(InputDecl(p, wpath, wires, False))
-                    words.append((p, wires))
-            return CShareIn(v.ps, v.width, tuple(words))
+                    words.append((p, CInt(wires)))
+            return ShareVal(v.ps, tuple(words), v.width)
         if t is Clos:
             cenv = Env({x: self.convert(w, path + (("cenv", x),), vis)
                         for x, w in v.env.items()})
@@ -571,37 +553,32 @@ class Compiler:
 
         if name == "mk_sh":
             vw = self.as_int_wires(args[0])
-            masks = self.mint.draw_masks(self.parties, self.width)
+            words = self.mint.draw_masks(self.parties, self.width)
             acc = 0
-            for m in masks.values():
+            for m in words.values():
                 acc ^= m
-            last_wires = tuple(b.xor(w, b.const((acc >> i) & 1))
-                               for i, w in enumerate(vw))
-            return CShareOut(self.parties, self.width,
-                             tuple(sorted(masks.items())),
-                             self.parties.names[-1], vw, last_wires)
+            words[self.parties.names[-1]] = CInt(tuple(
+                b.xor(w, b.const((acc >> i) & 1)) for i, w in enumerate(vw)))
+            return ShareVal.of(self.parties, words, self.width)
         if name == "comb_sh":
             h = args[0]
-            if type(h) is CShareOut:
-                return CInt(h.value_wires)
-            if type(h) is CShareIn:
-                if h.ps != self.parties:
-                    raise NotCircuitable(
-                        f"handle for {h.ps} recombined by {self.parties}")
-                if h.width != self.width:
-                    raise NotCircuitable("mixed word widths")
-                words = dict(h.words)
-                if set(words) != set(self.parties.names):
-                    raise NotCircuitable("handle is missing words")
-                out = []
-                for i in range(h.width):
-                    acc = None
-                    for p in self.parties:
-                        wi = words[p][i]
-                        acc = wi if acc is None else b.xor(acc, wi)
-                    out.append(acc)
-                return CInt(tuple(out))
-            raise NotCircuitable("comb_sh applied to a non-handle")
+            if type(h) is not ShareVal:
+                raise NotCircuitable("comb_sh applied to a non-handle")
+            if h.ps != self.parties:
+                raise NotCircuitable(
+                    f"handle for {h.ps} recombined by {self.parties}")
+            if h.width != self.width:
+                raise NotCircuitable("mixed word widths")
+            if len(h.words) != len(h.ps):
+                raise NotCircuitable("handle is missing words")
+            out = []
+            for i in range(h.width):
+                acc = None
+                for _, w in h.words:
+                    wi = w.wires[i] if type(w) is CInt else b.const(w >> i)
+                    acc = wi if acc is None else b.xor(acc, wi)
+                out.append(acc)
+            return CInt(tuple(out))
 
         if name in ("add", "sub"):
             xs = self.as_int_wires(args[0])
@@ -747,13 +724,10 @@ class Compiler:
         elif t is Sealed:
             if type(v.v) is not Opaque:
                 self.add_outputs(v.v, recipients & frozenset(v.ps.names))
-        elif t is CShareOut:
-            for w in v.last_wires:
-                self.outputs.append((w, frozenset((v.last,))))
-        elif t is CShareIn:
-            for p, wires in v.words:
-                for w in wires:
-                    self.outputs.append((w, frozenset((p,))))
+        elif t is ShareVal:  # a wire word goes to its holder alone
+            for p, w in v.words:
+                if type(w) is CInt:
+                    self.add_outputs(w, recipients & {p})
         elif t is CMaskedList:
             for w in v.present:
                 self.outputs.append((w, recipients))
@@ -878,8 +852,8 @@ def _word(wires, wv: dict[int, int]) -> int:
     return word
 
 
-def decode_output(v: Value, party: str, wv: dict[int, int]) -> Value:
-    """``party``'s view of a block result, read from its output wires."""
+def _read(v: Value, wv: dict[int, int]) -> Value:
+    """``v`` with its wire nodes read back from the wire bits ``wv``."""
     t = type(v)
     if t in _PUBLIC_SCALARS:
         return v
@@ -887,29 +861,19 @@ def decode_output(v: Value, party: str, wv: dict[int, int]) -> Value:
         return FfiInt(decode_word(_word(v.wires, wv), len(v.wires)))
     if t is CBit:
         return Bool(bool(wv[v.wire]))
-    if t is Sealed:
-        if party not in v.ps or type(v.v) is Opaque:
-            return Sealed(v.ps, OPAQUE)
-    elif t is VMap:
-        v = VMap(tuple(e for e in v.entries if e[0] == party))
-    elif t is CShareOut:
-        if party == v.last:
-            word = _word(v.last_wires, wv)
-        else:
-            word = dict(v.masks)[party]
-        return ShareVal(v.ps, ((party, word),), v.width)
-    elif t is CShareIn:
-        words = dict(v.words)
-        if party not in words:
-            return ShareVal(v.ps, (), v.width)
-        return ShareVal(v.ps, ((party, _word(words[party], wv)),), v.width)
-    elif t is CMaskedList:
-        return FfiList(tuple(decode_output(i, party, wv)
+    if t is ShareVal:  # a word is raw bits, not a signed int
+        return ShareVal(v.ps, tuple((p, _word(w.wires, wv) if type(w) is CInt
+                                     else w) for p, w in v.words), v.width)
+    if t is CMaskedList:
+        return FfiList(tuple(_read(i, wv)
                              for pw, i in zip(v.present, v.items) if wv[pw]))
-    elif t is not FfiPair and t is not FfiList:
-        raise CircuitError(f"bad decode node {v!r}")
-    kids = map(decode_output, children(v), repeat(party), repeat(wv))
-    return with_children(v, tuple(kids))
+    return with_children(v, tuple(map(_read, children(v), repeat(wv))))
+
+
+def decode_output(v: Value, party: str, wv: dict[int, int]) -> Value:
+    """``party``'s view of a block result: its slice, as the ideal backend
+    takes it, read from its output wires."""
+    return _read(slice_value(party, v), wv)
 
 
 def dump_circuit(circ: Circuit) -> str:

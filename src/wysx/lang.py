@@ -184,21 +184,16 @@ class Opaque(Value):
     """Placeholder for data a party does not hold."""
 
 
-class Handle(Value):
-    """Base of share handles; a handle over ``ps`` may be sealed only for
-    exactly ``ps``."""
-
-    __slots__ = ()
-
-
 @dataclass(frozen=True, slots=True)
-class ShareVal(Handle):
+class ShareVal(Value):
     """Secret-shared machine word.
 
     ``words`` maps each holder to its additive (xor) share of the value,
     ``width`` is the bit width of the shared word.  A party's view of a
     handle keeps only its own word; the joint view keeps all of them, and
-    xor-ing a complete word set yields the shared value.
+    xor-ing a complete word set yields the shared value. Inside the gate
+    compiler a word may also be a wire node. A handle over ``ps`` may be
+    sealed only for exactly ``ps``.
     """
 
     ps: PrinSet
@@ -723,7 +718,7 @@ def can_seal(ps: PrinSet, v: Value, in_closure: bool = False) -> bool:
     seal (``in_closure``: ``v`` sits in a closure's environment).
     Everything else is sealable.
     """
-    if isinstance(v, Handle):
+    if type(v) is ShareVal:
         return v.ps == ps
     t = type(v)
     if t is Sealed:

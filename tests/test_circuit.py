@@ -20,9 +20,12 @@ from wysx.circuit import (
     eq_wires, eval_circuit, gt_wires, mux_wires, sub_wires,
 )
 
+from _proggen import base_env, gen_program
+
 A = PrinSet.of("a")
 B = PrinSet.of("b")
 AB = PrinSet.of("a", "b")
+ABC = PrinSet.of("a", "b", "c")
 
 
 def test_word_codec_round_trip():
@@ -414,6 +417,51 @@ def test_decoded_result_matches_reference_slices(body):
                                                for p in AB}))
     for p in AB:
         assert decode_output(circ.decode, p, wv) == slice_value(p, ref.value), p
+
+
+class _WireReads(dict):
+    """Wire bits that remember every wire read. Each reads 1, so a masked
+    list reads all of its items."""
+
+    def __missing__(self, w):
+        self[w] = 1
+        return 1
+
+
+def compiled_blocks():
+    """(name, circuit) for every block of the corpus at width 32 and at each
+    cell's least width, of the ``SHAPES`` bodies at width 8, and of the
+    generated programs 0-299 on {a,b} and on {a,b,c}."""
+    narrow = sorted({cell.min_width for cell in apps.corpus()})
+    for w in (32, *narrow):
+        for cell in apps.corpus(w):
+            if w in (32, cell.min_width):
+                res = ds_run(apps.load_program(cell.program), cell.env,
+                             cell.ps, st.Runtime(0, w), backend="gmw")
+                for name, circ in res.circuits:
+                    yield f"{cell.name}@{w} {name}", circ
+    for key, body in SHAPES.items():
+        yield key, compile_sec_thunk(shapes_env(), parse(body), AB, 8,
+                                     ShareMint(4))
+    for seed in range(300):
+        for ps in (AB, ABC):
+            res = ds_run(gen_program(seed), base_env(), ps, backend="gmw")
+            for name, circ in res.circuits:
+                yield f"proggen/{seed} {name}", circ
+
+
+def test_each_party_is_sent_exactly_the_wires_its_view_reads():
+    # add_outputs and decode_output walk the same result; the wires a party
+    # is sent must be the ones its slice of the result reads, no more
+    n = 0
+    for name, circ in compiled_blocks():
+        for p in circ.parties:
+            reads = _WireReads()
+            decode_output(circ.decode, p, reads)
+            sent = {w for w, to in circ.outputs if p in to}
+            assert sent == reads.keys(), (name, p)
+        n += 1
+    assert n == 274
 
 
 SWEEP_ARGS = ("2", "(reveal xa)", "(ffi gt (reveal xb) 3)", "(reveal la)",
