@@ -32,6 +32,12 @@ def _wrap64(n: int) -> int:
     return n - (1 << 64) if n & WORD_SIGN else n
 
 
+def fits64(n: int) -> bool:
+    """``n`` is a host word. Host arithmetic wraps at 64 bits, so integer
+    literals and inputs outside that range are refused where they enter."""
+    return -WORD_SIGN <= n < WORD_SIGN
+
+
 def _int(v: Value, who: str) -> int:
     if type(v) is not FfiInt:
         raise FfiTypeError(f"{who}: expected an int, got {v!r}")

@@ -27,6 +27,7 @@ from .lang import (
     Opaque, PrinSet, PrinVal, PrinsVal, Sealed, ShareVal, TMsg, Trace,
     UNIT, Unit, Value, VMap, WysError,
 )
+from .ffi import fits64
 
 
 class InputError(WysError):
@@ -37,6 +38,9 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
     if isinstance(obj, bool):
         return Bool(obj)
     if isinstance(obj, int):
+        if not fits64(obj):
+            raise InputError(f"{where}: an integer is from -2**63 to "
+                             f"2**63 - 1, got {obj}")
         return FfiInt(obj)
     if isinstance(obj, str):
         return FfiStr(obj)
@@ -179,7 +183,7 @@ def load_env_file(path: str) -> Env:
     with open(path) as fh:
         try:
             return env_from_json(json.load(fh), path)
-        except json.JSONDecodeError as ex:
+        except ValueError as ex:  # bad JSON, or an int of over 4300 digits
             raise InputError(f"{path}: {ex}") from None
         except RecursionError:
             raise InputError(f"{path}: input nested too deeply") from None

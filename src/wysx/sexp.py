@@ -25,6 +25,7 @@ from .lang import (
     Fix, If, Lam, Let, MkMap, PrinSet, PrinVal, PrinsVal, Project, Reveal,
     Seal, TRUE, UNIT, Unit, Value, Var, WysError,
 )
+from .ffi import fits64
 
 
 class ParseError(WysError):
@@ -179,7 +180,12 @@ class _Parser:
         # loops, never through a helper that itself calls ``expr``.
         t = self.next("an expression")
         if t.kind == "int":
-            return Const(FfiInt(int(t.text)))
+            # a literal of more digits than 2**63 has is out of range, and
+            # ``int`` is not asked to read it
+            if len(t.text.lstrip("-0")) > 19 or not fits64(n := int(t.text)):
+                raise ParseError(f"integer {t.text} does not fit 64 bits",
+                                 t.line, t.col)
+            return Const(FfiInt(n))
         if t.kind == "str":
             return Const(FfiStr(t.text))
         if t.kind == "sym":

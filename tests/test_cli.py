@@ -352,3 +352,25 @@ def test_bad_scheduler_names_the_expected_forms(tmp_path, capsys, sched):
                  "--sched", sched]) == 1
     assert capsys.readouterr().err == \
         f"error: unknown scheduler {sched!r} (use rr or rand:SEED)\n"
+
+def one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err.startswith("error: ")
+    return captured.err
+
+
+def test_integers_past_64_bits_are_one_line_errors(tmp_path, capsys):
+    # host arithmetic wraps at 64 bits, so 2**64 would equal 0 in the run
+    prog = tmp_path / "big.wyx"
+    prog.write_text("(ffi eq 18446744073709551616 (ffi add 18446744073709551616 0))")
+    assert main(["run", str(prog), "--prins", "a"]) == 1
+    assert one_error_line(capsys) == \
+        "error: 1:9: integer 18446744073709551616 does not fit 64 bits\n"
+    prog.write_text("(ffi eq x (ffi add x 0))")
+    inp = write(tmp_path, "a.json", {"x": 2 ** 64})
+    assert main(["run", str(prog), "--inputs", f"a={inp}"]) == 1
+    assert one_error_line(capsys) == (
+        f"error: {inp}.x: an integer is from -2**63 to 2**63 - 1, "
+        f"got {2 ** 64}\n")

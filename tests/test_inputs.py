@@ -87,10 +87,21 @@ def test_bad_inputs_raise():
         {"unknown_tag": 1},
         {"map": {"a": 1}, "tuple": [1, 2]},
         3.5,
+        [2 ** 63],
     ]
     for obj in bad:
         with pytest.raises(InputError):
             json_to_value(obj)
+
+
+def test_integers_fit_the_64_bit_host_word():
+    for n in (-2 ** 63, 2 ** 63 - 1):
+        assert json_to_value({"tuple": [n, 0]}) == FfiPair(FfiInt(n), FfiInt(0))
+    for n in (2 ** 63, -2 ** 63 - 1, 2 ** 64):
+        with pytest.raises(InputError, match=rf"^x\.0: an integer is from "
+                                             rf"-2\*\*63 to 2\*\*63 - 1, "
+                                             rf"got {n}$"):
+            json_to_value({"tuple": [n, 0]}, "x")
 
 
 def test_share_limits_name_the_field():

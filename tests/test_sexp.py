@@ -160,6 +160,16 @@ def test_parse_error_text(src, msg):
     assert str(info.value) == msg
 
 
+def test_integer_literals_fit_the_64_bit_host_word():
+    assert parse("(ffi add 9223372036854775807 -9223372036854775808)") == \
+        parse("(ffi add 9223372036854775807 -0009223372036854775808)")
+    for lit in ("9223372036854775808", "-9223372036854775809",
+                "18446744073709551616", "1" * 5000):
+        with pytest.raises(ParseError) as info:
+            parse(f"(ffi add 1\n  {lit})")
+        assert str(info.value) == f"2:3: integer {lit} does not fit 64 bits"
+
+
 # One template per form with an expression part; "{}" is where it nests.
 NESTING = [
     "(let x 1 {})", "(let x {} 2)", "(lam x {})", "(fix f x {})",
