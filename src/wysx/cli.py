@@ -26,7 +26,8 @@ from .circuit import dump_circuit
 from .ds import check_confluence, check_simulation, ds_run, parse_sched
 from .inputs import (InputError, canonical_json, load_env_file, trace_to_json,
                      value_to_json)
-from .lang import Env, PrinSet, TMsg, WysError, combine_envs
+from .lang import (CombineConflict, DomainMismatch, Env, PrinSet, TMsg,
+                   WysError, combine_envs, combine_values)
 from .sexp import ParseError, parse
 from .st import DEFAULT_FUEL, Runtime, run
 
@@ -47,15 +48,32 @@ def _read_program(name: str):
     raise CliError(f"program file not found: {name}")
 
 
+def _disagreement(files: list[tuple[str, Env]]) -> Optional[str]:
+    """The first variable two input files disagree on, with both files."""
+    for j, (path2, env2) in enumerate(files):
+        for path1, env1 in files[:j]:
+            for x in sorted(env1.names() | env2.names()):
+                if x not in env2.names() or x not in env1.names():
+                    has, lacks = ((path1, path2) if x in env1.names()
+                                  else (path2, path1))
+                    return f"input {x} is in {has} but not in {lacks}"
+                try:
+                    combine_values(env1.get(x), env2.get(x))
+                except CombineConflict as ex:
+                    return (f"input {x} differs between {path1} and "
+                            f"{path2}: {ex}")
+    return None
+
+
 def _gather_env(args) -> tuple[Env, PrinSet]:
-    envs = []
+    files = []
     parties = []
     for item in args.inputs:
         party, sep, path = item.partition("=")
         if not sep or not party or not path:
             raise CliError(f"bad --inputs entry {item!r}, expected P=FILE")
         parties.append(party)
-        envs.append(load_env_file(path))
+        files.append((path, load_env_file(path)))
     if args.prins:
         names = [p.strip() for p in args.prins.split(",") if p.strip()]
         ps = PrinSet.of(*names)
@@ -63,7 +81,10 @@ def _gather_env(args) -> tuple[Env, PrinSet]:
         ps = PrinSet.of(*parties)
     else:
         raise CliError("no principals: pass --inputs P=FILE... or --prins a,b")
-    env = combine_envs(envs) if envs else Env()
+    try:
+        env = combine_envs([env for _, env in files]) if files else Env()
+    except (CombineConflict, DomainMismatch) as ex:
+        raise CliError(_disagreement(files) or str(ex)) from None
     return env, ps
 
 

@@ -374,3 +374,23 @@ def test_integers_past_64_bits_are_one_line_errors(tmp_path, capsys):
     assert one_error_line(capsys) == (
         f"error: {inp}.x: an integer is from -2**63 to 2**63 - 1, "
         f"got {2 ** 64}\n")
+
+
+def test_disagreeing_input_files_name_the_variable_and_both_files(
+        tmp_path, capsys):
+    one = write(tmp_path, "one.json", {"x": 1})
+    two = write(tmp_path, "two.json", {"x": 2})
+    assert main(["run", "median", "--inputs", f"a={one}", f"b={two}"]) == 1
+    assert one_error_line(capsys) == (
+        f"error: input x differs between {one} and {two}: "
+        f"FfiInt(n=1) vs FfiInt(n=2)\n")
+
+
+def test_an_input_missing_from_one_file_names_both_files(tmp_path, capsys):
+    one = write(tmp_path, "one.json", {"x": 1})
+    empty = write(tmp_path, "empty.json", {})
+    for order in ((one, empty), (empty, one)):
+        assert main(["run", "median", "--inputs", f"a={order[0]}",
+                     f"b={order[1]}"]) == 1
+        assert one_error_line(capsys) == \
+            f"error: input x is in {one} but not in {empty}\n"
