@@ -1,10 +1,15 @@
 """Command line driver: run, check, dump-circuit, exit codes."""
 
 import json
+import random
+import re
 
 import pytest
 
+from wysx import apps
 from wysx.cli import main
+from wysx.inputs import value_to_json
+from wysx.lang import slice_value
 from wysx.sexp import MAX_NESTING
 
 
@@ -353,6 +358,7 @@ def test_bad_scheduler_names_the_expected_forms(tmp_path, capsys, sched):
     assert capsys.readouterr().err == \
         f"error: unknown scheduler {sched!r} (use rr or rand:SEED)\n"
 
+
 def one_error_line(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -394,3 +400,92 @@ def test_an_input_missing_from_one_file_names_both_files(tmp_path, capsys):
                      f"b={order[1]}"]) == 1
         assert one_error_line(capsys) == \
             f"error: input x is in {one} but not in {empty}\n"
+
+
+# Seeded fuzzing: mutated bundled programs and malformed inputs. Every run
+# either succeeds or exits 1 with one line on stderr, and never raises.
+
+FUZZ_TOKENS = re.compile(r';[^\n]*|"(?:[^"\\\n]|\\.)*"|[()]|[^\s()";]+')
+# replacements for an atom: atoms, keywords and balanced snippets
+FUZZ_CODE = ["0", "-1", "9223372036854775808", "true", '"s"', "lam", "if",
+             "x", "_", "a", "reveal", "(prins a)", "(prins a b c)",
+             "(ffi mk_sh 1)", "(ffi comb_sh x)", "(ffi add 1)",
+             "(as_sec (prins a b) (lam _ 1))", "(reveal x)"]
+FUZZ_JSON = [2 ** 64, -2 ** 63, 1.5, None, "", "opaque", True, [], [[[]]],
+             {}, {"sealed": {"ps": []}}, {"sealed": {"ps": ["a"], "v": 1}},
+             {"sealed": {"ps": ["z"]}}, {"map": 3}, {"map": {"a": [1]}},
+             {"tuple": [1]}, {"prin": 3}, {"prins": ["a", "a"]},
+             {"unit": None}, {"opaque": None}, {"nope": 1},
+             {"share": {"ps": ["a", "b"], "words": {"a": 1, "b": 2},
+                        "width": 8}},
+             {"share": {"ps": ["a"], "words": {"a": 1}, "width": 65}},
+             {"share": {"ps": ["a", "b"], "words": {"c": 1}, "width": 8}}]
+FUZZ_MODES = [["run", "--mode", "st"], ["run", "--mode", "ds"],
+              ["run", "--mode", "ds", "--backend", "gmw"], ["dump-circuit"]]
+
+
+def mutate_program(rng, src):
+    """``src`` with one to three atoms replaced, swapped or copied, and now
+    and then a token dropped or the text cut short."""
+    toks = [t for t in FUZZ_TOKENS.findall(src) if not t.startswith(";")]
+    atoms = [i for i, t in enumerate(toks) if t not in ("(", ")")]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.choice(atoms), rng.choice(atoms)
+        op = rng.randrange(3)
+        if op == 0:
+            toks[i] = rng.choice(FUZZ_CODE)
+        elif op == 1:
+            toks[i], toks[j] = toks[j], toks[i]
+        else:
+            toks[i] = toks[j]
+    if rng.random() < 0.1:
+        del toks[rng.randrange(len(toks))]
+    elif rng.random() < 0.1:
+        toks = toks[:rng.randrange(len(toks))]
+    return " ".join(toks)
+
+
+def mutate_json(rng, obj):
+    """``obj`` with one value replaced, or its text cut or spliced."""
+    if rng.random() < 0.3:
+        text = json.dumps(obj)
+        i = rng.randrange(len(text) + 1)
+        return rng.choice((text[:i], text[:i] + text[i + 1:],
+                           text[:i] + rng.choice('{}[]",:-0e') + text[i:]))
+    root = holder = {"top": obj}
+    key = "top"
+    while isinstance(holder[key], (dict, list)) and holder[key] \
+            and rng.random() < 0.7:
+        holder = holder[key]
+        key = rng.choice(list(holder) if isinstance(holder, dict)
+                         else range(len(holder)))
+    holder[key] = rng.choice(FUZZ_JSON)
+    return json.dumps(root["top"])
+
+
+def test_seeded_cli_fuzz_ends_in_a_result_or_one_line(tmp_path, capsys):
+    cells = apps.corpus()
+    for case in range(500):
+        rng = random.Random(f"cli-fuzz|{case}")
+        cell = rng.choice(cells)
+        src = apps.program_source(cell.program)
+        views = {p: {x: value_to_json(slice_value(p, v))
+                     for x, v in cell.env.items()} for p in cell.ps}
+        what = rng.randrange(3)  # 0: program, 1: inputs, 2: both
+        if what != 1:
+            src = mutate_program(rng, src)
+        texts = {p: json.dumps(view) for p, view in views.items()}
+        if what != 0:
+            p = rng.choice(cell.ps.names)
+            texts[p] = mutate_json(rng, views[p])
+        prog = tmp_path / "fuzz.wyx"
+        prog.write_text(src)
+        argv = [*rng.choice(FUZZ_MODES), str(prog), "--fuel", "5000",
+                "--width", rng.choice(("32", "9", "4")), "--inputs"]
+        for p, text in texts.items():
+            (tmp_path / f"{p}.json").write_text(text)
+            argv.append(f"{p}={tmp_path / p}.json")
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 0 or (rc == 1 and err.count("\n") == 1 and
+                           err.startswith(("error: ", "run "))), (case, err)
