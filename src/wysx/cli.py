@@ -52,9 +52,10 @@ def _disagreement(files: list[tuple[str, Env]]) -> Optional[str]:
     """The first variable two input files disagree on, with both files."""
     for j, (path2, env2) in enumerate(files):
         for path1, env1 in files[:j]:
-            for x in sorted(env1.names() | env2.names()):
-                if x not in env2.names() or x not in env1.names():
-                    has, lacks = ((path1, path2) if x in env1.names()
+            names1, names2 = env1.names(), env2.names()
+            for x in sorted(names1 | names2):
+                if x not in names1 or x not in names2:
+                    has, lacks = ((path1, path2) if x in names1
                                   else (path2, path1))
                     return f"input {x} is in {has} but not in {lacks}"
                 try:
