@@ -26,9 +26,8 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    AsSec, Clos, Config, Env, Expr, Mode, Operands, PAR, PrinSet, PrinsVal,
-    SEC, TMsg, Trace, UNIT, Value, combine_envs, is_value, slice_config,
-    slice_env, slice_value,
+    AsSec, Clos, Config, Env, Expr, Mode, PAR, PrinSet, PrinsVal, SEC, TMsg,
+    Trace, UNIT, Value, combine_envs, slice_config, slice_env, slice_value,
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Runtime, Stuck, machine_step,
@@ -260,14 +259,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             inst = sec[target]
             if type(inst) is IdealSec:
                 m = inst.machine
-                if m.stack or not is_value(m.code):
+                if m.stack or not isinstance(m.code, Value):
                     out = st_step(m, rt)
                     if type(out) is Stuck:
                         return finish("stuck", tick,
                                       f"joint block {target} stuck at "
                                       f"{out.rule}: {out.reason}")
                     inst.machine = m = out
-                if not m.stack and is_value(m.code):
+                if not m.stack and isinstance(m.code, Value):
                     if m.trace:
                         return finish("stuck", tick,
                                       f"joint block {target} produced "
@@ -290,9 +289,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             for p in s.names:
                 c = par[p]
                 frame = c.stack[-1]
-                ctx = frame.ctx
-                if (type(ctx) is not Operands or type(ctx.e) is not AsSec
-                        or ctx.done != (PrinsVal(s),)):
+                if (type(frame.e) is not AsSec
+                        or frame.done != (PrinsVal(s),)):
                     return finish("stuck", tick,
                                   f"party {p} is not waiting on {s}")
                 if type(inst) is IdealSec:

@@ -480,42 +480,24 @@ class Mode:
         return self.tag == SEC
 
 
-# Evaluation contexts.  ``Operands`` is the one-hole frame of every compound
-# expression: the values of the operands evaluated so far and the operands
-# still to run, in ``OPERANDS`` order.  The two Body frames mark suspension
-# points of as_par / as_sec blocks; they carry distinct pop rules (scoping,
-# sealing, message publication).
-
-class EvalCtx:
-    __slots__ = ()
-
-
-@dataclass(slots=True)
-class Operands(EvalCtx):
-    e: Expr
-    done: tuple[Value, ...]
-    pending: tuple[Expr, ...]
-
-
-@dataclass(slots=True)
-class AsParBody(EvalCtx):
-    ps: PrinSet
-
-
-@dataclass(slots=True)
-class AsSecBody(EvalCtx):
-    ps: PrinSet
-
-
 @dataclass(slots=True)
 class Frame:
-    """Suspension of the enclosing computation: mode, env, one-hole context
-    and the trace accumulated before descending into the hole."""
+    """Suspension of the enclosing computation: the mode, environment and
+    trace at suspension time, and the one-hole context of the node ``e``.
+    ``done`` holds the values of its operands evaluated so far and
+    ``pending`` the operands still to run, in ``OPERANDS`` order.
+
+    A block body runs above its own ``as_par``/``as_sec`` node's frame,
+    whose ``done`` then holds the set and the thunk: one value in ``done``
+    marks block entry, two mark exit.
+    """
 
     mode: Mode
     env: Env
-    ctx: EvalCtx
     trace: Trace
+    e: Expr
+    done: tuple[Value, ...]
+    pending: tuple[Expr, ...]
 
 
 Code = Union[Expr, Value]
@@ -608,16 +590,10 @@ def slice_trace(p: Principal, t: Trace) -> Trace:
     return tuple(out)
 
 
-def _slice_ctx(p: Principal, ctx: EvalCtx) -> EvalCtx:
-    if type(ctx) is Operands:
-        return Operands(ctx.e, tuple(slice_value(p, v) for v in ctx.done),
-                        ctx.pending)
-    return ctx  # the Body frames hold a principal set only
-
-
 def _slice_frame(p: Principal, f: Frame) -> Frame:
     return Frame(Mode(PAR, PrinSet.of(p)), slice_env(p, f.env),
-                 _slice_ctx(p, f.ctx), slice_trace(p, f.trace))
+                 slice_trace(p, f.trace), f.e,
+                 tuple(slice_value(p, v) for v in f.done), f.pending)
 
 
 def slice_config(s: PrinSet, c: Config) -> dict[Principal, Config]:
@@ -755,6 +731,3 @@ def contains_bare_opaque(v: Value) -> bool:
             return True
     return False
 
-
-def is_value(code: Code) -> bool:
-    return isinstance(code, Value)

@@ -5,8 +5,9 @@ or a value being plugged back into the innermost frame. Every frame records
 the mode, environment and trace at suspension time, so block entry and exit
 restore them exactly.
 
-A compound expression pushes one ``Operands`` frame and runs its operands
-in ``lang.OPERANDS`` order. Plugging a value checks the first operand
+A compound expression pushes one ``Frame`` that holds the node, the values
+of its operands so far and the operands still to run, and runs its operands
+in ``lang.OPERANDS`` order. A block body runs above its own node's frame. Plugging a value checks the first operand
 (``check_first_operand``), moves on to the next one, and once all are in
 applies the rule for the node. The value rules of ``seal``, ``reveal``,
 ``mkmap``, ``project`` and ``concat`` live in ``apply_rule``, which the
@@ -30,11 +31,10 @@ from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
-    OPAQUE, OPERANDS, App, AsPar, AsParBody, AsSec, AsSecBody, Bool, Clos,
-    Concat, Config, Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap,
-    Mode, Operands, PAR, PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC,
-    Seal, Sealed, TMsg, TScope, Trace, UNIT, UnboundVariable, Value, VMap,
-    Var, WysError, can_seal,
+    OPAQUE, OPERANDS, App, AsPar, AsSec, Bool, Clos, Concat, Config, Const,
+    Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode, PAR, PrinSet,
+    PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed, TMsg, TScope,
+    Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError, can_seal,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -111,7 +111,7 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
             return Stuck("descend", f"not an expression: {e!r}")
         ops = operands(e)
     if ops:
-        frame = Frame(c.mode, c.env, Operands(e, (), ops[1:]), c.trace)
+        frame = Frame(c.mode, c.env, c.trace, e, (), ops[1:])
         return Config(c.mode, c.stack + (frame,), c.env, (), ops[0])
     # a host call without arguments
     v, err = _run_host(e.name, (), c.mode, rt)
@@ -239,80 +239,80 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
     frame = c.stack[-1]
     rest = c.stack[:-1]
     v = c.code
-    ctx = frame.ctx
+    e = frame.e
     merged = frame.trace + c.trace if c.trace else frame.trace
 
-    if type(ctx) is Operands:
-        e = ctx.e
-        if ctx.pending:
-            if not ctx.done:
-                stuck = check_first_operand(e, v)
-                if stuck is not None:
-                    return stuck
-            nf = Frame(frame.mode, frame.env,
-                       Operands(e, ctx.done + (v,), ctx.pending[1:]), merged)
-            return Config(frame.mode, rest + (nf,), frame.env, (),
-                          ctx.pending[0])
-        t = type(e)
+    if frame.pending:
+        if not frame.done:
+            stuck = check_first_operand(e, v)
+            if stuck is not None:
+                return stuck
+        nf = Frame(frame.mode, frame.env, merged, e, frame.done + (v,),
+                   frame.pending[1:])
+        return Config(frame.mode, rest + (nf,), frame.env, (),
+                      frame.pending[0])
+    t = type(e)
 
-        # ---- plain sequencing, most frequent first -----------------------
-        if t is Ffi:
-            out, err = _run_host(e.name, ctx.done + (v,), frame.mode, rt)
-            if err is not None:
-                return Stuck("ffi-apply", err)
-            return Config(frame.mode, rest, frame.env, merged, out)
-
-        if t is If:
-            if type(v) is not Bool:
-                return Stuck("if-branch", f"condition is not a boolean: {v!r}")
-            branch = e.then if v.b else e.els
-            return Config(frame.mode, rest, frame.env, merged, branch)
-
-        if t is Let:
-            env2 = frame.env.extend(e.x, v)
-            return Config(frame.mode, rest, env2, merged, e.body)
-
-        if t is App:
-            fn = ctx.done[0]
-            if type(fn) is not Clos:
-                return Stuck("apply", f"not a function: {fn!r}")
-            return Config(frame.mode, rest, fn.bind(v), merged, fn.body)
-
-        # ---- block entry -------------------------------------------------
-        if t is AsPar or t is AsSec:
-            return _enter(v, frame, rest, merged, party)
-
-        out = apply_rule(e, ctx.done + (v,), frame.mode, party)
-        if type(out) is Stuck:
-            return out
+    # ---- plain sequencing, most frequent first ---------------------------
+    if t is Ffi:
+        out, err = _run_host(e.name, frame.done + (v,), frame.mode, rt)
+        if err is not None:
+            return Stuck("ffi-apply", err)
         return Config(frame.mode, rest, frame.env, merged, out)
 
-    # ---- block exit --------------------------------------------------------
-    s = ctx.ps
-    if type(ctx) is AsParBody:
-        trace = merged
-        if party is None:
-            if not can_seal(s, v):
-                return Stuck("par-return",
-                             f"result not sealable for {s}: {v!r}")
-            trace = frame.trace + (TScope(s, c.trace),)
-        return Config(frame.mode, rest, frame.env, trace, Sealed(s, v))
+    if t is If:
+        if type(v) is not Bool:
+            return Stuck("if-branch", f"condition is not a boolean: {v!r}")
+        branch = e.then if v.b else e.els
+        return Config(frame.mode, rest, frame.env, merged, branch)
 
-    if party is not None:
-        return Stuck("sec-return", "local machine inside a joint block")
-    if c.trace:
-        return Stuck("sec-return", "joint block produced scoped output")
-    return Config(frame.mode, rest, frame.env, frame.trace + (TMsg(v),), v)
+    if t is Let:
+        env2 = frame.env.extend(e.x, v)
+        return Config(frame.mode, rest, env2, merged, e.body)
+
+    if t is App:
+        fn = frame.done[0]
+        if type(fn) is not Clos:
+            return Stuck("apply", f"not a function: {fn!r}")
+        return Config(frame.mode, rest, fn.bind(v), merged, fn.body)
+
+    if t is AsPar or t is AsSec:
+        # ---- block entry: the thunk has arrived --------------------------
+        if len(frame.done) == 1:
+            return _enter(v, frame, rest, merged, party)
+
+        # ---- block exit: the body's value has arrived --------------------
+        s = frame.done[0].ps
+        if t is AsPar:
+            trace = merged
+            if party is None:
+                if not can_seal(s, v):
+                    return Stuck("par-return",
+                                 f"result not sealable for {s}: {v!r}")
+                trace = frame.trace + (TScope(s, c.trace),)
+            return Config(frame.mode, rest, frame.env, trace, Sealed(s, v))
+
+        if party is not None:
+            return Stuck("sec-return", "local machine inside a joint block")
+        if c.trace:
+            return Stuck("sec-return", "joint block produced scoped output")
+        return Config(frame.mode, rest, frame.env,
+                      frame.trace + (TMsg(v),), v)
+
+    out = apply_rule(e, frame.done + (v,), frame.mode, party)
+    if type(out) is Stuck:
+        return out
+    return Config(frame.mode, rest, frame.env, merged, out)
 
 
 def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
            party: Optional[str]) -> StepOut:
     """Enter the as_par or as_sec block of ``frame`` on its thunk ``v``."""
-    is_par = type(frame.ctx.e) is AsPar
+    is_par = type(frame.e) is AsPar
     if type(v) is not Clos:
         return Stuck("par-enter" if is_par else "sec-enter",
                      f"not a function: {v!r}")
-    s = frame.ctx.done[0].ps
+    s = frame.done[0].ps
     m = frame.mode
     if is_par:
         if party is None:
@@ -325,7 +325,7 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             return Config(m, rest, frame.env, merged, Sealed(s, OPAQUE))
         else:
             m2 = m
-        nf = Frame(m, frame.env, AsParBody(s), merged)
+        nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
         return Config(m2, rest + (nf,), v.bind(UNIT), (), v.body)
 
     if party is None:
@@ -333,7 +333,7 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             return Stuck("sec-enter",
                          f"joint block over {s} requires exactly those "
                          f"parties, mode is {m.tag} {m.ps}")
-        nf = Frame(m, frame.env, AsSecBody(s), merged)
+        nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
         return Config(Mode(SEC, s), rest + (nf,), v.bind(UNIT), (), v.body)
     if party not in s:
         return Stuck("sec-enter", f"{party} outside joint set {s}")

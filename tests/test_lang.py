@@ -4,13 +4,13 @@ import pytest
 
 from wysx.lang import (
     Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
-    FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, Opaque,
-    Operands, PAR, PrinSet, PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
-    UNIT, UnboundVariable, Var, VMap, can_seal, combine_envs, combine_many,
+    FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, PAR, PrinSet,
+    PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
+    UnboundVariable, Var, VMap, can_seal, combine_envs, combine_many,
     combine_values, contains_bare_opaque, flatten_trace, free_vars,
-    slice_config, slice_env, slice_trace, slice_value,
+    slice_config, slice_trace, slice_value,
 )
-from wysx.lang import App, Const, Ffi, If, Lam, Let, Fix, Reveal, Seal
+from wysx.lang import App, AsPar, Const, Ffi, If, Lam, Let, Fix
 
 from _proggen import gen_value, UNIVERSE
 
@@ -131,20 +131,31 @@ def test_slice_config_requires_matching_par_mode():
 
 
 def test_slice_config_projects_stack():
-    # (pair s t) suspended after its first operand, a value sealed for a
+    # (as_par (prins a) (lam _ (pair s t))) running its body, and the body
+    # suspended after the pair's first operand, a value sealed for a
     e = Ffi("pair", (Var("s"), Var("t")))
+    body = AsPar(Const(PrinsVal(A)), Lam("_", e))
+    thunk = Clos(Env({"x": Sealed(A, FfiInt(7))}), "_", e)
+    outer = Frame(Mode(PAR, AB), Env(), (), body, (PrinsVal(A), thunk), ())
     frame = Frame(Mode(PAR, AB), Env({"x": Sealed(A, FfiInt(7))}),
-                  Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),)),
-                  (TMsg(FfiInt(1)),))
-    c = Config(Mode(PAR, AB), (frame,), Env(), (), Const(UNIT))
+                  (TMsg(FfiInt(1)),), e, (Sealed(A, FfiInt(7)),),
+                  (Var("t"),))
+    c = Config(Mode(PAR, AB), (outer, frame), Env(), (), Const(UNIT))
     par = slice_config(AB, c)
-    fa = par["a"].stack[0]
-    fb = par["b"].stack[0]
+    oa, fa = par["a"].stack
+    ob, fb = par["b"].stack
     assert fa.env.get("x") == Sealed(A, FfiInt(7))
     assert fb.env.get("x") == Sealed(A, OPAQUE)
-    assert fa.ctx == Operands(e, (Sealed(A, FfiInt(7)),), (Var("t"),))
-    assert fb.ctx == Operands(e, (Sealed(A, OPAQUE),), (Var("t"),))
+    assert (fa.e, fa.pending) == (fb.e, fb.pending) == (e, (Var("t"),))
+    assert fa.done == (Sealed(A, FfiInt(7)),)
+    assert fb.done == (Sealed(A, OPAQUE),)
     assert fa.mode == Mode(PAR, A) and fb.mode == Mode(PAR, B)
+    # each party's copy of the body frame keeps the node and the set, and
+    # its thunk's environment is that party's slice
+    for of in (oa, ob):
+        assert (of.e, of.pending, of.done[0]) == (body, (), PrinsVal(A))
+    assert oa.done[1] == thunk
+    assert ob.done[1] == Clos(Env({"x": Sealed(A, OPAQUE)}), "_", e)
 
 
 # combining
