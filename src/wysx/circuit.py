@@ -706,15 +706,19 @@ class Compiler:
 
     def add_outputs(self, v: Value, recipients: frozenset) -> None:
         """Register every output wire of the result ``v`` with the block
-        members who may read it."""
+        members who may read it. A wire no member may read is not
+        registered, but the walk goes on, so an unsupported result still
+        raises."""
         t = type(v)
         if t in _PUBLIC_SCALARS:
             return
         if t is CInt:
-            for w in v.wires:
-                self.outputs.append((w, recipients))
+            if recipients:
+                for w in v.wires:
+                    self.outputs.append((w, recipients))
         elif t is CBit:
-            self.outputs.append((v.wire, recipients))
+            if recipients:
+                self.outputs.append((v.wire, recipients))
         elif t is FfiPair or t is FfiList:
             for w in children(v):
                 self.add_outputs(w, recipients)
@@ -729,8 +733,9 @@ class Compiler:
                 if type(w) is CInt:
                     self.add_outputs(w, recipients & {p})
         elif t is CMaskedList:
-            for w in v.present:
-                self.outputs.append((w, recipients))
+            if recipients:
+                for w in v.present:
+                    self.outputs.append((w, recipients))
             for i in v.items:
                 self.add_outputs(i, recipients)
         else:

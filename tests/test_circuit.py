@@ -385,6 +385,7 @@ SHAPES = {
     "list": "(list (reveal xa) (reveal xb) 1)",
     "map": "(concat (mkmap (prins a) (reveal xb)) (mkmap (prins b) 4))",
     "seal to one party": "(seal (prins a) (reveal xb))",
+    "map sealed for another party": "(seal (prins a) (mkmap (prins b) (reveal xa)))",
     "minted handle": "(ffi mk_sh (reveal xa))",
     "handle echo": "h",
     "handle minted and recombined": "(ffi comb_sh (ffi mk_sh (reveal xa)))",
@@ -452,16 +453,18 @@ def compiled_blocks():
 
 def test_each_party_is_sent_exactly_the_wires_its_view_reads():
     # add_outputs and decode_output walk the same result; the wires a party
-    # is sent must be the ones its slice of the result reads, no more
+    # is sent must be the ones its slice of the result reads, no more, and
+    # no wire is registered that no party is sent
     n = 0
     for name, circ in compiled_blocks():
+        assert all(to for _, to in circ.outputs), name
         for p in circ.parties:
             reads = _WireReads()
             decode_output(circ.decode, p, reads)
             sent = {w for w, to in circ.outputs if p in to}
             assert sent == reads.keys(), (name, p)
         n += 1
-    assert n == 274
+    assert n == 275
 
 
 SWEEP_ARGS = ("2", "(reveal xa)", "(ffi gt (reveal xb) 3)", "(reveal la)",
