@@ -45,8 +45,9 @@ class Runtime:
     """Per-run services: the share mint and the shared word width."""
 
     def __init__(self, seed: int = 0, width: int = 32):
-        if width < 1:
-            raise ValueError(f"width must be at least 1, got {width}")
+        # ShareMint draws 64-bit masks, and a JSON share word has 1-64 bits
+        if not 1 <= width <= 64:
+            raise ValueError(f"width must be from 1 to 64, got {width}")
         self.seed = seed
         self.width = width
         self.mint = ShareMint(seed)

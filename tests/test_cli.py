@@ -276,14 +276,27 @@ def test_deep_runtime_value_is_a_one_line_error(tmp_path, capsys, mode,
 @pytest.mark.parametrize("mode", [["--mode", "st"],
                                   ["--mode", "ds", "--backend", "gmw"]],
                          ids=["st", "gmw"])
-@pytest.mark.parametrize("width", [0, -1])
-def test_width_below_one_is_a_one_line_error(tmp_path, capsys, mode, width):
+@pytest.mark.parametrize("width", [0, -1, 65, 100])
+def test_width_outside_1_to_64_is_a_one_line_error(tmp_path, capsys, mode,
+                                                   width):
     prog = tmp_path / "gt.wyx"
     prog.write_text("(as_sec (prins a b) (lam _ (ffi gt 2 1)))")
     assert main(["run", str(prog), "--prins", "a,b", "--width", str(width),
                  *mode]) == 1
     assert capsys.readouterr().err == \
-        f"error: width must be at least 1, got {width}\n"
+        f"error: width must be from 1 to 64, got {width}\n"
+
+
+@pytest.mark.parametrize("cmd", [["run", "--mode", "ds"], ["check", "sim"],
+                                 ["check", "confluence"]],
+                         ids=["run-ds", "check-sim", "check-confluence"])
+def test_prins_naming_nobody_is_a_one_line_error(tmp_path, capsys, cmd):
+    prog = tmp_path / "one.wyx"
+    prog.write_text("(ffi add 1 2)")
+    assert main([*cmd, str(prog), "--prins", ","]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: no principals: pass --inputs "
+                              "P=FILE... or --prins a,b\n")
 
 
 @pytest.mark.parametrize("mode,unit", [("st", "steps"), ("ds", "ticks")])
