@@ -75,13 +75,12 @@ def _gather_env(args) -> tuple[Env, PrinSet]:
             raise CliError(f"bad --inputs entry {item!r}, expected P=FILE")
         parties.append(party)
         files.append((path, load_env_file(path)))
+    names = parties
     if args.prins:
         names = [p.strip() for p in args.prins.split(",") if p.strip()]
-        ps = PrinSet.of(*names)
-    elif parties:
-        ps = PrinSet.of(*parties)
-    else:
+    if not names:
         raise CliError("no principals: pass --inputs P=FILE... or --prins a,b")
+    ps = PrinSet.of(*names)
     try:
         env = combine_envs([env for _, env in files]) if files else Env()
     except (CombineConflict, DomainMismatch) as ex:
