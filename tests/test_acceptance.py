@@ -16,7 +16,7 @@ from wysx.lang import (
     slice_value,
 )
 from wysx.sexp import parse
-from wysx.st import Runtime, run as st_run
+from wysx.st import Runtime
 from wysx.shares import ShareMint
 from wysx.circuit import (
     Builder, CBit, Circuit, InputDecl, bind_inputs, compile_sec_thunk,

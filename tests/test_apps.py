@@ -4,11 +4,11 @@ import itertools
 
 import pytest
 
-from wysx.lang import Bool, FfiInt, FfiList, PrinSet, TMsg, TScope
+from wysx.lang import Bool, FfiInt, PrinSet, TMsg, TScope
 from wysx import apps
 from wysx.apps import (
     DeckExhausted, check_cards, check_median_security, check_psi_security,
-    corpus, deal_card, distinct_lists, fresh_env, fresh_oracle, full_deal,
+    corpus, deal_card, distinct_lists, fresh_oracle, full_deal,
     median_env, median_of, median_pre, median_trace, mk_handles, opt_trace,
     psi_comparison_count, psi_env, psi_opt_sides, psi_pair_env,
     psi_reconstruct, psi_sides, public_msgs, run_app, run_check_fresh,

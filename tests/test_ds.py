@@ -9,8 +9,8 @@ import pytest
 
 from wysx import apps, ds
 from wysx.lang import (
-    Env, FfiInt, OPAQUE, PrinSet, Sealed, ShareVal, TMsg, TScope, VMap,
-    slice_trace, slice_value,
+    Env, FfiInt, OPAQUE, PrinSet, Sealed, ShareVal, TMsg, VMap, slice_trace,
+    slice_value,
 )
 from wysx.sexp import parse
 from wysx.st import Runtime, machine_step, run as st_run

@@ -1,6 +1,6 @@
-"""Every module of the package uses every name it imports, and every name
-it defines at top level is used somewhere in the sources, tests or
-benchmark."""
+"""Every module of the package, the tests, the tools and the benchmark uses
+every name it imports, and every name the package defines at top level is
+used somewhere in the sources, tests or benchmark."""
 
 import ast
 from pathlib import Path
@@ -26,8 +26,12 @@ def unused_imports(source: str) -> list[str]:
                   for name, line in imported.items() if name not in used)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(SRC.glob("*.py")),
+             *(p for d in ("tests", "tools", "bench")
+               for p in sorted((ROOT / d).rglob("*.py")))],
+    ids=lambda p: (p.name if p.parent == SRC
+                   else p.relative_to(ROOT).as_posix()))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

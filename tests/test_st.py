@@ -6,7 +6,7 @@ from _proggen import base_env, gen_program
 from wysx import apps
 from wysx.lang import (
     AsPar, AsSec, Bool, Const, Env, FfiInt, FfiList, FfiPair, Lam, OPAQUE,
-    PrinSet, PrinsVal, Sealed, ShareVal, TMsg, TScope, UNIT, VMap,
+    PrinSet, PrinsVal, Sealed, ShareVal, TMsg, TScope, VMap,
 )
 from wysx.sexp import parse
 from wysx.st import DEFAULT_FUEL, Runtime, run
