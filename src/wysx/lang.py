@@ -730,4 +730,3 @@ def contains_bare_opaque(v: Value) -> bool:
                            and contains_bare_opaque(w)):
             return True
     return False
-

@@ -7,12 +7,13 @@ restore them exactly.
 
 A compound expression pushes one ``Frame`` that holds the node, the values
 of its operands so far and the operands still to run, and runs its operands
-in ``lang.OPERANDS`` order. A block body runs above its own node's frame. Plugging a value checks the first operand
+in ``lang.OPERANDS`` order. Plugging a value checks the first operand
 (``check_first_operand``), moves on to the next one, and once all are in
-applies the rule for the node. The value rules of ``seal``, ``reveal``,
-``mkmap``, ``project`` and ``concat`` live in ``apply_rule``, which the
-gate compiler calls as well, so joint blocks follow one copy of them on
-every backend.
+applies the rule for the node; a block body then runs above its own
+``as_par``/``as_sec`` node's frame, which holds the set and the thunk.
+The value rules of ``seal``, ``reveal``, ``mkmap``, ``project`` and
+``concat`` live in ``apply_rule``, which the gate compiler calls as well,
+so joint blocks follow one copy of them on every backend.
 
 ``run`` is the joint machine's loop. It makes ``machine_step``'s value test
 and the terminal test in one place and calls ``_descend`` or ``_plug``
