@@ -3,8 +3,9 @@
 A joint block's thunk is evaluated symbolically over the interpreters' own
 values: public data stays a plain ``lang`` value, private data becomes a
 wire node, and pairs, lists, maps and seals hold either. The result is a
-flat list of gates, each a tuple (CONST/XOR/AND/NOT, out, a, b) filed under
-its AND layer as the builder emits it; input declarations saying which
+list of AND layers, each two flat lists of gates ``[op, out, a, b, op, out,
+a, b, ...]`` (op CONST/XOR/AND/NOT) filled as the builder emits them, so no
+gate is an object of its own; input declarations saying which
 party feeds which wires from where in its local environment; and the
 block's result value. That value is also the decode tree: each party's
 view of the block result is its slice (``lang.slice_value``, as on the
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from . import ffi as ffi_mod
 from .lang import (
@@ -69,8 +70,8 @@ class MissingInput(CircuitError):
 
 CONST, XOR, AND, NOT = "CONST", "XOR", "AND", "NOT"
 
-# A gate is a plain tuple (op, out, a, b). CONST keeps its bit in a; CONST
-# and NOT have b = -1.
+# A gate is four items (op, out, a, b) of its layer's flat list. CONST keeps
+# its bit in a; CONST and NOT have b = -1.
 
 
 Path = tuple  # steps: ("var", x) ("unseal",) ("fst",) ("snd",) ("idx", i)
@@ -85,17 +86,32 @@ class InputDecl:
     is_bool: bool
 
 
+def gate_tuples(self) -> list[tuple]:
+    """The ``(op, out, a, b)`` gates of ``self.layers`` in builder order:
+    every gate's output is the next fresh wire, so that is the order of
+    output wires. Built on each call, for dumps, tests and counts."""
+    gates = []
+    for local, ands in self.layers:
+        for flat in (local, ands):
+            it = iter(flat)
+            gates += zip(it, it, it, it)
+    gates.sort(key=itemgetter(1))
+    return gates
+
+
 class Builder:
     """Wire allocator with light constant folding.
 
     Every gate is filed under its AND layer as it is emitted. The builder
     knows each wire's AND-depth, and ``layers[r]`` holds the local gates of
-    depth r and the AND gates of depth r + 1, each in builder order; the
-    last layer has no AND gates. Builder order is a topological order, so
-    an operand's depth is always known when a gate reads it."""
+    depth r and the AND gates of depth r + 1, each a flat list of four
+    items per gate in builder order; the last layer has no AND gates.
+    Builder order is a topological order, so an operand's depth is always
+    known when a gate reads it."""
+
+    gates = property(gate_tuples)
 
     def __init__(self):
-        self.gates: list[tuple] = []
         self.n = 0
         self.depth: list[int] = []  # AND-depth of each wire
         self.layers: list[tuple[list, list]] = [([], [])]
@@ -119,9 +135,7 @@ class Builder:
         w = self.n
         self.n = w + 1
         self.depth.append(0)
-        g = (CONST, w, bit, -1)
-        self.gates.append(g)
-        self.layers[0][0].append(g)
+        self.layers[0][0].extend((CONST, w, bit, -1))
         self.known[w] = bit
         self._const_wire[bit] = w
         return w
@@ -148,9 +162,7 @@ class Builder:
         if depth[b] > d:
             d = depth[b]
         depth.append(d)
-        g = (XOR, w, a, b)
-        self.gates.append(g)
-        self.layers[d][0].append(g)
+        self.layers[d][0].extend((XOR, w, a, b))
         return w
 
     def and_(self, a: int, b: int) -> int:
@@ -169,10 +181,8 @@ class Builder:
         if depth[b] > d:
             d = depth[b]
         depth.append(d + 1)
-        g = (AND, w, a, b)
-        self.gates.append(g)
         layers = self.layers
-        layers[d][1].append(g)
+        layers[d][1].extend((AND, w, a, b))
         if d + 1 == len(layers):
             layers.append(([], []))
         return w
@@ -185,9 +195,7 @@ class Builder:
         self.n = w + 1
         d = self.depth[a]
         self.depth.append(d)
-        g = (NOT, w, a, -1)
-        self.gates.append(g)
-        self.layers[d][0].append(g)
+        self.layers[d][0].extend((NOT, w, a, -1))
         return w
 
     def or_(self, a: int, b: int) -> int:
@@ -206,23 +214,16 @@ class Builder:
         if (not keys.isdisjoint(xs) or not keys.isdisjoint(ys)
                 or any(map(eq, xs, ys))):
             return [self.not_(self.xor(x, y)) for x, y in zip(xs, ys)]
-        gates, depth, layers = self.gates, self.depth, self.layers
+        depth, layers = self.depth, self.layers
         w = self.n
         out = []
         for x, y in zip(xs, ys):
             d = depth[x]
             if depth[y] > d:
                 d = depth[y]
-            depth.append(d)
-            depth.append(d)
+            depth += (d, d)
             v = w + 1
-            g = (XOR, w, x, y)
-            h = (NOT, v, w, -1)
-            gates.append(g)
-            gates.append(h)
-            local = layers[d][0]
-            local.append(g)
-            local.append(h)
+            layers[d][0].extend((XOR, w, x, y, NOT, v, w, -1))
             out.append(v)
             w = v + 1
         self.n = w
@@ -243,7 +244,7 @@ class Builder:
                 bits = nxt
             return bits[0]
         # fresh outputs are distinct and unknown, so no level can fold
-        gates, depth, layers = self.gates, self.depth, self.layers
+        depth, layers = self.depth, self.layers
         w = self.n
         while len(bits) > 1:
             nxt = []
@@ -253,9 +254,7 @@ class Builder:
                 if depth[y] > d:
                     d = depth[y]
                 depth.append(d + 1)
-                g = (AND, w, x, y)
-                gates.append(g)
-                layers[d][1].append(g)
+                layers[d][1].extend((AND, w, x, y))
                 if d + 1 == len(layers):
                     layers.append(([], []))
                 nxt.append(w)
@@ -363,19 +362,19 @@ def is_public(v: Value) -> bool:
 class Circuit:
     parties: PrinSet
     width: int
-    gates: list[tuple]  # (op, out, a, b), in builder order
     n_wires: int
     # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
-    # each in builder order, as ``Builder`` files them
+    # each flat and in builder order, as ``Builder`` files them
     layers: list[tuple[list, list]] = field(repr=False)
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
     decode: Value  # the block's result, wire nodes included
     and_count: int = field(init=False)
     and_depth: int = field(init=False)
+    gates = property(gate_tuples)
 
     def __post_init__(self):
-        self.and_count = sum(len(ands) for _, ands in self.layers)
+        self.and_count = sum(len(ands) for _, ands in self.layers) // 4
         self.and_depth = len(self.layers) - 1
 
 
@@ -752,8 +751,8 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
     result = comp.ceval(cenv, body)
     comp.add_outputs(result, vis)
     b = comp.b
-    return Circuit(parties, width, b.gates, b.n, b.layers, comp.inputs,
-                   comp.outputs, result)
+    return Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
+                   result)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,8 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
         # share-local gates, 8 parties per plane; party 0 holds the constants
         for t, s in enumerate(planes):
             one = 0 if t else 1
-            for op, o, a, b in local:
+            it = iter(local)
+            for op, o, a, b in zip(it, it, it, it):
                 if op == XOR:
                     s[o] = s[a] ^ s[b]
                 elif op == NOT:
@@ -180,9 +181,9 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
             continue
         # each party blinds its operand shares with triple shares and opens
         # both words as one 2m-bit message: d in the low m bits, e above
-        m = len(ands)
-        both = _split((bytes([s[g[2]] for g in ands] + [s[g[3]] for g in ands])
-                       for s in planes), k)
+        m = len(ands) // 4
+        ops = ands[2::4] + ands[3::4]  # every gate's a, then every gate's b
+        both = _split((bytes(map(s.__getitem__, ops)) for s in planes), k)
         triples = make_triples(m, parties, dealer_rng)
         for i, p in enumerate(parties):
             ta, tb, _ = triples[p]
@@ -198,7 +199,7 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
             ta, tb, tc = triples[p]
             # party 0 alone adds the public product d AND e
             zs.append(tc ^ (d & tb) ^ (e & ta) ^ (d & e if i == 0 else 0))
-        _merge(planes, [g[1] for g in ands], zs)
+        _merge(planes, ands[1::4], zs)
         and_rounds += 1
         triples_used += m
 

@@ -293,7 +293,7 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
         x = b.input_wire()
         y = b.input_wire()
         z = b.and_(x, y)
-        circ = Circuit(AB, 1, b.gates, b.n, b.layers,
+        circ = Circuit(AB, 1, b.n, b.layers,
                        [InputDecl("a", (("var", "x"),), (x,), True),
                         InputDecl("b", (("var", "y"),), (y,), True)],
                        [(z, frozenset({"a", "b"}))], CBit(z))

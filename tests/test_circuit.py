@@ -1,11 +1,12 @@
 """Boolean circuits: wire algebra, thunk compilation, clear evaluation."""
 
+import gc
 import hashlib
 import itertools
 
 import pytest
 
-from wysx import apps, ffi, st
+from wysx import apps, ds, ffi, st
 from wysx.ds import ds_run
 from wysx.lang import (
     Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal, slice_env,
@@ -252,6 +253,38 @@ def test_word_emitters_match_the_scalar_calls_gate_for_gate():
         assert (fast.n, fast.gates, fast.depth, fast.layers) == \
             (slow.n, slow.gates, slow.depth, slow.layers), args
     assert len(fast.layers) == 6
+
+
+def tracked_tuples() -> int:
+    return sum(type(o) is tuple for o in gc.get_objects())
+
+
+def test_a_compile_keeps_no_tuple_per_gate(monkeypatch):
+    # a gate is four items of a flat layer list, not a tuple that the cyclic
+    # garbage collector must track; with the collector off, nothing the
+    # compile makes is untracked or freed behind the count's back
+    seen = []
+
+    def counted(*args):
+        before = tracked_tuples()
+        circ = compile_sec_thunk(*args)
+        seen.append((tracked_tuples() - before, len(circ.gates)))
+        return circ
+
+    monkeypatch.setattr(ds, "compile_sec_thunk", counted)
+    cell = next(c for c in apps.corpus() if c.name == "psi/overlap")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = ds_run(apps.load_program(cell.program), cell.env, cell.ps,
+                     backend="gmw")
+    finally:
+        if enabled:
+            gc.enable()
+    assert res.status == "done"
+    [(rise, gates)] = seen
+    assert gates == 970
+    assert rise < gates / 4, rise
 
 
 # thunk compilation

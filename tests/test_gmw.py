@@ -47,7 +47,7 @@ def single_and_circuit():
     x = b.input_wire()
     y = b.input_wire()
     z = b.and_(x, y)
-    circ = Circuit(AB, 1, b.gates, b.n, b.layers,
+    circ = Circuit(AB, 1, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True)],
                    [(z, frozenset({"a", "b"}))], CBit(z))
@@ -145,7 +145,7 @@ def and_chain_circuit():
     y = b.input_wire()
     z = b.input_wire()
     w = b.and_(b.and_(x, y), z)
-    circ = Circuit(ABC, 1, b.gates, b.n, b.layers,
+    circ = Circuit(ABC, 1, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), (x,), True),
                     InputDecl("b", (("var", "y"),), (y,), True),
                     InputDecl("c", (("var", "z"),), (z,), True)],
@@ -190,27 +190,28 @@ def random_circuit(rng, parties, n_inputs, n_gates):
     for w in rng.sample(range(b.n), min(b.n, 6)):
         k = rng.randint(1, len(parties))
         outputs.append((w, frozenset(rng.sample(parties, k))))
-    return Circuit(PrinSet.of(*parties), 1, b.gates, b.n, b.layers, decls,
-                   outputs, CBit(outputs[0][0])), decls
+    return Circuit(PrinSet.of(*parties), 1, b.n, b.layers, decls, outputs,
+                   CBit(outputs[0][0])), decls
 
 
 def checked_depths(circ):
     """AND-depth per gate output, computed here from the gate list, after
     checking that the circuit's layers partition its gates by that depth
-    in builder order."""
+    in builder order, and that builder order reads every operand before
+    the gate that uses it."""
     depth = {}
     for op, o, a, b in circ.gates:
-        ins = () if op == CONST else [depth.get(w, 0) for w in (a, b)
-                                      if w >= 0]
-        depth[o] = max(ins, default=0) + (op == AND)
+        ins = () if op == CONST else [w for w in (a, b) if w >= 0]
+        assert all(w < o for w in ins)
+        depth[o] = max((depth.get(w, 0) for w in ins), default=0) + (op == AND)
     assert circ.and_count == sum(g[0] == AND for g in circ.gates)
     assert circ.and_depth == max(depth.values(), default=0)
     assert len(circ.layers) == circ.and_depth + 1
     for r, (local, ands) in enumerate(circ.layers):
-        assert local == [g for g in circ.gates
-                         if g[0] != AND and depth[g[1]] == r]
-        assert ands == [g for g in circ.gates
-                        if g[0] == AND and depth[g[1]] == r + 1]
+        assert local == [x for g in circ.gates
+                         if g[0] != AND and depth[g[1]] == r for x in g]
+        assert ands == [x for g in circ.gates
+                        if g[0] == AND and depth[g[1]] == r + 1 for x in g]
     return depth
 
 
@@ -388,11 +389,11 @@ def two_layer_circuit(width=4):
     ys = [b.input_wire() for _ in range(width)]
     zs = [b.and_(x, y) for x, y in zip(xs, ys)]
     us = [b.and_(zs[i], zs[(i + 1) % width]) for i in range(width)]
-    circ = Circuit(AB, width, b.gates, b.n, b.layers,
+    circ = Circuit(AB, width, b.n, b.layers,
                    [InputDecl("a", (("var", "x"),), tuple(xs), False),
                     InputDecl("b", (("var", "y"),), tuple(ys), False)],
                    [(u, frozenset({"a", "b"})) for u in us], CBit(us[0]))
-    assert [len(ands) for _, ands in circ.layers] == [width, width, 0]
+    assert [len(ands) // 4 for _, ands in circ.layers] == [width, width, 0]
     return circ, xs, ys
 
 
