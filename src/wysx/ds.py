@@ -89,10 +89,16 @@ class SeededRandom:
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._rng = random.Random(f"sched|{seed}")
+        self._bits = random.Random(f"sched|{seed}").getrandbits
 
     def pick(self, moves):
-        return self._rng.choice(moves)
+        # ``random.Random.choice``'s own draw, inline: the same picks
+        n = len(moves)
+        k = n.bit_length()
+        r = self._bits(k)
+        while r >= n:
+            r = self._bits(k)
+        return moves[r]
 
 
 def parse_sched(text: str):

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import random
 import sys
 
 import pytest
@@ -182,6 +183,17 @@ def test_sched_parsing():
     assert isinstance(s, SeededRandom)
     with pytest.raises(ValueError):
         parse_sched("alphabetical")
+
+
+def test_seeded_picks_are_the_picks_of_random_choice():
+    # ``pick`` inlines the draw of ``random.Random.choice``, on which every
+    # schedule pin rests
+    for seed in (0, 1, 7):
+        sched, ref = SeededRandom(seed), random.Random(f"sched|{seed}")
+        for n in range(1, 41):
+            moves = tuple(range(n))
+            for _ in range(300):
+                assert sched.pick(moves) == ref.choice(moves)
 
 
 def test_check_simulation_passes_on_good_program():
