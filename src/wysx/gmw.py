@@ -146,12 +146,19 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
     for i, p in enumerate(parties):
         mine = party_inputs.get(p, {})
         wires = in_wires[p]
-        missing = [w for w in wires if w not in mine]
-        if missing:
-            raise ProtocolError(f"{p} has no bits for wires {missing}")
+        try:
+            bits = bytes(map(mine.__getitem__, reversed(wires)))
+            if bits.translate(None, b"\0\1"):
+                raise ValueError
+        except KeyError:
+            missing = [w for w in wires if w not in mine]
+            raise ProtocolError(
+                f"{p} has no bits for wires {missing}") from None
+        except (TypeError, ValueError):
+            raise ProtocolError(
+                f"{p} gives an input that is not a bit") from None
         srng = random.Random(f"wrap|{dealer_seed}|{p}")
         n = len(wires)
-        bits = bytes(mine[w] & 1 for w in reversed(wires))
         own = int(bits.translate(_BIT[0]) or b"0", 2)  # wires[0] lowest
         for ch in to[i]:
             piece = srng.getrandbits(n)

@@ -318,6 +318,18 @@ def test_malformed_message_raises_protocol_error(monkeypatch):
         gmw_eval(circ, {"a": {x: 1}, "b": {y: 1}}, 0)
 
 
+def test_an_input_that_is_not_a_bit_is_refused():
+    # a 2 was read as its low bit, 0, and the run went on
+    circ, x, y, z = single_and_circuit()
+    for bad in (2, 3, -1, 256, None):
+        with pytest.raises(ProtocolError,
+                           match="^b gives an input that is not a bit$"):
+            gmw_eval(circ, {"a": {x: 1}, "b": {y: bad}}, 0)
+    with pytest.raises(ProtocolError,
+                       match=r"^a has no bits for wires \[0\]$"):
+        gmw_eval(circ, {"a": {}, "b": {y: 1}}, 0)
+
+
 def open_view_distance(circ, input_wires, monkeypatch, seeds=2000):
     """Largest total-variation distance between two distributions over
     dealer seeds of one ``open`` message a party receives (per layer and
