@@ -261,8 +261,8 @@ def tracked_tuples() -> int:
 
 def test_a_compile_keeps_no_tuple_per_gate(monkeypatch):
     # a gate is four items of a flat layer list, not a tuple that the cyclic
-    # garbage collector must track; with the collector off, nothing the
-    # compile makes is untracked or freed behind the count's back
+    # garbage collector must track; the collector is off so that no
+    # collection untracks a tuple between the two counts
     seen = []
 
     def counted(*args):
