@@ -13,7 +13,6 @@ harness code; programs have no way to call it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import permutations
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 
 from .lang import (
     Bool, Env, Expr, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal,
-    TMsg, TScope, Trace, Value, VMap, WysError,
+    TMsg, TScope, Trace, Value, VMap, WysError, record,
 )
 from .sexp import parse
 from .shares import ShareMint, decode_word
@@ -227,7 +226,7 @@ def public_msgs(trace: Trace) -> list[Value]:
     return [ev.v for ev in trace if type(ev) is TMsg]
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class Verdict:
     ok: bool
     checked: int
@@ -441,7 +440,7 @@ def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> Verdict:
 # the program corpus driven by the metatheory checks
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class CorpusCell:
     name: str
     program: str

@@ -37,7 +37,6 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import eq, itemgetter
 
@@ -47,7 +46,7 @@ from .lang import (
     Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, If, Lam, Let, MkMap,
     Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
     ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, children,
-    free_vars, slice_value, with_children,
+    free_vars, record, slice_value, with_children,
 )
 from .shares import ShareMint, decode_word, encode_word
 from .st import Stuck, apply_rule, check_first_operand
@@ -78,7 +77,7 @@ Path = tuple  # steps: ("var", x) ("unseal",) ("fst",) ("snd",) ("idx", i)
 #               ("entry", p) ("word",) ("cenv", x)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InputDecl:
     party: str
     path: Path
@@ -320,7 +319,7 @@ def mux_wires(b: Builder, c: int, ts, fs):
 # ``decode_output`` takes a party's slice of it, as the ideal backend does,
 # and reads the wire nodes left back from output wires.
 
-@dataclass(frozen=True, slots=True)
+@record
 class CInt(Value):
     wires: tuple[int, ...]
 
@@ -328,7 +327,7 @@ class CInt(Value):
         return f"CInt({len(self.wires)} wires)"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CBit(Value):
     wire: int
 
@@ -336,7 +335,7 @@ class CBit(Value):
         return f"CBit(wire {self.wire})"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CMaskedList(Value):
     """List of private length: presence bits plus presence-masked items."""
 
@@ -358,24 +357,25 @@ def is_public(v: Value) -> bool:
     return False
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class Circuit:
     parties: PrinSet
     width: int
     n_wires: int
     # layers[r]: (local gates at AND-depth r, AND gates at depth r + 1),
     # each flat and in builder order, as ``Builder`` files them
-    layers: list[tuple[list, list]] = field(repr=False)
+    layers: list[tuple[list, list]]
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
     decode: Value  # the block's result, wire nodes included
-    and_count: int = field(init=False)
-    and_depth: int = field(init=False)
     gates = property(gate_tuples)
+    # the repr shows the two counts in place of the gates
+    _shown = ("parties", "width", "n_wires", "inputs", "outputs", "decode",
+              "and_count", "and_depth")
 
     def __post_init__(self):
-        self.and_count = sum(len(ands) for _, ands in self.layers) // 4
-        self.and_depth = len(self.layers) - 1
+        self.and_count: int = sum(len(ands) for _, ands in self.layers) // 4
+        self.and_depth: int = len(self.layers) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .circuit import (
@@ -27,7 +26,8 @@ from .circuit import (
 from .gmw import gmw_eval
 from .lang import (
     AsSec, Clos, Config, Env, Expr, Mode, PAR, PrinSet, PrinsVal, SEC, TMsg,
-    Trace, UNIT, Value, combine_envs, slice_config, slice_env, slice_value,
+    Trace, UNIT, Value, combine_envs, record, slice_config, slice_env,
+    slice_value,
 )
 from .st import (
     DEFAULT_FUEL, NeedsSec, Runtime, Stuck, machine_step,
@@ -38,7 +38,7 @@ from .st import (
 # ---------------------------------------------------------------------------
 # joint block instances
 
-@dataclass
+@record(frozen=False, slots=False)
 class IdealSec:
     ps: PrinSet
     machine: Config
@@ -48,7 +48,7 @@ class IdealSec:
         return self.machine.code
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class GmwSec:
     ps: PrinSet
     circuit: Circuit
@@ -115,7 +115,7 @@ def parse_sched(text: str):
 # ---------------------------------------------------------------------------
 # the distributed run
 
-@dataclass
+@record(frozen=False, slots=False)
 class DsResult:
     status: str  # done | stuck | fuel
     parties: dict[str, tuple[Optional[Value], Trace]]
@@ -318,7 +318,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 # ---------------------------------------------------------------------------
 # metatheory checkers
 
-@dataclass
+@record(frozen=False, slots=False)
 class CheckReport:
     status: str  # pass | fail | vacuous | inconclusive
     detail: str = ""

@@ -15,12 +15,11 @@ runs their host bodies too, on values that hold wire nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .lang import (
     ArityError, Bool, FALSE, FfiInt, FfiList, FfiPair, FfiStr, FfiTypeError,
-    OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque,
+    OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque, record,
 )
 
 WORD_MASK = (1 << 64) - 1
@@ -62,7 +61,7 @@ def _pair(v: Value, who: str) -> FfiPair:
     return v
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class HostFn:
     name: str
     arity: Optional[int]  # None means variadic

@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from dataclasses import dataclass
 
 from .circuit import Circuit, NOT, XOR
-from .lang import WysError
+from .lang import WysError, record
 
 
 class ProtocolError(WysError):
@@ -64,7 +63,7 @@ class Channel:
         return word
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class GmwResult:
     outputs: dict[str, dict[int, int]]  # party -> wire -> bit
     rounds: int

@@ -13,7 +13,6 @@ families are the workhorses of the simulation and confluence checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import ClassVar, Optional, Union
 
@@ -63,12 +62,83 @@ class OpaqueArg(WysError):
 
 
 # ---------------------------------------------------------------------------
+# records
+
+def _record_repr(self) -> str:
+    args = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._shown)
+    return f"{type(self).__qualname__}({args})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def record(cls=None, *, frozen: bool = True, slots: bool = True):
+    """Class decorator for a record: its annotated names, less any
+    ``ClassVar``, are its fields, kept in order in ``_fields``.
+
+    The class gets an ``__init__`` taking the fields, with the class body's
+    values as trailing defaults, that ends by calling ``__post_init__`` if
+    the class has one; an ``__eq__`` on the exact class and the fields; and
+    a ``repr`` of the fields in ``_shown``, all of them unless the class
+    names its own. A frozen record hashes its fields and refuses
+    assignment; a mutable one has no hash. A slotted record keeps its
+    fields, and any names the class body lists in ``__slots__``, in slots.
+    """
+    if cls is None:
+        return partial(record, frozen=frozen, slots=slots)
+    ns = dict(cls.__dict__)
+    fields = tuple(k for k, t in ns.get("__annotations__", {}).items()
+                   if not t.startswith("ClassVar"))
+    defaults = {k: ns.pop(k) for k in fields if k in ns}
+    params = ", ".join(f"{k}=_d[{k!r}]" if k in defaults else k
+                       for k in fields)
+    put = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
+    init = [put.format(k) for k in fields]
+    if "__post_init__" in ns:
+        init.append("self.__post_init__()")
+    own = "".join(f"self.{k}," for k in fields)
+    their = "".join(f"other.{k}," for k in fields)
+    src = f"""
+def __init__(self, {params}):
+ {'; '.join(init) or 'pass'}
+def __eq__(self, other):
+ if other.__class__ is self.__class__:
+  return ({own}) == ({their})
+ return NotImplemented
+def __hash__(self):
+ return hash(({own}))
+"""
+    fns = {}
+    exec(src, {"_setattr": object.__setattr__, "_d": defaults}, fns)
+    for fn in fns.values():
+        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
+    if not frozen:
+        fns["__hash__"] = None
+    if slots:
+        extra = ns.pop("__slots__", ())
+        for k in (*extra, "__dict__", "__weakref__"):
+            ns.pop(k, None)
+        ns["__slots__"] = fields + extra
+        cls = type(cls)(cls.__name__, cls.__bases__, ns)
+    for k, v in fns.items():
+        setattr(cls, k, v)
+    if frozen:
+        cls.__setattr__ = cls.__delattr__ = _frozen
+    if "__repr__" not in ns:
+        cls.__repr__ = _record_repr
+    cls._fields = fields
+    cls._shown = ns.get("_shown", fields)
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # principals
 
 Principal = str  # short name token, compared case-sensitively
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PrinSet:
     """Non-empty-by-convention set of principals in canonical sorted order."""
 
@@ -110,48 +180,48 @@ class Value:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PrinVal(Value):
     name: Principal
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PrinsVal(Value):
     ps: PrinSet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Unit(Value):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bool(Value):
     b: bool
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FfiInt(Value):
     n: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FfiStr(Value):
     s: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FfiPair(Value):
     fst: Value
     snd: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FfiList(Value):
     items: tuple[Value, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sealed(Value):
     """A value addressed to the parties in ``ps``; others see a placeholder."""
 
@@ -159,7 +229,7 @@ class Sealed(Value):
     v: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VMap(Value):
     """Per-principal map, entries kept sorted by principal name."""
 
@@ -179,12 +249,12 @@ class VMap(Value):
         return tuple(q for q, _ in self.entries)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Opaque(Value):
     """Placeholder for data a party does not hold."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ShareVal(Value):
     """Secret-shared machine word.
 
@@ -224,101 +294,101 @@ class Expr:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Const(Expr):
     v: Value  # literal forms only: principal, set, unit, bool, int, string
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Var(Expr):
     x: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Let(Expr):
     x: str
     bound: Expr
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Lam(Expr):
+    __slots__ = ("fv",)  # free variables: set once, not compared or shown
     x: str
     body: Expr
-    fv: frozenset[str] = field(init=False, repr=False, compare=False)
     f: ClassVar[None] = None  # no self-name, unlike a ``Fix``
 
     def __post_init__(self):
         object.__setattr__(self, "fv", free_vars(self.body) - {self.x})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Fix(Expr):
+    __slots__ = ("fv",)  # as for ``Lam``
     f: str
     x: str
     body: Expr
-    fv: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "fv",
                            free_vars(self.body) - {self.f, self.x})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class App(Expr):
     fn: Expr
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class If(Expr):
     cond: Expr
     then: Expr
     els: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AsPar(Expr):
     ps: Expr
     fn: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AsSec(Expr):
     ps: Expr
     fn: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Seal(Expr):
     ps: Expr
     body: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Reveal(Expr):
     e: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MkMap(Expr):
     ps: Expr
     v: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Project(Expr):
     prin: Expr
     m: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Concat(Expr):
     m1: Expr
     m2: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Ffi(Expr):
     name: str
     args: tuple[Expr, ...]
@@ -411,7 +481,7 @@ class Env:
 # closures capture their environment trimmed to the lambda's free variables;
 # this keeps per-party closure views small and combinable
 
-@dataclass(frozen=True, slots=True)
+@record
 class Clos(Value):
     env: Env
     x: str
@@ -436,12 +506,12 @@ class TraceElt:
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TMsg(TraceElt):
     v: Value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TScope(TraceElt):
     ps: PrinSet
     t: tuple  # Trace
@@ -468,7 +538,7 @@ PAR = "par"
 SEC = "sec"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Mode:
     tag: str  # PAR or SEC
     ps: PrinSet
@@ -480,7 +550,7 @@ class Mode:
         return self.tag == SEC
 
 
-@dataclass(slots=True)
+@record(frozen=False)
 class Frame:
     """Suspension of the enclosing computation: the mode, environment and
     trace at suspension time, and the one-hole context of the node ``e``.
@@ -503,7 +573,7 @@ class Frame:
 Code = Union[Expr, Value]
 
 
-@dataclass(slots=True)
+@record(frozen=False)
 class Config:
     mode: Mode
     stack: tuple[Frame, ...]

@@ -17,13 +17,12 @@ same tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Optional
 
 from .lang import (
     App, AsPar, AsSec, Bool, Concat, Const, Expr, FALSE, Ffi, FfiInt, FfiStr,
     Fix, If, Lam, Let, MkMap, PrinSet, PrinVal, PrinsVal, Project, Reveal,
-    Seal, TRUE, UNIT, Unit, Value, Var, WysError,
+    Seal, TRUE, UNIT, Unit, Value, Var, WysError, record,
 )
 from .ffi import fits64
 
@@ -61,7 +60,7 @@ _DELIMS = set("(); \t\r\n\"")
 MAX_NESTING = 400
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class Tok:
     kind: str  # lparen rparen int str sym
     text: str
@@ -295,9 +294,9 @@ def parse(src: str) -> Expr:
 # ---------------------------------------------------------------------------
 # printing
 
-# node class -> (keyword, (field name, part kind) for each init field)
+# node class -> (keyword, (field name, part kind) for each field)
 _SPELLING = {
-    cls: (k, tuple(zip([f.name for f in fields(cls) if f.init], kinds)))
+    cls: (k, tuple(zip(cls._fields, kinds)))
     for k, (cls, kinds) in FORMS.items()
 }
 

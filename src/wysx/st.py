@@ -27,7 +27,6 @@ switches the handful of rules whose joint and local behaviour differ
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import ffi as ffi_mod
@@ -36,6 +35,7 @@ from .lang import (
     Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode, PAR, PrinSet,
     PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed, TMsg, TScope,
     Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError, can_seal,
+    record,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -54,13 +54,13 @@ class Runtime:
         self.mint = ShareMint(seed)
 
 
-@dataclass(slots=True)
+@record(frozen=False)
 class Stuck:
     rule: str
     reason: str
 
 
-@dataclass(slots=True)
+@record(frozen=False)
 class NeedsSec:
     """A local machine is waiting at a joint block it cannot run alone."""
 
@@ -353,7 +353,7 @@ def machine_step(c: Config, rt: Runtime, party: Optional[str] = None) -> StepOut
     return _descend(c, rt)
 
 
-@dataclass
+@record(frozen=False, slots=False)
 class RunResult:
     status: str  # done | stuck | fuel
     value: Optional[Value]

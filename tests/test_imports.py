@@ -1,8 +1,13 @@
 """Every module of the package, the tests, the tools and the benchmark uses
 every name it imports, and every name the package defines at top level is
-used somewhere in the sources, tests or benchmark."""
+used somewhere in the sources, tests or benchmark. The package imports
+only the standard library, and loading it skips the costly modules it has
+no need of."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +121,42 @@ def test_unused_definition_is_reported():
     user = "from lib import helper\nhelper()\n"
     # a recursive call or a use inside the class itself does not count
     assert unused_definitions({"lib": lib}, [user]) == ["lib.Old", "lib.fact"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return sorted(n for n in names
+                  if n.split(".")[0] not in sys.stdlib_module_names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_import_is_reported():
+    src = ("import os.path, numpy as np\n"
+           "from . import lang\n"
+           "from pytest import raises\n")
+    assert foreign_imports(src) == ["numpy", "pytest"]
+
+
+def test_loading_the_package_skips_dataclasses_and_inspect():
+    # records come from ``lang.record``; ``dataclasses``, and ``inspect``
+    # under it, would add their own import time to every process
+    code = ("import sys, wysx.cli, wysx.apps; "
+            "print(*(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.split() == []

@@ -1,7 +1,17 @@
 """Core data model: principal sets, values, environments, slicing, combining."""
 
+import importlib
+import pkgutil
+from types import SimpleNamespace
+
 import pytest
 
+import wysx
+from wysx.apps import CorpusCell, Verdict
+from wysx.circuit import CBit, CInt, CMaskedList, Circuit, InputDecl
+from wysx.ds import CheckReport, DsResult, GmwSec, IdealSec
+from wysx.ffi import HostFn
+from wysx.gmw import GmwResult
 from wysx.lang import (
     Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
     FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, PAR, PrinSet,
@@ -10,7 +20,12 @@ from wysx.lang import (
     combine_values, contains_bare_opaque, flatten_trace, free_vars,
     slice_config, slice_trace, slice_value,
 )
-from wysx.lang import App, AsPar, Const, Ffi, If, Lam, Let, Fix
+from wysx.lang import (
+    App, AsPar, AsSec, Concat, Const, Ffi, Fix, If, Lam, Let, MkMap, Project,
+    Reveal, Seal,
+)
+from wysx.sexp import Tok
+from wysx.st import NeedsSec, RunResult, Stuck
 
 from _proggen import gen_value, UNIVERSE
 
@@ -309,3 +324,169 @@ def test_values_hashable():
     vs = {FfiInt(1), Bool(True), Sealed(A, FfiInt(1)),
           VMap.of({"a": FfiInt(1)}), UNIT, OPAQUE, PrinVal("a"), PrinsVal(AB)}
     assert len(vs) == 8
+
+
+# ---------------------------------------------------------------------------
+# record classes: constructor, equality, hash, repr, slots and frozenness
+
+def record_classes() -> set[type]:
+    """Every record class the package defines, found by walking its
+    modules."""
+    found = set()
+    for m in pkgutil.iter_modules(wysx.__path__):
+        mod = importlib.import_module(f"wysx.{m.name}")
+        found |= {c for c in vars(mod).values()
+                  if isinstance(c, type) and c.__module__ == mod.__name__
+                  and "_fields" in vars(c)}
+    return found
+
+
+MODE = Mode(PAR, AB)
+CLOS = Clos(Env({"z": FfiInt(1)}), "y", Var("z"))
+DECL = InputDecl("a", (("var", "x"),), (2,), True)
+
+# one instance of every record class, with its pinned repr
+RECORDS = [
+    (AB, "PrinSet(names=('a', 'b'))"),
+    (PrinVal("a"), "PrinVal(name='a')"),
+    (PrinsVal(A), "PrinsVal(ps=PrinSet(names=('a',)))"),
+    (UNIT, "Unit()"),
+    (Bool(True), "Bool(b=True)"),
+    (FfiInt(5), "FfiInt(n=5)"),
+    (FfiStr("s"), "FfiStr(s='s')"),
+    (FfiPair(FfiInt(1), UNIT), "FfiPair(fst=FfiInt(n=1), snd=Unit())"),
+    (FfiList((FfiInt(1),)), "FfiList(items=(FfiInt(n=1),))"),
+    (Sealed(A, FfiInt(1)), "Sealed(ps=PrinSet(names=('a',)), v=FfiInt(n=1))"),
+    (VMap.of({"a": FfiInt(1)}), "VMap(entries=(('a', FfiInt(n=1)),))"),
+    (OPAQUE, "Opaque()"),
+    (ShareVal.of(A, {"a": 1}, 4),
+     "ShareVal(ps=PrinSet(names=('a',)), words=(('a', 1),), width=4)"),
+    (Const(FfiInt(1)), "Const(v=FfiInt(n=1))"),
+    (Var("x"), "Var(x='x')"),
+    (Let("x", Var("y"), Var("x")),
+     "Let(x='x', bound=Var(x='y'), body=Var(x='x'))"),
+    (Lam("x", Var("y")), "Lam(x='x', body=Var(x='y'))"),
+    (Fix("f", "x", Var("f")), "Fix(f='f', x='x', body=Var(x='f'))"),
+    (App(Var("f"), Var("x")), "App(fn=Var(x='f'), arg=Var(x='x'))"),
+    (If(Var("c"), Var("t"), Var("e")),
+     "If(cond=Var(x='c'), then=Var(x='t'), els=Var(x='e'))"),
+    (AsPar(Var("s"), Var("f")), "AsPar(ps=Var(x='s'), fn=Var(x='f'))"),
+    (AsSec(Var("s"), Var("f")), "AsSec(ps=Var(x='s'), fn=Var(x='f'))"),
+    (Seal(Var("s"), Var("x")), "Seal(ps=Var(x='s'), body=Var(x='x'))"),
+    (Reveal(Var("x")), "Reveal(e=Var(x='x'))"),
+    (MkMap(Var("s"), Var("x")), "MkMap(ps=Var(x='s'), v=Var(x='x'))"),
+    (Project(Var("p"), Var("m")), "Project(prin=Var(x='p'), m=Var(x='m'))"),
+    (Concat(Var("m"), Var("n")), "Concat(m1=Var(x='m'), m2=Var(x='n'))"),
+    (Ffi("add", (Var("x"),)), "Ffi(name='add', args=(Var(x='x'),))"),
+    (CLOS, "Clos(env=Env(z=FfiInt(n=1)), x='y', body=Var(x='z'), f=None)"),
+    (TMsg(UNIT), "TMsg(v=Unit())"),
+    (TScope(A, (TMsg(UNIT),)),
+     "TScope(ps=PrinSet(names=('a',)), t=(TMsg(v=Unit()),))"),
+    (MODE, "Mode(tag='par', ps=PrinSet(names=('a', 'b')))"),
+    (Frame(MODE, Env(), (), Var("x"), (), ()),
+     "Frame(mode=Mode(tag='par', ps=PrinSet(names=('a', 'b'))), env=Env(), "
+     "trace=(), e=Var(x='x'), done=(), pending=())"),
+    (Config(MODE, (), Env(), (), UNIT),
+     "Config(mode=Mode(tag='par', ps=PrinSet(names=('a', 'b'))), stack=(), "
+     "env=Env(), trace=(), code=Unit())"),
+    (DECL, "InputDecl(party='a', path=(('var', 'x'),), wires=(2,), "
+           "is_bool=True)"),
+    (CInt((1, 2)), "CInt(2 wires)"),
+    (CBit(2), "CBit(wire 2)"),
+    (CMaskedList((3,), (CBit(4),)),
+     "CMaskedList(present=(3,), items=(CBit(wire 4),))"),
+    (Circuit(A, 4, 3, [([], [])], [DECL], [(2, frozenset("a"))], CBit(2)),
+     "Circuit(parties=PrinSet(names=('a',)), width=4, n_wires=3, "
+     "inputs=[InputDecl(party='a', path=(('var', 'x'),), wires=(2,), "
+     "is_bool=True)], outputs=[(2, frozenset({'a'}))], decode=CBit(wire 2), "
+     "and_count=0, and_depth=0)"),
+    (HostFn("add", 2, None), "HostFn(name='add', arity=2, fn=None, "
+                             "needs_mode=False)"),
+    (Tok("sym", "x", 1, 2), "Tok(kind='sym', text='x', line=1, col=2)"),
+    (Stuck("apply", "why"), "Stuck(rule='apply', reason='why')"),
+    (NeedsSec(A, CLOS),
+     "NeedsSec(ps=PrinSet(names=('a',)), clos=Clos(env=Env(z=FfiInt(n=1)), "
+     "x='y', body=Var(x='z'), f=None))"),
+    (RunResult("done", UNIT, (), "config", 3, 0),
+     "RunResult(status='done', value=Unit(), trace=(), config='config', "
+     "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
+    (IdealSec(A, "config"),
+     "IdealSec(ps=PrinSet(names=('a',)), machine='config', done=False)"),
+    (GmwSec(A, "circuit", {"a": {2: 1}}, 7),
+     "GmwSec(ps=PrinSet(names=('a',)), circuit='circuit', "
+     "bits={'a': {2: 1}}, dealer_seed=7, done=False, results=None)"),
+    (DsResult("done", {}, {}, 5),
+     "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
+     "sec_entries=0, circuits=())"),
+    (CheckReport("pass"), "CheckReport(status='pass', detail='')"),
+    (GmwResult({"a": {2: 1}}, 1, 0, 0, {}),
+     "GmwResult(outputs={'a': {2: 1}}, rounds=1, and_rounds=0, "
+     "triples_used=0, channels={})"),
+    (Verdict(True, 3), "Verdict(ok=True, checked=3, detail='')"),
+    (CorpusCell("c", "prog", Env(), A),
+     "CorpusCell(name='c', program='prog', env=Env(), "
+     "ps=PrinSet(names=('a',)), min_width=4)"),
+]
+
+MUTABLE = {"Frame", "Config", "Circuit", "Stuck", "NeedsSec", "RunResult",
+           "IdealSec", "GmwSec", "DsResult", "CheckReport", "GmwResult",
+           "Verdict", "CorpusCell"}
+UNSLOTTED = {"HostFn", "Tok", "Circuit", "RunResult", "IdealSec", "GmwSec",
+             "DsResult", "CheckReport", "GmwResult", "Verdict", "CorpusCell"}
+
+
+def test_every_record_class_has_a_sample():
+    assert {type(x) for x, _ in RECORDS} == record_classes()
+    assert len(RECORDS) == 51
+
+
+@pytest.mark.parametrize("x, text", RECORDS,
+                         ids=[type(x).__name__ for x, _ in RECORDS])
+def test_record_semantics(x, text):
+    cls = type(x)
+    assert repr(x) == text
+    compared = cls._fields  # the constructor's fields, in its order
+    same = cls(*(getattr(x, k) for k in compared))
+    assert same == x and not same != x
+    assert same == cls(**{k: getattr(x, k) for k in compared})
+    for k in compared:
+        other = cls(*(getattr(x, k) for k in compared))
+        object.__setattr__(other, k, object())
+        assert other != x
+    # equality wants the exact class, whatever the fields hold
+    assert x.__eq__(SimpleNamespace(**{k: getattr(x, k) for k in compared})) \
+        is NotImplemented
+    assert hasattr(x, "__dict__") == (cls.__name__ in UNSLOTTED)
+    if cls.__name__ in MUTABLE:
+        assert cls.__hash__ is None
+        setattr(same, compared[0], None)
+        assert getattr(same, compared[0]) is None
+    else:
+        key = tuple(getattr(x, k) for k in compared)
+        try:
+            want = hash(key)
+        except TypeError:  # a ``Clos`` holds an ``Env``, which has no hash
+            with pytest.raises(TypeError):
+                hash(x)
+        else:
+            assert hash(x) == want
+        for k in compared:
+            with pytest.raises(AttributeError):
+                setattr(x, k, None)
+            with pytest.raises(AttributeError):
+                delattr(x, k)
+
+
+def test_record_equality_ignores_class_fields_and_free_vars():
+    assert PrinVal("a") != FfiStr("a")
+    assert CInt(5) != FfiInt(5)
+    lam = Lam("x", App(Var("x"), Var("y")))
+    assert lam.fv == {"y"} and Fix("f", "x", Var("z")).fv == {"z"}
+    other = Lam("x", App(Var("x"), Var("y")))
+    object.__setattr__(other, "fv", frozenset())
+    assert other == lam and hash(other) == hash(lam)
+    assert Lam.f is None and lam.f is None
+    assert Lam._fields == ("x", "body") and Fix._fields == ("f", "x", "body")
+    assert Clos._fields == ("env", "x", "body", "f")
+    assert Circuit._fields == ("parties", "width", "n_wires", "layers",
+                               "inputs", "outputs", "decode")
