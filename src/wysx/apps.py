@@ -12,9 +12,9 @@ harness code; programs have no way to call it.
 
 from __future__ import annotations
 
+import os
 import random
 from functools import lru_cache
-from importlib import resources
 from itertools import permutations
 from typing import Optional, Sequence
 
@@ -46,7 +46,11 @@ PROGRAM_NAMES = (
 def program_source(name: str) -> str:
     if name not in PROGRAM_NAMES:
         raise WysError(f"no bundled program named {name!r}")
-    return (resources.files(__package__) / f"programs/{name}.wyx").read_text()
+    # a plain file beside this module: ``importlib.resources`` imports
+    # ``inspect`` on Python 3.13 and takes 28-37 ms to import cold
+    path = os.path.join(os.path.dirname(__file__), "programs", f"{name}.wyx")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,10 @@ suspended frames, an environment, a mode, and a trace.
 The per-party projection of joint data is done by ``slice_value`` and
 friends; ``combine_values`` merges per-party views back together.  These two
 families are the workhorses of the simulation and confluence checks.
+
+Values, expression nodes, frames and the package's result types are
+records: ``record`` writes each one's constructor, equality and hash once,
+when its class is defined.
 """
 
 from __future__ import annotations

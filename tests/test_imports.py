@@ -150,13 +150,14 @@ def test_foreign_import_is_reported():
 
 def test_loading_the_package_skips_dataclasses_and_inspect():
     # records come from ``lang.record``; ``dataclasses``, and ``inspect``
-    # under it, would add their own import time to every process
+    # under it, would add their own import time to every process. ``-S``
+    # keeps out what an installation's ``.pth`` files import at start-up.
     code = ("import sys, wysx.cli, wysx.apps; "
             "print(*(m for m in ('dataclasses', 'inspect') "
             "if m in sys.modules))")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.split() == []
