@@ -230,7 +230,7 @@ def public_msgs(trace: Trace) -> list[Value]:
     return [ev.v for ev in trace if type(ev) is TMsg]
 
 
-@record(frozen=False, slots=False)
+@record
 class Verdict:
     ok: bool
     checked: int
@@ -444,7 +444,7 @@ def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> Verdict:
 # the program corpus driven by the metatheory checks
 
 
-@record(frozen=False, slots=False)
+@record
 class CorpusCell:
     name: str
     program: str

@@ -357,8 +357,9 @@ def is_public(v: Value) -> bool:
     return False
 
 
-@record(frozen=False, slots=False)
+@record
 class Circuit:
+    __slots__ = ("and_count", "and_depth")  # set once, from ``layers``
     parties: PrinSet
     width: int
     n_wires: int
@@ -374,8 +375,8 @@ class Circuit:
               "and_count", "and_depth")
 
     def __post_init__(self):
-        self.and_count: int = sum(len(ands) for _, ands in self.layers) // 4
-        self.and_depth: int = len(self.layers) - 1
+        self.and_count = sum(len(ands) for _, ands in self.layers) // 4
+        self.and_depth = len(self.layers) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@
     wysx check security --suite median|psi|cards [--domain N] [--max-len K]
     wysx dump-circuit PROGRAM --inputs ...
 
-PROGRAM is a .wyx file path or the name of a bundled program.  Each input
-file is a JSON object mapping variables to that party's view of the value;
-the views are merged before running.  Results go to stdout as canonical
-JSON, diagnostics to stderr.  Exit status: 0 on success, 1 on semantic
-failure (stuck run, failed check, bad program or inputs), 2 on usage errors.
+PROGRAM is a .wyx file path or the bare name of a bundled program.  Each
+input file is a JSON object mapping variables to that party's view of the
+value; the views are merged before running.  Results go to stdout as
+canonical JSON, diagnostics to stderr.  Exit status: 0 on success, 1 on
+semantic failure (stuck run, failed or vacuous check, bad program or
+inputs), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -40,11 +41,8 @@ def _read_program(name: str):
     if os.path.exists(name):
         with open(name, encoding="utf-8") as f:
             return parse(f.read())
-    base = os.path.basename(name)
-    if base.endswith(".wyx"):
-        base = base[:-4]
-    if base in apps.PROGRAM_NAMES:
-        return apps.load_program(base)
+    if name in apps.PROGRAM_NAMES:
+        return apps.load_program(name)
     raise CliError(f"program file not found: {name}")
 
 
@@ -200,24 +198,28 @@ def cmd_check(args) -> int:
 
 
 def cmd_security(args) -> int:
+    domain = args.domain
+    if domain is not None and domain < 1:
+        raise CliError(f"domain must be at least 1, got {domain}")
+    if args.max_len < 0:
+        raise CliError(f"max-len must be at least 0, got {args.max_len}")
     if args.suite == "median":
-        hi = args.domain or 8
-        good = apps.check_median_security(1, hi)
+        v = apps.check_median_security(1, domain or 8)
+    elif args.suite == "psi":
+        v = apps.check_psi_security(args.max_len, 1, domain or 5)
+    else:
+        v = apps.check_cards(max_hist=2, hi=domain or 5)
+    if v.ok and not v.checked:
+        return _report("vacuous", "the suite checked no cases")
+    if v.ok and args.suite == "median":
         # a broken oracle must be caught, or the check itself is broken
         def no_scopes(a, b):
             return tuple(ev for ev in apps.opt_trace(a, b)
                          if type(ev) is TMsg)
-        control = apps.check_median_security(1, hi, oracle=no_scopes)
-        if good.ok and control.ok:
+        if apps.check_median_security(1, domain or 8, oracle=no_scopes).ok:
             return _report("fail", "negative control passed; check is inert")
-        if good.ok:
-            print(f"  ({good.checked} runs, negative control caught)",
-                  file=sys.stderr)
-        return _report("pass" if good.ok else "fail", good.detail)
-    if args.suite == "psi":
-        v = apps.check_psi_security(args.max_len, 1, args.domain or 5)
-        return _report("pass" if v.ok else "fail", v.detail)
-    v = apps.check_cards(max_hist=2, hi=args.domain or 5)
+        print(f"  ({v.checked} runs, negative control caught)",
+              file=sys.stderr)
     return _report("pass" if v.ok else "fail", v.detail)
 
 

@@ -5,8 +5,9 @@ data. Local steps interleave under a pluggable scheduler. When every member
 of a set is parked at the same joint block, the protocol combines their
 views and runs the block jointly, either on an ideal machine (the reference
 stepper in joint mode) or by compiling to gates and executing the xor-share
-protocol. On exit every party receives its slice of the result and a
-message trace entry.
+protocol. A finished block is kept by its result until its exit move: the
+joint value, or under GMW each member's decoded view. On exit every party
+receives its slice of the result and a message trace entry.
 
 Two checkers live here: one replays a program on the reference machine and
 on the distributed machines and demands the sliced final states coincide,
@@ -36,29 +37,17 @@ from .st import (
 
 
 # ---------------------------------------------------------------------------
-# joint block instances
+# joint blocks
+#
+# A running block under the ideal backend is the joint machine's ``Config``
+# itself; under GMW it is a ``GmwSec``, evaluated in one step.
 
-@record(frozen=False, slots=False)
-class IdealSec:
-    ps: PrinSet
-    machine: Config
-    done: bool = False
-
-    def result(self) -> Value:
-        return self.machine.code
-
-
-@record(frozen=False, slots=False)
+@record
 class GmwSec:
     ps: PrinSet
     circuit: Circuit
     bits: dict[str, dict[int, int]]
     dealer_seed: int
-    done: bool = False
-    results: Optional[dict[str, Value]] = None
-
-
-SecInst = Union[IdealSec, GmwSec]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +104,7 @@ def parse_sched(text: str):
 # ---------------------------------------------------------------------------
 # the distributed run
 
-@record(frozen=False, slots=False)
+@record
 class DsResult:
     status: str  # done | stuck | fuel
     parties: dict[str, tuple[Optional[Value], Trace]]
@@ -150,7 +139,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         p: Config(Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
         for p in ps
     }
-    sec: dict[PrinSet, SecInst] = {}
+    # running blocks, and finished ones until their exit move: the joint
+    # value (ideal) or each member's decoded view (GMW)
+    sec: dict[PrinSet, Union[Config, GmwSec]] = {}
+    finished: dict[PrinSet, Union[Value, dict[str, Value]]] = {}
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
     circuits: list[tuple[str, Circuit]] = []
@@ -199,7 +191,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 if type(out) is Config:
                     locals_.append(local_moves[p])
                 elif type(out) is NeedsSec:
-                    if out.ps not in sec:
+                    if out.ps not in sec and out.ps not in finished:
                         waiting.setdefault(out.ps, {})[p] = out
                 elif out is not _DONE:  # Stuck
                     return finish("stuck", tick,
@@ -207,9 +199,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                   f"{out.reason}")
             # canonical order: exit, sec-step, enter, local, each by
             # str(target); ps is sorted, so the local moves already are
-            blocks = sorted(sec, key=str) if len(sec) > 1 else list(sec)
-            built = [("exit", s) for s in blocks if sec[s].done]
-            built += [("sec-step", s) for s in blocks if not sec[s].done]
+            built = [("exit", s) for s in (sorted(finished, key=str)
+                                           if len(finished) > 1 else finished)]
+            built += [("sec-step", s) for s in (sorted(sec, key=str)
+                                                if len(sec) > 1 else sec)]
             ready = [s for s, group in waiting.items()
                      if set(group) == set(s.names)]
             if len(ready) > 1:
@@ -218,7 +211,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             built += locals_
             moves = tuple(built)
             if not moves:
-                if not sec and all(out is _DONE for out in steps.values()):
+                if not sec and not finished and all(
+                        out is _DONE for out in steps.values()):
                     return finish("done", tick)
                 return finish("stuck", tick, "no enabled move: parties are "
                               "waiting for partners that never arrive")
@@ -243,8 +237,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                          c0.body, c0.f)
             sec_entries += 1
             if backend == "ideal":
-                sec[s] = IdealSec(s, Config(Mode(SEC, s), (),
-                                            joint.bind(UNIT), (), c0.body))
+                sec[s] = Config(Mode(SEC, s), (), joint.bind(UNIT), (),
+                                c0.body)
             else:
                 idx = gmw_counters.get(s, 0)
                 gmw_counters[s] = idx + 1
@@ -262,36 +256,35 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             continue
 
         if kind == "sec-step":
-            inst = sec[target]
-            if type(inst) is IdealSec:
-                m = inst.machine
+            m = sec[target]
+            if type(m) is Config:
                 if m.stack or not isinstance(m.code, Value):
                     out = st_step(m, rt)
                     if type(out) is Stuck:
                         return finish("stuck", tick,
                                       f"joint block {target} stuck at "
                                       f"{out.rule}: {out.reason}")
-                    inst.machine = m = out
-                if not m.stack and isinstance(m.code, Value):
-                    if m.trace:
-                        return finish("stuck", tick,
-                                      f"joint block {target} produced "
-                                      f"scoped output")
-                    inst.done = True
+                    sec[target] = m = out
+                if m.stack or not isinstance(m.code, Value):
+                    continue
+                if m.trace:
+                    return finish("stuck", tick,
+                                  f"joint block {target} produced "
+                                  f"scoped output")
+                finished[target] = m.code
             else:
-                res = gmw_eval(inst.circuit, inst.bits, inst.dealer_seed)
-                inst.results = {
-                    p: decode_output(inst.circuit.decode, p, res.outputs[p])
+                res = gmw_eval(m.circuit, m.bits, m.dealer_seed)
+                finished[target] = {
+                    p: decode_output(m.circuit.decode, p, res.outputs[p])
                     for p in target.names
                 }
-                inst.done = True
-            if inst.done:  # its sec-step move becomes an exit
-                moves = None
+            del sec[target]
+            moves = None  # its sec-step move becomes an exit
             continue
 
         if kind == "exit":
             s = target
-            inst = sec.pop(s)
+            v = finished.pop(s)
             for p in s.names:
                 c = par[p]
                 frame = c.stack[-1]
@@ -299,10 +292,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                         or frame.done != (PrinsVal(s),)):
                     return finish("stuck", tick,
                                   f"party {p} is not waiting on {s}")
-                if type(inst) is IdealSec:
-                    vp = slice_value(p, inst.result())
-                else:
-                    vp = inst.results[p]
+                vp = slice_value(p, v) if backend == "ideal" else v[p]
                 trace = frame.trace + c.trace + (TMsg(vp),)
                 par[p] = Config(frame.mode, c.stack[:-1], frame.env,
                                 trace, vp)
@@ -310,7 +300,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             moves = None
             continue
 
-    if not sec and all(c.is_terminal() for c in par.values()):
+    if not sec and not finished and all(c.is_terminal()
+                                        for c in par.values()):
         return finish("done", fuel)  # the last tick ended the run
     return finish("fuel", fuel)
 
@@ -318,7 +309,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 # ---------------------------------------------------------------------------
 # metatheory checkers
 
-@record(frozen=False, slots=False)
+@record
 class CheckReport:
     status: str  # pass | fail | vacuous | inconclusive
     detail: str = ""

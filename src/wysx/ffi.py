@@ -61,7 +61,7 @@ def _pair(v: Value, who: str) -> FfiPair:
     return v
 
 
-@record(slots=False)
+@record
 class HostFn:
     name: str
     arity: Optional[int]  # None means variadic

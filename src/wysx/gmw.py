@@ -63,7 +63,7 @@ class Channel:
         return word
 
 
-@record(frozen=False, slots=False)
+@record
 class GmwResult:
     outputs: dict[str, dict[int, int]]  # party -> wire -> bit
     rounds: int

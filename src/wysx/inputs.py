@@ -68,13 +68,10 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
                 raise InputError(f"{where}: sealed needs a ps field")
             ps = _ps(body["ps"], where)
             v = body.get("v")
-            # "opaque" is reserved: a party writing someone else's seal marks
-            # the missing contents either by omission, null, or that string
-            if v is None or v == "opaque":
-                inner: Value = OPAQUE
-            else:
-                inner = json_to_value(v, where + ".v")
-            return Sealed(ps, inner)
+            # a party writing someone else's seal leaves the contents out,
+            # writes null or {"opaque": null}
+            return Sealed(ps, OPAQUE if v is None
+                          else json_to_value(v, where + ".v"))
         if tag == "map":
             if not isinstance(body, dict):
                 raise InputError(f"{where}: map needs an object")

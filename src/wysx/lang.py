@@ -12,7 +12,8 @@ families are the workhorses of the simulation and confluence checks.
 
 Values, expression nodes, frames and the package's result types are
 records: ``record`` writes each one's constructor, equality and hash once,
-when its class is defined.
+when its class is defined. Like the paper's terms, a record is never
+changed once built; slicing, combining and stepping build new ones.
 """
 
 from __future__ import annotations
@@ -73,32 +74,27 @@ def _record_repr(self) -> str:
     return f"{type(self).__qualname__}({args})"
 
 
-def _frozen(self, name, *value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def record(cls=None, *, frozen: bool = True, slots: bool = True):
+def record(cls):
     """Class decorator for a record: its annotated names, less any
     ``ClassVar``, are its fields, kept in order in ``_fields``.
 
-    The class gets an ``__init__`` taking the fields, with the class body's
-    values as trailing defaults, that ends by calling ``__post_init__`` if
-    the class has one; an ``__eq__`` on the exact class and the fields; and
-    a ``repr`` of the fields in ``_shown``, all of them unless the class
-    names its own. A frozen record hashes its fields and refuses
-    assignment; a mutable one has no hash. A slotted record keeps its
-    fields, and any names the class body lists in ``__slots__``, in slots.
+    The class is rebuilt with its fields, and any names its body lists in
+    ``__slots__``, as slots. It gets an ``__init__`` taking the fields, with
+    the class body's values as trailing defaults, that ends by calling
+    ``__post_init__`` if the class has one; an ``__eq__`` on the exact class
+    and the fields; a ``__hash__`` of the field tuple, which like a tuple's
+    raises ``TypeError`` when a field has no hash; and a ``repr`` of the
+    fields in ``_shown``, all of them unless the class names its own.
+    Nothing assigns a record's fields once it is built, and a test of the
+    sources holds to that.
     """
-    if cls is None:
-        return partial(record, frozen=frozen, slots=slots)
     ns = dict(cls.__dict__)
     fields = tuple(k for k, t in ns.get("__annotations__", {}).items()
                    if not t.startswith("ClassVar"))
     defaults = {k: ns.pop(k) for k in fields if k in ns}
     params = ", ".join(f"{k}=_d[{k!r}]" if k in defaults else k
                        for k in fields)
-    put = "_setattr(self, {0!r}, {0})" if frozen else "self.{0} = {0}"
-    init = [put.format(k) for k in fields]
+    init = [f"self.{k} = {k}" for k in fields]
     if "__post_init__" in ns:
         init.append("self.__post_init__()")
     own = "".join(f"self.{k}," for k in fields)
@@ -113,27 +109,17 @@ def __eq__(self, other):
 def __hash__(self):
  return hash(({own}))
 """
-    fns = {}
-    exec(src, {"_setattr": object.__setattr__, "_d": defaults}, fns)
-    for fn in fns.values():
-        fn.__qualname__ = f"{cls.__qualname__}.{fn.__name__}"
-    if not frozen:
-        fns["__hash__"] = None
-    if slots:
-        extra = ns.pop("__slots__", ())
-        for k in (*extra, "__dict__", "__weakref__"):
-            ns.pop(k, None)
-        ns["__slots__"] = fields + extra
-        cls = type(cls)(cls.__name__, cls.__bases__, ns)
-    for k, v in fns.items():
-        setattr(cls, k, v)
-    if frozen:
-        cls.__setattr__ = cls.__delattr__ = _frozen
-    if "__repr__" not in ns:
-        cls.__repr__ = _record_repr
-    cls._fields = fields
-    cls._shown = ns.get("_shown", fields)
-    return cls
+    exec(src, {"_d": defaults}, ns)
+    for k in ("__init__", "__eq__", "__hash__"):
+        ns[k].__qualname__ = f"{cls.__qualname__}.{k}"
+    extra = ns.pop("__slots__", ())
+    for k in (*extra, "__dict__", "__weakref__"):
+        ns.pop(k, None)
+    ns["__slots__"] = fields + extra
+    ns.setdefault("__repr__", _record_repr)
+    ns.setdefault("_shown", fields)
+    ns["_fields"] = fields
+    return type(cls)(cls.__name__, cls.__bases__, ns)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +309,7 @@ class Lam(Expr):
     f: ClassVar[None] = None  # no self-name, unlike a ``Fix``
 
     def __post_init__(self):
-        object.__setattr__(self, "fv", free_vars(self.body) - {self.x})
+        self.fv = free_vars(self.body) - {self.x}
 
 
 @record
@@ -334,8 +320,7 @@ class Fix(Expr):
     body: Expr
 
     def __post_init__(self):
-        object.__setattr__(self, "fv",
-                           free_vars(self.body) - {self.f, self.x})
+        self.fv = free_vars(self.body) - {self.f, self.x}
 
 
 @record
@@ -554,7 +539,7 @@ class Mode:
         return self.tag == SEC
 
 
-@record(frozen=False)
+@record
 class Frame:
     """Suspension of the enclosing computation: the mode, environment and
     trace at suspension time, and the one-hole context of the node ``e``.
@@ -577,7 +562,7 @@ class Frame:
 Code = Union[Expr, Value]
 
 
-@record(frozen=False)
+@record
 class Config:
     mode: Mode
     stack: tuple[Frame, ...]

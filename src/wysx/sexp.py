@@ -60,7 +60,7 @@ _DELIMS = set("(); \t\r\n\"")
 MAX_NESTING = 400
 
 
-@record(slots=False)
+@record
 class Tok:
     kind: str  # lparen rparen int str sym
     text: str

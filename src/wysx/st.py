@@ -54,13 +54,13 @@ class Runtime:
         self.mint = ShareMint(seed)
 
 
-@record(frozen=False)
+@record
 class Stuck:
     rule: str
     reason: str
 
 
-@record(frozen=False)
+@record
 class NeedsSec:
     """A local machine is waiting at a joint block it cannot run alone."""
 
@@ -353,7 +353,7 @@ def machine_step(c: Config, rt: Runtime, party: Optional[str] = None) -> StepOut
     return _descend(c, rt)
 
 
-@record(frozen=False, slots=False)
+@record
 class RunResult:
     status: str  # done | stuck | fuel
     value: Optional[Value]

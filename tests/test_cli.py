@@ -85,6 +85,17 @@ def test_missing_program_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["/no/such/dir/median.wyx", "median.wyx",
+                                  "programs/median"])
+def test_only_a_bare_name_runs_a_bundled_program(name, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", name, "--prins", "a,b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: program file not found: {name}\n"
+
+
 def test_bad_input_file_is_an_error(tmp_path, capsys):
     f = tmp_path / "broken.json"
     f.write_text("{oops")
@@ -193,6 +204,28 @@ def test_security_cards_suite(capsys):
     rc = main(["check", "security", "--suite", "cards"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    ("--domain", "0", "domain must be at least 1, got 0"),
+    ("--domain", "-2", "domain must be at least 1, got -2"),
+    ("--max-len", "-1", "max-len must be at least 0, got -1"),
+])
+def test_security_bounds_below_range_are_one_line_errors(capsys, flag, value,
+                                                          error):
+    assert main(["check", "security", "--suite", "psi", flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"
+
+
+def test_security_suite_that_checks_nothing_is_vacuous(capsys):
+    # the median suite needs two distinct values on each side
+    rc = main(["check", "security", "--suite", "median", "--domain", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == "VACUOUS: the suite checked no cases\n"
+    assert captured.err == ""
 
 
 def test_dump_circuit(median_files, capsys):

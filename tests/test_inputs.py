@@ -42,7 +42,15 @@ def test_sealed_encodings():
     assert value_to_json(Sealed(A, OPAQUE)) == {"sealed": {"ps": ["a"]}}
     assert json_to_value({"sealed": {"ps": ["a"]}}) == Sealed(A, OPAQUE)
     assert json_to_value({"sealed": {"ps": ["a"], "v": None}}) == Sealed(A, OPAQUE)
-    assert json_to_value({"sealed": {"ps": ["a"], "v": "opaque"}}) == Sealed(A, OPAQUE)
+    assert json_to_value({"sealed": {"ps": ["a"], "v": {"opaque": None}}}) \
+        == Sealed(A, OPAQUE)
+    assert json_to_value({"sealed": {"ps": ["a"], "v": "opaque"}}) \
+        == Sealed(A, FfiStr("opaque"))
+
+
+def test_sealed_string_opaque_round_trips():
+    v = Sealed(A, FfiStr("opaque"))
+    assert json_to_value(value_to_json(v)) == v
 
 
 def test_share_encoding_round_trip():

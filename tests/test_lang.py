@@ -1,7 +1,9 @@
 """Core data model: principal sets, values, environments, slicing, combining."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +11,7 @@ import pytest
 import wysx
 from wysx.apps import CorpusCell, Verdict
 from wysx.circuit import CBit, CInt, CMaskedList, Circuit, InputDecl
-from wysx.ds import CheckReport, DsResult, GmwSec, IdealSec
+from wysx.ds import CheckReport, DsResult, GmwSec
 from wysx.ffi import HostFn
 from wysx.gmw import GmwResult
 from wysx.lang import (
@@ -327,7 +329,7 @@ def test_values_hashable():
 
 
 # ---------------------------------------------------------------------------
-# record classes: constructor, equality, hash, repr, slots and frozenness
+# record classes: constructor, equality, hash, repr and slots
 
 def record_classes() -> set[type]:
     """Every record class the package defines, found by walking its
@@ -410,11 +412,9 @@ RECORDS = [
     (RunResult("done", UNIT, (), "config", 3, 0),
      "RunResult(status='done', value=Unit(), trace=(), config='config', "
      "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
-    (IdealSec(A, "config"),
-     "IdealSec(ps=PrinSet(names=('a',)), machine='config', done=False)"),
     (GmwSec(A, "circuit", {"a": {2: 1}}, 7),
      "GmwSec(ps=PrinSet(names=('a',)), circuit='circuit', "
-     "bits={'a': {2: 1}}, dealer_seed=7, done=False, results=None)"),
+     "bits={'a': {2: 1}}, dealer_seed=7)"),
     (DsResult("done", {}, {}, 5),
      "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
      "sec_entries=0, circuits=())"),
@@ -428,16 +428,9 @@ RECORDS = [
      "ps=PrinSet(names=('a',)), min_width=4)"),
 ]
 
-MUTABLE = {"Frame", "Config", "Circuit", "Stuck", "NeedsSec", "RunResult",
-           "IdealSec", "GmwSec", "DsResult", "CheckReport", "GmwResult",
-           "Verdict", "CorpusCell"}
-UNSLOTTED = {"HostFn", "Tok", "Circuit", "RunResult", "IdealSec", "GmwSec",
-             "DsResult", "CheckReport", "GmwResult", "Verdict", "CorpusCell"}
-
-
 def test_every_record_class_has_a_sample():
     assert {type(x) for x, _ in RECORDS} == record_classes()
-    assert len(RECORDS) == 51
+    assert len(RECORDS) == 50
 
 
 @pytest.mark.parametrize("x, text", RECORDS,
@@ -456,25 +449,106 @@ def test_record_semantics(x, text):
     # equality wants the exact class, whatever the fields hold
     assert x.__eq__(SimpleNamespace(**{k: getattr(x, k) for k in compared})) \
         is NotImplemented
-    assert hasattr(x, "__dict__") == (cls.__name__ in UNSLOTTED)
-    if cls.__name__ in MUTABLE:
-        assert cls.__hash__ is None
-        setattr(same, compared[0], None)
-        assert getattr(same, compared[0]) is None
+    assert not hasattr(x, "__dict__")
+    key = tuple(getattr(x, k) for k in compared)
+    try:
+        want = hash(key)
+    except TypeError:  # a field has no hash: an ``Env``, a list or a dict
+        with pytest.raises(TypeError):
+            hash(x)
     else:
-        key = tuple(getattr(x, k) for k in compared)
-        try:
-            want = hash(key)
-        except TypeError:  # a ``Clos`` holds an ``Env``, which has no hash
-            with pytest.raises(TypeError):
-                hash(x)
-        else:
-            assert hash(x) == want
-        for k in compared:
-            with pytest.raises(AttributeError):
-                setattr(x, k, None)
-            with pytest.raises(AttributeError):
-                delattr(x, k)
+        assert hash(x) == want
+
+
+# ---------------------------------------------------------------------------
+# no record is changed once it is built: a check of the sources
+
+ROOT = Path(__file__).resolve().parent.parent
+WRITERS = {"setattr", "delattr", "__setattr__", "__delattr__"}
+
+
+def is_record(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "record"
+               for d in cls.decorator_list)
+
+
+def record_writes(sources: dict[str, str], fields: set[str]) -> list[str]:
+    """``file:line .name`` for each assignment, augmented assignment or
+    ``del`` of an attribute named like a record field in ``sources`` (file
+    name -> text), and for each ``setattr``, ``delattr`` or
+    ``object.__setattr__`` of such a name given as a literal.
+
+    Two receivers are plain objects and exempt: ``self`` in a class that is
+    not a record, and a name that the same function binds to a new instance
+    of a class, defined in ``sources``, that is not a record."""
+    trees = {f: ast.parse(text) for f, text in sources.items()}
+    plain = {c.name for t in trees.values() for c in ast.walk(t)
+             if isinstance(c, ast.ClassDef) and not is_record(c)}
+    hits = []
+
+    def visit(node, f, cls, own):
+        if isinstance(node, ast.ClassDef):
+            cls = node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = {t.id for a in ast.walk(node) if isinstance(a, ast.Assign)
+                   and isinstance(a.value, ast.Call)
+                   and isinstance(a.value.func, ast.Name)
+                   and a.value.func.id in plain
+                   for t in a.targets if isinstance(t, ast.Name)}
+            if cls is not None and not is_record(cls):
+                own.add("self")
+        target = None
+        if isinstance(node, ast.Attribute) and type(node.ctx) is not ast.Load:
+            target = node.value, node.attr
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            fn, name = node.func, node.args[1]
+            if (getattr(fn, "id", getattr(fn, "attr", None)) in WRITERS
+                    and isinstance(name, ast.Constant)):
+                target = node.args[0], name.value
+        if target is not None:
+            obj, attr = target
+            if attr in fields and getattr(obj, "id", None) not in own:
+                hits.append(f"{f}:{node.lineno} .{attr}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, f, cls, own)
+
+    for f, tree in trees.items():
+        visit(tree, f, None, set())
+    return hits
+
+
+def test_no_record_is_changed_after_it_is_built():
+    fields = {k for c in record_classes() for k in c._fields}
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text(encoding="utf-8")
+               for d in ("src", "bench", "tools")
+               for p in sorted((ROOT / d).rglob("*.py"))}
+    assert record_writes(sources, fields) == []
+
+
+def test_record_write_is_reported():
+    src = ("@record\n"
+           "class Inst:\n"
+           "    n: int\n"
+           "    done: bool\n"
+           "    def finish(self):\n"
+           "        self.done = True\n"
+           "class Builder:\n"
+           "    def __init__(self, w):\n"
+           "        self.n = w\n"
+           "def run(inst, v, name):\n"
+           "    inst.done = True\n"
+           "    setattr(v, 'n', 1)\n"
+           "    object.__setattr__(v, 'n', 1)\n"
+           "    del v.n\n"
+           "    v.n += 1\n"
+           "    delattr(v, 'done')\n"
+           "    b = Builder(1)\n"
+           "    b.n = 2\n"
+           "    v.other = 3\n"
+           "    v.n.items[0] = 4\n")
+    assert record_writes({"m.py": src}, {"n", "done"}) == [
+        "m.py:6 .done", "m.py:11 .done", "m.py:12 .n", "m.py:13 .n",
+        "m.py:14 .n", "m.py:15 .n", "m.py:16 .done"]
 
 
 def test_record_equality_ignores_class_fields_and_free_vars():
