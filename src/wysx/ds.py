@@ -257,15 +257,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
         if kind == "sec-step":
             m = sec[target]
-            if type(m) is Config:
+            if type(m) is Config:  # not yet a value: it leaves sec as one
+                m = st_step(m, rt)
+                if type(m) is Stuck:
+                    return finish("stuck", tick,
+                                  f"joint block {target} stuck at "
+                                  f"{m.rule}: {m.reason}")
                 if m.stack or not isinstance(m.code, Value):
-                    out = st_step(m, rt)
-                    if type(out) is Stuck:
-                        return finish("stuck", tick,
-                                      f"joint block {target} stuck at "
-                                      f"{out.rule}: {out.reason}")
-                    sec[target] = m = out
-                if m.stack or not isinstance(m.code, Value):
+                    sec[target] = m
                     continue
                 if m.trace:
                     return finish("stuck", tick,
