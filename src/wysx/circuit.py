@@ -33,6 +33,15 @@ but the canonically last gets a pure mask as its word, and the last word is
 computed in circuit as the value xored with those masks, revealed only to
 the last holder. The handles all backends produce are therefore identical
 bit for bit.
+
+A circuit is public: private data enter it only through input wires, so a
+compile is a function of the block's code, the party set, the width, the
+converted environment (public values as they are, private ones as ``CInt``
+and ``CBit`` wire numbers) and the input declarations. The one exception is
+``mk_sh``, which draws masks from the mint and folds them into the gates.
+``compile_sec_thunk`` therefore lets a distributed run reuse a compile that
+drew nothing for every later entry with an equal key; each entry still
+binds its own inputs and runs the protocol with a fresh dealer seed.
 """
 
 from __future__ import annotations
@@ -403,6 +412,7 @@ class Compiler:
         self.b = Builder()
         self.inputs: list[InputDecl] = []
         self.outputs: list[tuple[int, frozenset]] = []
+        self.minted = False  # drew masks: the gates hold them
 
     # -- turning environment values into compile-time values ----------------
 
@@ -554,6 +564,7 @@ class Compiler:
         if name == "mk_sh":
             vw = self.as_int_wires(args[0])
             words = self.mint.draw_masks(self.parties, self.width)
+            self.minted = True
             acc = 0
             for m in words.values():
                 acc ^= m
@@ -743,17 +754,31 @@ class Compiler:
 
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
-                      mint: ShareMint) -> Circuit:
+                      mint: ShareMint, cache: dict | None = None) -> Circuit:
+    """Compile a block's thunk. With ``cache``, a dict that lives for one
+    distributed run, a compile that drew nothing from the mint is kept
+    under ``id(body)`` and returned again for an entry with an equal key."""
     comp = Compiler(parties, width, mint)
     fv = free_vars(body)
     vis = frozenset(parties.names)
     cenv = Env({x: comp.convert(v, (("var", x),), vis)
                 for x, v in env.items() if x in fv})
+    key = (parties, width, cenv, comp.inputs)
+    if cache is not None:
+        # the run holds its program and environment, and so every code
+        # node, until it ends: an id names one node for the cache's life
+        entries = cache.setdefault(id(body), [])
+        for k, circ in entries:
+            if k == key:
+                return circ
     result = comp.ceval(cenv, body)
     comp.add_outputs(result, vis)
     b = comp.b
-    return Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
+    circ = Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
                    result)
+    if cache is not None and not comp.minted:
+        entries.append((key, circ))
+    return circ
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ from .st import (
 
 @record
 class GmwSec:
-    ps: PrinSet
     circuit: Circuit
     bits: dict[str, dict[int, int]]
     dealer_seed: int
@@ -112,6 +111,9 @@ class DsResult:
     ticks: int
     reason: Optional[str] = None
     sec_entries: int = 0
+    # every GMW block entry in order, as "{ps}#{index}" and its circuit; a
+    # block that mints nothing is compiled once per run, so one circuit
+    # object may appear under several labels
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
 
 
@@ -146,6 +148,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
     circuits: list[tuple[str, Circuit]] = []
+    compiled: dict = {}  # circuits to reuse (``compile_sec_thunk``)
 
     def finish(status: str, ticks: int, reason: Optional[str] = None) -> DsResult:
         parties = {p: (c.code if c.is_terminal() else None, c.trace)
@@ -244,13 +247,12 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 gmw_counters[s] = idx + 1
                 try:
                     circ = compile_sec_thunk(joint.bind(UNIT), c0.body, s,
-                                             rt.width, rt.mint)
+                                             rt.width, rt.mint, compiled)
                     bits = bind_inputs(circ, {p: c.bind(UNIT) for p, c
                                               in zip(s.names, thunks)})
                 except CircuitError as ex:
                     return finish("stuck", tick, f"joint block {s}: {ex}")
-                sec[s] = GmwSec(s, circ, bits,
-                                _gmw_seed(rt.seed, s, idx))
+                sec[s] = GmwSec(circ, bits, _gmw_seed(rt.seed, s, idx))
                 circuits.append((f"{s}#{idx}", circ))
             moves = None
             continue

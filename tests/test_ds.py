@@ -10,8 +10,8 @@ import pytest
 
 from wysx import apps, ds
 from wysx.lang import (
-    Env, FfiInt, OPAQUE, PrinSet, Sealed, ShareVal, TMsg, VMap, slice_trace,
-    slice_value,
+    FALSE, OPAQUE, TRUE, Env, FfiInt, FfiList, PrinSet, Sealed, ShareVal,
+    TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.st import Runtime, machine_step, run as st_run
@@ -175,6 +175,61 @@ def test_gmw_records_compiled_circuits():
     assert len(ds.circuits) == 2
     labels = [lbl for lbl, _ in ds.circuits]
     assert len(set(labels)) == 2
+
+
+def test_gmw_compiles_a_repeated_mint_free_block_once():
+    # history of 3 cards, none of them the dealt one: the four minting
+    # blocks, the history check three times, then the reveal
+    rands = {"a": 3, "b": 4, "c": 5}
+    env = apps.deal_env(rands, apps.mk_handles([20, 30, 40], seed=5))
+    e = apps.load_program("deal_round")
+    ideal = ds_run(e, env, ABC, rt=Runtime(1, 32), backend="ideal")
+    gmw = ds_run(e, env, ABC, rt=Runtime(1, 32), backend="gmw")
+    assert ideal.status == gmw.status == "done"
+    assert gmw.parties == ideal.parties
+    circs = [c for _, c in gmw.circuits]
+    assert len(circs) == 8
+    assert len({id(c) for c in circs[:4]}) == 4  # the minting blocks
+    assert circs[4] is circs[5] is circs[6]
+    assert circs[7] is not circs[4]
+
+
+PUBLIC_LOOP = """((fix f l (if (ffi is_nil l) (ffi list)
+                  (ffi cons (as_sec (prins a b) (lam _
+                              (ffi eq (reveal xa) (ffi hd l))))
+                            (f (ffi tl l)))))
+                 (ffi list 3 5))"""
+
+
+def test_gmw_compiles_a_block_again_for_other_public_values():
+    env = Env({"xa": Sealed(A, FfiInt(5))})
+    e = parse(PUBLIC_LOOP)
+    ideal = ds_run(e, env, AB, rt=Runtime(0, 32), backend="ideal")
+    gmw = ds_run(e, env, AB, rt=Runtime(0, 32), backend="gmw")
+    assert ideal.status == gmw.status == "done"
+    assert gmw.parties == ideal.parties
+    assert gmw.parties["a"][0] == FfiList((FALSE, TRUE))
+    (_, c1), (_, c2) = gmw.circuits
+    assert c1 is not c2
+
+
+MINT_LOOP = """((fix f n (if (ffi eq n 0) (ffi list)
+                  (ffi cons (as_sec (prins a b) (lam _
+                              (ffi mk_sh (reveal xa))))
+                            (f (ffi sub n 1)))))
+                 3)"""
+
+
+def test_gmw_compiles_a_minting_block_on_every_entry():
+    env = Env({"xa": Sealed(A, FfiInt(5))})
+    e = parse(MINT_LOOP)
+    ideal = ds_run(e, env, AB, rt=Runtime(0, 32), backend="ideal")
+    gmw = ds_run(e, env, AB, rt=Runtime(0, 32), backend="gmw")
+    assert ideal.status == gmw.status == "done"
+    assert gmw.parties == ideal.parties
+    handles = gmw.parties["a"][0].items
+    assert len(handles) == 3 and len(set(handles)) == 3
+    assert len({id(c) for _, c in gmw.circuits}) == 3
 
 
 def test_sched_parsing():
@@ -367,6 +422,15 @@ CONCURRENT = {
  (let y (as_par (prins ab c) (lam _
           (as_sec (prins ab c) (lam _ (ffi add (reveal xab) (reveal xc))))))
   (as_sec (prins a ab c) (lam _ (ffi add (reveal x) (reveal y))))))"""),
+    # each block draws from its own set's mask stream, whatever the order
+    "minting": (PrinSet.of("a", "b", "c", "d"), """
+(let x (as_par (prins a b) (lam _
+         (as_sec (prins a b) (lam _
+           (ffi mk_sh (ffi add (reveal xa) (reveal xb)))))))
+ (let y (as_par (prins c d) (lam _
+          (as_sec (prins c d) (lam _
+            (ffi mk_sh (ffi add (reveal xc) (reveal xd)))))))
+  (ffi pair x y)))"""),
 }
 
 
@@ -426,6 +490,7 @@ SCHEDULE_DIGESTS = {
     "deal/repeat": "01770448eb6a017e",
     "concurrent/four": "05bebe3d1b94d09e",
     "concurrent/prefixed": "6cfc03f8e0cdb5cc",
+    "concurrent/minting": "1b7bae5f869600e3",
 }
 
 
@@ -454,6 +519,7 @@ OFFERED_DIGESTS = {
     "deal/repeat": "5a9f0969c38af497",
     "concurrent/four": "b85cce59b5a3e7e4",
     "concurrent/prefixed": "8a147ca1facf63bb",
+    "concurrent/minting": "0b4cbdae05546991",
 }
 
 
@@ -531,7 +597,7 @@ def test_moves_arrive_in_canonical_order(name):
             res = ds_run(e, env, ps, Runtime(0, 32), rec, backend)
             assert res.status == "done", res.reason
             for p in ps:
-                assert res.parties[p][0] == want
+                assert res.parties[p][0] == slice_value(p, want)
             for moves, move in zip(rec.offered, rec.picked):
                 keys = [(KIND_ORDER[kind], str(t)) for kind, t in moves]
                 assert keys == sorted(keys), moves

@@ -412,9 +412,8 @@ RECORDS = [
     (RunResult("done", UNIT, (), "config", 3, 0),
      "RunResult(status='done', value=Unit(), trace=(), config='config', "
      "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
-    (GmwSec(A, "circuit", {"a": {2: 1}}, 7),
-     "GmwSec(ps=PrinSet(names=('a',)), circuit='circuit', "
-     "bits={'a': {2: 1}}, dealer_seed=7)"),
+    (GmwSec("circuit", {"a": {2: 1}}, 7),
+     "GmwSec(circuit='circuit', bits={'a': {2: 1}}, dealer_seed=7)"),
     (DsResult("done", {}, {}, 5),
      "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
      "sec_entries=0, circuits=())"),
