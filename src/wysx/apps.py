@@ -24,7 +24,7 @@ from .lang import (
 )
 from .sexp import parse
 from .shares import ShareMint, decode_word
-from .st import RunResult, Runtime, run
+from .st import CheckReport, RunResult, Runtime, run
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -230,14 +230,10 @@ def public_msgs(trace: Trace) -> list[Value]:
     return [ev.v for ev in trace if type(ev) is TMsg]
 
 
-@record
-class Verdict:
-    ok: bool
-    checked: int
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.ok
+def _passed(checked: int) -> CheckReport:
+    if not checked:
+        return CheckReport("vacuous", "the suite checked no cases")
+    return CheckReport("pass", checked=checked)
 
 
 def sorted_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
@@ -246,7 +242,7 @@ def sorted_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
 
 
 def check_median_security(lo: int = 1, hi: int = 8, oracle=opt_trace,
-                          program: str = "median_opt") -> Verdict:
+                          program: str = "median_opt") -> CheckReport:
     """Exhaustively re-checks what the optimized median discloses.
 
     Every run must compute the true median, its trace must match the trace
@@ -264,15 +260,15 @@ def check_median_security(lo: int = 1, hi: int = 8, oracle=opt_trace,
                 continue
             r = run_app(program, median_env(a, b))
             if r.status != "done":
-                return Verdict(False, checked,
-                               f"a={a} b={b}: run {r.status} ({r.stuck_reason})")
+                return CheckReport("fail", f"a={a} b={b}: run {r.status} "
+                                   f"({r.stuck_reason})")
             m = median_of(a, b)
             if type(r.value) is not FfiInt or r.value.n != m:
-                return Verdict(False, checked,
-                               f"a={a} b={b}: value {r.value!r}, want {m}")
+                return CheckReport("fail",
+                                   f"a={a} b={b}: value {r.value!r}, want {m}")
             if oracle is not None and r.trace != oracle(a, b):
-                return Verdict(False, checked,
-                               f"a={a} b={b}: trace differs from oracle")
+                return CheckReport("fail",
+                                   f"a={a} b={b}: trace differs from oracle")
             checked += 1
             for side, own in (("a", a), ("b", b)):
                 key = (side, own, m)
@@ -280,10 +276,10 @@ def check_median_security(lo: int = 1, hi: int = 8, oracle=opt_trace,
                 if prev is None:
                     groups[key] = r.trace
                 elif prev != r.trace:
-                    return Verdict(False, checked,
-                                   f"trace varies with the hidden input "
-                                   f"(fixed {side}={own}, median {m})")
-    return Verdict(True, checked)
+                    return CheckReport("fail",
+                                       f"trace varies with the hidden input "
+                                       f"(fixed {side}={own}, median {m})")
+    return _passed(checked)
 
 
 def distinct_lists(max_len: int, lo: int, hi: int) -> list[tuple[int, ...]]:
@@ -295,13 +291,15 @@ def distinct_lists(max_len: int, lo: int, hi: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_psi_security(max_len: int = 3, lo: int = 1, hi: int = 5) -> Verdict:
+def check_psi_security(max_len: int = 3, lo: int = 1, hi: int = 5) -> CheckReport:
     """Checks the two pairwise-psi disclosure claims by enumeration.
 
     The flag trace reveals no more than the lengths and the intersection:
     input pairs agreeing on those have permutation-equal traces.  And the
     optimized trace adds nothing: it is exactly reconstructible from the
-    lengths plus the pairwise trace.
+    lengths plus the pairwise trace.  The two trace oracles are anchored to
+    the programs: on every pair of lists of length at most 2, ``psi_interim``
+    and ``psi_opt`` run and must publish exactly the oracles' flags.
     """
     lists = distinct_lists(max_len, lo, hi)
     checked = 0
@@ -309,19 +307,29 @@ def check_psi_security(max_len: int = 3, lo: int = 1, hi: int = 5) -> Verdict:
     for la in lists:
         for lb in lists:
             flat = trace_psi(la, lb)
-            if trace_psi_opt(la, lb) != psi_reconstruct(len(la), len(lb), flat):
-                return Verdict(False, checked,
-                               f"optimized trace not reconstructible for {la} {lb}")
+            opt = trace_psi_opt(la, lb)
+            if len(la) <= 2 and len(lb) <= 2:
+                for program, want in (("psi_interim", flat), ("psi_opt", opt)):
+                    r = run_app(program, psi_pair_env(la, lb))
+                    if r.status != "done":
+                        return CheckReport("fail", f"{program} {la} {lb}: run "
+                                           f"{r.status} ({r.stuck_reason})")
+                    if public_msgs(r.trace) != [Bool(b) for b in want]:
+                        return CheckReport("fail", f"{program} {la} {lb}: "
+                                           f"trace differs from oracle")
+            if opt != psi_reconstruct(len(la), len(lb), flat):
+                return CheckReport("fail", f"optimized trace not "
+                                   f"reconstructible for {la} {lb}")
             key = (len(la), len(lb), frozenset(la) & frozenset(lb))
             hist = (len(flat), sum(flat))  # a multiset of booleans, compactly
             prev = groups.get(key)
             if prev is None:
                 groups[key] = hist
             elif prev != hist:
-                return Verdict(False, checked,
-                               f"trace multiset varies within group {key}")
+                return CheckReport("fail",
+                                   f"trace multiset varies within group {key}")
             checked += 1
-    return Verdict(True, checked)
+    return _passed(checked)
 
 
 def psi_comparison_count(la: Sequence[int], lb: Sequence[int]) -> tuple[int, int]:
@@ -412,7 +420,7 @@ def share_roundtrip(v: int, seed: int = 0, width: int = 32) -> int:
     return r2.value.n
 
 
-def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> Verdict:
+def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> CheckReport:
     """Card-dealing suite: share identities, freshness vs the distinctness
     oracle over small histories, and optionally full 52-card deals."""
     from itertools import product
@@ -420,7 +428,7 @@ def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> Verdict:
     checked = 0
     for v in range(52):
         if share_identity(v) != v or share_roundtrip(v) != v:
-            return Verdict(False, checked, f"share round-trip broke at {v}")
+            return CheckReport("fail", f"share round-trip broke at {v}")
         checked += 1
     for n in range(max_hist + 1):
         for hist in product(range(hi + 1), repeat=n):
@@ -429,15 +437,15 @@ def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> Verdict:
                 want = fresh_oracle(hist, cand)
                 if (r.status != "done" or type(r.value) is not Bool
                         or r.value.b is not want):
-                    return Verdict(False, checked,
-                                   f"freshness wrong for {hist} cand {cand}")
+                    return CheckReport("fail",
+                                       f"freshness wrong for {hist} cand {cand}")
                 checked += 1
     for s in range(deals):
         cards = full_deal(s)
         if len(cards) != 52 or len(set(cards)) != 52:
-            return Verdict(False, checked, f"deal with seed {s} repeated a card")
+            return CheckReport("fail", f"deal with seed {s} repeated a card")
         checked += 1
-    return Verdict(True, checked)
+    return _passed(checked)
 
 
 # ---------------------------------------------------------------------------

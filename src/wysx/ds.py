@@ -31,7 +31,7 @@ from .lang import (
     slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, NeedsSec, Runtime, Stuck, machine_step,
+    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, Stuck, machine_step,
     machine_step as st_step, run as st_run,
 )
 
@@ -310,11 +310,6 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 # ---------------------------------------------------------------------------
 # metatheory checkers
 
-@record
-class CheckReport:
-    status: str  # pass | fail | vacuous | inconclusive
-    detail: str = ""
-
 
 def _config_diff(tag: str, a: Config, b: Config) -> str:
     if a.mode != b.mode:
@@ -330,22 +325,50 @@ def _config_diff(tag: str, a: Config, b: Config) -> str:
     return f"{tag}: configs differ"
 
 
-def default_schedules(n: int = 10):
-    scheds = [lambda: RoundRobin()]
-    for i in range(n):
-        scheds.append(lambda i=i: SeededRandom(i))
-    return scheds
+def schedules(n: int) -> list:
+    """Round robin, then ``n`` seeded schedules, each under the label that
+    ``parse_sched`` (and so ``wysx run --sched``) reads back."""
+    labels = ["rr", *(f"rand:{i}" for i in range(n))]
+    return [(label, parse_sched(label)) for label in labels]
+
+
+def _check_schedules(e: Expr, env: Env, ps: PrinSet, seed: int, width: int,
+                     n_schedules: int, backend: str, fuel: int,
+                     want: Optional[tuple[str, dict[str, Config]]] = None,
+                     ) -> CheckReport:
+    """Run ``schedules(n_schedules)``; compare each run's status and, when
+    done, every party's config with ``want`` (None: the first run's). A
+    failure starts with the label of the schedule that showed it."""
+    if n_schedules < 1:
+        raise ValueError(f"schedules must be at least 1, got {n_schedules}")
+    for label, sched in schedules(n_schedules):
+        res = ds_run(e, env, ps, Runtime(seed, width), sched, backend, fuel)
+        if res.status == "fuel":
+            # a tick is one party's step, so a run needs more ticks than
+            # the reference run needs steps
+            return CheckReport("inconclusive",
+                               f"[{label}] distributed run ran out of fuel: "
+                               f"no result within {fuel} ticks")
+        if want is None:
+            want = (res.status, res.par)
+        elif res.status != want[0]:
+            return CheckReport("fail", f"[{label}] distributed run "
+                               f"{res.status}, expected {want[0]}: "
+                               f"{res.reason}")
+        elif res.status == "done":
+            for p in ps:
+                if want[1][p] != res.par[p]:
+                    return CheckReport("fail", f"[{label}] " + _config_diff(
+                        p, want[1][p], res.par[p]))
+    return CheckReport("pass", checked=n_schedules + 1)
 
 
 def check_simulation(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
-                     width: int = 32, schedules=None, backend: str = "ideal",
+                     width: int = 32, n_schedules: int = 10,
+                     backend: str = "ideal",
                      fuel: int = DEFAULT_FUEL) -> CheckReport:
     """The reference run, sliced per party, must equal every scheduled
     distributed run, state for state."""
-    if schedules is None:
-        schedules = default_schedules()
-    if not schedules:
-        raise ValueError("schedules must not be empty")
     sres = st_run(e, env, ps, Runtime(seed, width), fuel)
     if sres.status == "stuck":
         return CheckReport("vacuous",
@@ -353,26 +376,8 @@ def check_simulation(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                            f"{sres.stuck_reason}")
     if sres.status == "fuel":
         return CheckReport("inconclusive", "reference run ran out of fuel")
-    sliced = slice_config(ps, sres.config)
-    for mk in schedules:
-        sched = mk()
-        dres = ds_run(e, env, ps, Runtime(seed, width), sched, backend, fuel)
-        name = type(sched).__name__
-        if dres.status == "fuel":
-            # a tick is one party's step, so a run needs more ticks than
-            # the reference run needs steps
-            return CheckReport("inconclusive",
-                               f"[{name}] distributed run ran out of fuel: "
-                               f"no result within {fuel} ticks")
-        if dres.status != "done":
-            return CheckReport("fail",
-                               f"[{name}] distributed run {dres.status}: "
-                               f"{dres.reason}")
-        for p in ps:
-            if sliced[p] != dres.par[p]:
-                return CheckReport("fail", "[" + name + "] " +
-                                   _config_diff(p, sliced[p], dres.par[p]))
-    return CheckReport("pass")
+    return _check_schedules(e, env, ps, seed, width, n_schedules, backend,
+                            fuel, ("done", slice_config(ps, sres.config)))
 
 
 def check_confluence(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
@@ -380,24 +385,6 @@ def check_confluence(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                      backend: str = "ideal",
                      fuel: int = DEFAULT_FUEL) -> CheckReport:
     """Every schedule must drive the distributed machines to the same
-    terminal state."""
-    if n_schedules < 1:
-        raise ValueError(f"schedules must be at least 1, got {n_schedules}")
-    base = ds_run(e, env, ps, Runtime(seed, width), RoundRobin(),
-                  backend, fuel)
-    if base.status == "fuel":
-        return CheckReport("inconclusive", "baseline ran out of fuel")
-    for i in range(n_schedules):
-        other = ds_run(e, env, ps, Runtime(seed, width), SeededRandom(i),
-                       backend, fuel)
-        if other.status != base.status:
-            return CheckReport("fail",
-                               f"[rand:{i}] status {other.status} vs "
-                               f"baseline {base.status} ({other.reason})")
-        if base.status == "done":
-            for p in ps:
-                if base.par[p] != other.par[p]:
-                    return CheckReport("fail", "[rand:" + str(i) + "] " +
-                                       _config_diff(p, base.par[p],
-                                                    other.par[p]))
-    return CheckReport("pass")
+    terminal state as round robin."""
+    return _check_schedules(e, env, ps, seed, width, n_schedules, backend,
+                            fuel)

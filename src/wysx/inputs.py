@@ -169,9 +169,9 @@ def env_from_json(obj: Any, where: str = "inputs") -> Env:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object mapping variables "
                          f"to values")
-    from .sexp import RESERVED
+    from .sexp import is_variable
     for x in obj:
-        if not x or x in RESERVED or any(c in '(); \t\r\n"' for c in x):
+        if not is_variable(x):
             raise InputError(f"{where}: {x!r} cannot name an input")
     return Env({x: json_to_value(v, f"{where}.{x}") for x, v in obj.items()})
 

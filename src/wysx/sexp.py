@@ -157,6 +157,13 @@ def _is_int(w: str) -> bool:
     return w.isdigit() and w != ""
 
 
+def is_variable(word: str) -> bool:
+    """Whether ``word`` reads as a variable: one symbol token (not empty, no
+    delimiter, not an integer literal) that is not a keyword."""
+    return (word != "" and not _is_int(word) and word not in RESERVED
+            and _DELIMS.isdisjoint(word))
+
+
 class _Parser:
     def __init__(self, toks: list[Tok]):
         self.toks = toks
@@ -192,7 +199,7 @@ class _Parser:
                 return Const(TRUE)
             if t.text == "false":
                 return Const(FALSE)
-            if t.text in RESERVED:
+            if not is_variable(t.text):
                 raise ParseError(f"{t.text} is a keyword, not a variable",
                                  t.line, t.col)
             return Var(t.text)
@@ -262,7 +269,7 @@ class _Parser:
         t = self.next("a variable name")
         if t.kind != "sym":
             raise ParseError(f"({k} ...) needs a variable name", t.line, t.col)
-        if t.text in RESERVED:
+        if not is_variable(t.text):
             raise ParseError(f"{t.text} is a keyword, not a variable",
                              t.line, t.col)
         return t.text

@@ -365,6 +365,13 @@ class RunResult:
     stuck_reason: Optional[str] = None
 
 
+@record
+class CheckReport:  # of a schedule check (``ds``) or a suite (``apps``)
+    status: str  # pass | fail | vacuous | inconclusive
+    detail: str = ""
+    checked: int = 0  # cases (suites) or schedules (``ds``) that agreed
+
+
 def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         rt: Optional[Runtime] = None, fuel: int = DEFAULT_FUEL) -> RunResult:
     if env is None:

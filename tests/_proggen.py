@@ -22,7 +22,7 @@ from wysx.lang import (
     PrinsVal, Sealed, ShareVal, UNIT, Value, VMap,
 )
 from wysx.lang import (
-    AsPar, AsSec, Const, Expr, Ffi, If, Lam, Let, MkMap, Project, Reveal,
+    App, AsPar, AsSec, Const, Expr, Ffi, If, Lam, Let, MkMap, Project, Reveal,
     Seal, Var,
 )
 from wysx.shares import ShareMint
@@ -205,6 +205,16 @@ class ProgGen:
 
 def gen_program(seed: int, max_depth: int = 5) -> Expr:
     return ProgGen(seed, max_depth).gen()
+
+
+def gen_program_twice(seed: int) -> Expr:
+    """``gen_program(seed)`` as the body of a function of ``pub``, applied to
+    5 and then to -3 in one program: every joint block that reads ``pub`` is
+    entered again with another public value."""
+    f = Var("f")
+    return Let("f", Lam("pub", gen_program(seed)),
+               Ffi("pair", (App(f, Const(FfiInt(5))),
+                            App(f, Const(FfiInt(-3))))))
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,7 @@ from wysx.apps import (
     check_median_security, check_psi_security, corpus, deal_env,
     distinct_lists, fresh_env, full_deal, load_program, median_env, median_of,
     median_pre, median_trace, mk_handles, opt_trace, psi_comparison_count,
-    psi_pair_env, psi_reconstruct, public_msgs, run_app, run_check_fresh,
-    share_identity, share_roundtrip, trace_psi, trace_psi_opt,
+    psi_pair_env, run_app, run_check_fresh, share_identity, share_roundtrip,
 )
 
 from _proggen import gen_program, gen_value, base_env, UNIVERSE
@@ -118,7 +117,7 @@ def test_criterion_03_median_value_and_traces(announce):
 def test_criterion_04_delimited_release(announce):
     with verdict(announce, 4, "delimited release", 60) as info:
         good = check_median_security(1, 8)
-        assert good.ok, good.detail
+        assert good.status == "pass", good.detail
         info["checks"] += good.checked
 
         # negative control: an oracle that forgets the private scopes must
@@ -126,36 +125,24 @@ def test_criterion_04_delimited_release(announce):
         def no_scopes(a, b):
             return tuple(ev for ev in opt_trace(a, b) if type(ev) is TMsg)
         control = check_median_security(1, 8, oracle=no_scopes)
-        assert not control.ok, "mutated oracle slipped through"
+        assert control.status == "fail", "mutated oracle slipped through"
         info["checks"] += 1
 
         # second control: a variant program that publishes an intermediate
         leak = check_median_security(1, 8, oracle=None,
                                      program="median_opt_leak")
-        assert not leak.ok, "leaky variant slipped through"
+        assert leak.status == "fail", "leaky variant slipped through"
         info["checks"] += 1
 
 
 def test_criterion_05_psi_permutation_security(announce):
     with verdict(announce, 5, "psi security", 120) as info:
+        # the suite also anchors both trace oracles to the programs, on
+        # every pair of lists of length at most 2 over 1..5
         v = check_psi_security(3, 1, 5)
-        assert v.ok, v.detail
+        assert v.status == "pass", v.detail
         assert v.checked == 86 * 86
         info["checks"] += v.checked
-
-        # anchor the trace oracles to the actual programs on a subgrid
-        for la in distinct_lists(2, 1, 4):
-            for lb in distinct_lists(2, 1, 4):
-                r = run_app("psi_interim", psi_pair_env(la, lb))
-                assert r.status == "done", (la, lb)
-                got = [m.b for m in public_msgs(r.trace)]
-                assert got == trace_psi(la, lb), (la, lb)
-                r2 = run_app("psi_opt", psi_pair_env(la, lb))
-                assert r2.status == "done", (la, lb)
-                got2 = [m.b for m in public_msgs(r2.trace)]
-                assert got2 == trace_psi_opt(la, lb), (la, lb)
-                assert psi_reconstruct(len(la), len(lb), got) == got2
-                info["checks"] += 1
 
 
 def test_criterion_06_psi_optimization_counts(announce):

@@ -15,7 +15,7 @@ from wysx.apps import (
     share_identity, share_roundtrip, trace_psi, trace_psi_opt,
 )
 from wysx.ds import check_simulation
-from wysx.st import Runtime
+from wysx.st import CheckReport, Runtime
 
 import random
 
@@ -150,7 +150,7 @@ def test_median_opt_program_matches_trace_oracle():
 
 def test_median_security_holds_on_small_domain():
     v = check_median_security(1, 5)
-    assert v.ok, v.detail
+    assert v.status == "pass", v.detail
     assert v.checked > 0
 
 
@@ -158,14 +158,20 @@ def test_median_security_catches_scopeless_oracle():
     def no_scopes(a, b):
         return tuple(ev for ev in opt_trace(a, b) if type(ev) is TMsg)
     v = check_median_security(1, 5, oracle=no_scopes)
-    assert not v.ok
+    assert v.status == "fail"
 
 
 def test_median_security_catches_leaky_program():
     # the leak only shows up once the domain is wide enough to hold two
     # runs that agree on one party's view but disagree on the leaked value
     v = check_median_security(1, 8, oracle=None, program="median_opt_leak")
-    assert not v.ok
+    assert v.status == "fail"
+
+
+def test_median_security_that_checks_no_case_is_vacuous():
+    # the precondition needs two distinct values on each side
+    assert check_median_security(1, 1) == CheckReport(
+        "vacuous", "the suite checked no cases")
 
 
 # psi programs
@@ -238,8 +244,26 @@ def test_psi_opt_never_does_more_work():
 
 def test_psi_security_small_domain():
     v = check_psi_security(2, 1, 4)
-    assert v.ok, v.detail
+    assert v.status == "pass", v.detail
     assert v.checked > 0
+
+
+def test_psi_security_runs_the_programs(monkeypatch):
+    # A wrong pair of oracles that agree with each other: b's items scanned
+    # against a's, the transpose of the programs' order. The lengths and
+    # the intersection still fix the flag multiset and the optimized trace
+    # is still rebuilt from the pairwise one, so only the runs can tell.
+    def transposed(la, lb):
+        return [ax == bx for bx in lb for ax in la]
+
+    def transposed_opt(la, lb):
+        return psi_reconstruct(len(la), len(lb), transposed(la, lb))
+
+    monkeypatch.setattr(apps, "trace_psi", transposed)
+    monkeypatch.setattr(apps, "trace_psi_opt", transposed_opt)
+    v = check_psi_security(2, 1, 4)
+    assert v == CheckReport("fail", "psi_interim (1, 2) (2, 3): trace "
+                            "differs from oracle")
 
 
 # card dealing
@@ -327,7 +351,7 @@ def test_full_deal_is_distinct():
 
 def test_check_cards_verdict():
     v = check_cards(max_hist=1, hi=4, deals=1)
-    assert v.ok, v.detail
+    assert v.status == "pass", v.detail
 
 
 # corpus

@@ -349,8 +349,12 @@ def test_check_sim_out_of_ticks_is_inconclusive(tmp_path, capsys):
     assert main(["check", "sim", str(prog), "--prins", "a,b,c",
                  "--fuel", "20"]) == 1
     assert capsys.readouterr().out == (
-        "INCONCLUSIVE: [RoundRobin] distributed run ran out of fuel: "
+        "INCONCLUSIVE: [rr] distributed run ran out of fuel: "
         "no result within 20 ticks\n")
+    # the label replays the schedule
+    assert main(["run", str(prog), "--prins", "a,b,c", "--mode", "ds",
+                 "--sched", "rr", "--fuel", "20"]) == 1
+    assert capsys.readouterr().err == "run fuel: no result within 20 ticks\n"
 
 
 @pytest.mark.parametrize("mode,fuel", [("st", 19), ("ds", 57)])

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from wysx.lang import (
     TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
+from wysx.shares import ShareMint
 from wysx.st import Runtime, machine_step, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
@@ -278,11 +280,11 @@ def test_check_simulation_inconclusive_when_only_ds_runs_out_of_fuel():
     assert st_run(e, Env(), ABC, fuel=20).status == "done"
     rep = check_simulation(e, Env(), ABC, fuel=20)
     assert (rep.status, rep.detail) == (
-        "inconclusive", "[RoundRobin] distributed run ran out of fuel: "
+        "inconclusive", "[rr] distributed run ran out of fuel: "
         "no result within 20 ticks")
-    rep = check_simulation(e, Env(), ABC, fuel=20,
-                           schedules=[lambda: SeededRandom(3)])
-    assert rep.detail.startswith("[SeededRandom] ")
+    # the label replays the schedule
+    assert ds_run(e, Env(), ABC, sched=parse_sched("rr"),
+                  fuel=20).status == "fuel"
     assert check_simulation(e, Env(), ABC, fuel=58).status == "pass"
 
 
@@ -295,13 +297,13 @@ def test_fuel_counts_ticks():
     assert check_simulation(e, Env(), ABC, fuel=57).status == "pass"
     rep = check_simulation(e, Env(), ABC, fuel=56)
     assert (rep.status, rep.detail) == (
-        "inconclusive", "[RoundRobin] distributed run ran out of fuel: "
+        "inconclusive", "[rr] distributed run ran out of fuel: "
         "no result within 56 ticks")
 
 
 def test_check_simulation_refuses_an_empty_schedule_list():
-    with pytest.raises(ValueError, match="schedules must not be empty"):
-        check_simulation(parse("(ffi add 1 2)"), Env(), AB, schedules=[])
+    with pytest.raises(ValueError, match="schedules must be at least 1"):
+        check_simulation(parse("(ffi add 1 2)"), Env(), AB, n_schedules=0)
 
 
 def test_check_confluence_passes():
@@ -372,7 +374,7 @@ class Recording:
 
 
 def schedules(n_random):
-    return [RoundRobin()] + [SeededRandom(i) for i in range(n_random)]
+    return [sched for _, sched in ds.schedules(n_random)]
 
 
 def test_local_steps_are_pure_on_every_corpus_config(monkeypatch):
@@ -608,3 +610,27 @@ def test_moves_arrive_in_canonical_order(name):
                 if len(joint) - joint.count("enter") > 1:
                     together.add("in flight")
     assert together == {"enter", "in flight"}
+
+
+def test_a_failing_schedule_replays_from_its_label(monkeypatch):
+    # A mint that counts handles over every party set, not per set, makes a
+    # block's masks depend on which concurrent block minted first. Round
+    # robin passes; a seeded schedule shows it, under a label that
+    # ``parse_sched`` reads back.
+    def draw_masks(self, ps, width):
+        idx = self._counters.get(None, 0)
+        self._counters[None] = idx + 1
+        return {p: self._mask(ps, idx, p, width) for p in ps.names[:-1]}
+
+    monkeypatch.setattr(ShareMint, "draw_masks", draw_masks)
+    ps, src = CONCURRENT["minting"]
+    e, env = parse(src), concurrent_env(ps)
+    rep = check_confluence(e, env, ps)
+    assert rep.status == "fail", rep.detail
+    label, p = re.match(r"\[(rand:\d+)\] (\w+): results differ",
+                        rep.detail).groups()
+    base = ds_run(e, env, ps, Runtime(0, 32), parse_sched("rr"))
+    again = ds_run(e, env, ps, Runtime(0, 32), parse_sched(label))
+    assert base.par[p] != again.par[p]
+    assert rep.detail == f"[{label}] " + ds._config_diff(p, base.par[p],
+                                                          again.par[p])

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from _proggen import base_env, gen_program
+from _proggen import base_env, gen_program, gen_program_twice
 from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -267,17 +267,21 @@ def test_protocol_matches_clear_evaluation_on_random_circuits():
     assert inversions > 10
 
 
-def test_gmw_backend_equals_ideal_on_generated_programs():
-    # A block the ideal backend runs sticks under the gates in two cases:
-    # mul on private data has no gate lowering, and an input or a constant
-    # outside the signed range of the width would wrap, so it is refused
-    # (base_env holds 11 and 23, which do not fit 4 bits).
+def gmw_against_ideal(make):
+    """Run ``make(seed)`` for seeds 0-299 at widths 4, 9, 16 and 32 on both
+    backends: the ideal one must finish, and GMW must give the same parties
+    or stick for a reason counted in the result, with the GMW blocks run.
+
+    A block the ideal backend runs sticks under the gates in two cases: mul
+    on private data has no gate lowering, and an input or a constant
+    outside the signed range of the width would wrap, so it is refused
+    (base_env holds 11 and 23, which do not fit 4 bits)."""
     env = base_env()
     sticks = Counter()
     blocks = 0
     for w in (4, 9, 16, 32):
         for seed in range(300):
-            e = gen_program(seed)
+            e = make(seed)
             ideal = ds_run(e, env, AB, Runtime(0, w), backend="ideal")
             assert ideal.status == "done", (w, seed, ideal.reason)
             res = ds_run(e, env, AB, Runtime(0, w), backend="gmw")
@@ -293,9 +297,23 @@ def test_gmw_backend_equals_ideal_on_generated_programs():
                 continue
             assert (res.status, res.parties) == ("done", ideal.parties), \
                 (w, seed, res.reason)
+    return sticks, blocks
+
+
+def test_gmw_backend_equals_ideal_on_generated_programs():
+    sticks, blocks = gmw_against_ideal(gen_program)
     assert sticks == {(4, "mul"): 2, (4, "input"): 23, (4, "constant"): 2,
                       (9, "mul"): 2, (16, "mul"): 2, (32, "mul"): 2}
     assert blocks == 85 + 3 * 116
+
+
+def test_gmw_backend_equals_ideal_when_blocks_are_entered_again():
+    # one run enters each block twice, with pub at 5 and then at -3: a
+    # circuit reused for other public values gives the first call's result
+    sticks, blocks = gmw_against_ideal(gen_program_twice)
+    assert sticks == {(4, "mul"): 2, (4, "input"): 23, (4, "constant"): 2,
+                      (9, "mul"): 2, (16, "mul"): 2, (32, "mul"): 2}
+    assert blocks == 2 * (86 + 3 * 116)
 
 
 def test_malformed_message_raises_protocol_error(monkeypatch):

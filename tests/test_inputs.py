@@ -6,9 +6,11 @@ import tracemalloc
 import pytest
 
 from wysx.lang import (
-    Bool, Env, FfiInt, FfiList, FfiPair, FfiStr, OPAQUE, PrinSet, Sealed,
-    ShareVal, TMsg, TScope, UNIT, VMap, combine_envs, slice_env, slice_value,
+    Bool, Env, FfiInt, FfiList, FfiPair, FfiStr, Lam, OPAQUE, PrinSet, Sealed,
+    ShareVal, TMsg, TScope, UNIT, Var, VMap, combine_envs, slice_env,
+    slice_value,
 )
+from wysx.sexp import ParseError, parse
 from wysx.inputs import (
     InputError, canonical_json, env_from_json, json_to_value, load_env_file,
     trace_to_json, value_to_json,
@@ -156,6 +158,23 @@ def test_env_from_json():
         env_from_json([1, 2])
     with pytest.raises(InputError):
         env_from_json({"if": 3})  # reserved word cannot name an input
+
+
+@pytest.mark.parametrize("name", ["5", "-3", "007", "if", "true", "",
+                                  "a b", "x(", 'q"', "y;"])
+def test_an_input_name_must_read_as_a_variable(name):
+    # the parser reads "5" and "-3" as integer literals, so no program
+    # could refer to an input of that name
+    with pytest.raises(InputError, match="cannot name an input"):
+        env_from_json({name: 1})
+    with pytest.raises(ParseError):
+        parse(f"(lam {name} 1)")
+
+
+@pytest.mark.parametrize("name", ["x", "-", "--5", "x-3", "5x", "_"])
+def test_every_name_the_parser_binds_can_name_an_input(name):
+    assert env_from_json({name: 1}).get(name) == FfiInt(1)
+    assert parse(f"(lam {name} {name})") == Lam(name, Var(name))
 
 
 def test_load_and_combine_party_files(tmp_path):

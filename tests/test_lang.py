@@ -9,9 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 import wysx
-from wysx.apps import CorpusCell, Verdict
+from wysx.apps import CorpusCell
 from wysx.circuit import CBit, CInt, CMaskedList, Circuit, InputDecl
-from wysx.ds import CheckReport, DsResult, GmwSec
+from wysx.ds import DsResult, GmwSec
 from wysx.ffi import HostFn
 from wysx.gmw import GmwResult
 from wysx.lang import (
@@ -27,7 +27,7 @@ from wysx.lang import (
     Reveal, Seal,
 )
 from wysx.sexp import Tok
-from wysx.st import NeedsSec, RunResult, Stuck
+from wysx.st import CheckReport, NeedsSec, RunResult, Stuck
 
 from _proggen import gen_value, UNIVERSE
 
@@ -412,16 +412,16 @@ RECORDS = [
     (RunResult("done", UNIT, (), "config", 3, 0),
      "RunResult(status='done', value=Unit(), trace=(), config='config', "
      "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
+    (CheckReport("pass", checked=3),
+     "CheckReport(status='pass', detail='', checked=3)"),
     (GmwSec("circuit", {"a": {2: 1}}, 7),
      "GmwSec(circuit='circuit', bits={'a': {2: 1}}, dealer_seed=7)"),
     (DsResult("done", {}, {}, 5),
      "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
      "sec_entries=0, circuits=())"),
-    (CheckReport("pass"), "CheckReport(status='pass', detail='')"),
     (GmwResult({"a": {2: 1}}, 1, 0, 0, {}),
      "GmwResult(outputs={'a': {2: 1}}, rounds=1, and_rounds=0, "
      "triples_used=0, channels={})"),
-    (Verdict(True, 3), "Verdict(ok=True, checked=3, detail='')"),
     (CorpusCell("c", "prog", Env(), A),
      "CorpusCell(name='c', program='prog', env=Env(), "
      "ps=PrinSet(names=('a',)), min_width=4)"),
@@ -429,7 +429,7 @@ RECORDS = [
 
 def test_every_record_class_has_a_sample():
     assert {type(x) for x, _ in RECORDS} == record_classes()
-    assert len(RECORDS) == 50
+    assert len(RECORDS) == 49
 
 
 @pytest.mark.parametrize("x, text", RECORDS,

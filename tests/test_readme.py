@@ -55,3 +55,15 @@ def test_quick_tour_dump_circuit_head(tour, capsys):
     assert [o[:len(s) - 3] if s.endswith("...") else o
             for s, o in zip(shown, out)] == [s.removesuffix("...")
                                              for s in shown]
+
+
+def test_quick_tour_replays_the_schedule_a_check_names(tour, capsys):
+    check = "check sim median_opt --inputs a=alice.json b=bob.json --fuel 80"
+    assert main(shlex.split(check)) == 1
+    out = capsys.readouterr().out
+    assert out == shown_output(check)
+    label = re.match(r"INCONCLUSIVE: \[(\S+)\] ", out).group(1)
+    replay = ("run median_opt --inputs a=alice.json b=bob.json --mode ds "
+              f"--sched {label} --fuel 80")
+    assert main(shlex.split(replay)) == 1
+    assert capsys.readouterr().err == shown_output(replay)
