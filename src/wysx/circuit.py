@@ -27,12 +27,13 @@ only, which keeps compile-time effects (share minting) aligned with the
 reference semantics.
 
 Share handles stay ``ShareVal``s. A handle flowing in becomes per-party
-input wires, one word per holder. A handle minted inside the block uses the
-same deterministic mask stream as the reference interpreter: every holder
-but the canonically last gets a pure mask as its word, and the last word is
-computed in circuit as the value xored with those masks, revealed only to
-the last holder. The handles all backends produce are therefore identical
-bit for bit.
+input wires, one word per holder. A handle minted inside the block starts
+from the mint's handle of 0 (``ShareMint.mint_words``), drawn from the same
+deterministic mask stream as the reference interpreter's: every holder but
+the canonically last has a pure mask as its word, and the last holder's
+word, the XOR of those masks, is XORed with the value in gates and revealed
+only to that holder. The handles all backends produce are therefore
+identical bit for bit.
 
 A circuit is public: private data enter it only through input wires, so a
 compile is a function of the block's code, the party set, the width, the
@@ -406,6 +407,7 @@ MAX_CEVAL_DEPTH = 400
 class Compiler:
     def __init__(self, parties: PrinSet, width: int, mint: ShareMint):
         self.parties = parties
+        self.members = frozenset(parties.names)
         self.mode = Mode(SEC, parties)
         self.width = width
         self.mint = mint
@@ -419,18 +421,13 @@ class Compiler:
     def convert(self, v: Value, path: Path, vis: frozenset) -> Value:
         """vis = block members whose local view holds this subvalue."""
         t = type(v)
-        all_parties = frozenset(self.parties.names)
+        if t in _PUBLIC_SCALARS and vis == self.members:
+            return v
         if t is FfiInt:
-            if vis == all_parties:
-                return v
-            return CInt(self._secret_int(path, vis))
+            return CInt(self._input(sorted(vis)[0], path, self.width, False))
         if t is Bool:
-            if vis == all_parties:
-                return v
-            return CBit(self._secret_bit(path, vis))
+            return CBit(self._input(sorted(vis)[0], path, 1, True)[0])
         if t is FfiStr:
-            if vis == all_parties:
-                return v
             raise NotCircuitable("private strings have no gate encoding")
         if t is Unit or t is PrinVal or t is PrinsVal:
             return v
@@ -452,14 +449,10 @@ class Compiler:
                                                 vis & {q})))
             return VMap(tuple(entries))
         if t is ShareVal:  # each holder in view feeds its word
-            words = []
             wpath = path + (("word",),)
-            for p in v.ps:
-                if p in vis:
-                    wires = self.b.input_word(v.width)
-                    self.inputs.append(InputDecl(p, wpath, wires, False))
-                    words.append((p, CInt(wires)))
-            return ShareVal(v.ps, tuple(words), v.width)
+            return ShareVal(v.ps, tuple(
+                (p, CInt(self._input(p, wpath, v.width, False)))
+                for p in v.ps if p in vis), v.width)
         if t is Clos:
             cenv = Env({x: self.convert(w, path + (("cenv", x),), vis)
                         for x, w in v.env.items()})
@@ -468,17 +461,12 @@ class Compiler:
             raise NotCircuitable("placeholder reached the gate compiler")
         raise NotCircuitable(f"no gate encoding for {v!r}")
 
-    def _secret_int(self, path: Path, vis: frozenset) -> tuple[int, ...]:
-        owner = sorted(vis)[0]
-        wires = self.b.input_word(self.width)
-        self.inputs.append(InputDecl(owner, path, wires, False))
+    def _input(self, owner: str, path: Path, n: int,
+               is_bool: bool) -> tuple[int, ...]:
+        """``n`` fresh input wires that ``owner`` feeds from ``path``."""
+        wires = self.b.input_word(n)
+        self.inputs.append(InputDecl(owner, path, wires, is_bool))
         return wires
-
-    def _secret_bit(self, path: Path, vis: frozenset) -> int:
-        owner = sorted(vis)[0]
-        w = self.b.input_wire()
-        self.inputs.append(InputDecl(owner, path, (w,), True))
-        return w
 
     # -- coercions -----------------------------------------------------------
 
@@ -516,9 +504,8 @@ class Compiler:
             return CInt(mux_wires(self.b, c, self.as_int_wires(t),
                                   self.as_int_wires(f)))
         if tt in _BOOL_LIKE and tf in _BOOL_LIKE:
-            return CBit(self.b.xor(self.as_bit(f),
-                                   self.b.and_(c, self.b.xor(self.as_bit(t),
-                                                             self.as_bit(f)))))
+            fw = self.as_bit(f)  # first: either call may emit a CONST wire
+            return CBit(mux_wires(self.b, c, (self.as_bit(t),), (fw,))[0])
         if tt is FfiPair and tf is FfiPair:
             return FfiPair(self.mux(c, t.fst, f.fst),
                            self.mux(c, t.snd, f.snd))
@@ -530,10 +517,9 @@ class Compiler:
         if tt is CMaskedList and tf is CMaskedList:
             if len(t.items) != len(f.items):
                 raise NotCircuitable("branches build lists of different lengths")
-            present = tuple(self.b.xor(pf, self.b.and_(c, self.b.xor(pt, pf)))
-                            for pt, pf in zip(t.present, f.present))
-            return CMaskedList(present, tuple(self.mux(c, a, b)
-                                              for a, b in zip(t.items, f.items)))
+            return CMaskedList(mux_wires(self.b, c, t.present, f.present),
+                               tuple(self.mux(c, a, b)
+                                     for a, b in zip(t.items, f.items)))
         if t == f:
             return t
         if tt is Sealed and tf is Sealed and t.ps == f.ps:
@@ -563,12 +549,12 @@ class Compiler:
 
         if name == "mk_sh":
             vw = self.as_int_wires(args[0])
-            words = self.mint.draw_masks(self.parties, self.width)
+            # the mint's handle of 0; the gates XOR the value into the last word
+            words = self.mint.mint_words(self.parties, 0, self.width)
             self.minted = True
-            acc = 0
-            for m in words.values():
-                acc ^= m
-            words[self.parties.names[-1]] = CInt(tuple(
+            last = self.parties.names[-1]
+            acc = words[last]
+            words[last] = CInt(tuple(
                 b.xor(w, b.const((acc >> i) & 1)) for i, w in enumerate(vw)))
             return ShareVal.of(self.parties, words, self.width)
         if name == "comb_sh":
@@ -724,12 +710,9 @@ class Compiler:
         if t in _PUBLIC_SCALARS:
             return
         if t is CInt:
-            if recipients:
-                for w in v.wires:
-                    self.outputs.append((w, recipients))
+            self._send(v.wires, recipients)
         elif t is CBit:
-            if recipients:
-                self.outputs.append((v.wire, recipients))
+            self._send((v.wire,), recipients)
         elif t is FfiPair or t is FfiList:
             for w in children(v):
                 self.add_outputs(w, recipients)
@@ -744,13 +727,15 @@ class Compiler:
                 if type(w) is CInt:
                     self.add_outputs(w, recipients & {p})
         elif t is CMaskedList:
-            if recipients:
-                for w in v.present:
-                    self.outputs.append((w, recipients))
+            self._send(v.present, recipients)
             for i in v.items:
                 self.add_outputs(i, recipients)
         else:
             raise NotCircuitable(f"a block cannot return a {t.__name__}")
+
+    def _send(self, wires, recipients: frozenset) -> None:
+        if recipients:
+            self.outputs += zip(wires, repeat(recipients))
 
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
@@ -760,8 +745,7 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
     under ``id(body)`` and returned again for an entry with an equal key."""
     comp = Compiler(parties, width, mint)
     fv = free_vars(body)
-    vis = frozenset(parties.names)
-    cenv = Env({x: comp.convert(v, (("var", x),), vis)
+    cenv = Env({x: comp.convert(v, (("var", x),), comp.members)
                 for x, v in env.items() if x in fv})
     key = (parties, width, cenv, comp.inputs)
     if cache is not None:
@@ -772,7 +756,7 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
             if k == key:
                 return circ
     result = comp.ceval(cenv, body)
-    comp.add_outputs(result, vis)
+    comp.add_outputs(result, comp.members)
     b = comp.b
     circ = Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
                    result)

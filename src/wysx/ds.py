@@ -338,7 +338,9 @@ def _check_schedules(e: Expr, env: Env, ps: PrinSet, seed: int, width: int,
                      ) -> CheckReport:
     """Run ``schedules(n_schedules)``; compare each run's status and, when
     done, every party's config with ``want`` (None: the first run's). A
-    failure starts with the label of the schedule that showed it."""
+    failure starts with the label of the schedule that showed it. Runs that
+    all stick are vacuous: stuck reasons are not compared, as the party a
+    run reports first depends on the schedule."""
     if n_schedules < 1:
         raise ValueError(f"schedules must be at least 1, got {n_schedules}")
     for label, sched in schedules(n_schedules):
@@ -351,6 +353,7 @@ def _check_schedules(e: Expr, env: Env, ps: PrinSet, seed: int, width: int,
                                f"no result within {fuel} ticks")
         if want is None:
             want = (res.status, res.par)
+            first = f"[{label}] {res.reason}"
         elif res.status != want[0]:
             return CheckReport("fail", f"[{label}] distributed run "
                                f"{res.status}, expected {want[0]}: "
@@ -360,6 +363,9 @@ def _check_schedules(e: Expr, env: Env, ps: PrinSet, seed: int, width: int,
                 if want[1][p] != res.par[p]:
                     return CheckReport("fail", f"[{label}] " + _config_diff(
                         p, want[1][p], res.par[p]))
+    if want[0] == "stuck":
+        return CheckReport("vacuous", f"all {n_schedules + 1} schedules "
+                           f"stuck; {first}")
     return CheckReport("pass", checked=n_schedules + 1)
 
 
@@ -385,6 +391,6 @@ def check_confluence(e: Expr, env: Env, ps: PrinSet, seed: int = 0,
                      backend: str = "ideal",
                      fuel: int = DEFAULT_FUEL) -> CheckReport:
     """Every schedule must drive the distributed machines to the same
-    terminal state as round robin."""
+    terminal state as round robin; ``vacuous`` when every one sticks."""
     return _check_schedules(e, env, ps, seed, width, n_schedules, backend,
                             fuel)

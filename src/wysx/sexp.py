@@ -152,9 +152,11 @@ def tokenize(src: str) -> list[Tok]:
 
 
 def _is_int(w: str) -> bool:
+    """ASCII digits after an optional minus: ``str.isdigit`` alone also
+    accepts digits such as ``²`` that ``int`` refuses."""
     if w.startswith("-"):
         w = w[1:]
-    return w.isdigit() and w != ""
+    return w.isascii() and w.isdigit()
 
 
 def is_variable(word: str) -> bool:

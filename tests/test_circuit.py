@@ -407,6 +407,55 @@ def test_dump_circuit_is_readable():
     assert "OUT " in text
 
 
+# Private branches over public arms: ``mux`` reads the false arm's bit
+# before the true arm's, and that order decides which CONST wire is emitted
+# first. The masked-list arms pin the presence-bit multiplexers.
+
+def mux_env():
+    return Env({"cb": Sealed(B, Bool(True)),
+                "la": Sealed(A, FfiList((FfiInt(1), FfiInt(-2)))),
+                "lb": Sealed(B, FfiList((FfiInt(-2), FfiInt(0))))})
+
+
+BOOL_MUX_DUMPS = {
+    "(if (reveal cb) true false)": (
+        "circuit parties=a,b width=2 wires=3 ands=0 depth=0\n"
+        "INPUT b bool var:cb/unseal x0\n"
+        "CONST x1 <- 0\n"
+        "CONST x2 <- 1\n"
+        "OUT x0 -> a,b\n", Bool(True)),
+    "(if (reveal cb) false true)": (
+        "circuit parties=a,b width=2 wires=4 ands=0 depth=0\n"
+        "INPUT b bool var:cb/unseal x0\n"
+        "CONST x1 <- 1\n"
+        "CONST x2 <- 0\n"
+        "NOT x3 <- x0\n"
+        "OUT x3 -> a,b\n", Bool(False)),
+}
+
+
+@pytest.mark.parametrize("src", BOOL_MUX_DUMPS)
+def test_private_branch_over_public_bools_is_pinned(src):
+    circ, out = compile_and_run(src, mux_env(), width=2)
+    text, want = BOOL_MUX_DUMPS[src]
+    assert dump_circuit(circ) == text
+    assert out == {"a": want, "b": want}
+
+
+MASKED_MUX_DIGEST = \
+    "953174aee68169e66a9838bef259193193ded1facb8ba7a447f3b38044ac0f36"
+
+
+def test_private_branch_over_masked_lists_is_pinned():
+    src = ("(if (reveal cb) (ffi list_intersect (reveal la) (reveal lb)) "
+           "(ffi list_intersect (reveal lb) (reveal la)))")
+    circ, out = compile_and_run(src, mux_env(), width=2)
+    text = dump_circuit(circ)
+    assert text.count("\nOUT ") == 6  # 2 presence bits, 2 words of 2 bits
+    assert hashlib.sha256(text.encode()).hexdigest() == MASKED_MUX_DIGEST
+    assert out == {"a": FfiList((FfiInt(-2),)), "b": FfiList((FfiInt(-2),))}
+
+
 # every result shape decodes to the reference machine's per-party view
 
 SHAPES = {

@@ -184,6 +184,16 @@ def test_check_vacuous_reports_failure(tmp_path, capsys):
     assert "VACUOUS" in capsys.readouterr().out
 
 
+def test_check_confluence_is_vacuous_when_every_schedule_sticks(capsys):
+    # median_opt without input files sticks under every schedule
+    rc = main(["check", "confluence", "median_opt", "--prins", "a,b",
+               "--schedules", "3"])
+    assert rc == 1
+    assert capsys.readouterr().out == (
+        "VACUOUS: all 4 schedules stuck; [rr] joint block {a,b} stuck at "
+        "var: unbound variable in_a\n")
+
+
 def test_security_median_suite(capsys):
     rc = main(["check", "security", "--suite", "median", "--domain", "4"])
     captured = capsys.readouterr()
@@ -268,6 +278,15 @@ def test_unbounded_unrolling_under_gmw_is_a_one_line_stuck_run(tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"run stuck: {DEPTH_REASON}\n"
+
+
+def test_a_unicode_digit_is_an_unbound_variable(tmp_path, capsys):
+    prog = tmp_path / "square.wyx"
+    prog.write_text("(ffi add \u00b2 1)", encoding="utf-8")
+    assert main(["run", str(prog), "--prins", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "run stuck: var: unbound variable \u00b2\n"
 
 
 @pytest.mark.parametrize("mode", ["st", "ds"])

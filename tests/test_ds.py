@@ -314,6 +314,33 @@ def test_check_confluence_passes():
     assert rep.status == "pass", rep.detail
 
 
+def test_check_confluence_is_vacuous_when_every_schedule_sticks():
+    env = Env({"xa": Sealed(A, FfiInt(4))})
+    e = parse("(as_sec (prins a b) (lam _ (reveal xb)))")
+    rep = check_confluence(e, env, AB, n_schedules=3)
+    assert (rep.status, rep.detail) == (
+        "vacuous", "all 4 schedules stuck; [rr] joint block {a,b} stuck at "
+        "var: unbound variable xb")
+
+
+def test_check_confluence_fails_when_only_some_schedules_stick(monkeypatch):
+    # round robin runs without xb and sticks; a seeded schedule that is
+    # given xb finishes, and the check must not call that vacuous
+    e = parse("(as_sec (prins a b) (lam _ (reveal xb)))")
+    run = ds.ds_run
+
+    def ds_run_with_xb(e, env, ps, rt, sched, *rest):
+        if type(sched) is not RoundRobin:
+            env = env.extend("xb", Sealed(B, FfiInt(9)))
+        return run(e, env, ps, rt, sched, *rest)
+
+    monkeypatch.setattr(ds, "ds_run", ds_run_with_xb)
+    rep = check_confluence(e, Env(), AB, n_schedules=3)
+    assert rep.status == "fail", rep.detail
+    assert rep.detail.startswith(
+        "[rand:0] distributed run done, expected stuck")
+
+
 def test_check_simulation_covers_gmw_backend():
     env = Env({"xa": Sealed(A, FfiInt(4)), "xb": Sealed(B, FfiInt(9))})
     e = parse("(as_sec (prins a b) (lam _ (ffi add (reveal xa) (reveal xb))))")

@@ -1,13 +1,14 @@
 """Every module of the package, the tests, the tools and the benchmark uses
-every name it imports, and every name the package defines at top level is
-used somewhere in the sources, tests or benchmark. The package imports
-only the standard library, and loading it skips the costly modules it has
-no need of."""
+every name it imports, and every name the package defines at top level,
+and every method of its classes, is used somewhere in the sources, tests
+or benchmark. The package imports only the standard library, and loading
+it skips the costly modules it has no need of."""
 
 import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -80,23 +81,46 @@ def referenced_names(node: ast.AST) -> set[str]:
     return out
 
 
+def methods(tree: ast.Module):
+    """(class name, method) for every method of the module's top-level
+    classes; dunder methods, which the language calls, are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__")):
+                    yield node.name, item
+
+
+def attributes(node: ast.AST) -> Counter:
+    """How often each attribute name is accessed under ``node``."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute))
+
+
 def unused_definitions(defining: dict[str, str],
                        others: list[str]) -> list[str]:
     """``module.name`` for each top-level definition in the ``defining``
     sources (module name -> text) that no other statement of those sources
-    or of ``others`` references."""
+    or of ``others`` references, and ``module.Class.name`` for each method
+    whose name no code outside its own body accesses as an attribute."""
     refs: dict[str, int] = {}  # name -> referencing top-level statements
+    attrs = Counter()  # attribute name -> accesses
     trees = {m: ast.parse(text) for m, text in defining.items()}
     for tree in [*trees.values(), *map(ast.parse, others)]:
         for stmt in tree.body:
             for name in referenced_names(stmt):
                 refs[name] = refs.get(name, 0) + 1
+        attrs += attributes(tree)
     dead = []
     for module, tree in trees.items():
         for name, stmt in top_level_definitions(tree):
             own = 1 if name in referenced_names(stmt) else 0
             if refs.get(name, 0) == own:
                 dead.append(f"{module}.{name}")
+        for cls, fn in methods(tree):
+            if attrs[fn.name] == attributes(fn)[fn.name]:
+                dead.append(f"{module}.{cls}.{fn.name}")
     return sorted(dead)
 
 
@@ -117,10 +141,23 @@ def test_unused_definition_is_reported():
            "    return LIMIT\n"
            "class Old:\n"
            "    def again(self):\n"
-           "        return Old()\n")
-    user = "from lib import helper\nhelper()\n"
-    # a recursive call or a use inside the class itself does not count
-    assert unused_definitions({"lib": lib}, [user]) == ["lib.Old", "lib.fact"]
+           "        return Old()\n"
+           "class Walker:\n"
+           "    def __init__(self):\n"
+           "        self.n = 0\n"
+           "    def walk(self, n):\n"
+           "        return self.step(n)\n"
+           "    def step(self, n):\n"
+           "        return n and self.step(n - 1)\n"
+           "    def _secret_int(self):\n"
+           "        return self._secret_int\n")
+    user = ("from lib import Walker, helper\n"
+            "helper()\n"
+            "Walker().walk(3)\n")
+    # a recursive call or a use inside the class itself does not count, nor
+    # does a method's use of itself; a dunder method is the language's
+    assert unused_definitions({"lib": lib}, [user]) == [
+        "lib.Old", "lib.Old.again", "lib.Walker._secret_int", "lib.fact"]
 
 
 def foreign_imports(source: str) -> list[str]:

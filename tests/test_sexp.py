@@ -3,8 +3,10 @@
 import pytest
 
 from wysx.apps import PROGRAM_NAMES, program_source
-from wysx.lang import App, Bool, Const, FfiInt, Var
-from wysx.sexp import MAX_NESTING, ParseError, parse, print_expr, tokenize
+from wysx.lang import App, Bool, Const, Ffi, FfiInt, Var
+from wysx.sexp import (
+    MAX_NESTING, ParseError, is_variable, parse, print_expr, tokenize,
+)
 
 from _proggen import gen_program
 
@@ -158,6 +160,19 @@ def test_parse_error_text(src, msg):
     with pytest.raises(ParseError) as info:
         parse(src)
     assert str(info.value) == msg
+
+
+def test_only_ascii_digits_make_an_integer():
+    # "\u00b2" (superscript two) and "\u0663" (Arabic-Indic three) are
+    # digits to str.isdigit but not to int()
+    toks = tokenize("(ffi add \u00b2 -\u0663 12 -0)")
+    assert [t.kind for t in toks[3:7]] == ["sym", "sym", "int", "int"]
+    assert parse("(ffi add \u00b2 1)") == \
+        Ffi("add", (Var("\u00b2"), Const(FfiInt(1))))
+    for word in ("\u00b2", "\u0663", "-\u0663", "x\u00b2"):
+        assert is_variable(word), word
+    for word in ("12", "-0", "007"):
+        assert not is_variable(word), word
 
 
 def test_integer_literals_fit_the_64_bit_host_word():
