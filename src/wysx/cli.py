@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 from . import apps
 from .circuit import dump_circuit
 from .ds import check_confluence, check_simulation, ds_run, parse_sched
-from .inputs import (InputError, canonical_json, load_env_file, trace_to_json,
-                     value_to_json)
+from .inputs import (InputError, canonical_json, check_principal,
+                     load_env_file, trace_to_json, value_to_json)
 from .lang import (CombineConflict, DomainMismatch, Env, PrinSet, TMsg,
                    WysError, combine_envs, combine_values)
 from .sexp import ParseError, parse
@@ -71,11 +71,12 @@ def _gather_env(args) -> tuple[Env, PrinSet]:
         party, sep, path = item.partition("=")
         if not sep or not party or not path:
             raise CliError(f"bad --inputs entry {item!r}, expected P=FILE")
-        parties.append(party)
+        parties.append(check_principal(party, "--inputs"))
         files.append((path, load_env_file(path)))
     names = parties
     if args.prins:
-        names = [p.strip() for p in args.prins.split(",") if p.strip()]
+        names = [check_principal(p.strip(), "--prins")
+                 for p in args.prins.split(",") if p.strip()]
     if not names:
         raise CliError("no principals: pass --inputs P=FILE... or --prins a,b")
     ps = PrinSet.of(*names)

@@ -31,16 +31,17 @@ from .lang import (
     slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, Stuck, machine_step,
-    machine_step as st_step, run as st_run,
+    DEFAULT_FUEL, CheckReport, NeedsSec, Regs, Runtime, Stuck, is_terminal,
+    machine_step, machine_step as st_step, run as st_run,
 )
 
 
 # ---------------------------------------------------------------------------
 # joint blocks
 #
-# A running block under the ideal backend is the joint machine's ``Config``
-# itself; under GMW it is a ``GmwSec``, evaluated in one step.
+# A running block under the ideal backend is the joint machine's registers
+# (``st.Regs``), stepped on each of its moves; under GMW it is a ``GmwSec``,
+# evaluated in one step.
 
 @record
 class GmwSec:
@@ -122,7 +123,7 @@ def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-_DONE = object()  # step-cache marker of a party whose config is terminal
+_DONE = object()  # step-cache marker of a party whose state is terminal
 
 
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
@@ -137,13 +138,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
 
-    par: dict[str, Config] = {
-        p: Config(Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
+    # each party's machine registers (``st.Regs``)
+    par: dict[str, Regs] = {
+        p: (Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
         for p in ps
     }
     # running blocks, and finished ones until their exit move: the joint
     # value (ideal) or each member's decoded view (GMW)
-    sec: dict[PrinSet, Union[Config, GmwSec]] = {}
+    sec: dict[PrinSet, Union[Regs, GmwSec]] = {}
     finished: dict[PrinSet, Union[Value, dict[str, Value]]] = {}
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
@@ -151,24 +153,26 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     compiled: dict = {}  # circuits to reuse (``compile_sec_thunk``)
 
     def finish(status: str, ticks: int, reason: Optional[str] = None) -> DsResult:
-        parties = {p: (c.code if c.is_terminal() else None, c.trace)
-                   for p, c in par.items()}
-        return DsResult(status, parties, dict(par), ticks, reason,
-                        sec_entries, tuple(circuits))
+        parties = {p: (r[4] if is_terminal(r) else None, r[3])
+                   for p, r in par.items()}
+        return DsResult(status, parties,
+                        {p: Config(*r) for p, r in par.items()}, ticks,
+                        reason, sec_entries, tuple(circuits))
 
-    # One step result per party, computed the first time its config is seen
+    # One step result per party, computed the first time its state is seen
     # and replaced when ``par[p]`` changes (its local move, or its slice at a
-    # block's exit); _DONE marks a terminal config. Reusing it across ticks is
-    # sound because a local step depends only on the config: party machines
+    # block's exit); _DONE marks a terminal state. Reusing it across ticks is
+    # sound because a local step depends only on the state: party machines
     # stay in PAR mode, ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise
     # ModeError outside a joint block before they touch ``rt.mint``. Joint
     # blocks are stepped on their own move, never cached.
     #
     # The move list is kept as one tuple between ticks. After a local move
-    # only the moved party's entry is new; while it is again a ``Config``
-    # the list is unchanged, so it is reused as it is. Anything else (a
-    # party that now waits, terminates or sticks, an enter, an exit or a
-    # block that finishes) sets ``moves`` to None and the list is rebuilt.
+    # only the moved party's entry is new; while it is again registers (a
+    # step to take) the list is unchanged, so it is reused as it is.
+    # Anything else (a party that now waits, terminates or sticks, an enter,
+    # an exit or a block that finishes) sets ``moves`` to None and the list
+    # is rebuilt.
     steps: dict[str, object] = {}
     local_moves = {p: ("local", p) for p in ps}
     moves = None
@@ -176,10 +180,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
     for tick in range(fuel):
         if moved is not None:
-            c = par[moved]
-            out = _DONE if c.is_terminal() else machine_step(c, rt, moved)
+            r = par[moved]
+            out = _DONE if is_terminal(r) else machine_step(r, rt, moved)
             steps[moved] = out
-            if type(out) is not Config:
+            if type(out) is not tuple:
                 moves = None
             moved = None
         if moves is None:
@@ -188,10 +192,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             for p in ps:
                 out = steps.get(p)
                 if out is None:
-                    c = par[p]
-                    out = _DONE if c.is_terminal() else machine_step(c, rt, p)
+                    r = par[p]
+                    out = _DONE if is_terminal(r) else machine_step(r, rt, p)
                     steps[p] = out
-                if type(out) is Config:
+                if type(out) is tuple:
                     locals_.append(local_moves[p])
                 elif type(out) is NeedsSec:
                     if out.ps not in sec and out.ps not in finished:
@@ -240,8 +244,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                          c0.body, c0.f)
             sec_entries += 1
             if backend == "ideal":
-                sec[s] = Config(Mode(SEC, s), (), joint.bind(UNIT), (),
-                                c0.body)
+                sec[s] = (Mode(SEC, s), (), joint.bind(UNIT), (), c0.body)
             else:
                 idx = gmw_counters.get(s, 0)
                 gmw_counters[s] = idx + 1
@@ -259,20 +262,21 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
         if kind == "sec-step":
             m = sec[target]
-            if type(m) is Config:  # not yet a value: it leaves sec as one
+            if type(m) is tuple:  # not yet a value: it leaves sec as one
                 m = st_step(m, rt)
                 if type(m) is Stuck:
                     return finish("stuck", tick,
                                   f"joint block {target} stuck at "
                                   f"{m.rule}: {m.reason}")
-                if m.stack or not isinstance(m.code, Value):
+                _, stack, _, trace, code = m
+                if stack or not isinstance(code, Value):
                     sec[target] = m
                     continue
-                if m.trace:
+                if trace:
                     return finish("stuck", tick,
                                   f"joint block {target} produced "
                                   f"scoped output")
-                finished[target] = m.code
+                finished[target] = code
             else:
                 res = gmw_eval(m.circuit, m.bits, m.dealer_seed)
                 finished[target] = {
@@ -287,22 +291,21 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             s = target
             v = finished.pop(s)
             for p in s.names:
-                c = par[p]
-                frame = c.stack[-1]
+                _, stack, _, trace, _ = par[p]
+                frame = stack[-1]
                 if (type(frame.e) is not AsSec
                         or frame.done != (PrinsVal(s),)):
                     return finish("stuck", tick,
                                   f"party {p} is not waiting on {s}")
                 vp = slice_value(p, v) if backend == "ideal" else v[p]
-                trace = frame.trace + c.trace + (TMsg(vp),)
-                par[p] = Config(frame.mode, c.stack[:-1], frame.env,
-                                trace, vp)
+                par[p] = (frame.mode, stack[:-1], frame.env,
+                          frame.trace + trace + (TMsg(vp),), vp)
                 del steps[p]
             moves = None
             continue
 
-    if not sec and not finished and all(c.is_terminal()
-                                        for c in par.values()):
+    if not sec and not finished and all(is_terminal(r)
+                                        for r in par.values()):
         return finish("done", fuel)  # the last tick ended the run
     return finish("fuel", fuel)
 

@@ -28,6 +28,7 @@ from .lang import (
     UNIT, Unit, Value, VMap, WysError,
 )
 from .ffi import fits64
+from .sexp import is_variable
 
 
 class InputError(WysError):
@@ -58,9 +59,7 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
             return FfiPair(json_to_value(body[0], where + ".0"),
                            json_to_value(body[1], where + ".1"))
         if tag == "prin":
-            if not isinstance(body, str):
-                raise InputError(f"{where}: prin needs a name")
-            return PrinVal(body)
+            return PrinVal(check_principal(body, where))
         if tag == "prins":
             return PrinsVal(_ps(body, where))
         if tag == "sealed":
@@ -75,7 +74,8 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
         if tag == "map":
             if not isinstance(body, dict):
                 raise InputError(f"{where}: map needs an object")
-            return VMap.of({p: json_to_value(x, f"{where}.{p}")
+            return VMap.of({check_principal(p, where):
+                            json_to_value(x, f"{where}.{p}")
                             for p, x in body.items()})
         if tag == "share":
             if not isinstance(body, dict):
@@ -106,12 +106,19 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
     raise InputError(f"{where}: cannot decode {obj!r}")
 
 
+def check_principal(name: Any, where: str) -> str:
+    """``name``, if a program could name that principal: the parser's
+    ``prin_name`` takes exactly the words that read as a variable."""
+    if not (isinstance(name, str) and is_variable(name)):
+        raise InputError(f"{where}: {name!r} cannot name a principal")
+    return name
+
+
 def _ps(body: Any, where: str) -> PrinSet:
-    if not (isinstance(body, list) and body
-            and all(isinstance(p, str) for p in body)):
+    if not (isinstance(body, list) and body):
         raise InputError(f"{where}: principal set needs a non-empty "
                          f"array of names")
-    return PrinSet.of(*body)
+    return PrinSet.of(*(check_principal(p, where) for p in body))
 
 
 def value_to_json(v: Value) -> Any:
@@ -169,7 +176,6 @@ def env_from_json(obj: Any, where: str = "inputs") -> Env:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: expected an object mapping variables "
                          f"to values")
-    from .sexp import is_variable
     for x in obj:
         if not is_variable(x):
             raise InputError(f"{where}: {x!r} cannot name an input")

@@ -570,10 +570,6 @@ class Config:
     trace: Trace
     code: Code
 
-    def is_terminal(self) -> bool:
-        return (not self.stack and isinstance(self.code, Value)
-                and self.mode.tag == PAR)
-
 
 # ---------------------------------------------------------------------------
 # child traversal: the one place that knows which values hold other values

@@ -15,9 +15,16 @@ The value rules of ``seal``, ``reveal``, ``mkmap``, ``project`` and
 ``concat`` live in ``apply_rule``, which the gate compiler calls as well,
 so joint blocks follow one copy of them on every backend.
 
-``run`` is the joint machine's loop. It makes ``machine_step``'s value test
-and the terminal test in one place and calls ``_descend`` or ``_plug``
-itself, so a step costs one call below the loop.
+The step loops keep the machine state as a plain tuple of registers,
+``(mode, stack, env, trace, code)``, in ``Config``'s field order: a step
+takes the registers it reads and returns the next ones, or a ``Stuck`` or
+``NeedsSec``. ``Config`` is the boundary record, built only where a run
+hands its state out (``RunResult.config``, ``ds.DsResult.par``).
+
+``run`` is the joint machine's loop. It keeps the five registers in locals,
+makes ``machine_step``'s value test and the terminal test in one place and
+calls ``_descend`` or ``_plug`` itself, so a step costs one call below the
+loop.
 
 The same decompose/plug core also drives the distributed interpreter's
 per-party machines: ``machine_step`` takes an optional party name and
@@ -31,11 +38,11 @@ from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
-    OPAQUE, OPERANDS, App, AsPar, AsSec, Bool, Clos, Concat, Config, Const,
-    Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode, PAR, PrinSet,
-    PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed, TMsg, TScope,
-    Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError, can_seal,
-    record,
+    OPAQUE, OPERANDS, App, AsPar, AsSec, Bool, Clos, Code, Concat, Config,
+    Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode, PAR,
+    PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed, TMsg,
+    TScope, Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError,
+    can_seal, record,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
 
@@ -68,13 +75,19 @@ class NeedsSec:
     clos: Clos  # the thunk, environment included
 
 
-# What a step yields: the next configuration, the rule that blocks it, or,
-# on a party's local machine, the joint block it waits at.
-StepOut = Union[Config, Stuck, NeedsSec]
+# A machine state in the step loops: (mode, stack, env, trace, code), the
+# fields of ``Config`` in order.
+Regs = tuple[Mode, tuple[Frame, ...], Env, Trace, Code]
+
+# What a step yields: the next registers, the rule that blocks it, or, on a
+# party's local machine, the joint block it waits at.
+StepOut = Union[Regs, Stuck, NeedsSec]
 
 
-def initial_config(e: Expr, env: Env, ps: PrinSet) -> Config:
-    return Config(Mode(PAR, ps), (), env, (), e)
+def is_terminal(regs: Regs) -> bool:
+    """A value with no frame left, in a par mode: the run is over."""
+    mode, stack, _, _, code = regs
+    return not stack and isinstance(code, Value) and mode.tag == PAR
 
 
 def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
@@ -91,20 +104,20 @@ def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
         return None, f"{type(ex).__name__}: {ex}"
 
 
-def _descend(c: Config, rt: Runtime) -> StepOut:
-    e = c.code
+def _descend(mode: Mode, stack: tuple[Frame, ...], env: Env, trace: Trace,
+             e: Expr, rt: Runtime) -> StepOut:
     t = type(e)
     if t is Var:
         try:
-            v = c.env.get(e.x)
+            v = env.get(e.x)
         except UnboundVariable:
             return Stuck("var", f"unbound variable {e.x}")
-        return Config(c.mode, c.stack, c.env, c.trace, v)
+        return mode, stack, env, trace, v
     if t is Const:
-        return Config(c.mode, c.stack, c.env, c.trace, e.v)
+        return mode, stack, env, trace, e.v
     if t is Lam or t is Fix:
-        clos = Clos(c.env.restrict(e.fv), e.x, e.body, e.f)
-        return Config(c.mode, c.stack, c.env, c.trace, clos)
+        clos = Clos(env.restrict(e.fv), e.x, e.body, e.f)
+        return mode, stack, env, trace, clos
     if t is Ffi:
         ops = e.args
     else:
@@ -113,13 +126,13 @@ def _descend(c: Config, rt: Runtime) -> StepOut:
             return Stuck("descend", f"not an expression: {e!r}")
         ops = operands(e)
     if ops:
-        frame = Frame(c.mode, c.env, c.trace, e, (), ops[1:])
-        return Config(c.mode, c.stack + (frame,), c.env, (), ops[0])
+        frame = Frame(mode, env, trace, e, (), ops[1:])
+        return mode, stack + (frame,), env, (), ops[0]
     # a host call without arguments
-    v, err = _run_host(e.name, (), c.mode, rt)
+    v, err = _run_host(e.name, (), mode, rt)
     if err is not None:
         return Stuck("ffi-apply", err)
-    return Config(c.mode, c.stack, c.env, c.trace, v)
+    return mode, stack, env, trace, v
 
 
 _SET_OPERAND = {AsPar: "par-ps", AsSec: "sec-ps", Seal: "seal-ps",
@@ -232,17 +245,18 @@ def apply_rule(e: Expr, args: tuple[Value, ...], mode: Mode,
     return VMap.of(d)
 
 
-def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
-    """Plug the focused value into the innermost frame.
+def _plug(stack: tuple[Frame, ...], trace: Trace, v: Value, rt: Runtime,
+          party: Optional[str]) -> StepOut:
+    """Plug the focused value ``v`` into the innermost frame of ``stack``;
+    ``trace`` is the output since that frame was pushed.
 
     ``party`` selects the semantics: None for the joint reference machine,
     a principal name for that party's local machine.
     """
-    frame = c.stack[-1]
-    rest = c.stack[:-1]
-    v = c.code
+    frame = stack[-1]
+    rest = stack[:-1]
     e = frame.e
-    merged = frame.trace + c.trace if c.trace else frame.trace
+    merged = frame.trace + trace if trace else frame.trace
 
     if frame.pending:
         if not frame.done:
@@ -251,8 +265,7 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
                 return stuck
         nf = Frame(frame.mode, frame.env, merged, e, frame.done + (v,),
                    frame.pending[1:])
-        return Config(frame.mode, rest + (nf,), frame.env, (),
-                      frame.pending[0])
+        return frame.mode, rest + (nf,), frame.env, (), frame.pending[0]
     t = type(e)
 
     # ---- plain sequencing, most frequent first ---------------------------
@@ -260,23 +273,23 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
         out, err = _run_host(e.name, frame.done + (v,), frame.mode, rt)
         if err is not None:
             return Stuck("ffi-apply", err)
-        return Config(frame.mode, rest, frame.env, merged, out)
+        return frame.mode, rest, frame.env, merged, out
 
     if t is If:
         if type(v) is not Bool:
             return Stuck("if-branch", f"condition is not a boolean: {v!r}")
         branch = e.then if v.b else e.els
-        return Config(frame.mode, rest, frame.env, merged, branch)
+        return frame.mode, rest, frame.env, merged, branch
 
     if t is Let:
         env2 = frame.env.extend(e.x, v)
-        return Config(frame.mode, rest, env2, merged, e.body)
+        return frame.mode, rest, env2, merged, e.body
 
     if t is App:
         fn = frame.done[0]
         if type(fn) is not Clos:
             return Stuck("apply", f"not a function: {fn!r}")
-        return Config(frame.mode, rest, fn.bind(v), merged, fn.body)
+        return frame.mode, rest, fn.bind(v), merged, fn.body
 
     if t is AsPar or t is AsSec:
         # ---- block entry: the thunk has arrived --------------------------
@@ -286,25 +299,23 @@ def _plug(c: Config, rt: Runtime, party: Optional[str]) -> StepOut:
         # ---- block exit: the body's value has arrived --------------------
         s = frame.done[0].ps
         if t is AsPar:
-            trace = merged
             if party is None:
                 if not can_seal(s, v):
                     return Stuck("par-return",
                                  f"result not sealable for {s}: {v!r}")
-                trace = frame.trace + (TScope(s, c.trace),)
-            return Config(frame.mode, rest, frame.env, trace, Sealed(s, v))
+                merged = frame.trace + (TScope(s, trace),)
+            return frame.mode, rest, frame.env, merged, Sealed(s, v)
 
         if party is not None:
             return Stuck("sec-return", "local machine inside a joint block")
-        if c.trace:
+        if trace:
             return Stuck("sec-return", "joint block produced scoped output")
-        return Config(frame.mode, rest, frame.env,
-                      frame.trace + (TMsg(v),), v)
+        return frame.mode, rest, frame.env, frame.trace + (TMsg(v),), v
 
     out = apply_rule(e, frame.done + (v,), frame.mode, party)
     if type(out) is Stuck:
         return out
-    return Config(frame.mode, rest, frame.env, merged, out)
+    return frame.mode, rest, frame.env, merged, out
 
 
 def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
@@ -324,11 +335,11 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             m2 = Mode(PAR, s)
         elif party not in s:
             # everything inside is someone else's business
-            return Config(m, rest, frame.env, merged, Sealed(s, OPAQUE))
+            return m, rest, frame.env, merged, Sealed(s, OPAQUE)
         else:
             m2 = m
         nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
-        return Config(m2, rest + (nf,), v.bind(UNIT), (), v.body)
+        return m2, rest + (nf,), v.bind(UNIT), (), v.body
 
     if party is None:
         if not (m.is_par() and m.ps == s):
@@ -336,7 +347,7 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
                          f"joint block over {s} requires exactly those "
                          f"parties, mode is {m.tag} {m.ps}")
         nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
-        return Config(Mode(SEC, s), rest + (nf,), v.bind(UNIT), (), v.body)
+        return Mode(SEC, s), rest + (nf,), v.bind(UNIT), (), v.body
     if party not in s:
         return Stuck("sec-enter", f"{party} outside joint set {s}")
     return NeedsSec(s, v)
@@ -345,12 +356,14 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
 _HALT = Stuck("halt", "no frame to return to")
 
 
-def machine_step(c: Config, rt: Runtime, party: Optional[str] = None) -> StepOut:
-    if isinstance(c.code, Value):
-        if not c.stack:
+def machine_step(regs: Regs, rt: Runtime,
+                 party: Optional[str] = None) -> StepOut:
+    mode, stack, env, trace, code = regs
+    if isinstance(code, Value):
+        if not stack:
             return _HALT
-        return _plug(c, rt, party)
-    return _descend(c, rt)
+        return _plug(stack, trace, code, rt, party)
+    return _descend(mode, stack, env, trace, code, rt)
 
 
 @record
@@ -382,26 +395,31 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         rt = Runtime()
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
-    c = initial_config(e, env, ps)
+    mode, stack, trace, code = Mode(PAR, ps), (), (), e
     secs = 0
     # machine_step with party None, and the terminal test, inline
     for steps in range(fuel):
-        code = c.code
         if isinstance(code, Value):
-            if c.stack:
-                out = _plug(c, rt, None)
-            elif c.mode.tag == PAR:
-                return RunResult("done", code, c.trace, c, steps, secs)
+            if stack:
+                out = _plug(stack, trace, code, rt, None)
+            elif mode.tag == PAR:
+                return RunResult("done", code, trace,
+                                 Config(mode, stack, env, trace, code),
+                                 steps, secs)
             else:
                 out = _HALT
         else:
-            out = _descend(c, rt)
+            out = _descend(mode, stack, env, trace, code, rt)
         if type(out) is Stuck:
-            return RunResult("stuck", None, c.trace, c, steps, secs,
-                             out.rule, out.reason)
-        if out.mode.tag == SEC and c.mode.tag == PAR:
+            return RunResult("stuck", None, trace,
+                             Config(mode, stack, env, trace, code), steps,
+                             secs, out.rule, out.reason)
+        m = out[0]
+        if m is not mode and m.tag == SEC and mode.tag == PAR:
             secs += 1  # sec-enter: the one step from a par into a sec mode
-        c = out
-    if c.is_terminal():  # the last step ended the run
-        return RunResult("done", c.code, c.trace, c, fuel, secs)
-    return RunResult("fuel", None, c.trace, c, fuel, secs)
+        mode, stack, env, trace, code = out
+    regs = (mode, stack, env, trace, code)
+    c = Config(*regs)
+    if is_terminal(regs):  # the last step ended the run
+        return RunResult("done", code, trace, c, fuel, secs)
+    return RunResult("fuel", None, trace, c, fuel, secs)

@@ -1,6 +1,7 @@
 """The summary arithmetic of ``tools/bench_pairs.py`` on fixed numbers."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,23 @@ def test_verdict_needs_ratio_wins_and_a_gap_beyond_the_parent_iqr():
     lat = bench_pairs.summarize([10.0, 10.5, 9.5], [8.0, 8.2, 7.9], "lower")
     v = bench_pairs.verdict(lat, "op_p50_ms", 1.2, "lower")
     assert (v["gain_of_medians"], v["claim_met"]) == (1.25, True)
+
+
+@pytest.mark.parametrize("missing", ["BENCHMARK.json", "bench/run.py"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_directory_that_is_not_a_checkout_is_a_one_line_error(
+        tmp_path, capsys, missing, side):
+    dirs = {}
+    for name in ("parent", "change"):
+        root = tmp_path / name
+        (root / "bench").mkdir(parents=True)
+        (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
+        (root / "bench" / "run.py").write_text("")
+        dirs[name] = root
+    (dirs[side] / missing).unlink()
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "w",
+            "--seeds", "1"]
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: {dirs[side]} is not a checkout: it has no "
+            f"{os.path.join(*missing.split('/'))}\n")

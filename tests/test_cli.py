@@ -351,6 +351,32 @@ def test_prins_naming_nobody_is_a_one_line_error(tmp_path, capsys, cmd):
                               "P=FILE... or --prins a,b\n")
 
 
+@pytest.mark.parametrize("name", ["1", "(x", "if", "a b", "x;"])
+@pytest.mark.parametrize("via", ["prins", "inputs"])
+def test_a_principal_name_must_read_as_a_variable(tmp_path, capsys, name,
+                                                   via):
+    # the parser's ``(prin ...)`` takes the same names as a variable, so no
+    # program could name any other principal
+    prog = tmp_path / "one.wyx"
+    prog.write_text("(ffi add 1 2)")
+    inp = write(tmp_path, "e.json", {})
+    argv = ["run", str(prog), "--inputs", f"a={inp}"]
+    argv += ["--prins", f"a,{name}"] if via == "prins" else [f"{name}={inp}"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --{via}: {name!r} cannot name a principal\n")
+
+
+@pytest.mark.parametrize("name", ["b", "-", "x-3", "_"])
+def test_every_name_the_parser_reads_can_name_a_principal(tmp_path, capsys,
+                                                         name):
+    prog = tmp_path / "one.wyx"
+    prog.write_text(f"(as_par (prins {name}) (lam _ 1))")
+    assert main(["run", str(prog), "--prins", f" {name} ,a"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == {
+        "sealed": {"ps": [name], "v": 1}}
+
+
 @pytest.mark.parametrize("mode,unit", [("st", "steps"), ("ds", "ticks")])
 def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
     prog = tmp_path / "loop.wyx"

@@ -91,6 +91,7 @@ def test_bad_inputs_raise():
         {"sealed": {"ps": [3]}},
         {"share": {"ps": ["a"], "words": {"a": "x"}, "width": 8}},
         {"share": {"ps": ["a"], "words": {"b": 1}, "width": 8}},
+        {"share": {"ps": ["a"], "words": {"(": 1}, "width": 8}},
         *BAD_SHARES,
         {"map": [1, 2]},
         {"tuple": [1]},
@@ -175,6 +176,31 @@ def test_an_input_name_must_read_as_a_variable(name):
 def test_every_name_the_parser_binds_can_name_an_input(name):
     assert env_from_json({name: 1}).get(name) == FfiInt(1)
     assert parse(f"(lam {name} {name})") == Lam(name, Var(name))
+
+
+@pytest.mark.parametrize("obj", [
+    {"prin": "("}, {"prin": "1"}, {"prin": "if"}, {"prin": ""},
+    {"prins": ["", "a b"]}, {"prins": ["a", "-3"]},
+    {"sealed": {"ps": ["a", "x)"], "v": 1}},
+    {"share": {"ps": ["a", "007"], "words": {"a": 1}, "width": 8}},
+    {"map": {"1": 5}}, {"map": {"a": 1, "b;": 2}},
+])
+def test_a_principal_name_must_read_as_a_variable(obj):
+    # ``(prin ...)`` and ``(prins ...)`` take the same names as a variable,
+    # so no program could name any other principal
+    with pytest.raises(InputError, match=r"^v: '.*' cannot name a principal$"):
+        json_to_value(obj, "v")
+
+
+@pytest.mark.parametrize("name", ["x", "-", "--5", "x-3", "5x", "_"])
+def test_every_name_the_parser_reads_can_name_a_principal(name):
+    assert json_to_value({"prin": name}) == parse(f"(prin {name})").v
+    s = PrinSet.of(name)
+    assert json_to_value({"prins": [name]}) == parse(f"(prins {name})").v
+    assert json_to_value({"map": {name: 1}}) == VMap.of({name: FfiInt(1)})
+    assert json_to_value({"sealed": {"ps": [name]}}) == Sealed(s, OPAQUE)
+    assert json_to_value({"share": {"ps": [name], "words": {name: 3},
+                                    "width": 4}}).ps == s
 
 
 def test_load_and_combine_party_files(tmp_path):

@@ -5,11 +5,12 @@ import hashlib
 from _proggen import base_env, gen_program
 from wysx import apps
 from wysx.lang import (
-    AsPar, AsSec, Bool, Const, Env, FfiInt, FfiList, FfiPair, Lam, OPAQUE,
-    PrinSet, PrinsVal, Sealed, ShareVal, TMsg, TScope, VMap,
+    AsPar, AsSec, Bool, Config, Const, Env, FfiInt, FfiList, FfiPair, Lam,
+    Mode, OPAQUE, PAR, PrinSet, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
+    Value, VMap,
 )
 from wysx.sexp import parse
-from wysx.st import DEFAULT_FUEL, Runtime, run
+from wysx.st import DEFAULT_FUEL, Runtime, Stuck, machine_step, run
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -411,3 +412,58 @@ REFERENCE_RUN_DIGESTS = {
 
 def test_reference_runs_are_pinned():
     assert reference_run_digests() == REFERENCE_RUN_DIGESTS
+
+
+# ``run`` and ``machine_step`` drive the same rules from two loops
+
+def stepped(e, env, ps, rt, fuel=DEFAULT_FUEL):
+    """``run``'s result fields, from ``machine_step`` on the registers by
+    hand: (status, steps, sec_entries, final config, stuck rule, reason)."""
+    regs = (Mode(PAR, ps), (), env, (), e)
+    secs = 0
+    for steps in range(fuel + 1):
+        mode, stack, _, _, code = regs
+        if not stack and isinstance(code, Value) and mode.tag == PAR:
+            return "done", steps, secs, Config(*regs), None, None
+        if steps == fuel:
+            break
+        out = machine_step(regs, rt)
+        if type(out) is Stuck:
+            return "stuck", steps, secs, Config(*regs), out.rule, out.reason
+        if out[0].tag == SEC and mode.tag == PAR:
+            secs += 1
+        regs = out
+    return "fuel", fuel, secs, Config(*regs), None, None
+
+
+def fields(r):
+    return (r.status, r.steps, r.sec_entries, r.config, r.stuck_rule,
+            r.stuck_reason)
+
+
+def test_run_and_machine_step_agree_step_for_step():
+    cases = [(apps.load_program(cell.program), cell.env, cell.ps,
+              DEFAULT_FUEL) for cell in apps.corpus()]
+    env = base_env()
+    cases += [(gen_program(seed), env, AB, DEFAULT_FUEL)
+              for seed in range(300)]
+    cases += [(parse(e) if type(e) is str else e, case_env or Env(), AB, fuel)
+              for e, case_env, fuel in EDGE_CASES]
+    statuses = set()
+    for e, case_env, ps, fuel in cases:
+        r = run(e, case_env, ps, Runtime(0, 32), fuel)
+        assert fields(r) == stepped(e, case_env, ps, Runtime(0, 32),
+                                    fuel), e
+        statuses.add(r.status)
+    assert statuses == {"done", "stuck", "fuel"}
+
+
+def test_run_with_fuel_k_ends_where_k_steps_by_hand_do():
+    e = apps.load_program("deal_round")
+    cell, = [c for c in apps.corpus() if c.name == "deal/fresh"]
+    n = run(e, cell.env, cell.ps, Runtime(0, 32)).steps
+    for k in range(n + 1):
+        r = run(e, cell.env, cell.ps, Runtime(0, 32), fuel=k)
+        want = stepped(e, cell.env, cell.ps, Runtime(0, 32), fuel=k)
+        assert fields(r) == want, k
+        assert r.status == ("done" if k == n else "fuel"), k

@@ -5,7 +5,9 @@ Usage, from anywhere:
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
         --seeds A-B --seconds S [--out FILE] [--claim METRIC:RATIO]
 
-PARENT_DIR and CHANGE_DIR are two checkouts. Each seed of A-B is one pair:
+PARENT_DIR and CHANGE_DIR are two checkouts; a directory without
+``BENCHMARK.json`` or ``bench/run.py`` is refused with one ``error:`` line
+and exit status 2. Each seed of A-B is one pair:
 ``bench/run.py --workload W --seed SEED --seconds S --trace 0`` runs once in
 each checkout, each in a fresh process, the parent first on odd pairs (the
 first pair is pair 1) and the change first on even ones, so a slow spell of
@@ -159,6 +161,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out")
     ap.add_argument("--claim", help="METRIC:RATIO")
     args = ap.parse_args(argv)
+    for root in (args.parent_dir, args.change_dir):
+        for need in ("BENCHMARK.json", os.path.join("bench", "run.py")):
+            if not os.path.isfile(os.path.join(root, need)):
+                print(f"error: {root} is not a checkout: it has no {need}",
+                      file=sys.stderr)
+                return 2
 
     with open(os.path.join(args.change_dir, "BENCHMARK.json"),
               encoding="utf-8") as fh:
