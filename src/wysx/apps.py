@@ -19,11 +19,11 @@ from itertools import permutations
 from typing import Optional, Sequence
 
 from .lang import (
-    Bool, Env, Expr, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal,
-    TMsg, TScope, Trace, Value, VMap, WysError, record,
+    SEC, Bool, Env, Expr, FfiInt, FfiList, FfiPair, Mode, PrinSet, Sealed,
+    ShareVal, TMsg, TScope, Trace, Value, VMap, WysError, record,
 )
 from .sexp import parse
-from .shares import ShareMint, decode_word
+from .shares import ShareMint, comb_sh_value
 from .st import CheckReport, RunResult, Runtime, run
 
 A = PrinSet.of("a")
@@ -111,11 +111,7 @@ def deal_env(rands: dict[str, int], hist: Sequence[ShareVal]) -> Env:
 
 def v_of_sh(sh: ShareVal) -> int:
     """Recombine a complete handle outside any program (harness use only)."""
-    acc = 0
-    for _, w in sh.words:
-        assert w is not None
-        acc ^= w
-    return decode_word(acc, sh.width)
+    return comb_sh_value(Mode(SEC, sh.ps), sh).n
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,10 @@ from .lang import (
     Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, If, Lam, Let, MkMap,
     Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
     ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, children,
-    free_vars, record, slice_value, with_children,
+    decode_word, encode_word, fits, free_vars, record, slice_value,
+    with_children,
 )
-from .shares import ShareMint, decode_word, encode_word
+from .shares import ShareMint
 from .st import Stuck, apply_rule, check_first_operand
 
 
@@ -275,13 +276,6 @@ class Builder:
         return bits[0]
 
 
-def fits(n: int, width: int) -> bool:
-    """``n`` is in the signed range of ``width`` bits. The gates compute in
-    that two's complement, so an input or constant outside it would wrap to
-    another value; the block sticks instead."""
-    return -(1 << (width - 1)) <= n < 1 << (width - 1)
-
-
 def add_wires(b: Builder, xs, ys, carry_in=None):
     out = []
     c = b.const(0) if carry_in is None else carry_in
@@ -477,6 +471,7 @@ class Compiler:
                 raise NotCircuitable("mixed word widths")
             return v.wires
         if t is FfiInt:
+            # the gates compute at this width, where it would wrap
             if not fits(v.n, self.width):
                 raise NotCircuitable(
                     f"constant {v.n} does not fit {self.width} bits")

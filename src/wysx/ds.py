@@ -5,9 +5,10 @@ data. Local steps interleave under a pluggable scheduler. When every member
 of a set is parked at the same joint block, the protocol combines their
 views and runs the block jointly, either on an ideal machine (the reference
 stepper in joint mode) or by compiling to gates and executing the xor-share
-protocol. A finished block is kept by its result until its exit move: the
-joint value, or under GMW each member's decoded view. On exit every party
-receives its slice of the result and a message trace entry.
+protocol; a block whose members disagree on its code or environment sticks.
+A finished block is kept until its exit move as each member's view: its
+slice of the joint value, or under GMW its decoded output. On exit every
+member receives its view and a message trace entry.
 
 Two checkers live here: one replays a program on the reference machine and
 on the distributed machines and demands the sliced final states coincide,
@@ -26,9 +27,9 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    AsSec, Clos, Config, Env, Expr, Mode, PAR, PrinSet, PrinsVal, SEC, TMsg,
-    Trace, UNIT, Value, combine_envs, record, slice_config, slice_env,
-    slice_value,
+    Clos, CombineConflict, Config, DomainMismatch, Env, Expr, Mode, PAR,
+    PrinSet, SEC, TMsg, Trace, UNIT, Value, combine_envs, record,
+    slice_config, slice_env, slice_value,
 )
 from .st import (
     DEFAULT_FUEL, CheckReport, NeedsSec, Regs, Runtime, Stuck, is_terminal,
@@ -143,10 +144,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         p: (Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
         for p in ps
     }
-    # running blocks, and finished ones until their exit move: the joint
-    # value (ideal) or each member's decoded view (GMW)
+    # running blocks, and finished ones until their exit move as each
+    # member's view (its slice of the joint value, or its GMW output)
     sec: dict[PrinSet, Union[Regs, GmwSec]] = {}
-    finished: dict[PrinSet, Union[Value, dict[str, Value]]] = {}
+    finished: dict[PrinSet, dict[str, Value]] = {}
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
     circuits: list[tuple[str, Circuit]] = []
@@ -240,8 +241,12 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                    for c in thunks):
                 return finish("stuck", tick, f"joint block {s}: parties "
                               f"disagree on the block's code")
-            joint = Clos(combine_envs([c.env for c in thunks]), c0.x,
-                         c0.body, c0.f)
+            try:
+                joint = Clos(combine_envs([c.env for c in thunks]), c0.x,
+                             c0.body, c0.f)
+            except (CombineConflict, DomainMismatch):
+                return finish("stuck", tick, f"joint block {s}: parties "
+                              f"disagree on the block's environment")
             sec_entries += 1
             if backend == "ideal":
                 sec[s] = (Mode(SEC, s), (), joint.bind(UNIT), (), c0.body)
@@ -276,7 +281,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     return finish("stuck", tick,
                                   f"joint block {target} produced "
                                   f"scoped output")
-                finished[target] = code
+                finished[target] = {p: slice_value(p, code)
+                                    for p in target.names}
             else:
                 res = gmw_eval(m.circuit, m.bits, m.dealer_seed)
                 finished[target] = {
@@ -288,16 +294,12 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             continue
 
         if kind == "exit":
-            s = target
-            v = finished.pop(s)
-            for p in s.names:
+            views = finished.pop(target)
+            for p, vp in views.items():
+                # p is still where ``st._enter`` parked it: a member of a
+                # block in flight is offered no local move
                 _, stack, _, trace, _ = par[p]
                 frame = stack[-1]
-                if (type(frame.e) is not AsSec
-                        or frame.done != (PrinsVal(s),)):
-                    return finish("stuck", tick,
-                                  f"party {p} is not waiting on {s}")
-                vp = slice_value(p, v) if backend == "ideal" else v[p]
                 par[p] = (frame.mode, stack[:-1], frame.env,
                           frame.trace + trace + (TMsg(vp),), vp)
                 del steps[p]

@@ -18,23 +18,10 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .lang import (
-    ArityError, Bool, FALSE, FfiInt, FfiList, FfiPair, FfiStr, FfiTypeError,
-    OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque, record,
+    WORD_BITS, ArityError, Bool, FALSE, FfiInt, FfiList, FfiPair, FfiStr,
+    FfiTypeError, OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque,
+    decode_word, record,
 )
-
-WORD_MASK = (1 << 64) - 1
-WORD_SIGN = 1 << 63
-
-
-def _wrap64(n: int) -> int:
-    n &= WORD_MASK
-    return n - (1 << 64) if n & WORD_SIGN else n
-
-
-def fits64(n: int) -> bool:
-    """``n`` is a host word. Host arithmetic wraps at 64 bits, so integer
-    literals and inputs outside that range are refused where they enter."""
-    return -WORD_SIGN <= n < WORD_SIGN
 
 
 def _int(v: Value, who: str) -> int:
@@ -70,15 +57,15 @@ class HostFn:
 
 
 def _add(a: Value, b: Value) -> Value:
-    return FfiInt(_wrap64(_int(a, "add") + _int(b, "add")))
+    return FfiInt(decode_word(_int(a, "add") + _int(b, "add"), WORD_BITS))
 
 
 def _sub(a: Value, b: Value) -> Value:
-    return FfiInt(_wrap64(_int(a, "sub") - _int(b, "sub")))
+    return FfiInt(decode_word(_int(a, "sub") - _int(b, "sub"), WORD_BITS))
 
 
 def _mul(a: Value, b: Value) -> Value:
-    return FfiInt(_wrap64(_int(a, "mul") * _int(b, "mul")))
+    return FfiInt(decode_word(_int(a, "mul") * _int(b, "mul"), WORD_BITS))
 
 
 def _gt(a: Value, b: Value) -> Value:

@@ -23,11 +23,10 @@ import json
 from typing import Any
 
 from .lang import (
-    Bool, Clos, Env, FfiInt, FfiList, FfiPair, FfiStr, OPAQUE,
+    WORD_BITS, Bool, Clos, Env, FfiInt, FfiList, FfiPair, FfiStr, OPAQUE,
     Opaque, PrinSet, PrinVal, PrinsVal, Sealed, ShareVal, TMsg, Trace,
-    UNIT, Unit, Value, VMap, WysError,
+    UNIT, Unit, Value, VMap, WysError, fits,
 )
-from .ffi import fits64
 from .sexp import is_variable
 
 
@@ -39,7 +38,7 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
     if isinstance(obj, bool):
         return Bool(obj)
     if isinstance(obj, int):
-        if not fits64(obj):
+        if not fits(obj, WORD_BITS):
             raise InputError(f"{where}: an integer is from -2**63 to "
                              f"2**63 - 1, got {obj}")
         return FfiInt(obj)
@@ -85,11 +84,11 @@ def json_to_value(obj: Any, where: str = "value") -> Value:
             width = body.get("width")
             if not isinstance(words, dict):
                 raise InputError(f"{where}: share needs a words object")
-            # host ints wrap at 64 bits (ffi._wrap64); checked before any
-            # word, so a huge width never reaches ``1 << width``
-            if type(width) is not int or not 1 <= width <= 64:
+            # checked before any word, so a huge width never reaches 1 << width
+            if type(width) is not int or not 1 <= width <= WORD_BITS:
                 raise InputError(f"{where}.width: a share width is an "
-                                 f"integer from 1 to 64, got {width!r}")
+                                 f"integer from 1 to {WORD_BITS}, got "
+                                 f"{width!r}")
             for p, w in words.items():
                 if p not in ps:
                     raise InputError(f"{where}: bad share word for {p}")
@@ -183,7 +182,7 @@ def env_from_json(obj: Any, where: str = "inputs") -> Env:
 
 
 def load_env_file(path: str) -> Env:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return env_from_json(json.load(fh), path)
         except ValueError as ex:  # bad JSON, or an int of over 4300 digits

@@ -278,6 +278,30 @@ OPAQUE = Opaque()
 
 
 # ---------------------------------------------------------------------------
+# the machine word: two's complement, wrapped at ``WORD_BITS`` on the host
+# and at a run's width inside joint blocks
+
+WORD_BITS = 64
+
+
+def fits(n: int, width: int) -> bool:
+    """``n`` is in the signed range of ``width`` bits."""
+    return -(1 << (width - 1)) <= n < 1 << (width - 1)
+
+
+def encode_word(n: int, width: int) -> int:
+    return n & ((1 << width) - 1)
+
+
+def decode_word(w: int, width: int) -> int:
+    """The signed value of ``w``'s low ``width`` bits: any int, wrapped."""
+    w &= (1 << width) - 1
+    if w & (1 << (width - 1)):
+        return w - (1 << width)
+    return w
+
+
+# ---------------------------------------------------------------------------
 # expressions
 
 class Expr:

@@ -22,9 +22,8 @@ from typing import Optional
 from .lang import (
     App, AsPar, AsSec, Bool, Concat, Const, Expr, FALSE, Ffi, FfiInt, FfiStr,
     Fix, If, Lam, Let, MkMap, PrinSet, PrinVal, PrinsVal, Project, Reveal,
-    Seal, TRUE, UNIT, Unit, Value, Var, WysError, record,
+    Seal, TRUE, UNIT, Unit, Value, Var, WysError, WORD_BITS, fits, record,
 )
-from .ffi import fits64
 
 
 class ParseError(WysError):
@@ -190,9 +189,10 @@ class _Parser:
         if t.kind == "int":
             # a literal of more digits than 2**63 has is out of range, and
             # ``int`` is not asked to read it
-            if len(t.text.lstrip("-0")) > 19 or not fits64(n := int(t.text)):
-                raise ParseError(f"integer {t.text} does not fit 64 bits",
-                                 t.line, t.col)
+            if (len(t.text.lstrip("-0")) > 19
+                    or not fits(n := int(t.text), WORD_BITS)):
+                raise ParseError(f"integer {t.text} does not fit "
+                                 f"{WORD_BITS} bits", t.line, t.col)
             return Const(FfiInt(n))
         if t.kind == "str":
             return Const(FfiStr(t.text))

@@ -21,6 +21,7 @@ import hashlib
 
 from .lang import (
     FfiInt, FfiTypeError, Mode, ModeError, PrinSet, ShareVal, Value,
+    decode_word, encode_word,
 )
 
 
@@ -30,17 +31,6 @@ class CanShError(FfiTypeError):
 
 class PartySetMismatch(ModeError):
     """Recombination ran under a different party set than the handle's."""
-
-
-def encode_word(n: int, width: int) -> int:
-    return n & ((1 << width) - 1)
-
-
-def decode_word(w: int, width: int) -> int:
-    w &= (1 << width) - 1
-    if w & (1 << (width - 1)):
-        return w - (1 << width)
-    return w
 
 
 class ShareMint:
@@ -53,7 +43,7 @@ class ShareMint:
     def _mask(self, ps: PrinSet, idx: int, p: str, width: int) -> int:
         material = f"{self.seed}|{','.join(ps.names)}|{idx}|{p}".encode()
         digest = hashlib.sha256(material).digest()
-        return int.from_bytes(digest[:8], "big") & ((1 << width) - 1)
+        return encode_word(int.from_bytes(digest[:8], "big"), width)
 
     def draw_masks(self, ps: PrinSet, width: int) -> dict[str, int]:
         """Advance the set's counter and return masks for every party but

@@ -38,10 +38,10 @@ from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
-    OPAQUE, OPERANDS, App, AsPar, AsSec, Bool, Clos, Code, Concat, Config,
-    Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode, PAR,
-    PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed, TMsg,
-    TScope, Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError,
+    OPAQUE, OPERANDS, WORD_BITS, App, AsPar, AsSec, Bool, Clos, Code, Concat,
+    Config, Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode,
+    PAR, PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed,
+    TMsg, TScope, Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError,
     can_seal, record,
 )
 from .shares import ShareMint, comb_sh_value, mk_sh_value
@@ -53,9 +53,10 @@ class Runtime:
     """Per-run services: the share mint and the shared word width."""
 
     def __init__(self, seed: int = 0, width: int = 32):
-        # ShareMint draws 64-bit masks, and a JSON share word has 1-64 bits
-        if not 1 <= width <= 64:
-            raise ValueError(f"width must be from 1 to 64, got {width}")
+        # ShareMint's masks and a JSON share word have WORD_BITS bits at most
+        if not 1 <= width <= WORD_BITS:
+            raise ValueError(f"width must be from 1 to {WORD_BITS}, "
+                             f"got {width}")
         self.seed = seed
         self.width = width
         self.mint = ShareMint(seed)

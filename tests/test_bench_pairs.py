@@ -68,8 +68,9 @@ def test_a_directory_that_is_not_a_checkout_is_a_one_line_error(
     for name in ("parent", "change"):
         root = tmp_path / name
         (root / "bench").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text('{"end_to_end": []}')
-        (root / "bench" / "run.py").write_text("")
+        (root / "BENCHMARK.json").write_text('{"end_to_end": []}',
+                                             encoding="utf-8")
+        (root / "bench" / "run.py").write_text("", encoding="utf-8")
         dirs[name] = root
     (dirs[side] / missing).unlink()
     argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "w",

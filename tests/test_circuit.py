@@ -15,10 +15,9 @@ from wysx.lang import (
 from wysx.sexp import MAX_NESTING, ParseError, parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    AND, CONST, MAX_CEVAL_DEPTH, NOT, XOR,
-    Builder, MissingInput, NotCircuitable, add_wires, bind_inputs,
-    compile_sec_thunk, decode_output, decode_word, dump_circuit, encode_word,
-    eq_wires, eval_circuit, gt_wires, mux_wires, sub_wires,
+    MAX_CEVAL_DEPTH, Builder, MissingInput, NotCircuitable, add_wires,
+    bind_inputs, compile_sec_thunk, decode_output, decode_word, dump_circuit,
+    encode_word, eq_wires, eval_circuit, gt_wires, mux_wires, sub_wires,
 )
 
 from _proggen import base_env, gen_program
@@ -41,22 +40,9 @@ def wires_for(b, n, width):
     return tuple(b.const((word >> i) & 1) for i in range(width))
 
 
-def word_of(b, wires, wv=None):
-    if wv is None:
-        wv = {}
-    for op, o, x, y in b.gates:
-        if op == CONST:
-            wv[o] = x
-        elif op == XOR:
-            wv[o] = wv[x] ^ wv[y]
-        elif op == AND:
-            wv[o] = wv[x] & wv[y]
-        elif op == NOT:
-            wv[o] = 1 - wv[x]
-    out = 0
-    for i, w in enumerate(wires):
-        out |= wv[w] << i
-    return out
+def word_of(b, wires):
+    wv = eval_circuit(b, {})
+    return sum(wv[w] << i for i, w in enumerate(wires))
 
 
 def test_adder_on_all_4bit_pairs():
@@ -86,8 +72,7 @@ def test_signed_comparison_on_all_4bit_pairs():
             b = Builder()
             g = gt_wires(b, wires_for(b, x, width), wires_for(b, y, width))
             e = eq_wires(b, wires_for(b, x, width), wires_for(b, y, width))
-            wv = {}
-            word_of(b, (), wv)
+            wv = eval_circuit(b, {})
             assert wv[g] == int(x > y), (x, y)
             assert wv[e] == int(x == y), (x, y)
 
@@ -126,9 +111,7 @@ def check_word_ops(b, xs, ys, assignments):
     checks = 0
     for bits, x, y in assignments:
         for cv in (0, 1):
-            wv = dict(bits)
-            wv[c] = cv
-            word_of(b, (), wv)
+            wv = eval_circuit(b, {"": {**bits, c: cv}})
 
             def val(ws):
                 return decode_word(sum(wv[w] << i for i, w in enumerate(ws)),

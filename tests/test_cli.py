@@ -1,8 +1,12 @@
 """Command line driver: run, check, dump-circuit, exit codes."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from wysx.sexp import MAX_NESTING
 
 def write(tmp_path, name, obj):
     f = tmp_path / name
-    f.write_text(json.dumps(obj))
+    f.write_text(json.dumps(obj), encoding="utf-8")
     return str(f)
 
 
@@ -64,7 +68,8 @@ def test_run_with_gmw_backend(median_files, capsys):
 
 def test_run_program_from_file(tmp_path, capsys):
     prog = tmp_path / "double.wyx"
-    prog.write_text("; doubles a public number\n(ffi add pub pub)")
+    prog.write_text("; doubles a public number\n(ffi add pub pub)",
+                    encoding="utf-8")
     inp = write(tmp_path, "p.json", {"pub": 21})
     rc = main(["run", str(prog), "--inputs", f"a={inp}", "--prins", "a,b"])
     assert rc == 0
@@ -73,10 +78,28 @@ def test_run_program_from_file(tmp_path, capsys):
 
 def test_run_stuck_program_fails(tmp_path, capsys):
     prog = tmp_path / "stuck.wyx"
-    prog.write_text("(ffi add 1 true)")
+    prog.write_text("(ffi add 1 true)", encoding="utf-8")
     rc = main(["run", str(prog), "--prins", "a,b"])
     assert rc == 1
     assert "stuck" in capsys.readouterr().err
+
+
+def test_input_files_are_utf8_whatever_the_locale(tmp_path):
+    prog = tmp_path / "s.wyx"
+    prog.write_text("s", encoding="utf-8")
+    inp = tmp_path / "a.json"
+    # the accent is two bytes of UTF-8, which an ASCII locale cannot read
+    inp.write_text('{"s": "caf\u00e9"}', encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "wysx.cli", "run", str(prog),
+                          "--inputs", f"a={inp}"], capture_output=True,
+                         encoding="utf-8", env=env)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(out.stdout)["value"] == "caf\u00e9"
 
 
 def test_missing_program_is_an_error(capsys):
@@ -98,7 +121,7 @@ def test_only_a_bare_name_runs_a_bundled_program(name, tmp_path, capsys,
 
 def test_bad_input_file_is_an_error(tmp_path, capsys):
     f = tmp_path / "broken.json"
-    f.write_text("{oops")
+    f.write_text("{oops", encoding="utf-8")
     rc = main(["run", "median", "--inputs", f"a={f}"])
     assert rc == 1
 
@@ -107,7 +130,8 @@ def test_bad_input_file_is_an_error(tmp_path, capsys):
 def test_bad_share_handles_are_one_line_errors(tmp_path, capsys, backend):
     from test_inputs import BAD_SHARES
     prog = tmp_path / "comb.wyx"
-    prog.write_text("(as_sec (prins a b) (lam _ (ffi comb_sh h)))")
+    prog.write_text("(as_sec (prins a b) (lam _ (ffi comb_sh h)))",
+                    encoding="utf-8")
     for i, share in enumerate(BAD_SHARES):
         inp = write(tmp_path, f"h{i}.json", {"h": share})
         assert main(["run", str(prog), "--prins", "a,b", "--inputs",
@@ -178,7 +202,7 @@ def test_check_confluence(median_files, capsys):
 
 def test_check_vacuous_reports_failure(tmp_path, capsys):
     prog = tmp_path / "stuck.wyx"
-    prog.write_text("(ffi add 1 true)")
+    prog.write_text("(ffi add 1 true)", encoding="utf-8")
     rc = main(["check", "sim", str(prog), "--prins", "a,b"])
     assert rc == 1
     assert "VACUOUS" in capsys.readouterr().out
@@ -192,6 +216,22 @@ def test_check_confluence_is_vacuous_when_every_schedule_sticks(capsys):
     assert capsys.readouterr().out == (
         "VACUOUS: all 4 schedules stuck; [rr] joint block {a,b} stuck at "
         "var: unbound variable in_a\n")
+
+
+@pytest.mark.parametrize("backend", ["ideal", "gmw"])
+def test_parties_that_disagree_on_a_block_are_a_stuck_run(tmp_path, capsys,
+                                                          backend):
+    from test_ds import DISAGREE
+    prog = tmp_path / "env.wyx"
+    prog.write_text(DISAGREE["environment"], encoding="utf-8")
+    reason = "joint block {a,b}: parties disagree on the block's environment"
+    assert main(["run", str(prog), "--prins", "a,b", "--mode", "ds",
+                 "--backend", backend]) == 1
+    assert capsys.readouterr().err == f"run stuck: {reason}\n"
+    assert main(["check", "confluence", str(prog), "--prins", "a,b",
+                 "--schedules", "3", "--backend", backend]) == 1
+    assert capsys.readouterr().out == \
+        f"VACUOUS: all 4 schedules stuck; [rr] {reason}\n"
 
 
 def test_security_median_suite(capsys):
@@ -249,7 +289,8 @@ def test_dump_circuit(median_files, capsys):
 
 def test_run_respects_width(tmp_path, capsys):
     prog = tmp_path / "wide.wyx"
-    prog.write_text("(as_sec (prins a b) (lam _ (ffi comb_sh (ffi mk_sh 200))))")
+    prog.write_text("(as_sec (prins a b) (lam _ (ffi comb_sh (ffi mk_sh 200))))",
+                    encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a,b", "--width", "8"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == -56
     assert main(["run", str(prog), "--prins", "a,b", "--width", "16"]) == 0
@@ -267,7 +308,7 @@ def test_unbounded_unrolling_under_gmw_is_a_one_line_stuck_run(tmp_path,
                                                                 capsys):
     from test_circuit import DEPTH_REASON, PRIVATE_STOP
     prog = tmp_path / "private_stop.wyx"
-    prog.write_text(PRIVATE_STOP)
+    prog.write_text(PRIVATE_STOP, encoding="utf-8")
     a = write(tmp_path, "a.json", {"xa": {"sealed": {"ps": ["a"], "v": 11}}})
     b = write(tmp_path, "b.json", {"xa": {"sealed": {"ps": ["a"]}}})
     argv = ["run", str(prog), "--prins", "a,b", "--inputs", f"a={a}", f"b={b}",
@@ -292,11 +333,11 @@ def test_a_unicode_digit_is_an_unbound_variable(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["st", "ds"])
 def test_nesting_past_the_limit_is_a_one_line_error(tmp_path, capsys, mode):
     at_limit = tmp_path / "at_limit.wyx"
-    at_limit.write_text(nested_program(MAX_NESTING))
+    at_limit.write_text(nested_program(MAX_NESTING), encoding="utf-8")
     assert main(["run", str(at_limit), "--prins", "a", "--mode", mode]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "done"
     past = tmp_path / "past.wyx"
-    past.write_text(nested_program(MAX_NESTING + 1))
+    past.write_text(nested_program(MAX_NESTING + 1), encoding="utf-8")
     assert main(["run", str(past), "--prins", "a", "--mode", mode]) == 1
     err = capsys.readouterr().err
     # the offending "(" opens the (MAX_NESTING + 1)-th "(ffi add 1 " chunk
@@ -306,7 +347,8 @@ def test_nesting_past_the_limit_is_a_one_line_error(tmp_path, capsys, mode):
 
 def test_deeply_nested_input_is_a_one_line_error(tmp_path, capsys):
     deep = tmp_path / "deep.json"
-    deep.write_text('{"x": ' + "[" * 100000 + "]" * 100000 + "}")
+    deep.write_text('{"x": ' + "[" * 100000 + "]" * 100000 + "}",
+                    encoding="utf-8")
     assert main(["run", "median", "--inputs", f"a={deep}"]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {deep}: input nested too deeply\n"
@@ -320,7 +362,8 @@ def test_deep_runtime_value_is_a_one_line_error(tmp_path, capsys, mode,
     # writing the result as JSON
     prog = tmp_path / "deep.wyx"
     prog.write_text("((fix f n (if (ffi eq n 0) 0 "
-                    f"(ffi pair n (f (ffi sub n 1))))) {depth})")
+                    f"(ffi pair n (f (ffi sub n 1))))) {depth})",
+                    encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a", "--mode", mode]) == 1
     assert capsys.readouterr().err == "error: value nested too deeply\n"
 
@@ -332,7 +375,8 @@ def test_deep_runtime_value_is_a_one_line_error(tmp_path, capsys, mode,
 def test_width_outside_1_to_64_is_a_one_line_error(tmp_path, capsys, mode,
                                                    width):
     prog = tmp_path / "gt.wyx"
-    prog.write_text("(as_sec (prins a b) (lam _ (ffi gt 2 1)))")
+    prog.write_text("(as_sec (prins a b) (lam _ (ffi gt 2 1)))",
+                    encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a,b", "--width", str(width),
                  *mode]) == 1
     assert capsys.readouterr().err == \
@@ -344,7 +388,7 @@ def test_width_outside_1_to_64_is_a_one_line_error(tmp_path, capsys, mode,
                          ids=["run-ds", "check-sim", "check-confluence"])
 def test_prins_naming_nobody_is_a_one_line_error(tmp_path, capsys, cmd):
     prog = tmp_path / "one.wyx"
-    prog.write_text("(ffi add 1 2)")
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
     assert main([*cmd, str(prog), "--prins", ","]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: no principals: pass --inputs "
@@ -358,7 +402,7 @@ def test_a_principal_name_must_read_as_a_variable(tmp_path, capsys, name,
     # the parser's ``(prin ...)`` takes the same names as a variable, so no
     # program could name any other principal
     prog = tmp_path / "one.wyx"
-    prog.write_text("(ffi add 1 2)")
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
     inp = write(tmp_path, "e.json", {})
     argv = ["run", str(prog), "--inputs", f"a={inp}"]
     argv += ["--prins", f"a,{name}"] if via == "prins" else [f"{name}={inp}"]
@@ -371,7 +415,7 @@ def test_a_principal_name_must_read_as_a_variable(tmp_path, capsys, name,
 def test_every_name_the_parser_reads_can_name_a_principal(tmp_path, capsys,
                                                          name):
     prog = tmp_path / "one.wyx"
-    prog.write_text(f"(as_par (prins {name}) (lam _ 1))")
+    prog.write_text(f"(as_par (prins {name}) (lam _ 1))", encoding="utf-8")
     assert main(["run", str(prog), "--prins", f" {name} ,a"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == {
         "sealed": {"ps": [name], "v": 1}}
@@ -380,7 +424,7 @@ def test_every_name_the_parser_reads_can_name_a_principal(tmp_path, capsys,
 @pytest.mark.parametrize("mode,unit", [("st", "steps"), ("ds", "ticks")])
 def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
     prog = tmp_path / "loop.wyx"
-    prog.write_text("((fix f x (f x)) 1)")
+    prog.write_text("((fix f x (f x)) 1)", encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a,b", "--fuel", "3",
                  "--mode", mode]) == 1
     assert capsys.readouterr().err == \
@@ -390,7 +434,8 @@ def test_out_of_fuel_names_the_limit(tmp_path, capsys, mode, unit):
 def test_check_sim_out_of_ticks_is_inconclusive(tmp_path, capsys):
     # the reference run needs 19 steps; three parties need 57 ticks
     prog = tmp_path / "lets.wyx"
-    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))")
+    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))",
+                    encoding="utf-8")
     assert main(["check", "sim", str(prog), "--prins", "a,b,c",
                  "--fuel", "20"]) == 1
     assert capsys.readouterr().out == (
@@ -406,7 +451,8 @@ def test_check_sim_out_of_ticks_is_inconclusive(tmp_path, capsys):
 def test_fuel_is_enough_for_exactly_the_run(tmp_path, capsys, mode, fuel):
     # the reference run takes 19 steps, the distributed one 57 ticks
     prog = tmp_path / "lets.wyx"
-    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))")
+    prog.write_text("(let x (ffi add 1 2) (let y (ffi add x 3) (ffi add y x)))",
+                    encoding="utf-8")
     argv = ["run", str(prog), "--prins", "a,b,c", "--mode", mode]
     assert main([*argv, "--fuel", str(fuel)]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "done"
@@ -425,7 +471,7 @@ def test_confluence_without_schedules_is_a_one_line_error(tmp_path, capsys,
                                                           schedules):
     # a check that replays no schedule beside the baseline proves nothing
     prog = tmp_path / "add.wyx"
-    prog.write_text("(ffi add 1 2)")
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
     assert main(["check", "confluence", str(prog), "--prins", "a,b",
                  "--schedules", str(schedules)]) == 1
     captured = capsys.readouterr()
@@ -437,7 +483,7 @@ def test_confluence_without_schedules_is_a_one_line_error(tmp_path, capsys,
 @pytest.mark.parametrize("mode", ["st", "ds"])
 def test_negative_fuel_is_a_one_line_error(tmp_path, capsys, mode):
     prog = tmp_path / "add.wyx"
-    prog.write_text("(ffi add 1 2)")
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a,b", "--fuel", "-1",
                  "--mode", mode]) == 1
     assert capsys.readouterr().err == \
@@ -447,7 +493,7 @@ def test_negative_fuel_is_a_one_line_error(tmp_path, capsys, mode):
 @pytest.mark.parametrize("sched", ["rand:x", "rand:", "rr:1", "bogus"])
 def test_bad_scheduler_names_the_expected_forms(tmp_path, capsys, sched):
     prog = tmp_path / "add.wyx"
-    prog.write_text("(ffi add 1 2)")
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a,b", "--mode", "ds",
                  "--sched", sched]) == 1
     assert capsys.readouterr().err == \
@@ -465,11 +511,12 @@ def one_error_line(capsys) -> str:
 def test_integers_past_64_bits_are_one_line_errors(tmp_path, capsys):
     # host arithmetic wraps at 64 bits, so 2**64 would equal 0 in the run
     prog = tmp_path / "big.wyx"
-    prog.write_text("(ffi eq 18446744073709551616 (ffi add 18446744073709551616 0))")
+    prog.write_text("(ffi eq 18446744073709551616 (ffi add 18446744073709551616 0))",
+                    encoding="utf-8")
     assert main(["run", str(prog), "--prins", "a"]) == 1
     assert one_error_line(capsys) == \
         "error: 1:9: integer 18446744073709551616 does not fit 64 bits\n"
-    prog.write_text("(ffi eq x (ffi add x 0))")
+    prog.write_text("(ffi eq x (ffi add x 0))", encoding="utf-8")
     inp = write(tmp_path, "a.json", {"x": 2 ** 64})
     assert main(["run", str(prog), "--inputs", f"a={inp}"]) == 1
     assert one_error_line(capsys) == (
@@ -574,11 +621,11 @@ def test_seeded_cli_fuzz_ends_in_a_result_or_one_line(tmp_path, capsys):
             p = rng.choice(cell.ps.names)
             texts[p] = mutate_json(rng, views[p])
         prog = tmp_path / "fuzz.wyx"
-        prog.write_text(src)
+        prog.write_text(src, encoding="utf-8")
         argv = [*rng.choice(FUZZ_MODES), str(prog), "--fuel", "5000",
                 "--width", rng.choice(("32", "9", "4")), "--inputs"]
         for p, text in texts.items():
-            (tmp_path / f"{p}.json").write_text(text)
+            (tmp_path / f"{p}.json").write_text(text, encoding="utf-8")
             argv.append(f"{p}={tmp_path / p}.json")
         rc = main(argv)
         err = capsys.readouterr().err

@@ -120,6 +120,32 @@ def test_joint_block_deadlock_when_partner_never_arrives():
         "that never arrive")
 
 
+# a reaches {a,b}'s block from inside its own region, and b skips that
+# region and reaches a later block over {a,b}: the two park at one party set
+# with different closures, on the block's code or on its environment
+DISAGREE = {
+    "code": "(let r (as_par (prins a) (lam _ (as_sec (prins a b) (lam _ 1))))"
+            " (as_sec (prins a b) (lam _ 2)))",
+    "environment": "(let g (lam y (as_sec (prins a b) (lam _ y)))"
+                   " (let r (as_par (prins a) (lam _ (g 5))) (g 6)))",
+}
+
+
+@pytest.mark.parametrize("backend", ["ideal", "gmw"])
+@pytest.mark.parametrize("what", sorted(DISAGREE))
+def test_parties_that_disagree_on_a_block_stick_on_every_backend(what,
+                                                                 backend):
+    st, ds = both(DISAGREE[what], backend=backend)
+    assert (st.status, st.stuck_rule) == ("stuck", "sec-enter")
+    assert (ds.status, ds.reason) == ("stuck", f"joint block {{a,b}}: parties "
+                                      f"disagree on the block's {what}")
+    e = parse(DISAGREE[what])
+    rep = check_confluence(e, Env(), AB, n_schedules=5, backend=backend)
+    assert (rep.status, rep.detail) == (
+        "vacuous", f"all 6 schedules stuck; [rr] {ds.reason}")
+    assert check_simulation(e, Env(), AB, backend=backend).status == "vacuous"
+
+
 def test_parties_progress_through_independent_regions():
     src = """(let u (as_par (prins a) (lam _ (ffi add 1 1)))
               (let v (as_par (prins b) (lam _ (ffi add 2 2)))

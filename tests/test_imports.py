@@ -195,6 +195,6 @@ def test_loading_the_package_skips_dataclasses_and_inspect():
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-S", "-c", code],
-                         capture_output=True, text=True, check=True,
+                         capture_output=True, encoding="utf-8", check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.split() == []

@@ -213,7 +213,8 @@ def test_load_and_combine_party_files(tmp_path):
     for p in AB:
         f = tmp_path / f"{p}.json"
         local = slice_env(p, joint)
-        f.write_text(json.dumps({x: value_to_json(v) for x, v in local.items()}))
+        f.write_text(json.dumps({x: value_to_json(v) for x, v in local.items()}),
+                     encoding="utf-8")
         paths.append(str(f))
     loaded = [load_env_file(path) for path in paths]
     assert combine_envs(loaded) == joint
@@ -221,10 +222,10 @@ def test_load_and_combine_party_files(tmp_path):
 
 def test_load_env_file_errors(tmp_path):
     f = tmp_path / "bad.json"
-    f.write_text("{not json")
+    f.write_text("{not json", encoding="utf-8")
     with pytest.raises(InputError):
         load_env_file(str(f))
     g = tmp_path / "list.json"
-    g.write_text("[1,2]")
+    g.write_text("[1,2]", encoding="utf-8")
     with pytest.raises(InputError):
         load_env_file(str(g))

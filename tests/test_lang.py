@@ -18,9 +18,10 @@ from wysx.lang import (
     Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
     FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, PAR, PrinSet,
     PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
-    UnboundVariable, Var, VMap, can_seal, combine_envs, combine_many,
-    combine_values, contains_bare_opaque, flatten_trace, free_vars,
-    slice_config, slice_trace, slice_value,
+    UnboundVariable, Var, VMap, WORD_BITS, can_seal, combine_envs,
+    combine_many, combine_values, contains_bare_opaque, decode_word,
+    encode_word, fits, flatten_trace, free_vars, slice_config, slice_trace,
+    slice_value,
 )
 from wysx.lang import (
     App, AsPar, AsSec, Concat, Const, Ffi, Fix, If, Lam, Let, MkMap, Project,
@@ -55,6 +56,18 @@ def test_prinset_iteration_and_membership():
     assert list(ABC) == ["a", "b", "c"]
     assert "a" in ABC
     assert "z" not in ABC
+
+
+def test_word_codec_agrees_with_python_ints_at_every_width():
+    assert WORD_BITS == 64
+    for w in range(1, 65):
+        lo, hi = -2 ** (w - 1), 2 ** (w - 1) - 1
+        for n in (lo, hi, lo - 1, hi + 1, 0, -1):
+            wrapped = (n - lo) % 2 ** w + lo
+            assert fits(n, w) == (lo <= n <= hi), (w, n)
+            assert encode_word(n, w) == n % 2 ** w, (w, n)
+            assert decode_word(encode_word(n, w), w) == wrapped, (w, n)
+            assert decode_word(n, w) == wrapped, (w, n)
 
 
 def test_env_lookup_and_extend():

@@ -32,7 +32,8 @@ def shown_output(command: str) -> str:
 @pytest.fixture
 def tour(tmp_path, monkeypatch):
     for name in ("alice.json", "bob.json"):
-        (tmp_path / name).write_text(block_after(f"`{name}`:"))
+        (tmp_path / name).write_text(block_after(f"`{name}`:"),
+                                     encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 

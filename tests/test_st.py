@@ -2,6 +2,8 @@
 
 import hashlib
 
+import pytest
+
 from _proggen import base_env, gen_program
 from wysx import apps
 from wysx.lang import (
@@ -40,6 +42,17 @@ def test_literals_and_arith():
     assert done("(ffi mul 6 7)").value == FfiInt(42)
     assert done("true").value == Bool(True)
     assert done('"hi"').value.s == "hi"
+
+
+@pytest.mark.parametrize("src, n", [
+    ("(ffi add 9223372036854775807 1)", -2 ** 63),
+    ("(ffi sub -9223372036854775808 1)", 2 ** 63 - 1),
+    ("(ffi mul 4611686018427387904 2)", -2 ** 63),
+    ("(ffi mul 4611686018427387904 4)", 0),
+    ("(ffi mul -1 -9223372036854775808)", -2 ** 63),
+])
+def test_host_arithmetic_wraps_at_64_bits(src, n):
+    assert done(src).value == FfiInt(n)
 
 
 def test_let_if_app():

@@ -105,7 +105,8 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload",
            workload, "--seed", str(seed), "--seconds", str(seconds),
            "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=root, capture_output=True,
+                         encoding="utf-8")
     lines = out.stdout.strip().splitlines()
     if out.returncode or not lines:
         raise RuntimeError(f"{' '.join(cmd)} in {root} failed "
