@@ -36,13 +36,14 @@ only to that holder. The handles all backends produce are therefore
 identical bit for bit.
 
 A circuit is public: private data enter it only through input wires, so a
-compile is a function of the block's code, the party set, the width, the
-converted environment (public values as they are, private ones as ``CInt``
-and ``CBit`` wire numbers) and the input declarations. The one exception is
-``mk_sh``, which draws masks from the mint and folds them into the gates.
-``compile_sec_thunk`` therefore lets a distributed run reuse a compile that
-drew nothing for every later entry with an equal key; each entry still
-binds its own inputs and runs the protocol with a fresh dealer seed.
+compile is a function of the block's code, the party set, the width and
+the environment's public shape (``public_shape``: public values as they
+are, and each private value's kind and the members that see it). The one
+exception is ``mk_sh``, which draws masks from the mint and folds them into
+the gates. ``compile_sec_thunk`` therefore lets a distributed run reuse a
+compile that drew nothing for every later entry of the same shape, found
+before anything is converted; each entry still binds its own inputs and
+runs the protocol with a fresh dealer seed.
 """
 
 from __future__ import annotations
@@ -413,7 +414,8 @@ class Compiler:
     # -- turning environment values into compile-time values ----------------
 
     def convert(self, v: Value, path: Path, vis: frozenset) -> Value:
-        """vis = block members whose local view holds this subvalue."""
+        """vis = block members whose local view holds this subvalue.
+        ``public_shape`` keys reuse on what this reads: keep them in step."""
         t = type(v)
         if t in _PUBLIC_SCALARS and vis == self.members:
             return v
@@ -733,30 +735,71 @@ class Compiler:
             self.outputs += zip(wires, repeat(recipients))
 
 
+def public_shape(v: Value, vis: frozenset, members: frozenset):
+    """What ``Compiler.convert`` reads of ``v``: public values themselves,
+    the structure around them, and each private leaf's kind with the
+    members that see it. Values of equal shape convert alike, to the same
+    compile-time value and the same input declarations, so a compile
+    keyed on this is a compile of every value of the shape."""
+    t = type(v)
+    if t is Unit or t is PrinVal or t is PrinsVal or (
+            t in _PUBLIC_SCALARS and vis == members):
+        return v
+    if t is Sealed:
+        vis2 = vis & frozenset(v.ps.names)
+        return (t, v.ps, public_shape(v.v, vis2, members) if vis2 else None)
+    if t is FfiPair:
+        return (t, public_shape(v.fst, vis, members),
+                public_shape(v.snd, vis, members))
+    if t is FfiList:
+        return (t, *[public_shape(it, vis, members) for it in v.items])
+    if t is VMap:
+        return (t, *[(q, public_shape(w, vis & {q}, members))
+                     for q, w in v.entries])
+    if t is ShareVal:
+        return (t, v.ps, v.width, vis)
+    if t is Clos:
+        return (t, v.x, id(v.body), v.f,
+                *[(x, public_shape(w, vis, members))
+                  for x, w in v.env.items()])
+    # a private int or bool; anything else fails to convert, so no compile
+    # is ever kept under its shape
+    return (t, vis)
+
+
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
                       mint: ShareMint, cache: dict | None = None) -> Circuit:
     """Compile a block's thunk. With ``cache``, a dict that lives for one
-    distributed run, a compile that drew nothing from the mint is kept
-    under ``id(body)`` and returned again for an entry with an equal key."""
-    comp = Compiler(parties, width, mint)
-    fv = free_vars(body)
-    cenv = Env({x: comp.convert(v, (("var", x),), comp.members)
-                for x, v in env.items() if x in fv})
-    key = (parties, width, cenv, comp.inputs)
-    if cache is not None:
+    distributed run, the body's free variables are kept under ``id(body)``,
+    with every compile of the body that drew nothing from the mint, keyed
+    on the party set, the width and the ``public_shape`` of each free
+    variable's value. An entry with an equal key gets that circuit back
+    before anything is converted."""
+    members = frozenset(parties.names)
+    if cache is None:
+        fv = free_vars(body)
+    else:
         # the run holds its program and environment, and so every code
         # node, until it ends: an id names one node for the cache's life
-        entries = cache.setdefault(id(body), [])
-        for k, circ in entries:
-            if k == key:
-                return circ
+        got = cache.get(id(body))
+        if got is None:
+            got = cache[id(body)] = (free_vars(body), {})
+        fv, kept = got
+        key = (parties, width, *[(x, public_shape(v, members, members))
+                                 for x, v in env.items() if x in fv])
+        circ = kept.get(key)
+        if circ is not None:
+            return circ
+    comp = Compiler(parties, width, mint)
+    cenv = Env({x: comp.convert(v, (("var", x),), members)
+                for x, v in env.items() if x in fv})
     result = comp.ceval(cenv, body)
-    comp.add_outputs(result, comp.members)
+    comp.add_outputs(result, members)
     b = comp.b
     circ = Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
                    result)
     if cache is not None and not comp.minted:
-        entries.append((key, circ))
+        kept[key] = circ
     return circ
 
 
@@ -799,6 +842,14 @@ def _walk(env: Env, path: Path, party: str) -> Value:
     return v
 
 
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_bytes(word: int, n: int) -> bytes:
+    """The n low bits of ``word`` as 0/1 bytes, the lowest bit last."""
+    return f"{word:0{n}b}".encode().translate(_FROM_DIGITS)
+
+
 def path_text(path: Path) -> str:
     return "/".join(":".join(str(p) for p in step) for step in path)
 
@@ -831,9 +882,8 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int
                 raise CircuitError(f"{decl.party}: input {v.n} at "
                                    f"{path_text(decl.path)} does not fit "
                                    f"{n} bits")
-            word = encode_word(v.n, n)
-            for i, w in enumerate(decl.wires):
-                out[decl.party][w] = (word >> i) & 1
+            out[decl.party].update(
+                zip(decl.wires, reversed(bit_bytes(encode_word(v.n, n), n))))
     return out
 
 

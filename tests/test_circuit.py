@@ -9,15 +9,16 @@ import pytest
 from wysx import apps, ds, ffi, st
 from wysx.ds import ds_run
 from wysx.lang import (
-    Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal, slice_env,
-    slice_trace, slice_value,
+    TRUE, Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal,
+    slice_env, slice_trace, slice_value,
 )
 from wysx.sexp import MAX_NESTING, ParseError, parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    MAX_CEVAL_DEPTH, Builder, MissingInput, NotCircuitable, add_wires,
-    bind_inputs, compile_sec_thunk, decode_output, decode_word, dump_circuit,
-    encode_word, eq_wires, eval_circuit, gt_wires, mux_wires, sub_wires,
+    MAX_CEVAL_DEPTH, Builder, CircuitError, MissingInput, NotCircuitable,
+    add_wires, bind_inputs, compile_sec_thunk, decode_output, decode_word,
+    dump_circuit, encode_word, eq_wires, eval_circuit, gt_wires, mux_wires,
+    sub_wires,
 )
 
 from _proggen import base_env, gen_program
@@ -355,6 +356,36 @@ def test_bind_inputs_requires_concrete_data():
     wrong = {"a": slice_env("b", env), "b": slice_env("b", env)}
     with pytest.raises(MissingInput):
         bind_inputs(circ, wrong)
+
+
+def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
+    # a's int, b's bool and both words of a handle, against bit i of the
+    # value itself: two's complement for ints, raw bits for share words
+    body = parse("(ffi pair xa (ffi pair xb h))")
+    for w in range(1, 65):
+        lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
+        top = 1 << (w - 1)
+        for n, flag in ((lo, True), (hi, False), (-1, True), (0, False)):
+            h = ShareVal.of(AB, {"a": top | (hi & 0x5A5A), "b": top}, w)
+            env = Env({"xa": Sealed(A, FfiInt(n)), "xb": Sealed(B, Bool(flag)),
+                       "h": h})
+            circ = compile_sec_thunk(env, body, AB, w, ShareMint(0))
+            bits = bind_inputs(circ, {p: slice_env(p, env) for p in AB})
+            want = {"a": {}, "b": {}}
+            for decl in circ.inputs:
+                x = decl.path[0][1]
+                v = (h.word_of(decl.party) if x == "h"
+                     else {"xa": n, "xb": flag}[x])
+                for i, wire in enumerate(decl.wires):
+                    want[decl.party][wire] = (v >> i) & 1
+            assert sorted(len(d.wires) for d in circ.inputs) == [1, w, w, w]
+            assert bits == want, (w, n)
+        env = Env({"xa": Sealed(A, FfiInt(hi + 1)), "xb": Sealed(B, TRUE),
+                   "h": h})
+        with pytest.raises(CircuitError, match=(
+                rf"^a: input {hi + 1} at var:xa/unseal does not fit {w} "
+                rf"bits$")):
+            bind_inputs(circ, {p: slice_env(p, env) for p in AB})
 
 
 def test_secret_condition_costs_and_gates():

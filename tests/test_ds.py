@@ -11,7 +11,7 @@ import pytest
 
 from wysx import apps, ds
 from wysx.lang import (
-    FALSE, OPAQUE, TRUE, Env, FfiInt, FfiList, PrinSet, Sealed, ShareVal,
+    FALSE, OPAQUE, TRUE, Clos, Env, FfiInt, FfiList, PrinSet, Sealed, ShareVal,
     TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
@@ -239,6 +239,54 @@ def test_gmw_compiles_a_block_again_for_other_public_values():
     assert gmw.parties["a"][0] == FfiList((FALSE, TRUE))
     (_, c1), (_, c2) = gmw.circuits
     assert c1 is not c2
+
+
+# one block entered twice, through f, with x1 and then x2 in scope
+REENTER = """(let f (lam v (as_sec (prins a b c) (lam _ {body})))
+               (ffi pair (f x1) (f x2)))"""
+ADD_K = parse("(ffi add y k)")  # one body for both closures
+
+
+def handle(ps, width=32):
+    return ShareVal.of(ps, {p: 0x80000000 | i for i, p in enumerate(ps)},
+                       width)
+
+
+REENTRIES = {
+    # name: (block body, x1, x2)
+    "public int": ("(ffi add v (reveal xa))", FfiInt(3), FfiInt(4)),
+    # d takes no part: both seals convert to a's input, but the block's
+    # result keeps each seal's own party set
+    "seal's party": ("(ffi pair v (reveal xa))", Sealed(A, FfiInt(6)),
+                     Sealed(PrinSet.of("a", "d"), FfiInt(6))),
+    "handle holders": ("(ffi pair v (reveal xa))", handle(ABC),
+                       handle(PrinSet.of("a", "b"))),
+    "list length": ("(ffi add (ffi hd v) (reveal xa))",
+                    FfiList((FfiInt(1), FfiInt(2))),
+                    FfiList((FfiInt(1), FfiInt(2), FfiInt(3)))),
+    "bool for int": ("(ffi pair v (reveal xa))", FfiInt(1), TRUE),
+    "captured value": ("(v (reveal xa))",
+                       Clos(Env({"k": FfiInt(1)}), "y", ADD_K),
+                       Clos(Env({"k": FfiInt(2)}), "y", ADD_K)),
+}
+
+
+@pytest.mark.parametrize("case", [*REENTRIES, "identical"])
+def test_gmw_reuses_a_block_only_for_an_entry_that_converts_alike(case):
+    # the reuse key must tell apart every value that converts differently
+    if case == "identical":  # the closure, entered twice alike
+        body, x1, _ = REENTRIES["captured value"]
+        x2 = x1
+    else:
+        body, x1, x2 = REENTRIES[case]
+    env = Env({"xa": Sealed(A, FfiInt(5)), "x1": x1, "x2": x2})
+    e = parse(REENTER.format(body=body))
+    ideal = ds_run(e, env, ABC, rt=Runtime(0, 32), backend="ideal")
+    gmw = ds_run(e, env, ABC, rt=Runtime(0, 32), backend="gmw")
+    assert ideal.status == gmw.status == "done", gmw.reason
+    assert gmw.parties == ideal.parties
+    (_, c1), (_, c2) = gmw.circuits
+    assert (c1 is c2) == (case == "identical")
 
 
 MINT_LOOP = """((fix f n (if (ffi eq n 0) (ffi list)

@@ -316,6 +316,34 @@ def test_gmw_backend_equals_ideal_when_blocks_are_entered_again():
     assert blocks == 2 * (86 + 3 * 116)
 
 
+def test_split_and_merge_match_a_per_bit_reference():
+    # the gather and scatter kernels of every AND layer, on both sides of
+    # the per-bit threshold, over one to three byte planes; a plane's
+    # unused high bits start random and must not leak into a word
+    assert 1 < gmw._PER_BIT < 40
+    rng = random.Random("kernels")
+    for k in (1, 2, 3, 8, 9, 17):
+        for m in range(1, 41):
+            n = 2 * m + 7
+            contiguous = list(range(3, 3 + m))
+            for wires in (contiguous, contiguous[::-1],
+                          rng.sample(range(n), m)):
+                planes = [[rng.getrandbits(8) for _ in range(n)]
+                          for _ in range(0, k, 8)]
+                raws = [bytes(s[w] for w in wires) for s in planes]
+                assert gmw._split(raws, k) == [
+                    sum(((planes[i // 8][w] >> i % 8) & 1) << j
+                        for j, w in enumerate(wires)) for i in range(k)]
+                words = [rng.getrandbits(m) for _ in range(k)]
+                want = [list(s) for s in planes]
+                for j, w in enumerate(wires):
+                    for t, s in enumerate(want):
+                        s[w] = sum(((words[i] >> j) & 1) << i % 8
+                                   for i in range(8 * t, min(k, 8 * t + 8)))
+                gmw._merge(planes, wires, words)
+                assert planes == want, (k, m, wires)
+
+
 def test_malformed_message_raises_protocol_error(monkeypatch):
     ch = Channel("a", "b")
     ch.send("open", 2, 0b10)
