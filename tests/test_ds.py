@@ -502,6 +502,35 @@ def test_local_steps_are_pure_on_every_corpus_config(monkeypatch):
         assert rt.mint._counters == drawn, cell.name
 
 
+# the number of ``machine_step`` calls over every corpus run below, and the
+# sha256 of each run's own count, in run order
+STEP_COUNT_DIGEST = (59916, "7e9a6452a338eda2")
+
+
+def test_each_party_config_is_stepped_once(monkeypatch):
+    # ds_run steps a party's configuration once, when it is new, and keeps
+    # the result until the party moves; no configuration is stepped twice
+    seen = []
+
+    def record(c, rt, p):
+        seen.append((c, p))  # held, so no id is reused within a run
+        return machine_step(c, rt, p)
+
+    monkeypatch.setattr(ds, "machine_step", record)
+    counts = []
+    for cell, backend in itertools.product(apps.corpus(), ("ideal", "gmw")):
+        e = apps.load_program(cell.program)
+        for label, sched in ds.schedules(5):
+            seen.clear()
+            res = ds_run(e, cell.env, cell.ps, Runtime(0, 32), sched, backend)
+            assert res.status == "done", (cell.name, backend, label)
+            keys = {(id(c), p) for c, p in seen}
+            assert len(keys) == len(seen), (cell.name, backend, label)
+            counts.append((cell.name, backend, label, len(seen)))
+    digest = hashlib.sha256(repr(counts).encode()).hexdigest()[:16]
+    assert (sum(n for *_, n in counts), digest) == STEP_COUNT_DIGEST
+
+
 def test_share_minted_outside_a_block_is_stuck_and_draws_nothing():
     rt = Runtime(0, 32)
     res = ds_run(parse("(ffi mk_sh 1)"), Env(), AB, rt)
