@@ -768,28 +768,25 @@ def public_shape(v: Value, vis: frozenset, members: frozenset):
 
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
-                      mint: ShareMint, cache: dict | None = None) -> Circuit:
-    """Compile a block's thunk. With ``cache``, a dict that lives for one
-    distributed run, the body's free variables are kept under ``id(body)``,
+                      mint: ShareMint, cache: dict) -> Circuit:
+    """Compile a block's thunk. ``cache``, a dict that lives for one
+    distributed run, keeps the body's free variables under ``id(body)``,
     with every compile of the body that drew nothing from the mint, keyed
     on the party set, the width and the ``public_shape`` of each free
     variable's value. An entry with an equal key gets that circuit back
     before anything is converted."""
     members = frozenset(parties.names)
-    if cache is None:
-        fv = free_vars(body)
-    else:
-        # the run holds its program and environment, and so every code
-        # node, until it ends: an id names one node for the cache's life
-        got = cache.get(id(body))
-        if got is None:
-            got = cache[id(body)] = (free_vars(body), {})
-        fv, kept = got
-        key = (parties, width, *[(x, public_shape(v, members, members))
-                                 for x, v in env.items() if x in fv])
-        circ = kept.get(key)
-        if circ is not None:
-            return circ
+    # the run holds its program and environment, and so every code node,
+    # until it ends: an id names one node for the cache's life
+    got = cache.get(id(body))
+    if got is None:
+        got = cache[id(body)] = (free_vars(body), {})
+    fv, kept = got
+    key = (parties, width, *[(x, public_shape(v, members, members))
+                             for x, v in env.items() if x in fv])
+    circ = kept.get(key)
+    if circ is not None:
+        return circ
     comp = Compiler(parties, width, mint)
     cenv = Env({x: comp.convert(v, (("var", x),), members)
                 for x, v in env.items() if x in fv})
@@ -798,7 +795,7 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
     b = comp.b
     circ = Circuit(parties, width, b.n, b.layers, comp.inputs, comp.outputs,
                    result)
-    if cache is not None and not comp.minted:
+    if not comp.minted:
         kept[key] = circ
     return circ
 

@@ -38,20 +38,6 @@ from .st import (
 
 
 # ---------------------------------------------------------------------------
-# joint blocks
-#
-# A running block under the ideal backend is the joint machine's registers
-# (``st.Regs``), stepped on each of its moves; under GMW it is a ``GmwSec``,
-# evaluated in one step.
-
-@record
-class GmwSec:
-    circuit: Circuit
-    bits: dict[str, dict[int, int]]
-    dealer_seed: int
-
-
-# ---------------------------------------------------------------------------
 # schedulers
 #
 # ``ds_run`` hands ``pick`` the enabled moves in canonical order: every
@@ -124,7 +110,7 @@ def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
     return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
 
 
-_DONE = object()  # step-cache marker of a party whose state is terminal
+_DONE = object()  # the step result of a party whose state is terminal
 
 
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
@@ -145,8 +131,12 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         for p in ps
     }
     # running blocks, and finished ones until their exit move as each
-    # member's view (its slice of the joint value, or its GMW output)
-    sec: dict[PrinSet, Union[Regs, GmwSec]] = {}
+    # member's view (its slice of the joint value, or its GMW output). A
+    # running block under the ideal backend is the joint machine's
+    # registers, stepped on each of its moves; under GMW it is the
+    # (circuit, input bits, dealer seed) it was entered with, evaluated in
+    # one step.
+    sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, int]]] = {}
     finished: dict[PrinSet, dict[str, Value]] = {}
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
@@ -160,42 +150,31 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                         {p: Config(*r) for p, r in par.items()}, ticks,
                         reason, sec_entries, tuple(circuits))
 
-    # One step result per party, computed the first time its state is seen
-    # and replaced when ``par[p]`` changes (its local move, or its slice at a
-    # block's exit); _DONE marks a terminal state. Reusing it across ticks is
-    # sound because a local step depends only on the state: party machines
-    # stay in PAR mode, ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise
-    # ModeError outside a joint block before they touch ``rt.mint``. Joint
-    # blocks are stepped on their own move, never cached.
+    # One step result per party, always that of ``par[p]``: computed at the
+    # start, after its local move and after a block's exit; _DONE marks a
+    # terminal state. Keeping it across ticks is sound because a local step
+    # depends only on the state: party machines stay in PAR mode,
+    # ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise ModeError
+    # outside a joint block before they touch ``rt.mint``. Joint blocks are
+    # stepped on their own move, never kept.
     #
     # The move list is kept as one tuple between ticks. After a local move
-    # only the moved party's entry is new; while it is again registers (a
-    # step to take) the list is unchanged, so it is reused as it is.
+    # only that party's entry is new; while it is again registers (a step
+    # to take) the list is unchanged, so it is reused as it is.
     # Anything else (a party that now waits, terminates or sticks, an enter,
     # an exit or a block that finishes) sets ``moves`` to None and the list
     # is rebuilt.
-    steps: dict[str, object] = {}
+    steps = {p: _DONE if is_terminal(r) else machine_step(r, rt, p)
+             for p, r in par.items()}
     local_moves = {p: ("local", p) for p in ps}
     moves = None
-    moved = None  # the party whose local move was the last pick
 
     for tick in range(fuel):
-        if moved is not None:
-            r = par[moved]
-            out = _DONE if is_terminal(r) else machine_step(r, rt, moved)
-            steps[moved] = out
-            if type(out) is not tuple:
-                moves = None
-            moved = None
         if moves is None:
             locals_ = []
             waiting: dict[PrinSet, dict[str, NeedsSec]] = {}
             for p in ps:
-                out = steps.get(p)
-                if out is None:
-                    r = par[p]
-                    out = _DONE if is_terminal(r) else machine_step(r, rt, p)
-                    steps[p] = out
+                out = steps[p]
                 if type(out) is tuple:
                     locals_.append(local_moves[p])
                 elif type(out) is NeedsSec:
@@ -211,8 +190,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                            if len(finished) > 1 else finished)]
             built += [("sec-step", s) for s in (sorted(sec, key=str)
                                                 if len(sec) > 1 else sec)]
+            # ``st._enter`` sticks a party outside the block's set, so a
+            # group holds only members
             ready = [s for s, group in waiting.items()
-                     if set(group) == set(s.names)]
+                     if len(group) == len(s.names)]
             if len(ready) > 1:
                 ready.sort(key=str)
             built += [("enter", s) for s in ready]
@@ -228,8 +209,11 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         kind, target = sched.pick(moves)
 
         if kind == "local":
-            par[target] = steps[target]
-            moved = target
+            r = par[target] = steps[target]
+            out = steps[target] = (_DONE if is_terminal(r)
+                                   else machine_step(r, rt, target))
+            if type(out) is not tuple:
+                moves = None
             continue
 
         if kind == "enter":
@@ -260,15 +244,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                               in zip(s.names, thunks)})
                 except CircuitError as ex:
                     return finish("stuck", tick, f"joint block {s}: {ex}")
-                sec[s] = GmwSec(circ, bits, _gmw_seed(rt.seed, s, idx))
+                sec[s] = (circ, bits, _gmw_seed(rt.seed, s, idx))
                 circuits.append((f"{s}#{idx}", circ))
             moves = None
             continue
 
         if kind == "sec-step":
-            m = sec[target]
-            if type(m) is tuple:  # not yet a value: it leaves sec as one
-                m = st_step(m, rt)
+            if backend == "ideal":  # one step; it leaves sec as a value
+                m = st_step(sec[target], rt)
                 if type(m) is Stuck:
                     return finish("stuck", tick,
                                   f"joint block {target} stuck at "
@@ -284,9 +267,10 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 finished[target] = {p: slice_value(p, code)
                                     for p in target.names}
             else:
-                res = gmw_eval(m.circuit, m.bits, m.dealer_seed)
+                circ, bits, dealer_seed = sec[target]
+                res = gmw_eval(circ, bits, dealer_seed)
                 finished[target] = {
-                    p: decode_output(m.circuit.decode, p, res.outputs[p])
+                    p: decode_output(circ.decode, p, res.outputs[p])
                     for p in target.names
                 }
             del sec[target]
@@ -300,14 +284,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 # block in flight is offered no local move
                 _, stack, _, trace, _ = par[p]
                 frame = stack[-1]
-                par[p] = (frame.mode, stack[:-1], frame.env,
-                          frame.trace + trace + (TMsg(vp),), vp)
-                del steps[p]
+                r = par[p] = (frame.mode, stack[:-1], frame.env,
+                              frame.trace + trace + (TMsg(vp),), vp)
+                steps[p] = _DONE if is_terminal(r) else machine_step(r, rt, p)
             moves = None
             continue
 
-    if not sec and not finished and all(is_terminal(r)
-                                        for r in par.values()):
+    if not sec and not finished and all(out is _DONE
+                                        for out in steps.values()):
         return finish("done", fuel)  # the last tick ended the run
     return finish("fuel", fuel)
 

@@ -172,7 +172,7 @@ def both_backends(cell, seed, width):
 
 def compile_two_party(src, width, seed=0):
     env = Env({"xa": Sealed(A, FfiInt(0)), "xb": Sealed(B, FfiInt(0))})
-    return compile_sec_thunk(env, parse(src), AB, width, ShareMint(seed))
+    return compile_sec_thunk(env, parse(src), AB, width, ShareMint(seed), {})
 
 
 def test_criterion_07_secure_backend_equals_ideal(announce):

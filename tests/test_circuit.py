@@ -278,7 +278,7 @@ def median_like_env():
 
 
 def compile_and_run(src, env, width=8, expect_parties=AB):
-    circ = compile_sec_thunk(env, parse(src), expect_parties, width, ShareMint(0))
+    circ = compile_sec_thunk(env, parse(src), expect_parties, width, ShareMint(0), {})
     envs = {p: slice_env(p, env) for p in expect_parties}
     bits = bind_inputs(circ, envs)
     wv = eval_circuit(circ, bits)
@@ -327,31 +327,31 @@ def test_compile_rejects_unsupported_ops():
     with pytest.raises(NotCircuitable):
         compile_sec_thunk(median_like_env(),
                           parse("(ffi mul (reveal xa) (reveal xb))"),
-                          AB, 8, ShareMint(0))
+                          AB, 8, ShareMint(0), {})
 
 
 def test_compile_rejects_nested_blocks():
     with pytest.raises(NotCircuitable):
         compile_sec_thunk(median_like_env(),
                           parse("(as_par (prins a) (lam _ 1))"),
-                          AB, 8, ShareMint(0))
+                          AB, 8, ShareMint(0), {})
     with pytest.raises(NotCircuitable):
         compile_sec_thunk(median_like_env(),
                           parse("(as_sec (prins a b) (lam _ 1))"),
-                          AB, 8, ShareMint(0))
+                          AB, 8, ShareMint(0), {})
 
 
 def test_compile_rejects_secret_branch_with_minting():
     # a handle cannot be created under a secret condition
     src = "(if (ffi gt (reveal xa) (reveal xb)) (ffi mk_sh 1) (ffi mk_sh 2))"
     with pytest.raises(NotCircuitable):
-        compile_sec_thunk(median_like_env(), parse(src), AB, 8, ShareMint(0))
+        compile_sec_thunk(median_like_env(), parse(src), AB, 8, ShareMint(0), {})
 
 
 def test_bind_inputs_requires_concrete_data():
     env = median_like_env()
     circ = compile_sec_thunk(env, parse("(ffi gt (reveal xa) (reveal xb))"),
-                             AB, 8, ShareMint(0))
+                             AB, 8, ShareMint(0), {})
     # hand a's role to a party that only holds placeholders
     wrong = {"a": slice_env("b", env), "b": slice_env("b", env)}
     with pytest.raises(MissingInput):
@@ -369,7 +369,7 @@ def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
             h = ShareVal.of(AB, {"a": top | (hi & 0x5A5A), "b": top}, w)
             env = Env({"xa": Sealed(A, FfiInt(n)), "xb": Sealed(B, Bool(flag)),
                        "h": h})
-            circ = compile_sec_thunk(env, body, AB, w, ShareMint(0))
+            circ = compile_sec_thunk(env, body, AB, w, ShareMint(0), {})
             bits = bind_inputs(circ, {p: slice_env(p, env) for p in AB})
             want = {"a": {}, "b": {}}
             for decl in circ.inputs:
@@ -404,7 +404,7 @@ def test_mint_inside_circuit_matches_runtime_mint():
     st = run(parse(src), env=env, rt=Runtime(seed=4, width=8))
     assert st.status == "done"
     circ = compile_sec_thunk(env, parse("(ffi mk_sh (reveal xa))"),
-                             AB, 8, ShareMint(4))
+                             AB, 8, ShareMint(4), {})
     envs = {p: slice_env(p, env) for p in AB}
     wv = eval_circuit(circ, bind_inputs(circ, envs))
     for p in AB:
@@ -509,7 +509,7 @@ def test_decoded_result_matches_reference_slices(body):
     ref = run(parse(f"(as_sec (prins a b) (lam _ {body}))"), env=env,
               rt=Runtime(seed=4, width=8))
     assert ref.status == "done"
-    circ = compile_sec_thunk(env, parse(body), AB, 8, ShareMint(4))
+    circ = compile_sec_thunk(env, parse(body), AB, 8, ShareMint(4), {})
     wv = eval_circuit(circ, bind_inputs(circ, {p: slice_env(p, env)
                                                for p in AB}))
     for p in AB:
@@ -539,7 +539,7 @@ def compiled_blocks():
                     yield f"{cell.name}@{w} {name}", circ
     for key, body in SHAPES.items():
         yield key, compile_sec_thunk(shapes_env(), parse(body), AB, 8,
-                                     ShareMint(4))
+                                     ShareMint(4), {})
     for seed in range(300):
         for ps in (AB, ABC):
             res = ds_run(gen_program(seed), base_env(), ps, backend="gmw")
@@ -588,7 +588,7 @@ def test_private_list_index_is_not_circuitable():
     with pytest.raises(NotCircuitable):
         compile_sec_thunk(shapes_env(),
                           parse("(ffi nth (list 1 2) (reveal xa))"),
-                          AB, 8, ShareMint(0))
+                          AB, 8, ShareMint(0), {})
 
 
 def test_gmw_stuck_reason_names_a_wire_bundle_briefly():

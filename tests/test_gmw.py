@@ -82,7 +82,7 @@ def test_protocol_transcript_is_deterministic():
 
 
 def run_both_ways(src, env, width=8, seed=0, parties=AB):
-    circ = compile_sec_thunk(env, parse(src), parties, width, ShareMint(0))
+    circ = compile_sec_thunk(env, parse(src), parties, width, ShareMint(0), {})
     bits = bind_inputs(circ, {p: slice_env(p, env) for p in parties})
     clear = eval_circuit(circ, bits)
     prot = gmw_eval(circ, bits, seed)

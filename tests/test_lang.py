@@ -11,7 +11,7 @@ import pytest
 import wysx
 from wysx.apps import CorpusCell
 from wysx.circuit import CBit, CInt, CMaskedList, Circuit, InputDecl
-from wysx.ds import DsResult, GmwSec
+from wysx.ds import DsResult
 from wysx.ffi import HostFn
 from wysx.gmw import GmwResult
 from wysx.lang import (
@@ -427,8 +427,6 @@ RECORDS = [
      "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
     (CheckReport("pass", checked=3),
      "CheckReport(status='pass', detail='', checked=3)"),
-    (GmwSec("circuit", {"a": {2: 1}}, 7),
-     "GmwSec(circuit='circuit', bits={'a': {2: 1}}, dealer_seed=7)"),
     (DsResult("done", {}, {}, 5),
      "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
      "sec_entries=0, circuits=())"),
@@ -442,7 +440,7 @@ RECORDS = [
 
 def test_every_record_class_has_a_sample():
     assert {type(x) for x, _ in RECORDS} == record_classes()
-    assert len(RECORDS) == 49
+    assert len(RECORDS) == 48
 
 
 @pytest.mark.parametrize("x, text", RECORDS,
