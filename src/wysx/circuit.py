@@ -561,8 +561,9 @@ class Compiler:
             if h.ps != self.parties:
                 raise NotCircuitable(
                     f"handle for {h.ps} recombined by {self.parties}")
-            if h.width != self.width:
-                raise NotCircuitable("mixed word widths")
+            if h.width > self.width:
+                raise NotCircuitable(f"a {h.width}-bit handle does not fit "
+                                     f"{self.width} bits")
             if len(h.words) != len(h.ps):
                 raise NotCircuitable("handle is missing words")
             out = []
@@ -572,7 +573,8 @@ class Compiler:
                     wi = w.wires[i] if type(w) is CInt else b.const(w >> i)
                     acc = wi if acc is None else b.xor(acc, wi)
                 out.append(acc)
-            return CInt(tuple(out))
+            # sign-extended to the block's width, as ``decode_word`` reads it
+            return CInt(tuple(out) + (out[-1],) * (self.width - h.width))
 
         if name in ("add", "sub"):
             xs = self.as_int_wires(args[0])

@@ -9,7 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from _proggen import base_env, gen_program, gen_program_twice
-from wysx.lang import Bool, Env, FfiInt, PrinSet, Sealed, slice_env
+from wysx.lang import (
+    Bool, Env, FfiInt, PrinSet, Sealed, ShareVal, decode_word, slice_env,
+)
 from wysx.sexp import parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
@@ -18,7 +20,7 @@ from wysx.circuit import (
 )
 from wysx import apps, ds, gmw
 from wysx.ds import ds_run
-from wysx.st import Runtime
+from wysx.st import Runtime, run as st_run
 from wysx.gmw import Channel, ProtocolError, gmw_eval, make_triples
 
 A = PrinSet.of("a")
@@ -314,6 +316,43 @@ def test_gmw_backend_equals_ideal_when_blocks_are_entered_again():
     assert sticks == {(4, "mul"): 2, (4, "input"): 23, (4, "constant"): 2,
                       (9, "mul"): 2, (16, "mul"): 2, (32, "mul"): 2}
     assert blocks == 2 * (86 + 3 * 116)
+
+
+COMB_SH = parse("(as_sec (prins a b) (lam _ (ffi comb_sh h)))")
+
+
+def comb_sh_cases():
+    """(a's word, b's word, handle width, value): hand-picked, then seeded
+    words at handle widths below the block's 32 bits."""
+    yield 3, 5, 8, 6
+    yield 240, 0, 8, -16
+    yield 1, 0, 1, -1
+    rng = random.Random(5)
+    for width in (1, 2, 7, 8, 16, 31):
+        for _ in range(4):
+            wa, wb = rng.getrandbits(width), rng.getrandbits(width)
+            yield wa, wb, width, decode_word(wa ^ wb, width)
+
+
+def test_a_handle_narrower_than_the_block_recombines_on_every_machine():
+    # comb_sh XORs the words at the handle's width and sign-extends them to
+    # the block's width, on the reference machine and on both backends
+    for wa, wb, width, n in comb_sh_cases():
+        env = Env({"h": ShareVal.of(AB, {"a": wa, "b": wb}, width)})
+        ref = st_run(COMB_SH, env, AB, Runtime(0, 32))
+        assert (ref.status, ref.value) == ("done", FfiInt(n)), (wa, wb, width)
+        for backend in ("ideal", "gmw"):
+            res = ds_run(COMB_SH, env, AB, Runtime(0, 32), backend=backend)
+            assert res.status == "done", (wa, wb, width, res.reason)
+            assert res.parties["a"][0] == res.parties["b"][0] == FfiInt(n)
+
+
+def test_a_handle_wider_than_the_block_sticks_under_gmw():
+    env = Env({"h": ShareVal.of(AB, {"a": 1, "b": 0}, 40)})
+    assert st_run(COMB_SH, env, AB, Runtime(0, 32)).value == FfiInt(1)
+    res = ds_run(COMB_SH, env, AB, Runtime(0, 32), backend="gmw")
+    assert (res.status, res.reason) == (
+        "stuck", "joint block {a,b}: a 40-bit handle does not fit 32 bits")
 
 
 def test_split_and_merge_match_a_per_bit_reference():
