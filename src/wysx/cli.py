@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 from . import apps
 from .circuit import dump_circuit
 from .ds import check_confluence, check_simulation, ds_run, parse_sched
-from .inputs import (InputError, canonical_json, check_principal,
-                     load_env_file, trace_to_json, value_to_json)
+from .inputs import (canonical_json, check_principal, load_env_file,
+                     trace_to_json, value_to_json)
 from .lang import (CombineConflict, DomainMismatch, Env, PrinSet, TMsg,
                    WysError, combine_envs, combine_values)
-from .sexp import ParseError, parse
+from .sexp import parse
 from .st import DEFAULT_FUEL, Runtime, run
 
 
@@ -255,8 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.cmd == "check":
             return cmd_check(args)
         return cmd_dump(args)
-    except (CliError, WysError, ParseError, InputError, OSError,
-            ValueError) as ex:
+    except (CliError, WysError, OSError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     except RecursionError:
