@@ -32,8 +32,8 @@ from .lang import (
     slice_config, slice_env, slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, CheckReport, NeedsSec, Regs, Runtime, Stuck, is_terminal,
-    machine_step, machine_step as st_step, run as st_run,
+    DEFAULT_FUEL, CheckReport, NeedsSec, Regs, Runtime, Stuck, config_of,
+    is_terminal, machine_step, machine_step as st_step, run as st_run,
 )
 
 
@@ -147,7 +147,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         parties = {p: (r[4] if is_terminal(r) else None, r[3])
                    for p, r in par.items()}
         return DsResult(status, parties,
-                        {p: Config(*r) for p, r in par.items()}, ticks,
+                        {p: config_of(r) for p, r in par.items()}, ticks,
                         reason, sec_entries, tuple(circuits))
 
     # One step result per party, always that of ``par[p]``: computed at the
@@ -283,9 +283,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 # p is still where ``st._enter`` parked it: a member of a
                 # block in flight is offered no local move
                 _, stack, _, trace, _ = par[p]
-                frame = stack[-1]
-                r = par[p] = (frame.mode, stack[:-1], frame.env,
-                              frame.trace + trace + (TMsg(vp),), vp)
+                fmode, fenv, ftrace, _, _, _ = stack[-1]
+                r = par[p] = (fmode, stack[:-1], fenv,
+                              ftrace + trace + (TMsg(vp),), vp)
                 steps[p] = _DONE if is_terminal(r) else machine_step(r, rt, p)
             moves = None
             continue

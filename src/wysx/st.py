@@ -5,7 +5,7 @@ or a value being plugged back into the innermost frame. Every frame records
 the mode, environment and trace at suspension time, so block entry and exit
 restore them exactly.
 
-A compound expression pushes one ``Frame`` that holds the node, the values
+A compound expression pushes one frame that holds the node, the values
 of its operands so far and the operands still to run, and runs its operands
 in ``lang.OPERANDS`` order. Plugging a value checks the first operand
 (``check_first_operand``), moves on to the next one, and once all are in
@@ -18,8 +18,10 @@ so joint blocks follow one copy of them on every backend.
 The step loops keep the machine state as a plain tuple of registers,
 ``(mode, stack, env, trace, code)``, in ``Config``'s field order: a step
 takes the registers it reads and returns the next ones, or a ``Stuck`` or
-``NeedsSec``. ``Config`` is the boundary record, built only where a run
-hands its state out (``RunResult.config``, ``ds.DsResult.par``).
+``NeedsSec``. A frame on that stack is a plain tuple too, in ``Frame``'s
+field order ``(mode, env, trace, e, done, pending)``. ``Config`` and
+``Frame`` are the boundary records: ``config_of`` builds them only where a
+run hands its state out (``RunResult.config``, ``ds.DsResult.par``).
 
 ``run`` is the joint machine's loop. It keeps the five registers in locals,
 makes ``machine_step``'s value test and the terminal test in one place and
@@ -76,9 +78,13 @@ class NeedsSec:
     clos: Clos  # the thunk, environment included
 
 
+# A frame in the step loops: (mode, env, trace, e, done, pending), the
+# fields of ``Frame`` in order.
+FrameRegs = tuple[Mode, Env, Trace, Expr, tuple[Value, ...], tuple[Expr, ...]]
+
 # A machine state in the step loops: (mode, stack, env, trace, code), the
-# fields of ``Config`` in order.
-Regs = tuple[Mode, tuple[Frame, ...], Env, Trace, Code]
+# fields of ``Config`` in order, with each frame of the stack a ``FrameRegs``.
+Regs = tuple[Mode, tuple[FrameRegs, ...], Env, Trace, Code]
 
 # What a step yields: the next registers, the rule that blocks it, or, on a
 # party's local machine, the joint block it waits at.
@@ -89,6 +95,12 @@ def is_terminal(regs: Regs) -> bool:
     """A value with no frame left, in a par mode: the run is over."""
     mode, stack, _, _, code = regs
     return not stack and isinstance(code, Value) and mode.tag == PAR
+
+
+def config_of(regs: Regs) -> Config:
+    """The boundary record of ``regs``: a ``Config`` of ``Frame`` records."""
+    mode, stack, env, trace, code = regs
+    return Config(mode, tuple(Frame(*f) for f in stack), env, trace, code)
 
 
 def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
@@ -105,7 +117,7 @@ def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
         return None, f"{type(ex).__name__}: {ex}"
 
 
-def _descend(mode: Mode, stack: tuple[Frame, ...], env: Env, trace: Trace,
+def _descend(mode: Mode, stack: tuple[FrameRegs, ...], env: Env, trace: Trace,
              e: Expr, rt: Runtime) -> StepOut:
     t = type(e)
     if t is Var:
@@ -127,7 +139,7 @@ def _descend(mode: Mode, stack: tuple[Frame, ...], env: Env, trace: Trace,
             return Stuck("descend", f"not an expression: {e!r}")
         ops = operands(e)
     if ops:
-        frame = Frame(mode, env, trace, e, (), ops[1:])
+        frame = (mode, env, trace, e, (), ops[1:])
         return mode, stack + (frame,), env, (), ops[0]
     # a host call without arguments
     v, err = _run_host(e.name, (), mode, rt)
@@ -246,7 +258,7 @@ def apply_rule(e: Expr, args: tuple[Value, ...], mode: Mode,
     return VMap.of(d)
 
 
-def _plug(stack: tuple[Frame, ...], trace: Trace, v: Value, rt: Runtime,
+def _plug(stack: tuple[FrameRegs, ...], trace: Trace, v: Value, rt: Runtime,
           party: Optional[str]) -> StepOut:
     """Plug the focused value ``v`` into the innermost frame of ``stack``;
     ``trace`` is the output since that frame was pushed.
@@ -254,80 +266,78 @@ def _plug(stack: tuple[Frame, ...], trace: Trace, v: Value, rt: Runtime,
     ``party`` selects the semantics: None for the joint reference machine,
     a principal name for that party's local machine.
     """
-    frame = stack[-1]
+    mode, env, ftrace, e, done, pending = stack[-1]
     rest = stack[:-1]
-    e = frame.e
-    merged = frame.trace + trace if trace else frame.trace
+    merged = ftrace + trace if trace else ftrace
 
-    if frame.pending:
-        if not frame.done:
+    if pending:
+        if not done:
             stuck = check_first_operand(e, v)
             if stuck is not None:
                 return stuck
-        nf = Frame(frame.mode, frame.env, merged, e, frame.done + (v,),
-                   frame.pending[1:])
-        return frame.mode, rest + (nf,), frame.env, (), frame.pending[0]
+        nf = (mode, env, merged, e, done + (v,), pending[1:])
+        return mode, rest + (nf,), env, (), pending[0]
     t = type(e)
 
     # ---- plain sequencing, most frequent first ---------------------------
     if t is Ffi:
-        out, err = _run_host(e.name, frame.done + (v,), frame.mode, rt)
+        out, err = _run_host(e.name, done + (v,), mode, rt)
         if err is not None:
             return Stuck("ffi-apply", err)
-        return frame.mode, rest, frame.env, merged, out
+        return mode, rest, env, merged, out
 
     if t is If:
         if type(v) is not Bool:
             return Stuck("if-branch", f"condition is not a boolean: {v!r}")
         branch = e.then if v.b else e.els
-        return frame.mode, rest, frame.env, merged, branch
+        return mode, rest, env, merged, branch
 
     if t is Let:
-        env2 = frame.env.extend(e.x, v)
-        return frame.mode, rest, env2, merged, e.body
+        return mode, rest, env.extend(e.x, v), merged, e.body
 
     if t is App:
-        fn = frame.done[0]
+        fn = done[0]
         if type(fn) is not Clos:
             return Stuck("apply", f"not a function: {fn!r}")
-        return frame.mode, rest, fn.bind(v), merged, fn.body
+        return mode, rest, fn.bind(v), merged, fn.body
 
     if t is AsPar or t is AsSec:
         # ---- block entry: the thunk has arrived --------------------------
-        if len(frame.done) == 1:
-            return _enter(v, frame, rest, merged, party)
+        if len(done) == 1:
+            return _enter(v, mode, env, e, done, rest, merged, party)
 
         # ---- block exit: the body's value has arrived --------------------
-        s = frame.done[0].ps
+        s = done[0].ps
         if t is AsPar:
             if party is None:
                 if not can_seal(s, v):
                     return Stuck("par-return",
                                  f"result not sealable for {s}: {v!r}")
-                merged = frame.trace + (TScope(s, trace),)
-            return frame.mode, rest, frame.env, merged, Sealed(s, v)
+                merged = ftrace + (TScope(s, trace),)
+            return mode, rest, env, merged, Sealed(s, v)
 
         if party is not None:
             return Stuck("sec-return", "local machine inside a joint block")
         if trace:
             return Stuck("sec-return", "joint block produced scoped output")
-        return frame.mode, rest, frame.env, frame.trace + (TMsg(v),), v
+        return mode, rest, env, ftrace + (TMsg(v),), v
 
-    out = apply_rule(e, frame.done + (v,), frame.mode, party)
+    out = apply_rule(e, done + (v,), mode, party)
     if type(out) is Stuck:
         return out
-    return frame.mode, rest, frame.env, merged, out
+    return mode, rest, env, merged, out
 
 
-def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
+def _enter(v: Value, m: Mode, env: Env, e: Expr, done: tuple[Value, ...],
+           rest: tuple[FrameRegs, ...], merged: Trace,
            party: Optional[str]) -> StepOut:
-    """Enter the as_par or as_sec block of ``frame`` on its thunk ``v``."""
-    is_par = type(frame.e) is AsPar
+    """Enter the as_par or as_sec block ``e`` on its thunk ``v``; ``m``,
+    ``env`` and ``done`` are those of the block's frame."""
+    is_par = type(e) is AsPar
     if type(v) is not Clos:
         return Stuck("par-enter" if is_par else "sec-enter",
                      f"not a function: {v!r}")
-    s = frame.done[0].ps
-    m = frame.mode
+    s = done[0].ps
     if is_par:
         if party is None:
             if not (m.is_par() and s.subset_of(m.ps)):
@@ -336,10 +346,10 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             m2 = Mode(PAR, s)
         elif party not in s:
             # everything inside is someone else's business
-            return m, rest, frame.env, merged, Sealed(s, OPAQUE)
+            return m, rest, env, merged, Sealed(s, OPAQUE)
         else:
             m2 = m
-        nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
+        nf = (m, env, merged, e, done + (v,), ())
         return m2, rest + (nf,), v.bind(UNIT), (), v.body
 
     if party is None:
@@ -347,7 +357,7 @@ def _enter(v: Value, frame: Frame, rest: tuple[Frame, ...], merged: Trace,
             return Stuck("sec-enter",
                          f"joint block over {s} requires exactly those "
                          f"parties, mode is {m.tag} {m.ps}")
-        nf = Frame(m, frame.env, merged, frame.e, frame.done + (v,), ())
+        nf = (m, env, merged, e, done + (v,), ())
         return Mode(SEC, s), rest + (nf,), v.bind(UNIT), (), v.body
     if party not in s:
         return Stuck("sec-enter", f"{party} outside joint set {s}")
@@ -405,7 +415,7 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
                 out = _plug(stack, trace, code, rt, None)
             elif mode.tag == PAR:
                 return RunResult("done", code, trace,
-                                 Config(mode, stack, env, trace, code),
+                                 config_of((mode, stack, env, trace, code)),
                                  steps, secs)
             else:
                 out = _HALT
@@ -413,14 +423,14 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
             out = _descend(mode, stack, env, trace, code, rt)
         if type(out) is Stuck:
             return RunResult("stuck", None, trace,
-                             Config(mode, stack, env, trace, code), steps,
-                             secs, out.rule, out.reason)
+                             config_of((mode, stack, env, trace, code)),
+                             steps, secs, out.rule, out.reason)
         m = out[0]
         if m is not mode and m.tag == SEC and mode.tag == PAR:
             secs += 1  # sec-enter: the one step from a par into a sec mode
         mode, stack, env, trace, code = out
     regs = (mode, stack, env, trace, code)
-    c = Config(*regs)
+    c = config_of(regs)
     if is_terminal(regs):  # the last step ended the run
         return RunResult("done", code, trace, c, fuel, secs)
     return RunResult("fuel", None, trace, c, fuel, secs)

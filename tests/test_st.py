@@ -7,12 +7,12 @@ import pytest
 from _proggen import base_env, gen_program
 from wysx import apps
 from wysx.lang import (
-    AsPar, AsSec, Bool, Config, Const, Env, FfiInt, FfiList, FfiPair, Lam,
-    Mode, OPAQUE, PAR, PrinSet, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
+    AsPar, AsSec, Bool, Const, Env, FfiInt, FfiList, FfiPair, Lam, Mode,
+    OPAQUE, PAR, PrinSet, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
     Value, VMap,
 )
 from wysx.sexp import parse
-from wysx.st import DEFAULT_FUEL, Runtime, Stuck, machine_step, run
+from wysx.st import DEFAULT_FUEL, Runtime, Stuck, config_of, machine_step, run
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -437,16 +437,16 @@ def stepped(e, env, ps, rt, fuel=DEFAULT_FUEL):
     for steps in range(fuel + 1):
         mode, stack, _, _, code = regs
         if not stack and isinstance(code, Value) and mode.tag == PAR:
-            return "done", steps, secs, Config(*regs), None, None
+            return "done", steps, secs, config_of(regs), None, None
         if steps == fuel:
             break
         out = machine_step(regs, rt)
         if type(out) is Stuck:
-            return "stuck", steps, secs, Config(*regs), out.rule, out.reason
+            return "stuck", steps, secs, config_of(regs), out.rule, out.reason
         if out[0].tag == SEC and mode.tag == PAR:
             secs += 1
         regs = out
-    return "fuel", fuel, secs, Config(*regs), None, None
+    return "fuel", fuel, secs, config_of(regs), None, None
 
 
 def fields(r):
