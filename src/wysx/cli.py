@@ -64,19 +64,29 @@ def _disagreement(files: list[tuple[str, Env]]) -> Optional[str]:
     return None
 
 
+def _once(names: list[str], flag: str) -> list[str]:
+    """``names``, refused if ``flag`` names one party twice."""
+    seen = set()
+    for p in names:
+        if p in seen:
+            raise CliError(f"{flag} names party {p} twice")
+        seen.add(p)
+    return names
+
+
 def _gather_env(args) -> tuple[Env, PrinSet]:
-    files = []
     parties = []
     for item in args.inputs:
         party, sep, path = item.partition("=")
         if not sep or not party or not path:
             raise CliError(f"bad --inputs entry {item!r}, expected P=FILE")
-        parties.append(check_principal(party, "--inputs"))
-        files.append((path, load_env_file(path)))
-    names = parties
+        parties.append((check_principal(party, "--inputs"), path))
+    names = _once([p for p, _ in parties], "--inputs")
+    files = [(path, load_env_file(path)) for _, path in parties]
     if args.prins:
-        names = [check_principal(p.strip(), "--prins")
-                 for p in args.prins.split(",") if p.strip()]
+        names = _once([check_principal(p.strip(), "--prins")
+                       for p in args.prins.split(",") if p.strip()],
+                      "--prins")
     if not names:
         raise CliError("no principals: pass --inputs P=FILE... or --prins a,b")
     ps = PrinSet.of(*names)

@@ -395,6 +395,30 @@ def test_prins_naming_nobody_is_a_one_line_error(tmp_path, capsys, cmd):
                               "P=FILE... or --prins a,b\n")
 
 
+@pytest.mark.parametrize("twice", ["same-file", "two-files", "prins"])
+def test_a_party_named_twice_is_a_one_line_error(median_files, capsys,
+                                                 twice):
+    # one party's files must not merge into a run under that party alone
+    a, b = median_files
+    argv = ["run", "median", "--mode", "ds", "--inputs", f"a={a}"]
+    if twice == "prins":
+        argv += [f"b={b}", "--prins", "a, b,a"]
+    else:
+        argv += [f"a={a if twice == 'same-file' else b}"]
+    flag = "--prins" if twice == "prins" else "--inputs"
+    assert main(argv) == 1
+    assert one_error_line(capsys) == f"error: {flag} names party a twice\n"
+
+
+def test_a_party_named_twice_is_refused_before_any_file_is_read(tmp_path,
+                                                                capsys):
+    inp = write(tmp_path, "a.json", {})
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", "median", "--inputs", f"a={inp}",
+                 f"a={missing}"]) == 1
+    assert one_error_line(capsys) == "error: --inputs names party a twice\n"
+
+
 @pytest.mark.parametrize("name", ["1", "(x", "if", "a b", "x;"])
 @pytest.mark.parametrize("via", ["prins", "inputs"])
 def test_a_principal_name_must_read_as_a_variable(tmp_path, capsys, name,
