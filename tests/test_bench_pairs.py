@@ -1,6 +1,7 @@
 """The summary arithmetic of ``tools/bench_pairs.py`` on fixed numbers."""
 
 import importlib.util
+import json
 import os
 from pathlib import Path
 
@@ -60,18 +61,27 @@ def test_verdict_needs_ratio_wins_and_a_gap_beyond_the_parent_iqr():
     assert (v["gain_of_medians"], v["claim_met"]) == (1.25, True)
 
 
-@pytest.mark.parametrize("missing", ["BENCHMARK.json", "bench/run.py"])
-@pytest.mark.parametrize("side", ["parent", "change"])
-def test_a_directory_that_is_not_a_checkout_is_a_one_line_error(
-        tmp_path, capsys, missing, side):
+def fake_checkouts(tmp_path, end_to_end=()):
+    """Two directories that pass for checkouts: a ``BENCHMARK.json`` with
+    the ``end_to_end`` metrics given as (name, better), and a
+    ``bench/run.py`` that does nothing."""
     dirs = {}
     for name in ("parent", "change"):
         root = tmp_path / name
         (root / "bench").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text('{"end_to_end": []}',
-                                             encoding="utf-8")
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": m, "better": better} for m, better in end_to_end]}),
+            encoding="utf-8")
         (root / "bench" / "run.py").write_text("", encoding="utf-8")
         dirs[name] = root
+    return dirs
+
+
+@pytest.mark.parametrize("missing", ["BENCHMARK.json", "bench/run.py"])
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_directory_that_is_not_a_checkout_is_a_one_line_error(
+        tmp_path, capsys, missing, side):
+    dirs = fake_checkouts(tmp_path)
     (dirs[side] / missing).unlink()
     argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "w",
             "--seeds", "1"]
@@ -79,3 +89,26 @@ def test_a_directory_that_is_not_a_checkout_is_a_one_line_error(
     assert capsys.readouterr() == (
         "", f"error: {dirs[side]} is not a checkout: it has no "
             f"{os.path.join(*missing.split('/'))}\n")
+
+
+@pytest.mark.parametrize("claim, message", [
+    ("ops_per_sec:1.07", "--claim metric 'ops_per_sec' is not an end-to-end "
+                         "metric; use one of ops_per_s, op_p50_ms"),
+    ("ops_per_s", "--claim ratio must be a positive number, got ''"),
+    ("ops_per_s:fast", "--claim ratio must be a positive number, got 'fast'"),
+    ("ops_per_s:0", "--claim ratio must be a positive number, got '0'"),
+    ("ops_per_s:nan", "--claim ratio must be a positive number, got 'nan'"),
+])
+def test_a_bad_claim_is_refused_before_any_pair_runs(tmp_path, capsys,
+                                                     monkeypatch, claim,
+                                                     message):
+    dirs = fake_checkouts(tmp_path, [("ops_per_s", "higher"),
+                                     ("op_p50_ms", "lower")])
+    ran = []
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda *args: ran.append(args))
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "w",
+            "--seeds", "1-10", "--claim", claim]
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert ran == []

@@ -24,7 +24,10 @@ block is added to FILE (or replaces the block of the same workload);
 without it the document goes to stdout. ``--claim METRIC:RATIO`` adds a
 verdict on that metric: met when the ratio of the medians reaches RATIO in
 the better direction, the change wins at least 9 of every 10 pairs and the
-median gap exceeds the parent's interquartile range.
+median gap exceeds the parent's interquartile range. A claim is checked
+before the first pair runs: METRIC must be one of the end-to-end metrics
+and RATIO a positive number, or it is refused with one ``error:`` line and
+exit status 2.
 
 Only the standard library is used.
 """
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -53,6 +57,22 @@ def parse_seeds(text: str) -> list[int]:
     if not seeds:
         raise ValueError(f"empty seed range {text!r}")
     return seeds
+
+
+def parse_claim(text: str, metrics: dict) -> tuple[str, float]:
+    """``"METRIC:RATIO"`` as (METRIC, RATIO), METRIC one of ``metrics``."""
+    metric, _, ratio = text.partition(":")
+    if metric not in metrics:
+        raise ValueError(f"--claim metric {metric!r} is not an end-to-end "
+                         f"metric; use one of {', '.join(metrics)}")
+    try:
+        value = float(ratio)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"--claim ratio must be a positive number, "
+                         f"got {ratio!r}")
+    return metric, value
 
 
 def quartiles(xs: list[float]) -> dict[str, float]:
@@ -173,11 +193,18 @@ def main(argv=None) -> int:
               encoding="utf-8") as fh:
         metrics = {m["name"]: m["better"]
                    for m in json.load(fh)["end_to_end"]}
+    claim = None
+    if args.claim:
+        try:
+            claim = parse_claim(args.claim, metrics)
+        except ValueError as ex:
+            print(f"error: {ex}", file=sys.stderr)
+            return 2
     block = measure(args.parent_dir, args.change_dir, args.workload,
                     args.seeds, args.seconds, metrics)
-    if args.claim:
-        metric, _, ratio = args.claim.partition(":")
-        block["verdict"] = verdict(block[metric], metric, float(ratio),
+    if claim:
+        metric, ratio = claim
+        block["verdict"] = verdict(block[metric], metric, ratio,
                                    metrics[metric])
     doc = {}
     if args.out and os.path.exists(args.out):
