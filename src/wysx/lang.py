@@ -573,6 +573,10 @@ class Frame:
     A block body runs above its own ``as_par``/``as_sec`` node's frame,
     whose ``done`` then holds the set and the thunk: one value in ``done``
     marks block entry, two mark exit.
+
+    The step loops keep a frame as a plain tuple of these fields in order;
+    this record is built only for the stack of a handed-out ``Config``
+    (``st.config_of``).
     """
 
     mode: Mode
