@@ -66,11 +66,9 @@ def _disagreement(files: list[tuple[str, Env]]) -> Optional[str]:
 
 def _once(names: list[str], flag: str) -> list[str]:
     """``names``, refused if ``flag`` names one party twice."""
-    seen = set()
-    for p in names:
-        if p in seen:
+    for i, p in enumerate(names):
+        if p in names[:i]:
             raise CliError(f"{flag} names party {p} twice")
-        seen.add(p)
     return names
 
 

@@ -16,7 +16,7 @@ from wysx.lang import (
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
-from wysx.st import Runtime, machine_step, run as st_run
+from wysx.st import DEFAULT_FUEL, Runtime, machine_step, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
@@ -542,12 +542,12 @@ def test_frames_are_built_only_where_a_run_hands_its_state_out(monkeypatch):
         init(self, *fields)
 
     monkeypatch.setattr(Frame, "__init__", counted)
-    runs = [(apps.load_program(cell.program), cell.env, cell.ps, 10 ** 6)
+    runs = [(apps.load_program(cell.program), cell.env, cell.ps, DEFAULT_FUEL)
             for cell in apps.corpus()]
     # stuck under two pending additions, and out of fuel mid-program, so
     # that some handed-out stacks are not empty
-    runs += [(parse("(ffi add 1 (ffi add 2 (reveal 3)))"), Env(), AB, 10 ** 6),
-             (runs[0][0], runs[0][1], runs[0][2], 40)]
+    runs += [(parse("(ffi add 1 (ffi add 2 (reveal 3)))"), Env(), AB,
+              DEFAULT_FUEL), (*runs[0][:3], 40)]
     configs, statuses = [], set()
     for e, env, ps, fuel in runs:
         res = st_run(e, env, ps, Runtime(0, 32), fuel)
