@@ -2,9 +2,9 @@
 
 Each application ships as a DSL source file under ``programs/`` plus, on the
 Python side, builders for its input environment, pure oracles that predict
-its value and trace, and exhaustive small-domain checkers for the security
-properties the examples exhibit.  The oracles share no code with the
-interpreters, so agreement between the two is meaningful evidence.
+its value and trace, and the policy of what it may disclose, which one
+exhaustive small-domain check, ``check_disclosure``, enforces.  The oracles
+share no code with the interpreters, so agreement is meaningful evidence.
 
 The accessor ``v_of_sh`` recombines a share handle.  It exists only for
 harness code; programs have no way to call it.
@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter, defaultdict
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations, product
 from typing import Optional, Sequence
 
 from .lang import (
     SEC, Bool, Env, Expr, FfiInt, FfiList, FfiPair, Mode, PrinSet, Sealed,
-    ShareVal, TMsg, TScope, Trace, Value, VMap, WysError, record,
+    ShareVal, TMsg, TScope, Trace, Value, VMap, WysError, children, record,
+    slice_trace, slice_value, with_children,
 )
 from .sexp import parse
 from .shares import ShareMint, comb_sh_value
@@ -163,26 +165,6 @@ def trace_psi_opt(la: Sequence[int], lb: Sequence[int]) -> list[bool]:
     return out
 
 
-def psi_reconstruct(n_a: int, n_b: int, flat: Sequence[bool]) -> list[bool]:
-    """Rebuild the optimized trace from the list lengths and pairwise trace.
-
-    Witnesses that the optimized program discloses nothing beyond what the
-    pairwise one already does: replay its scan order, skipping the rest of a
-    row after a hit and retiring the matched column.
-    """
-    assert len(flat) == n_a * n_b
-    alive = list(range(n_b))
-    out = []
-    for i in range(n_a):
-        for k, j in enumerate(alive):
-            bit = flat[i * n_b + j]
-            out.append(bit)
-            if bit:
-                del alive[k]
-                break
-    return out
-
-
 def psi_sides(la, lb) -> tuple[list[int], list[int]]:
     """Per-party keeps for the pairwise program, in input order."""
     return [x for x in la if x in lb], [x for x in lb if x in la]
@@ -191,16 +173,12 @@ def psi_sides(la, lb) -> tuple[list[int], list[int]]:
 def psi_opt_sides(la, lb) -> tuple[list[int], list[int]]:
     """Per-party keeps for the optimized program (each match consumed once)."""
     rest = list(lb)
-    flags = []
+    ia = []
     for ax in la:
         if ax in rest:
-            flags.append(True)
+            ia.append(ax)
             rest.remove(ax)
-        else:
-            flags.append(False)
-    ia = [ax for ax, f in zip(la, flags) if f]
-    ib = []
-    k = 0
+    ib, k = [], 0
     for bx in lb:
         if k < len(rest) and bx == rest[k]:
             k += 1
@@ -226,106 +204,116 @@ def public_msgs(trace: Trace) -> list[Value]:
     return [ev.v for ev in trace if type(ev) is TMsg]
 
 
-def _passed(checked: int) -> CheckReport:
-    if not checked:
+def _handles(v):
+    """The share handles in a value, message or scope."""
+    t = type(v)
+    if t is ShareVal:
+        yield v
+    for w in (v.v,) if t is TMsg else v.t if t is TScope else children(v):
+        yield from _handles(w)
+
+
+def _erase(v: Value) -> Value:
+    """``v`` with the words of every share handle dropped."""
+    if type(v) is ShareVal:
+        return ShareVal(v.ps, (), v.width)
+    return with_children(v, tuple(map(_erase, children(v))))
+
+
+def check_disclosure(program: Expr, ps: PrinSet, domain: Sequence, env_of,
+                     policy, oracle, cls=lambda *x: x) -> CheckReport:
+    """Delimited release (Sabelfeld and Myers, ISSS 2003): no party learns
+    more of the others' inputs than ``policy`` releases.
+
+    An input ``x`` holds the own input of each party of ``ps`` in order, then
+    any joint inputs, which the policy fixes. Each run, on the reference
+    machine in ``env_of(*x)``, must finish with ``oracle(r, *x)`` true and
+    no two handles sharing a mask word; so share words are erased from each
+    party's view, its ``slice_value`` and ``slice_trace`` of the run. Per
+    party, own input and ``policy(*x)``, the views must form one multiset
+    over every class ``cls(*x)`` of inputs.
+    """
+    if not domain:
         return CheckReport("vacuous", "the suite checked no cases")
-    return CheckReport("pass", checked=checked)
+    views = defaultdict(lambda: defaultdict(Counter))
+    for x in domain:
+        where = " ".join(map(str, x))
+        r = run(program, env_of(*x), ps)
+        if r.status != "done":
+            return CheckReport("fail", f"{where}: run {r.status} "
+                               f"({r.stuck_reason})")
+        if not oracle(r, *x):
+            return CheckReport("fail", f"{where}: result differs from oracle")
+        masks = [w for h in {*_handles(r.value), *_handles(TScope(ps, r.trace))}
+                 for w in h.words[:-1]]  # the last holder's word is no mask
+        if len(set(masks)) < len(masks):
+            return CheckReport("fail", f"{where}: two handles share a mask")
+        for own, p in zip(x, ps.names):
+            view = (_erase(slice_value(p, r.value)),
+                    tuple(_erase(m.v) for m in slice_trace(p, r.trace)))
+            views[p, own, policy(*x)][cls(*x)][view] += 1
+    for (p, own, key), group in views.items():
+        first, *rest = group.values()
+        if any(m != first for m in rest):
+            return CheckReport("fail", f"{p}'s view varies beyond the policy "
+                               f"(own input {own}, policy {key})")
+    return CheckReport("pass", checked=len(domain),
+                       groups=sum(len(g) > 1 for g in views.values()))
 
 
-def sorted_pairs(lo: int, hi: int) -> list[tuple[int, int]]:
-    return [(x, y) for x in range(lo, hi + 1)
-            for y in range(lo, hi + 1) if x < y]
-
-
-def check_median_security(lo: int = 1, hi: int = 8, oracle=opt_trace,
+def check_median_security(hi: int = 8, oracle=opt_trace,
                           program: str = "median_opt") -> CheckReport:
-    """Exhaustively re-checks what the optimized median discloses.
+    """The median over all sorted pairs from 1..hi: a party learns only the
+    median. Each run must compute it and, given an oracle, its trace; a
+    wrong oracle or a leaky ``program`` shows that the check can fail."""
+    pairs = list(combinations(range(1, hi + 1), 2))
 
-    Every run must compute the true median, its trace must match the trace
-    oracle (when one is supplied), and any two runs agreeing on one side's
-    input and on the median must produce identical traces: beyond those two
-    facts, nothing about the other side leaks.  Pass a deliberately wrong
-    oracle or a leaky program variant to confirm the check can fail.
-    """
-    pairs = sorted_pairs(lo, hi)
-    checked = 0
-    groups: dict[tuple, Trace] = {}
-    for a in pairs:
-        for b in pairs:
-            if not median_pre(a, b):
-                continue
-            r = run_app(program, median_env(a, b))
-            if r.status != "done":
-                return CheckReport("fail", f"a={a} b={b}: run {r.status} "
-                                   f"({r.stuck_reason})")
-            m = median_of(a, b)
-            if type(r.value) is not FfiInt or r.value.n != m:
-                return CheckReport("fail",
-                                   f"a={a} b={b}: value {r.value!r}, want {m}")
-            if oracle is not None and r.trace != oracle(a, b):
-                return CheckReport("fail",
-                                   f"a={a} b={b}: trace differs from oracle")
-            checked += 1
-            for side, own in (("a", a), ("b", b)):
-                key = (side, own, m)
-                prev = groups.get(key)
-                if prev is None:
-                    groups[key] = r.trace
-                elif prev != r.trace:
-                    return CheckReport("fail",
-                                       f"trace varies with the hidden input "
-                                       f"(fixed {side}={own}, median {m})")
-    return _passed(checked)
+    def correct(r, a, b):
+        return r.value == FfiInt(median_of(a, b)) and (
+            oracle is None or r.trace == oracle(a, b))
+
+    return check_disclosure(
+        load_program(program), AB,
+        [(a, b) for a in pairs for b in pairs if median_pre(a, b)],
+        median_env, median_of, correct)
 
 
-def distinct_lists(max_len: int, lo: int, hi: int) -> list[tuple[int, ...]]:
-    """All ordered duplicate-free tuples of lengths 0..max_len."""
-    dom = range(lo, hi + 1)
-    out: list[tuple[int, ...]] = []
-    for n in range(max_len + 1):
-        out.extend(permutations(dom, n))
-    return out
+def distinct_lists(max_len: int, hi: int) -> list[tuple[int, ...]]:
+    """All ordered duplicate-free tuples over 1..hi of lengths 0..max_len."""
+    return [t for n in range(max_len + 1)
+            for t in permutations(range(1, hi + 1), n)]
 
 
-def check_psi_security(max_len: int = 3, lo: int = 1, hi: int = 5) -> CheckReport:
-    """Checks the two pairwise-psi disclosure claims by enumeration.
+def psi_policy(la, lb) -> tuple:
+    """What psi releases: both lengths and the intersection."""
+    return len(la), len(lb), tuple(sorted(set(la) & set(lb)))
 
-    The flag trace reveals no more than the lengths and the intersection:
-    input pairs agreeing on those have permutation-equal traces.  And the
-    optimized trace adds nothing: it is exactly reconstructible from the
-    lengths plus the pairwise trace.  The two trace oracles are anchored to
-    the programs: on every pair of lists of length at most 2, ``psi_interim``
-    and ``psi_opt`` run and must publish exactly the oracles' flags.
-    """
-    lists = distinct_lists(max_len, lo, hi)
-    checked = 0
-    groups: dict[tuple, tuple[int, int]] = {}
-    for la in lists:
-        for lb in lists:
-            flat = trace_psi(la, lb)
-            opt = trace_psi_opt(la, lb)
-            if len(la) <= 2 and len(lb) <= 2:
-                for program, want in (("psi_interim", flat), ("psi_opt", opt)):
-                    r = run_app(program, psi_pair_env(la, lb))
-                    if r.status != "done":
-                        return CheckReport("fail", f"{program} {la} {lb}: run "
-                                           f"{r.status} ({r.stuck_reason})")
-                    if public_msgs(r.trace) != [Bool(b) for b in want]:
-                        return CheckReport("fail", f"{program} {la} {lb}: "
-                                           f"trace differs from oracle")
-            if opt != psi_reconstruct(len(la), len(lb), flat):
-                return CheckReport("fail", f"optimized trace not "
-                                   f"reconstructible for {la} {lb}")
-            key = (len(la), len(lb), frozenset(la) & frozenset(lb))
-            hist = (len(flat), sum(flat))  # a multiset of booleans, compactly
-            prev = groups.get(key)
-            if prev is None:
-                groups[key] = hist
-            elif prev != hist:
-                return CheckReport("fail",
-                                   f"trace multiset varies within group {key}")
-            checked += 1
-    return _passed(checked)
+
+def check_psi_security(hi: int = 4) -> CheckReport:
+    """The psi programs on all pairs of duplicate-free lists of length at
+    most 3 over 1..hi. A party's views over all orders of the other list
+    depend only on the lengths and the intersection. ``psi`` must publish
+    the intersection, and the others the flags of the trace oracles."""
+    lists = distinct_lists(3, hi)
+    pairs = [(la, lb) for la in lists for lb in lists]
+    oracles = {
+        "psi": lambda r, la, lb: r.value == _ints(intersection(la, lb)),
+        "psi_interim": lambda r, la, lb:
+            public_msgs(r.trace) == list(map(Bool, trace_psi(la, lb))),
+        "psi_opt": lambda r, la, lb:
+            public_msgs(r.trace) == list(map(Bool, trace_psi_opt(la, lb))),
+    }
+    runs = compared = 0
+    for name, oracle in oracles.items():
+        rep = check_disclosure(
+            load_program(name), AB, pairs,
+            psi_env if name == "psi" else psi_pair_env, psi_policy, oracle,
+            lambda la, lb: (tuple(sorted(la)), tuple(sorted(lb))))
+        if rep.status != "pass":
+            return CheckReport(rep.status, f"{name} {rep.detail}")
+        runs += rep.checked
+        compared += rep.groups
+    return CheckReport("pass", checked=runs, groups=compared)
 
 
 def psi_comparison_count(la: Sequence[int], lb: Sequence[int]) -> tuple[int, int]:
@@ -416,32 +404,43 @@ def share_roundtrip(v: int, seed: int = 0, width: int = 32) -> int:
     return r2.value.n
 
 
-def check_cards(max_hist: int = 2, hi: int = 5, deals: int = 0) -> CheckReport:
-    """Card-dealing suite: share identities, freshness vs the distinctness
-    oracle over small histories, and optionally full 52-card deals."""
-    from itertools import product
+def fold_card(s: int) -> int:
+    """The card ``deal_round`` makes of a sum of offsets: three times, 52
+    off a sum above 52 (``gt cv 52``)."""
+    for _ in range(3):
+        if s > 52:
+            s -= 52
+    return s
 
-    checked = 0
+
+def check_cards(hi: int = 3) -> CheckReport:
+    """Share round trips, then ``deal_round`` on five histories with all
+    offsets among the ``hi`` smallest and ``hi`` largest below 52. A party
+    learns the history's cards and the round's folded card; the value must
+    follow ``fresh_oracle``."""
     for v in range(52):
         if share_identity(v) != v or share_roundtrip(v) != v:
             return CheckReport("fail", f"share round-trip broke at {v}")
-        checked += 1
-    for n in range(max_hist + 1):
-        for hist in product(range(hi + 1), repeat=n):
-            for cand in range(hi + 1):
-                r = run_check_fresh(hist, cand)
-                want = fresh_oracle(hist, cand)
-                if (r.status != "done" or type(r.value) is not Bool
-                        or r.value.b is not want):
-                    return CheckReport("fail",
-                                       f"freshness wrong for {hist} cand {cand}")
-                checked += 1
-    for s in range(deals):
-        cards = full_deal(s)
-        if len(cards) != 52 or len(set(cards)) != 52:
-            return CheckReport("fail", f"deal with seed {s} repeated a card")
-        checked += 1
-    return _passed(checked)
+    offsets = sorted({*range(hi), *range(52 - hi, 52)})
+    # seed 1: a history minted with the runs' seed 0 would share their masks
+    held = {h: mk_handles(h, seed=1)
+            for h in ((), (1,), (50,), (1, 50), (50, 1))}
+
+    def correct(r, ra, rb, rc, hist):
+        card = fold_card(ra + rb + rc)
+        fresh = fresh_oracle(hist, card)
+        v = r.value
+        return (type(v) is FfiPair and type(v.fst) is FfiList
+                and v.snd == FfiInt(card if fresh else 52)
+                and [v_of_sh(h) for h in v.fst.items]
+                == ([card] if fresh else []) + list(hist))
+
+    return check_disclosure(
+        load_program("deal_round"), ABC,
+        [(*rands, hist) for hist in held
+         for rands in product(offsets, repeat=3)],
+        lambda *x: deal_env(dict(zip(ABC.names, x)), held[x[3]]),
+        lambda ra, rb, rc, hist: (hist, fold_card(ra + rb + rc)), correct)
 
 
 # ---------------------------------------------------------------------------

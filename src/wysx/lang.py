@@ -462,9 +462,6 @@ class Env:
         except KeyError:
             raise UnboundVariable(x) from None
 
-    def has(self, x: str) -> bool:
-        return x in self._b
-
     def extend(self, x: str, v: Value) -> "Env":
         # the new dict is the Env's own, so skip the copy in __init__
         env = object.__new__(Env)
@@ -531,17 +528,6 @@ class TScope(TraceElt):
 
 
 Trace = tuple[TraceElt, ...]
-
-
-def flatten_trace(t: Trace) -> tuple[Value, ...]:
-    """Message payloads in order, scopes dissolved. Harness helper."""
-    out: list[Value] = []
-    for elt in t:
-        if type(elt) is TMsg:
-            out.append(elt.v)
-        else:
-            out.extend(flatten_trace(elt.t))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,7 @@ class CheckReport:  # of a schedule check (``ds``) or a suite (``apps``)
     status: str  # pass | fail | vacuous | inconclusive
     detail: str = ""
     checked: int = 0  # cases (suites) or schedules (``ds``) that agreed
+    groups: int = 0  # (suites) groups of views from two or more input classes
 
 
 def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,

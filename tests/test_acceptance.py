@@ -26,7 +26,7 @@ from wysx.gmw import gmw_eval
 from wysx.ds import check_confluence, check_simulation, ds_run
 from wysx import apps
 from wysx.apps import (
-    check_median_security, check_psi_security, corpus, deal_env,
+    check_cards, check_median_security, check_psi_security, corpus, deal_env,
     distinct_lists, fresh_env, full_deal, load_program, median_env, median_of,
     median_pre, median_trace, mk_handles, opt_trace, psi_comparison_count,
     psi_pair_env, run_app, run_check_fresh, share_identity, share_roundtrip,
@@ -116,7 +116,7 @@ def test_criterion_03_median_value_and_traces(announce):
 
 def test_criterion_04_delimited_release(announce):
     with verdict(announce, 4, "delimited release", 60) as info:
-        good = check_median_security(1, 8)
+        good = check_median_security(8)
         assert good.status == "pass", good.detail
         info["checks"] += good.checked
 
@@ -124,12 +124,12 @@ def test_criterion_04_delimited_release(announce):
         # be rejected, otherwise the check has no teeth
         def no_scopes(a, b):
             return tuple(ev for ev in opt_trace(a, b) if type(ev) is TMsg)
-        control = check_median_security(1, 8, oracle=no_scopes)
+        control = check_median_security(8, oracle=no_scopes)
         assert control.status == "fail", "mutated oracle slipped through"
         info["checks"] += 1
 
         # second control: a variant program that publishes an intermediate
-        leak = check_median_security(1, 8, oracle=None,
+        leak = check_median_security(8, oracle=None,
                                      program="median_opt_leak")
         assert leak.status == "fail", "leaky variant slipped through"
         info["checks"] += 1
@@ -137,17 +137,17 @@ def test_criterion_04_delimited_release(announce):
 
 def test_criterion_05_psi_permutation_security(announce):
     with verdict(announce, 5, "psi security", 120) as info:
-        # the suite also anchors both trace oracles to the programs, on
-        # every pair of lists of length at most 2 over 1..5
-        v = check_psi_security(3, 1, 5)
+        # all three programs on every pair of the 41 lists of length at
+        # most 3 over 1..4; the flags must equal the trace oracles
+        v = check_psi_security(4)
         assert v.status == "pass", v.detail
-        assert v.checked == 86 * 86
+        assert v.checked == 3 * 41 * 41
         info["checks"] += v.checked
 
 
 def test_criterion_06_psi_optimization_counts(announce):
     with verdict(announce, 6, "psi comparison counts", 10) as info:
-        ls = distinct_lists(2, 1, 5)
+        ls = distinct_lists(2, 5)
         for la in ls:
             for lb in ls:
                 naive, opt = psi_comparison_count(la, lb)
@@ -319,6 +319,11 @@ def test_criterion_09_card_dealing(announce):
             assert len(cards) == 52
             assert len(set(cards)) == 52
             info["checks"] += 1
+
+        # what a round discloses: the history's cards and the folded card
+        v = check_cards()
+        assert v.status == "pass", v.detail
+        info["checks"] += v.checked
 
 
 def test_criterion_10_slice_combine_algebra(announce):

@@ -8,13 +8,15 @@ from wysx.lang import Bool, FfiInt, PrinSet, TMsg, TScope
 from wysx import apps
 from wysx.apps import (
     DeckExhausted, check_cards, check_median_security, check_psi_security,
-    corpus, deal_card, distinct_lists, fresh_oracle, full_deal,
+    corpus, deal_card, distinct_lists, fold_card, fresh_oracle, full_deal,
     median_env, median_of, median_pre, median_trace, mk_handles, opt_trace,
     psi_comparison_count, psi_env, psi_opt_sides, psi_pair_env,
-    psi_reconstruct, psi_sides, public_msgs, run_app, run_check_fresh,
+    psi_sides, public_msgs, run_app, run_check_fresh,
     share_identity, share_roundtrip, trace_psi, trace_psi_opt,
 )
 from wysx.ds import check_simulation
+from wysx.sexp import parse
+from wysx.shares import ShareMint
 from wysx.st import CheckReport, Runtime
 
 import random
@@ -75,16 +77,6 @@ def test_trace_psi_opt_skips_work():
     assert opt.count(True) == full.count(True)
 
 
-def test_psi_reconstruct_inverts_naive_trace():
-    rng = random.Random(7)
-    for _ in range(400):
-        n_a, n_b = rng.randint(0, 3), rng.randint(0, 3)
-        la = rng.sample(range(1, 9), n_a)
-        lb = rng.sample(range(1, 9), n_b)
-        assert psi_reconstruct(n_a, n_b, trace_psi(la, lb)) == \
-            trace_psi_opt(la, lb), (la, lb)
-
-
 def test_psi_sides_and_opt_sides_agree_as_multisets():
     rng = random.Random(9)
     for _ in range(300):
@@ -98,11 +90,18 @@ def test_psi_sides_and_opt_sides_agree_as_multisets():
 
 
 def test_distinct_lists_enumeration():
-    ls = distinct_lists(2, 1, 3)
+    ls = distinct_lists(2, 3)
     # 1 empty + 3 singletons + 6 ordered pairs
     assert len(ls) == 10
     assert all(len(set(l)) == len(l) for l in ls)
-    assert len(distinct_lists(3, 1, 5)) == 1 + 5 + 20 + 60
+    assert len(distinct_lists(3, 5)) == 1 + 5 + 20 + 60
+    assert len(distinct_lists(3, 4)) == 41
+
+
+def test_fold_card_folds_as_the_program_does():
+    # three conditional subtractions of 52, so 52 and 104 both give 52
+    assert [fold_card(s) for s in (0, 52, 53, 104, 105, 153)] == \
+        [0, 52, 1, 52, 1, 49]
 
 
 def test_fresh_oracle():
@@ -149,28 +148,44 @@ def test_median_opt_program_matches_trace_oracle():
 
 
 def test_median_security_holds_on_small_domain():
-    v = check_median_security(1, 5)
+    v = check_median_security(5)
     assert v.status == "pass", v.detail
-    assert v.checked > 0
+    assert v.checked > 0 and v.groups > 0
 
 
 def test_median_security_catches_scopeless_oracle():
     def no_scopes(a, b):
         return tuple(ev for ev in opt_trace(a, b) if type(ev) is TMsg)
-    v = check_median_security(1, 5, oracle=no_scopes)
-    assert v.status == "fail"
+    v = check_median_security(5, oracle=no_scopes)
+    assert v == CheckReport("fail", "(1, 2) (3, 4): result differs from "
+                            "oracle")
+
+
+def test_median_security_catches_a_wrong_median(monkeypatch):
+    # the upper median: the runs, not the policy, must show it wrong
+    monkeypatch.setattr(apps, "median_of", lambda a, b: sorted((*a, *b))[2])
+    v = check_median_security(5)
+    assert v == CheckReport("fail", "(1, 2) (3, 4): result differs from "
+                            "oracle")
 
 
 def test_median_security_catches_leaky_program():
     # the leak only shows up once the domain is wide enough to hold two
     # runs that agree on one party's view but disagree on the leaked value
-    v = check_median_security(1, 8, oracle=None, program="median_opt_leak")
+    v = check_median_security(8, oracle=None, program="median_opt_leak")
+    assert v == CheckReport("fail", "b's view varies beyond the policy "
+                            "(own input (2, 4), policy 2)")
+
+
+def test_median_security_catches_a_run_that_sticks():
+    v = check_median_security(4, program="psi")
     assert v.status == "fail"
+    assert v.detail.startswith("(1, 2) (3, 4): run stuck (")
 
 
 def test_median_security_that_checks_no_case_is_vacuous():
     # the precondition needs two distinct values on each side
-    assert check_median_security(1, 1) == CheckReport(
+    assert check_median_security(1) == CheckReport(
         "vacuous", "the suite checked no cases")
 
 
@@ -243,27 +258,37 @@ def test_psi_opt_never_does_more_work():
 
 
 def test_psi_security_small_domain():
-    v = check_psi_security(2, 1, 4)
+    v = check_psi_security(3)
     assert v.status == "pass", v.detail
-    assert v.checked > 0
+    # three programs on every pair of the 16 lists over 1..3
+    assert v.checked == 3 * 16 * 16
+    assert v.groups > 0
 
 
 def test_psi_security_runs_the_programs(monkeypatch):
-    # A wrong pair of oracles that agree with each other: b's items scanned
-    # against a's, the transpose of the programs' order. The lengths and
-    # the intersection still fix the flag multiset and the optimized trace
-    # is still rebuilt from the pairwise one, so only the runs can tell.
-    def transposed(la, lb):
-        return [ax == bx for bx in lb for ax in la]
-
-    def transposed_opt(la, lb):
-        return psi_reconstruct(len(la), len(lb), transposed(la, lb))
-
-    monkeypatch.setattr(apps, "trace_psi", transposed)
-    monkeypatch.setattr(apps, "trace_psi_opt", transposed_opt)
-    v = check_psi_security(2, 1, 4)
-    assert v == CheckReport("fail", "psi_interim (1, 2) (2, 3): trace "
+    # A wrong oracle: b's items scanned against a's, the transpose of the
+    # program's order. It publishes as many flags and as many hits, so
+    # only the runs can tell it from the right one.
+    monkeypatch.setattr(apps, "trace_psi",
+                        lambda la, lb: [ax == bx for bx in lb for ax in la])
+    v = check_psi_security(3)
+    assert v == CheckReport("fail", "psi_interim (1, 2) (2, 3): result "
                             "differs from oracle")
+
+
+def test_psi_security_checks_the_published_intersection(monkeypatch):
+    monkeypatch.setattr(apps, "intersection",
+                        lambda la, lb: [x for x in lb if x in la])
+    v = check_psi_security(3)
+    assert v == CheckReport("fail", "psi (1, 2) (2, 1): result differs "
+                            "from oracle")
+
+
+def test_psi_security_catches_a_policy_without_the_intersection(monkeypatch):
+    monkeypatch.setattr(apps, "psi_policy", lambda la, lb: (len(la), len(lb)))
+    v = check_psi_security(3)
+    assert v == CheckReport("fail", "psi a's view varies beyond the policy "
+                            "(own input (1,), policy (1, 1))")
 
 
 # card dealing
@@ -350,8 +375,52 @@ def test_full_deal_is_distinct():
 
 
 def test_check_cards_verdict():
-    v = check_cards(max_hist=1, hi=4, deals=1)
+    v = check_cards(2)
     assert v.status == "pass", v.detail
+    # 4 offsets for each of three parties, on each of 5 histories
+    assert v.checked == 4 ** 3 * 5
+    assert v.groups > 0
+
+
+def leaky_deal():
+    """``deal_round`` that also publishes a's offset from a joint block."""
+    src = apps.program_source("deal_round")
+    at = src.index("(let sh0 ")
+    return parse(src[:at] + "(let leak (as_sec (prins a b c) (lam _ "
+                 "(reveal r1)))\n" + src[at:] + ")")
+
+
+def test_check_cards_catches_a_published_offset(monkeypatch):
+    leaky = leaky_deal()
+    monkeypatch.setattr(apps, "load_program", lambda name: leaky)
+    v = check_cards(2)
+    assert v == CheckReport("fail", "b's view varies beyond the policy "
+                            "(own input 0, policy ((), 1))")
+
+
+def test_check_cards_catches_reused_masks(monkeypatch):
+    # every handle of a party set gets the masks of its first draw
+    def draw_first(self, ps, width):
+        return {p: self._mask(ps, 0, p, width) for p in ps.names[:-1]}
+
+    monkeypatch.setattr(ShareMint, "draw_masks", draw_first)
+    # 0 + 50 + 50 = 100 is the first sum that folds, so the first run
+    # whose minted handles hold two values
+    assert check_cards(2) == CheckReport(
+        "fail", "0 50 50 (): two handles share a mask")
+
+
+def test_check_cards_checks_the_dealt_value(monkeypatch):
+    # an oracle that never sees a repeat: history (1,) deals 1 at 0 + 0 + 1
+    monkeypatch.setattr(apps, "fresh_oracle", lambda hist, card: True)
+    assert check_cards(2) == CheckReport(
+        "fail", "0 0 1 (1,): result differs from oracle")
+
+
+def test_check_cards_checks_share_round_trips(monkeypatch):
+    monkeypatch.setattr(apps, "share_roundtrip", lambda v: v + 1)
+    assert check_cards(2) == CheckReport(
+        "fail", "share round-trip broke at 0")
 
 
 # corpus

@@ -235,31 +235,36 @@ def test_parties_that_disagree_on_a_block_are_a_stuck_run(tmp_path, capsys,
 
 
 def test_security_median_suite(capsys):
-    rc = main(["check", "security", "--suite", "median", "--domain", "4"])
+    rc = main(["check", "security", "--suite", "median", "--domain", "5"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert "PASS" in captured.out
+    assert captured.out == "PASS\n"
     # the suite must prove its own teeth on a broken reference
-    assert "negative control caught" in captured.err
+    assert captured.err == ("  (30 runs, 20 groups compared two or more "
+                            "input classes, negative control caught)\n")
 
 
 def test_security_psi_suite(capsys):
-    rc = main(["check", "security", "--suite", "psi", "--domain", "3",
-               "--max-len", "2"])
+    rc = main(["check", "security", "--suite", "psi", "--domain", "2"])
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    assert captured.out == "PASS\n"
+    assert captured.err == ("  (75 runs, 6 groups compared two or more "
+                            "input classes)\n")
 
 
 def test_security_cards_suite(capsys):
-    rc = main(["check", "security", "--suite", "cards"])
+    rc = main(["check", "security", "--suite", "cards", "--domain", "1"])
+    captured = capsys.readouterr()
     assert rc == 0
-    assert "PASS" in capsys.readouterr().out
+    assert captured.out == "PASS\n"
+    assert captured.err == ("  (40 runs, 30 groups compared two or more "
+                            "input classes)\n")
 
 
 @pytest.mark.parametrize("flag, value, error", [
     ("--domain", "0", "domain must be at least 1, got 0"),
     ("--domain", "-2", "domain must be at least 1, got -2"),
-    ("--max-len", "-1", "max-len must be at least 0, got -1"),
 ])
 def test_security_bounds_below_range_are_one_line_errors(capsys, flag, value,
                                                           error):

@@ -20,7 +20,7 @@ from wysx.lang import (
     PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
     UnboundVariable, Var, VMap, WORD_BITS, can_seal, combine_envs,
     combine_many, combine_values, contains_bare_opaque, decode_word,
-    encode_word, fits, flatten_trace, free_vars, slice_config, slice_trace,
+    encode_word, fits, free_vars, slice_config, slice_trace,
     slice_value,
 )
 from wysx.lang import (
@@ -75,7 +75,6 @@ def test_env_lookup_and_extend():
     assert e.get("x") == FfiInt(1)
     e2 = e.extend("y", Bool(True))
     assert e2.get("y") == Bool(True)
-    assert not e.has("y")
     with pytest.raises(UnboundVariable):
         e.get("zzz")
 
@@ -147,11 +146,6 @@ def test_slice_trace_scopes():
     # members see their scope contents inline, outsiders lose the scope
     assert slice_trace("a", t) == (TMsg(FfiInt(1)), TMsg(Sealed(A, FfiInt(2))))
     assert slice_trace("b", t) == (TMsg(FfiInt(1)), TMsg(FfiInt(3)))
-
-
-def test_flatten_trace_returns_payloads():
-    t = (TScope(A, (TMsg(FfiInt(1)), TScope(B, (TMsg(FfiInt(2)),)))),)
-    assert flatten_trace(t) == (FfiInt(1), FfiInt(2))
 
 
 def test_slice_config_requires_matching_par_mode():
@@ -426,7 +420,7 @@ RECORDS = [
      "RunResult(status='done', value=Unit(), trace=(), config='config', "
      "steps=3, sec_entries=0, stuck_rule=None, stuck_reason=None)"),
     (CheckReport("pass", checked=3),
-     "CheckReport(status='pass', detail='', checked=3)"),
+     "CheckReport(status='pass', detail='', checked=3, groups=0)"),
     (DsResult("done", {}, {}, 5),
      "DsResult(status='done', parties={}, par={}, ticks=5, reason=None, "
      "sec_entries=0, circuits=())"),
