@@ -162,7 +162,7 @@ def test_median_security_catches_scopeless_oracle():
 
 
 def test_median_security_catches_a_wrong_median(monkeypatch):
-    # the upper median: the runs, not the policy, must show it wrong
+    # an oracle of the upper median: the runs' values must refute it
     monkeypatch.setattr(apps, "median_of", lambda a, b: sorted((*a, *b))[2])
     v = check_median_security(5)
     assert v == CheckReport("fail", "(1, 2) (3, 4): result differs from "
