@@ -841,21 +841,23 @@ def _walk(env: Env, path: Path, party: str) -> Value:
     return v
 
 
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def bit_bytes(word: int, n: int) -> bytes:
-    """The n low bits of ``word`` as 0/1 bytes, the lowest bit last."""
-    return f"{word:0{n}b}".encode().translate(_FROM_DIGITS)
-
-
 def path_text(path: Path) -> str:
     return "/".join(":".join(str(p) for p in step) for step in path)
 
 
-def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int, int]]:
-    """Per-party wire assignments pulled from each party's local environment."""
-    out: dict[str, dict[int, int]] = {p: {} for p in circ.parties}
+def input_wires(circ: Circuit) -> dict[str, list[int]]:
+    """Each party's input wires in word order, its declarations taken in
+    ``circ.inputs`` order: bit j of its input word is its bit on wires[j]."""
+    wires: dict[str, list[int]] = {p: [] for p in circ.parties.names}
+    for decl in circ.inputs:
+        wires[decl.party] += decl.wires
+    return wires
+
+
+def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, int]:
+    """Each party's input word (``input_wires``) from its local environment."""
+    words = dict.fromkeys(circ.parties.names, 0)
+    ends = dict(words)  # each party's bits so far
     for decl in circ.inputs:
         env = party_envs.get(decl.party)
         if env is None:
@@ -868,22 +870,23 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, dict[int
             raise MissingInput(f"{decl.party}: cannot read {decl.path}: {ex}") from None
         if type(v) is Opaque:
             raise MissingInput(f"{decl.party}: holds a placeholder on {decl.path}")
+        n = len(decl.wires)
         if decl.is_bool:
             if type(v) is not Bool:
                 raise MissingInput(f"{decl.party}: expected a bool on {decl.path}")
-            out[decl.party][decl.wires[0]] = 1 if v.b else 0
+            word = 1 if v.b else 0
         else:
             if type(v) is not FfiInt:
                 raise MissingInput(f"{decl.party}: expected an int on {decl.path}")
-            n = len(decl.wires)
             # a share word is raw bits; anything else is a signed int
             if decl.path[-1] != ("word",) and not fits(v.n, n):
                 raise CircuitError(f"{decl.party}: input {v.n} at "
                                    f"{path_text(decl.path)} does not fit "
                                    f"{n} bits")
-            out[decl.party].update(
-                zip(decl.wires, reversed(bit_bytes(encode_word(v.n, n), n))))
-    return out
+            word = encode_word(v.n, n)
+        words[decl.party] |= word << ends[decl.party]
+        ends[decl.party] += n
+    return words
 
 
 def eval_circuit(circ: Circuit, party_bits: dict[str, dict[int, int]]) -> dict[int, int]:

@@ -134,7 +134,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     # member's view (its slice of the joint value, or its GMW output). A
     # running block under the ideal backend is the joint machine's
     # registers, stepped on each of its moves; under GMW it is the
-    # (circuit, input bits, dealer seed) it was entered with, evaluated in
+    # (circuit, input words, dealer seed) it was entered with, evaluated in
     # one step.
     sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, int]]] = {}
     finished: dict[PrinSet, dict[str, Value]] = {}
@@ -240,11 +240,11 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 try:
                     circ = compile_sec_thunk(joint.bind(UNIT), c0.body, s,
                                              rt.width, rt.mint, compiled)
-                    bits = bind_inputs(circ, {p: c.bind(UNIT) for p, c
-                                              in zip(s.names, thunks)})
+                    words = bind_inputs(circ, {p: c.bind(UNIT) for p, c
+                                               in zip(s.names, thunks)})
                 except CircuitError as ex:
                     return finish("stuck", tick, f"joint block {s}: {ex}")
-                sec[s] = (circ, bits, _gmw_seed(rt.seed, s, idx))
+                sec[s] = (circ, words, _gmw_seed(rt.seed, s, idx))
                 circuits.append((f"{s}#{idx}", circ))
             moves = None
             continue
@@ -267,8 +267,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 finished[target] = {p: slice_value(p, code)
                                     for p in target.names}
             else:
-                circ, bits, dealer_seed = sec[target]
-                res = gmw_eval(circ, bits, dealer_seed)
+                circ, words, dealer_seed = sec[target]
+                res = gmw_eval(circ, words, dealer_seed)
                 finished[target] = {
                     p: decode_output(circ.decode, p, res.outputs[p])
                     for p in target.names

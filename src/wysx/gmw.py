@@ -20,8 +20,9 @@ as party 0 alone carries public constants. A party's word is read out of a
 plane with a ``bytes.translate`` table per bit position; the words of an AND
 layer go back in with one carry-free sum per plane, or, for a layer of at
 most ``_PER_BIT`` gates, where that sum's fixed cost dominates, one bit at
-a time. The input round goes in with one such merge over every owner's
-wires, each party's word being its pieces from all owners side by side.
+a time. The input round deals each owner's word (``circuit.input_wires``)
+and goes in with one such merge over every owner's wires, each party's
+word being its pieces from all owners side by side.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .circuit import Circuit, NOT, XOR, bit_bytes
+from .circuit import Circuit, NOT, XOR, input_wires
 from .lang import WysError, record
 
 
@@ -93,8 +94,14 @@ def make_triples(n: int, parties: tuple[str, ...], rng: random.Random):
     return shares
 
 
-# _BIT[i] reads bit i of a byte as an ascii digit
+# _BIT[i] reads bit i of a byte as an ascii digit; _FROM_DIGITS undoes _BIT[0]
 _BIT = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_bytes(word: int, n: int) -> bytes:
+    """The n low bits of ``word`` as 0/1 bytes, the lowest bit last."""
+    return f"{word:0{n}b}".encode().translate(_FROM_DIGITS)
 
 
 def _split(raws, k: int) -> list[int]:
@@ -138,7 +145,7 @@ def _merge(planes: list, wires, words: list[int]):
             s[w] = v
 
 
-def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
+def gmw_eval(circ: Circuit, party_inputs: dict[str, int],
              dealer_seed: int) -> GmwResult:
     parties = circ.parties.names
     k = len(parties)
@@ -160,33 +167,23 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, dict[int, int]],
 
     # message layouts everyone derives from the public circuit: each
     # owner's input wires, and each recipient's output wires once each
-    in_wires: dict[str, list[int]] = {p: [] for p in parties}
-    for d in circ.inputs:
-        in_wires[d.party] += d.wires
+    in_wires = input_wires(circ)
     out_for: dict[str, dict[int, None]] = {r: {} for r in parties}
     for w, recips in circ.outputs:
         for r in recips:
             out_for[r][w] = None
 
-    # round 1: owners split their input bits and deal the pieces out
+    # round 1: owners split their input words and deal the pieces out
     dealt = {p: [0] * k for p in parties}  # owner -> words on owner's wires
     for i, p in enumerate(parties):
-        mine = party_inputs.get(p, {})
-        wires = in_wires[p]
-        try:
-            bits = bytes(map(mine.__getitem__, reversed(wires)))
-            if bits.translate(None, b"\0\1"):
-                raise ValueError
-        except KeyError:
-            missing = [w for w in wires if w not in mine]
+        n = len(in_wires[p])
+        own = party_inputs.get(p, None if n else 0)
+        if own is None:
+            raise ProtocolError(f"{p} has no word for its input wires")
+        if type(own) is not int or own >> n:  # a negative word shifts to -1
             raise ProtocolError(
-                f"{p} has no bits for wires {missing}") from None
-        except (TypeError, ValueError):
-            raise ProtocolError(
-                f"{p} gives an input that is not a bit") from None
+                f"{p} gives an input that is not a {n}-bit word")
         srng = random.Random(f"wrap|{dealer_seed}|{p}")
-        n = len(wires)
-        own = int(bits.translate(_BIT[0]) or b"0", 2)  # wires[0] lowest
         for ch in to[i]:
             piece = srng.getrandbits(n)
             own ^= piece

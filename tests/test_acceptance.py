@@ -33,6 +33,7 @@ from wysx.apps import (
 )
 
 from _proggen import gen_program, gen_value, base_env, UNIVERSE
+from _wires import wire_bits
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -195,10 +196,10 @@ def test_criterion_07_secure_backend_equals_ideal(announce):
                                  "xb": Sealed(B, OP)})
                     env_b = Env({"xa": Sealed(A, OP),
                                  "xb": Sealed(B, FfiInt(xb))})
-                    bits = bind_inputs(circ, {"a": env_a, "b": env_b})
-                    clear = eval_circuit(circ, bits)
+                    words = bind_inputs(circ, {"a": env_a, "b": env_b})
+                    clear = eval_circuit(circ, wire_bits(circ, words))
                     seed = (xa * 16 + xb) % 5
-                    prot = gmw_eval(circ, bits, seed)
+                    prot = gmw_eval(circ, words, seed)
                     for p in AB:
                         want = decode_output(circ.decode, p, clear)
                         got = decode_output(circ.decode, p, prot.outputs[p])
@@ -211,9 +212,9 @@ def test_criterion_07_secure_backend_equals_ideal(announce):
         for v in range(0, 154):
             env_a = Env({"xa": Sealed(A, FfiInt(v)), "xb": Sealed(B, OP)})
             env_b = Env({"xa": Sealed(A, OP), "xb": Sealed(B, FfiInt(0))})
-            bits = bind_inputs(circ, {"a": env_a, "b": env_b})
-            clear = eval_circuit(circ, bits)
-            prot = gmw_eval(circ, bits, v % 5)
+            words = bind_inputs(circ, {"a": env_a, "b": env_b})
+            clear = eval_circuit(circ, wire_bits(circ, words))
+            prot = gmw_eval(circ, words, v % 5)
             for p in AB:
                 want = decode_output(circ.decode, p, clear)
                 assert want == FfiInt(v - 52 if v > 52 else v)
@@ -268,8 +269,8 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
                                  "xb": Sealed(B, OP)})
                     env_b = Env({"xa": Sealed(A, OP),
                                  "xb": Sealed(B, FfiInt(xb))})
-                    bits = bind_inputs(circ, {"a": env_a, "b": env_b})
-                    wv = eval_circuit(circ, bits)
+                    words = bind_inputs(circ, {"a": env_a, "b": env_b})
+                    wv = eval_circuit(circ, wire_bits(circ, words))
                     for p in AB:
                         assert decode_output(circ.decode, p, wv) == \
                             Bool(op(xa, xb)), (src, xa, xb)
@@ -288,7 +289,7 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
         for seed in range(10):
             for xa in (0, 1):
                 for yb in (0, 1):
-                    res = gmw_eval(circ, {"a": {x: xa}, "b": {y: yb}}, seed)
+                    res = gmw_eval(circ, {"a": xa, "b": yb}, seed)
                     assert res.outputs["a"][z] == (xa & yb)
                     assert res.outputs["b"][z] == (xa & yb)
                     assert res.rounds == 3

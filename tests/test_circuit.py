@@ -22,6 +22,7 @@ from wysx.circuit import (
 )
 
 from _proggen import base_env, gen_program
+from _wires import wire_bits
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -280,8 +281,7 @@ def median_like_env():
 def compile_and_run(src, env, width=8, expect_parties=AB):
     circ = compile_sec_thunk(env, parse(src), expect_parties, width, ShareMint(0), {})
     envs = {p: slice_env(p, env) for p in expect_parties}
-    bits = bind_inputs(circ, envs)
-    wv = eval_circuit(circ, bits)
+    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(circ, envs)))
     return circ, {p: decode_output(circ.decode, p, wv) for p in expect_parties}
 
 
@@ -359,8 +359,10 @@ def test_bind_inputs_requires_concrete_data():
 
 
 def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
-    # a's int, b's bool and both words of a handle, against bit i of the
-    # value itself: two's complement for ints, raw bits for share words
+    # a's int, b's bool and both words of a handle, against the value
+    # itself: two's complement for ints, raw bits for share words; each
+    # party's word is its declarations' values side by side, the first
+    # lowest, and bit i of each value lands on the declaration's wire i
     body = parse("(ffi pair xa (ffi pair xb h))")
     for w in range(1, 65):
         lo, hi = -(1 << (w - 1)), (1 << (w - 1)) - 1
@@ -370,16 +372,23 @@ def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
             env = Env({"xa": Sealed(A, FfiInt(n)), "xb": Sealed(B, Bool(flag)),
                        "h": h})
             circ = compile_sec_thunk(env, body, AB, w, ShareMint(0), {})
-            bits = bind_inputs(circ, {p: slice_env(p, env) for p in AB})
-            want = {"a": {}, "b": {}}
+            words = bind_inputs(circ, {p: slice_env(p, env) for p in AB})
+            want = {"a": 0, "b": 0}
+            want_bits = {"a": {}, "b": {}}
+            ends = {"a": 0, "b": 0}
             for decl in circ.inputs:
                 x = decl.path[0][1]
                 v = (h.word_of(decl.party) if x == "h"
                      else {"xa": n, "xb": flag}[x])
+                m = len(decl.wires)
+                want[decl.party] |= (v & ((1 << m) - 1)) << ends[decl.party]
+                ends[decl.party] += m
                 for i, wire in enumerate(decl.wires):
-                    want[decl.party][wire] = (v >> i) & 1
+                    want_bits[decl.party][wire] = (v >> i) & 1
             assert sorted(len(d.wires) for d in circ.inputs) == [1, w, w, w]
-            assert bits == want, (w, n)
+            assert ends == {"a": 2 * w, "b": w + 1}
+            assert words == want, (w, n)
+            assert wire_bits(circ, words) == want_bits, (w, n)
         env = Env({"xa": Sealed(A, FfiInt(hi + 1)), "xb": Sealed(B, TRUE),
                    "h": h})
         with pytest.raises(CircuitError, match=(
@@ -406,7 +415,7 @@ def test_mint_inside_circuit_matches_runtime_mint():
     circ = compile_sec_thunk(env, parse("(ffi mk_sh (reveal xa))"),
                              AB, 8, ShareMint(4), {})
     envs = {p: slice_env(p, env) for p in AB}
-    wv = eval_circuit(circ, bind_inputs(circ, envs))
+    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(circ, envs)))
     for p in AB:
         got = decode_output(circ.decode, p, wv)
         assert got.word_of(p) == st.value.word_of(p), p
@@ -510,8 +519,8 @@ def test_decoded_result_matches_reference_slices(body):
               rt=Runtime(seed=4, width=8))
     assert ref.status == "done"
     circ = compile_sec_thunk(env, parse(body), AB, 8, ShareMint(4), {})
-    wv = eval_circuit(circ, bind_inputs(circ, {p: slice_env(p, env)
-                                               for p in AB}))
+    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(
+        circ, {p: slice_env(p, env) for p in AB})))
     for p in AB:
         assert decode_output(circ.decode, p, wv) == slice_value(p, ref.value), p
 

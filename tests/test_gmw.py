@@ -9,8 +9,10 @@ from types import SimpleNamespace
 import pytest
 
 from _proggen import base_env, gen_program, gen_program_twice
+from _wires import input_words, wire_bits
 from wysx.lang import (
-    Bool, Env, FfiInt, PrinSet, Sealed, ShareVal, decode_word, slice_env,
+    Bool, Env, FfiInt, FfiList, PrinSet, Sealed, ShareVal, decode_word,
+    slice_env,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -62,7 +64,7 @@ def test_single_and_gate_protocol():
     for seed in range(10):
         for xa in (0, 1):
             for yb in (0, 1):
-                res = gmw_eval(circ, {"a": {x: xa}, "b": {y: yb}}, seed)
+                res = gmw_eval(circ, {"a": xa, "b": yb}, seed)
                 assert res.outputs["a"][z] == (xa & yb)
                 assert res.outputs["b"][z] == (xa & yb)
                 # one multiplication: each side opens two blinded bits
@@ -75,8 +77,8 @@ def test_single_and_gate_protocol():
 
 def test_protocol_transcript_is_deterministic():
     circ, x, y, z = single_and_circuit()
-    r1 = gmw_eval(circ, {"a": {x: 1}, "b": {y: 1}}, 7)
-    r2 = gmw_eval(circ, {"a": {x: 1}, "b": {y: 1}}, 7)
+    r1 = gmw_eval(circ, {"a": 1, "b": 1}, 7)
+    r2 = gmw_eval(circ, {"a": 1, "b": 1}, 7)
     assert r1.outputs == r2.outputs
     s1 = {k: ch.sent for k, ch in r1.channels.items()}
     s2 = {k: ch.sent for k, ch in r2.channels.items()}
@@ -85,9 +87,9 @@ def test_protocol_transcript_is_deterministic():
 
 def run_both_ways(src, env, width=8, seed=0, parties=AB):
     circ = compile_sec_thunk(env, parse(src), parties, width, ShareMint(0), {})
-    bits = bind_inputs(circ, {p: slice_env(p, env) for p in parties})
-    clear = eval_circuit(circ, bits)
-    prot = gmw_eval(circ, bits, seed)
+    words = bind_inputs(circ, {p: slice_env(p, env) for p in parties})
+    clear = eval_circuit(circ, wire_bits(circ, words))
+    prot = gmw_eval(circ, words, seed)
     return circ, clear, prot
 
 
@@ -159,8 +161,7 @@ def and_chain_circuit():
 def test_three_party_protocol():
     circ, x, y, z, w = and_chain_circuit()
     for bits in range(8):
-        ins = {"a": {x: bits & 1}, "b": {y: (bits >> 1) & 1},
-               "c": {z: (bits >> 2) & 1}}
+        ins = {"a": bits & 1, "b": (bits >> 1) & 1, "c": (bits >> 2) & 1}
         res = gmw_eval(circ, ins, 3)
         want = (bits & 1) & ((bits >> 1) & 1) & ((bits >> 2) & 1)
         for p in ABC:
@@ -231,7 +232,7 @@ def test_emitted_layers_match_gate_depths_on_corpus_circuits():
 
 
 def random_circuit_runs():
-    """(circuit, [(input bits, dealer seed), ...]) for 25 random circuits
+    """(circuit, [(input words, dealer seed), ...]) for 25 random circuits
     over two parties and 25 over three, every input assignment each."""
     rng = random.Random(5)
     for parties in (("a", "b"), ("a", "b", "c")):
@@ -243,7 +244,7 @@ def random_circuit_runs():
                 bits = {p: {} for p in parties}
                 for decl, v in zip(decls, assignment):
                     bits[decl.party][decl.wires[0]] = v
-                runs.append((bits, rng.randrange(1000)))
+                runs.append((input_words(circ, bits), rng.randrange(1000)))
             yield circ, runs
 
 
@@ -254,9 +255,9 @@ def test_protocol_matches_clear_evaluation_on_random_circuits():
         order = [depth[g[1]] for g in circ.gates]
         inversions += any(d < max(order[:i], default=0)
                           for i, d in enumerate(order))
-        for bits, seed in runs:
-            clear = eval_circuit(circ, bits)
-            prot = gmw_eval(circ, bits, seed)
+        for words, seed in runs:
+            clear = eval_circuit(circ, wire_bits(circ, words))
+            prot = gmw_eval(circ, words, seed)
             for p in circ.parties.names:
                 want = {w: clear[w] for w, recips in circ.outputs
                         if p in recips}
@@ -316,6 +317,22 @@ def test_gmw_backend_equals_ideal_when_blocks_are_entered_again():
     assert sticks == {(4, "mul"): 2, (4, "input"): 23, (4, "constant"): 2,
                       (9, "mul"): 2, (16, "mul"): 2, (32, "mul"): 2}
     assert blocks == 2 * (86 + 3 * 116)
+
+
+def test_private_list_membership_under_gmw_equals_ideal():
+    e = parse("(as_sec (prins a b) (lam _ "
+              "(ffi list_mem (reveal xa) (reveal lb))))")
+    for xa in range(-3, 6):
+        for lb in ((), (3,), (1, 3, -2), (4, 4), (-3, 0, 5, 2)):
+            env = Env({"xa": Sealed(A, FfiInt(xa)),
+                       "lb": Sealed(B, FfiList(tuple(map(FfiInt, lb))))})
+            ideal = ds_run(e, env, AB, backend="ideal")
+            res = ds_run(e, env, AB, backend="gmw")
+            assert ideal.status == res.status == "done", (xa, lb)
+            assert res.parties == ideal.parties, (xa, lb)
+            assert res.parties["a"][0] == Bool(xa in lb)
+            [(_, circ)] = res.circuits
+            assert (circ.and_count > 0) == bool(lb)
 
 
 COMB_SH = parse("(as_sec (prins a b) (lam _ (ffi comb_sh h)))")
@@ -392,30 +409,62 @@ def test_malformed_message_raises_protocol_error(monkeypatch):
     with pytest.raises(ProtocolError):
         ch.recv("open", 2)
 
+    # a short, a lost and a relabelled message, each seen by its receiver
     circ, x, y, z = single_and_circuit()
     send = Channel.send
 
     def short_open(self, kind, n, word):
         send(self, kind, n - (kind == "open"), word)
 
-    monkeypatch.setattr(Channel, "send", short_open)
-    with pytest.raises(ProtocolError):
-        gmw_eval(circ, {"a": {x: 1}, "b": {y: 1}}, 0)
+    def drop_open(self, kind, n, word):
+        if kind != "open":
+            send(self, kind, n, word)
+
+    def open_as_output(self, kind, n, word):
+        send(self, "output" if kind == "open" else kind, n, word)
+
+    for fake, msg in (
+            (short_open, "^malformed open message from b to a: 1 bits, "
+                         "expected 2$"),
+            (drop_open, "^a expected open from b, channel empty$"),
+            (open_as_output, "^a expected open from b, got output$")):
+        monkeypatch.setattr(Channel, "send", fake)
+        with pytest.raises(ProtocolError, match=msg):
+            gmw_eval(circ, {"a": 1, "b": 1}, 0)
 
 
-def test_an_input_that_is_not_a_bit_is_refused():
-    # a 2 was read as its low bit, 0, and the run went on
+def test_an_input_that_is_not_a_word_is_refused():
+    # unchecked, a word wider than its owner's input wires would lose its
+    # high bits or spill onto other wires; a bool is no word, and None is
+    # a missing one
     circ, x, y, z = single_and_circuit()
-    for bad in (2, 3, -1, 256, None):
+    for bad in (2, 3, -1, 256, True, 1.0):
         with pytest.raises(ProtocolError,
-                           match="^b gives an input that is not a bit$"):
-            gmw_eval(circ, {"a": {x: 1}, "b": {y: bad}}, 0)
+                           match="^b gives an input that is not a 1-bit word$"):
+            gmw_eval(circ, {"a": 1, "b": bad}, 0)
+    for ins in ({"b": 1}, {"a": None, "b": 1}):
+        with pytest.raises(ProtocolError,
+                           match="^a has no word for its input wires$"):
+            gmw_eval(circ, ins, 0)
+    circ, xs, ys = two_layer_circuit()
+    for bad in (16, -1, 1 << 64):
+        with pytest.raises(ProtocolError,
+                           match="^a gives an input that is not a 4-bit word$"):
+            gmw_eval(circ, {"a": bad, "b": 0}, 0)
+    # a party with no input wires needs no word, and gives 0 if any
+    circ, x, y, z = single_and_circuit()
+    circ = Circuit(ABC, 1, circ.n_wires, circ.layers, circ.inputs,
+                   circ.outputs, circ.decode)
+    for ins in ({"a": 1, "b": 1}, {"a": 1, "b": 1, "c": 0}):
+        res = gmw_eval(circ, ins, 0)
+        assert res.outputs["a"] == {z: 1}
+        assert res.channels["c", "a"].sent["input"] == 0
     with pytest.raises(ProtocolError,
-                       match=r"^a has no bits for wires \[0\]$"):
-        gmw_eval(circ, {"a": {}, "b": {y: 1}}, 0)
+                       match="^c gives an input that is not a 0-bit word$"):
+        gmw_eval(circ, {"a": 1, "b": 0, "c": 1}, 0)
 
 
-def open_view_distance(circ, input_wires, monkeypatch, seeds=2000):
+def open_view_distance(circ, parties, monkeypatch, seeds=2000):
     """Largest total-variation distance between two distributions over
     dealer seeds of one ``open`` message a party receives (per layer and
     sender), where both fix the receiver's own input and differ in the
@@ -429,10 +478,9 @@ def open_view_distance(circ, input_wires, monkeypatch, seeds=2000):
         send(self, kind, n, word)
 
     monkeypatch.setattr(Channel, "send", logged)
-    parties = list(input_wires)
     dists = {}  # (receiver, own bit) -> all bits -> (layer, sender) -> Counter
     for bits in itertools.product((0, 1), repeat=len(parties)):
-        ins = {p: {input_wires[p]: v} for p, v in zip(parties, bits)}
+        ins = dict(zip(parties, bits))
         views = {p: dists.setdefault((p, own), {}).setdefault(bits, {})
                  for p, own in zip(parties, bits)}
         for seed in range(seeds):
@@ -457,10 +505,9 @@ def open_view_distance(circ, input_wires, monkeypatch, seeds=2000):
 
 def test_open_messages_are_independent_of_other_inputs(monkeypatch):
     circ, x, y, z = single_and_circuit()
-    assert open_view_distance(circ, {"a": x, "b": y}, monkeypatch) <= 0.05
+    assert open_view_distance(circ, "ab", monkeypatch) <= 0.05
     circ, x, y, z, w = and_chain_circuit()
-    assert open_view_distance(circ, {"a": x, "b": y, "c": z},
-                              monkeypatch) <= 0.05
+    assert open_view_distance(circ, "abc", monkeypatch) <= 0.05
 
 
 def test_view_check_catches_missing_randomness(monkeypatch):
@@ -473,10 +520,9 @@ def test_view_check_catches_missing_randomness(monkeypatch):
 
     monkeypatch.setattr(gmw, "random", SimpleNamespace(Random=NoRandom))
     circ, x, y, z = single_and_circuit()
-    assert open_view_distance(circ, {"a": x, "b": y}, monkeypatch) > 0.05
+    assert open_view_distance(circ, "ab", monkeypatch) > 0.05
     circ, x, y, z, w = and_chain_circuit()
-    assert open_view_distance(circ, {"a": x, "b": y, "c": z},
-                              monkeypatch) > 0.05
+    assert open_view_distance(circ, "abc", monkeypatch) > 0.05
 
 
 def two_layer_circuit(width=4):
@@ -513,12 +559,12 @@ def test_triples_and_input_pieces_are_fresh_and_full_width(monkeypatch):
 
     monkeypatch.setattr(gmw, "make_triples", logged_make)
     monkeypatch.setattr(Channel, "send", logged_send)
-    bits = {"a": dict(zip(xs, (1, 0, 1, 1))), "b": dict(zip(ys, (0, 1, 1, 0)))}
+    words = {"a": 0b1101, "b": 0b0110}  # bit j on xs[j] and ys[j]
     seen = set()  # (word label, bit position, bit value)
     for seed in range(64):
         dealt.clear()
         pieces.clear()
-        gmw_eval(circ, bits, seed)
+        gmw_eval(circ, words, seed)
         assert len(dealt) == 2 and dealt[0] != dealt[1], seed
         for r, t in enumerate(dealt):
             for k, name in ((0, "a"), (1, "b")):
@@ -551,19 +597,19 @@ def many_party_runs():
                 bits = {p: {} for p in parties}
                 for decl in decls:
                     bits[decl.party][decl.wires[0]] = rng.getrandbits(1)
-                runs.append((bits, rng.randrange(1000)))
+                runs.append((input_words(circ, bits), rng.randrange(1000)))
             yield circ, runs
 
 
 def corpus_block_runs(monkeypatch):
-    """(circuit, [(input bits, dealer seed), ...]) for every GMW block the
+    """(circuit, [(input words, dealer seed), ...]) for every GMW block the
     corpus reaches at widths 32 and 9, under dealer seeds 0-2."""
     blocks = []
     real = ds.gmw_eval
 
-    def record(circ, bits, seed):
-        blocks.append((circ, bits))
-        return real(circ, bits, seed)
+    def record(circ, words, seed):
+        blocks.append((circ, words))
+        return real(circ, words, seed)
 
     monkeypatch.setattr(ds, "gmw_eval", record)
     for w in (32, 9):
@@ -573,8 +619,25 @@ def corpus_block_runs(monkeypatch):
                              cell.ps, Runtime(0, w), backend="gmw")
                 assert res.status == "done", (cell.name, w, res.reason)
     monkeypatch.setattr(ds, "gmw_eval", real)
-    return [(circ, [(bits, seed) for seed in range(3)])
-            for circ, bits in blocks]
+    return [(circ, [(words, seed) for seed in range(3)])
+            for circ, words in blocks]
+
+
+def test_protocol_matches_clear_evaluation_on_corpus_blocks(monkeypatch):
+    # every corpus block, on the input words its run bound, spread over the
+    # input wires for the clear evaluator
+    blocks = outputs = 0
+    for circ, runs in corpus_block_runs(monkeypatch):
+        blocks += 1
+        for words, seed in runs:
+            clear = eval_circuit(circ, wire_bits(circ, words))
+            prot = gmw_eval(circ, words, seed)
+            for p in circ.parties.names:
+                want = {w: clear[w] for w, recips in circ.outputs
+                        if p in recips}
+                assert prot.outputs[p] == want
+                outputs += len(want)
+    assert blocks == 94 and outputs > 0
 
 
 TRANSCRIPT_DIGEST = (
@@ -597,9 +660,9 @@ def test_protocol_transcripts_are_pinned(monkeypatch):
     monkeypatch.setattr(Channel, "send", logged)
     h = hashlib.sha256()
     for circ, runs in cases:
-        for bits, seed in runs:
+        for words, seed in runs:
             log.clear()
-            res = gmw_eval(circ, bits, seed)
+            res = gmw_eval(circ, words, seed)
             sent = sorted((k, sorted(ch.sent.items()))
                           for k, ch in res.channels.items())
             outputs = sorted((p, sorted(o.items()))

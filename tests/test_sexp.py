@@ -42,6 +42,14 @@ def test_parse_literals():
     assert parse('""').v.s == ""
 
 
+def test_string_escapes_parse_and_print_back():
+    src = '"tab\\there\\nnext \\"q\\" \\\\"'
+    e = parse(src)
+    assert e.v.s == 'tab\there\nnext "q" \\'
+    assert print_expr(e) == src
+    assert parse(print_expr(e)) == e
+
+
 def test_print_parse_round_trip_on_forms():
     srcs = [
         "(let x 1 (ffi add x 2))",
@@ -151,6 +159,9 @@ ERRORS = [
     ("(f x) y", "1:7: trailing input after the program"),
     ("", "1:1: empty program"),
     ('"unterminated', "1:1: unterminated string"),
+    ('"ab\\', "1:4: dangling escape"),
+    ('(f "a\\q")', "1:6: unknown escape \\q"),
+    ('(f\n "a\nb")', "2:4: newline in string"),
     ("(let x\n  (lam) x)", "2:7: (lam ...) needs a variable name"),
 ]
 

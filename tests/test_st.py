@@ -103,6 +103,20 @@ def test_pairs_and_lists():
     assert done("(ffi tl (list 7 8))").value == FfiList((FfiInt(8),))
 
 
+def test_list_membership_and_difference():
+    assert done("(ffi list_mem 2 (list 1 2 3))").value == Bool(True)
+    assert done("(ffi list_mem 4 (list 1 2 3))").value == Bool(False)
+    assert done("(ffi list_mem 1 (list))").value == Bool(False)
+    # order and repeats of the first list are kept
+    r = done("(ffi list_diff (list 3 1 3 2 4) (list 2 4))")
+    assert r.value == FfiList((FfiInt(3), FfiInt(1), FfiInt(3)))
+    assert done("(ffi list_diff (list 1 2) (list))").value == FfiList(
+        (FfiInt(1), FfiInt(2)))
+    assert done("(ffi list_diff (list) (list 1))").value == FfiList(())
+    assert stuck("(ffi list_diff 1 (list))").stuck_rule == "ffi-apply"
+    assert stuck("(ffi list_mem 1 2)").stuck_rule == "ffi-apply"
+
+
 def test_ffi_errors_get_stuck():
     assert stuck("(ffi add 1)").stuck_rule == "ffi-apply"
     assert stuck("(ffi bogus 1)").stuck_rule == "ffi-apply"
