@@ -27,13 +27,13 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    Clos, CombineConflict, Config, DomainMismatch, Env, Expr, Mode, PAR,
-    PrinSet, SEC, TMsg, Trace, UNIT, Value, combine_envs, record,
-    slice_config, slice_env, slice_value,
+    Clos, CombineConflict, DomainMismatch, Env, Expr, Mode, PAR, PrinSet,
+    Regs, SEC, TMsg, Trace, UNIT, Value, combine_envs, record, slice_config,
+    slice_env, slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, CheckReport, NeedsSec, Regs, Runtime, Stuck, config_of,
-    is_terminal, machine_step, machine_step as st_step, run as st_run,
+    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, Stuck, is_terminal,
+    machine_step, machine_step as st_step, run as st_run,
 )
 
 
@@ -95,7 +95,7 @@ def parse_sched(text: str):
 class DsResult:
     status: str  # done | stuck | fuel
     parties: dict[str, tuple[Optional[Value], Trace]]
-    par: dict[str, Config]  # each party's final configuration
+    par: dict[str, Regs]  # the registers each party's machine ended in
     ticks: int
     reason: Optional[str] = None
     sec_entries: int = 0
@@ -125,7 +125,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
 
-    # each party's machine registers (``st.Regs``)
+    # each party's machine registers
     par: dict[str, Regs] = {
         p: (Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
         for p in ps
@@ -146,9 +146,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     def finish(status: str, ticks: int, reason: Optional[str] = None) -> DsResult:
         parties = {p: (r[4] if is_terminal(r) else None, r[3])
                    for p, r in par.items()}
-        return DsResult(status, parties,
-                        {p: config_of(r) for p, r in par.items()}, ticks,
-                        reason, sec_entries, tuple(circuits))
+        return DsResult(status, parties, dict(par), ticks, reason,
+                        sec_entries, tuple(circuits))
 
     # One step result per party, always that of ``par[p]``: computed at the
     # start, after its local move and after a block's exit; _DONE marks a
@@ -300,18 +299,17 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 # metatheory checkers
 
 
-def _config_diff(tag: str, a: Config, b: Config) -> str:
-    if a.mode != b.mode:
-        return f"{tag}: modes differ: {a.mode} vs {b.mode}"
-    if a.code != b.code:
-        return f"{tag}: results differ: {a.code!r} vs {b.code!r}"
-    if a.trace != b.trace:
-        return f"{tag}: traces differ: {a.trace!r} vs {b.trace!r}"
-    if a.env != b.env:
-        return f"{tag}: environments differ: {a.env!r} vs {b.env!r}"
-    if a.stack != b.stack:
-        return f"{tag}: stacks differ"
-    return f"{tag}: configs differ"
+def _config_diff(tag: str, a: Regs, b: Regs) -> str:
+    """Where two unequal ``done`` states first differ; stacks are empty."""
+    mode_a, _, env_a, trace_a, code_a = a
+    mode_b, _, env_b, trace_b, code_b = b
+    if mode_a != mode_b:
+        return f"{tag}: modes differ: {mode_a} vs {mode_b}"
+    if code_a != code_b:
+        return f"{tag}: results differ: {code_a!r} vs {code_b!r}"
+    if trace_a != trace_b:
+        return f"{tag}: traces differ: {trace_a!r} vs {trace_b!r}"
+    return f"{tag}: environments differ: {env_a!r} vs {env_b!r}"
 
 
 def schedules(n: int) -> list:
@@ -323,10 +321,10 @@ def schedules(n: int) -> list:
 
 def _check_schedules(e: Expr, env: Env, ps: PrinSet, seed: int, width: int,
                      n_schedules: int, backend: str, fuel: int,
-                     want: Optional[tuple[str, dict[str, Config]]] = None,
+                     want: Optional[tuple[str, dict[str, Regs]]] = None,
                      ) -> CheckReport:
     """Run ``schedules(n_schedules)``; compare each run's status and, when
-    done, every party's config with ``want`` (None: the first run's). A
+    done, every party's registers with ``want`` (None: the first run's). A
     failure starts with the label of the schedule that showed it. Runs that
     all stick are vacuous: stuck reasons are not compared, as the party a
     run reports first depends on the schedule."""

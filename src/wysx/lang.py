@@ -4,16 +4,17 @@ Programs are expression trees, runtime data are immutable value trees, and
 observable behaviour is a trace of published messages.  Both interpreters
 (the single-machine reference one and the per-party distributed one) run the
 same small-step machine shape: a focused expression or value, a stack of
-suspended frames, an environment, a mode, and a trace.
+suspended frames, an environment, a mode, and a trace. That state is one
+plain tuple of registers, ``Regs``, from the step loops to the checkers.
 
 The per-party projection of joint data is done by ``slice_value`` and
 friends; ``combine_values`` merges per-party views back together.  These two
 families are the workhorses of the simulation and confluence checks.
 
-Values, expression nodes, frames and the package's result types are
-records: ``record`` writes each one's constructor, equality and hash once,
-when its class is defined. Like the paper's terms, a record is never
-changed once built; slicing, combining and stepping build new ones.
+Values, expression nodes and the package's result types are records:
+``record`` writes each one's constructor, equality and hash once, when its
+class is defined. Like the paper's terms, a record is never changed once
+built; slicing, combining and stepping build new ones.
 """
 
 from __future__ import annotations
@@ -549,40 +550,21 @@ class Mode:
         return self.tag == SEC
 
 
-@record
-class Frame:
-    """Suspension of the enclosing computation: the mode, environment and
-    trace at suspension time, and the one-hole context of the node ``e``.
-    ``done`` holds the values of its operands evaluated so far and
-    ``pending`` the operands still to run, in ``OPERANDS`` order.
-
-    A block body runs above its own ``as_par``/``as_sec`` node's frame,
-    whose ``done`` then holds the set and the thunk: one value in ``done``
-    marks block entry, two mark exit.
-
-    The step loops keep a frame as a plain tuple of these fields in order;
-    this record is built only for the stack of a handed-out ``Config``
-    (``st.config_of``).
-    """
-
-    mode: Mode
-    env: Env
-    trace: Trace
-    e: Expr
-    done: tuple[Value, ...]
-    pending: tuple[Expr, ...]
-
-
 Code = Union[Expr, Value]
 
+# A suspended frame, a plain tuple (mode, env, trace, e, done, pending): the
+# mode, environment and trace at suspension time, and the one-hole context
+# of the node ``e``. ``done`` holds the values of its operands evaluated so
+# far and ``pending`` the operands still to run, in ``OPERANDS`` order.
+#
+# A block body runs above its own ``as_par``/``as_sec`` node's frame, whose
+# ``done`` then holds the set and the thunk: one value in ``done`` marks
+# block entry, two mark exit.
+FrameRegs = tuple[Mode, Env, Trace, Expr, tuple[Value, ...], tuple[Expr, ...]]
 
-@record
-class Config:
-    mode: Mode
-    stack: tuple[Frame, ...]
-    env: Env
-    trace: Trace
-    code: Code
+# The machine state, the paper's configuration as a plain tuple of
+# registers (mode, stack, env, trace, code), each frame a ``FrameRegs``.
+Regs = tuple[Mode, tuple[FrameRegs, ...], Env, Trace, Code]
 
 
 # ---------------------------------------------------------------------------
@@ -659,26 +641,23 @@ def slice_trace(p: Principal, t: Trace) -> Trace:
     return tuple(out)
 
 
-def _slice_frame(p: Principal, f: Frame) -> Frame:
-    return Frame(Mode(PAR, PrinSet.of(p)), slice_env(p, f.env),
-                 slice_trace(p, f.trace), f.e,
-                 tuple(slice_value(p, v) for v in f.done), f.pending)
+def _slice_frame(p: Principal, f: FrameRegs) -> FrameRegs:
+    _, env, trace, e, done, pending = f
+    return (Mode(PAR, PrinSet.of(p)), slice_env(p, env), slice_trace(p, trace),
+            e, tuple(slice_value(p, v) for v in done), pending)
 
 
-def slice_config(s: PrinSet, c: Config) -> dict[Principal, Config]:
-    """Project a joint par-mode config to one local config per member."""
-    if not (c.mode.is_par() and c.mode.ps == s):
+def slice_config(s: PrinSet, regs: Regs) -> dict[Principal, Regs]:
+    """Project a joint par-mode state to one local state per member."""
+    mode, stack, env, trace, code = regs
+    if not (mode.is_par() and mode.ps == s):
         raise ModeError(f"can only slice a par-mode config over its own set, "
-                        f"got mode {c.mode.tag} {c.mode.ps} sliced by {s}")
-    par = {}
-    for p in s:
-        code = slice_value(p, c.code) if isinstance(c.code, Value) else c.code
-        par[p] = Config(Mode(PAR, PrinSet.of(p)),
-                        tuple(_slice_frame(p, f) for f in c.stack),
-                        slice_env(p, c.env),
-                        slice_trace(p, c.trace),
-                        code)
-    return par
+                        f"got mode {mode.tag} {mode.ps} sliced by {s}")
+    return {p: (Mode(PAR, PrinSet.of(p)),
+                tuple(_slice_frame(p, f) for f in stack),
+                slice_env(p, env), slice_trace(p, trace),
+                slice_value(p, code) if isinstance(code, Value) else code)
+            for p in s}
 
 
 # ---------------------------------------------------------------------------

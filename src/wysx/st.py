@@ -15,13 +15,12 @@ The value rules of ``seal``, ``reveal``, ``mkmap``, ``project`` and
 ``concat`` live in ``apply_rule``, which the gate compiler calls as well,
 so joint blocks follow one copy of them on every backend.
 
-The step loops keep the machine state as a plain tuple of registers,
-``(mode, stack, env, trace, code)``, in ``Config``'s field order: a step
+The machine state is a plain tuple of registers, ``lang.Regs``:
+``(mode, stack, env, trace, code)``, with each frame of the stack a
+``lang.FrameRegs`` tuple ``(mode, env, trace, e, done, pending)``. A step
 takes the registers it reads and returns the next ones, or a ``Stuck`` or
-``NeedsSec``. A frame on that stack is a plain tuple too, in ``Frame``'s
-field order ``(mode, env, trace, e, done, pending)``. ``Config`` and
-``Frame`` are the boundary records: ``config_of`` builds them only where a
-run hands its state out (``RunResult.config``, ``ds.DsResult.par``).
+``NeedsSec``. A run hands out the registers it ended in as they are
+(``RunResult.config``, ``ds.DsResult.par``).
 
 ``run`` is the joint machine's loop. It keeps the five registers in locals,
 makes ``machine_step``'s value test and the terminal test in one place and
@@ -40,9 +39,9 @@ from typing import Optional, Union
 
 from . import ffi as ffi_mod
 from .lang import (
-    OPAQUE, OPERANDS, WORD_BITS, App, AsPar, AsSec, Bool, Clos, Code, Concat,
-    Config, Const, Env, Expr, Ffi, Fix, Frame, If, Lam, Let, MkMap, Mode,
-    PAR, PrinSet, PrinVal, PrinsVal, Project, Reveal, SEC, Seal, Sealed,
+    OPAQUE, OPERANDS, WORD_BITS, App, AsPar, AsSec, Bool, Clos, Concat,
+    Const, Env, Expr, Ffi, Fix, FrameRegs, If, Lam, Let, MkMap, Mode, PAR,
+    PrinSet, PrinVal, PrinsVal, Project, Regs, Reveal, SEC, Seal, Sealed,
     TMsg, TScope, Trace, UNIT, UnboundVariable, Value, VMap, Var, WysError,
     can_seal, record,
 )
@@ -78,14 +77,6 @@ class NeedsSec:
     clos: Clos  # the thunk, environment included
 
 
-# A frame in the step loops: (mode, env, trace, e, done, pending), the
-# fields of ``Frame`` in order.
-FrameRegs = tuple[Mode, Env, Trace, Expr, tuple[Value, ...], tuple[Expr, ...]]
-
-# A machine state in the step loops: (mode, stack, env, trace, code), the
-# fields of ``Config`` in order, with each frame of the stack a ``FrameRegs``.
-Regs = tuple[Mode, tuple[FrameRegs, ...], Env, Trace, Code]
-
 # What a step yields: the next registers, the rule that blocks it, or, on a
 # party's local machine, the joint block it waits at.
 StepOut = Union[Regs, Stuck, NeedsSec]
@@ -95,12 +86,6 @@ def is_terminal(regs: Regs) -> bool:
     """A value with no frame left, in a par mode: the run is over."""
     mode, stack, _, _, code = regs
     return not stack and isinstance(code, Value) and mode.tag == PAR
-
-
-def config_of(regs: Regs) -> Config:
-    """The boundary record of ``regs``: a ``Config`` of ``Frame`` records."""
-    mode, stack, env, trace, code = regs
-    return Config(mode, tuple(Frame(*f) for f in stack), env, trace, code)
 
 
 def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
@@ -382,7 +367,7 @@ class RunResult:
     status: str  # done | stuck | fuel
     value: Optional[Value]
     trace: Trace
-    config: Config
+    config: Regs  # the registers the run ended in
     steps: int
     sec_entries: int
     stuck_rule: Optional[str] = None
@@ -416,22 +401,20 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
                 out = _plug(stack, trace, code, rt, None)
             elif mode.tag == PAR:
                 return RunResult("done", code, trace,
-                                 config_of((mode, stack, env, trace, code)),
-                                 steps, secs)
+                                 (mode, stack, env, trace, code), steps, secs)
             else:
                 out = _HALT
         else:
             out = _descend(mode, stack, env, trace, code, rt)
         if type(out) is Stuck:
             return RunResult("stuck", None, trace,
-                             config_of((mode, stack, env, trace, code)),
-                             steps, secs, out.rule, out.reason)
+                             (mode, stack, env, trace, code), steps, secs,
+                             out.rule, out.reason)
         m = out[0]
         if m is not mode and m.tag == SEC and mode.tag == PAR:
             secs += 1  # sec-enter: the one step from a par into a sec mode
         mode, stack, env, trace, code = out
     regs = (mode, stack, env, trace, code)
-    c = config_of(regs)
     if is_terminal(regs):  # the last step ended the run
-        return RunResult("done", code, trace, c, fuel, secs)
-    return RunResult("fuel", None, trace, c, fuel, secs)
+        return RunResult("done", code, trace, regs, fuel, secs)
+    return RunResult("fuel", None, trace, regs, fuel, secs)

@@ -11,12 +11,12 @@ import pytest
 
 from wysx import apps, ds
 from wysx.lang import (
-    FALSE, OPAQUE, TRUE, Clos, Env, FfiInt, FfiList, Frame, PrinSet, Sealed,
+    FALSE, OPAQUE, TRUE, Clos, Env, FfiInt, FfiList, PrinSet, Sealed,
     ShareVal, TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
-from wysx.st import DEFAULT_FUEL, Runtime, machine_step, run as st_run
+from wysx.st import Runtime, machine_step, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
@@ -529,39 +529,6 @@ def test_each_party_config_is_stepped_once(monkeypatch):
             counts.append((cell.name, backend, label, len(seen)))
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()[:16]
     assert (sum(n for *_, n in counts), digest) == STEP_COUNT_DIGEST
-
-
-def test_frames_are_built_only_where_a_run_hands_its_state_out(monkeypatch):
-    # the step loops keep frames as plain tuples; a ``Frame`` record is
-    # built only for a handed-out configuration (``st.config_of``)
-    built = []
-    init = Frame.__init__
-
-    def counted(self, *fields):
-        built.append(fields)
-        init(self, *fields)
-
-    monkeypatch.setattr(Frame, "__init__", counted)
-    runs = [(apps.load_program(cell.program), cell.env, cell.ps, DEFAULT_FUEL)
-            for cell in apps.corpus()]
-    # stuck under two pending additions, and out of fuel mid-program, so
-    # that some handed-out stacks are not empty
-    runs += [(parse("(ffi add 1 (ffi add 2 (reveal 3)))"), Env(), AB,
-              DEFAULT_FUEL), (*runs[0][:3], 40)]
-    configs, statuses = [], set()
-    for e, env, ps, fuel in runs:
-        res = st_run(e, env, ps, Runtime(0, 32), fuel)
-        configs.append(res.config)
-        statuses.add(res.status)
-        for backend in ("ideal", "gmw"):
-            res = ds_run(e, env, ps, Runtime(0, 32), backend=backend,
-                         fuel=fuel)
-            configs += res.par.values()
-            statuses.add(res.status)
-    assert statuses == {"done", "stuck", "fuel"}
-    frames = [f for c in configs for f in c.stack]
-    assert frames and all(type(f) is Frame for f in frames)
-    assert len(built) == len(frames)
 
 
 def test_share_minted_outside_a_block_is_stuck_and_draws_nothing():

@@ -15,8 +15,8 @@ from wysx.ds import DsResult
 from wysx.ffi import HostFn
 from wysx.gmw import GmwResult
 from wysx.lang import (
-    Bool, Clos, CombineConflict, Config, DomainMismatch, Env, FfiInt,
-    FfiList, FfiPair, FfiStr, Frame, Mode, ModeError, OPAQUE, PAR, PrinSet,
+    Bool, Clos, CombineConflict, DomainMismatch, Env, FfiInt, FfiList,
+    FfiPair, FfiStr, Mode, ModeError, OPAQUE, PAR, PrinSet,
     PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
     UnboundVariable, Var, VMap, WORD_BITS, can_seal, combine_envs,
     combine_many, combine_values, contains_bare_opaque, decode_word,
@@ -149,9 +149,9 @@ def test_slice_trace_scopes():
 
 
 def test_slice_config_requires_matching_par_mode():
-    c = Config(Mode(SEC, AB), (), Env(), (), Const(UNIT))
+    regs = (Mode(SEC, AB), (), Env(), (), Const(UNIT))
     with pytest.raises(ModeError):
-        slice_config(AB, c)
+        slice_config(AB, regs)
 
 
 def test_slice_config_projects_stack():
@@ -160,26 +160,30 @@ def test_slice_config_projects_stack():
     e = Ffi("pair", (Var("s"), Var("t")))
     body = AsPar(Const(PrinsVal(A)), Lam("_", e))
     thunk = Clos(Env({"x": Sealed(A, FfiInt(7))}), "_", e)
-    outer = Frame(Mode(PAR, AB), Env(), (), body, (PrinsVal(A), thunk), ())
-    frame = Frame(Mode(PAR, AB), Env({"x": Sealed(A, FfiInt(7))}),
-                  (TMsg(FfiInt(1)),), e, (Sealed(A, FfiInt(7)),),
-                  (Var("t"),))
-    c = Config(Mode(PAR, AB), (outer, frame), Env(), (), Const(UNIT))
-    par = slice_config(AB, c)
-    oa, fa = par["a"].stack
-    ob, fb = par["b"].stack
-    assert fa.env.get("x") == Sealed(A, FfiInt(7))
-    assert fb.env.get("x") == Sealed(A, OPAQUE)
-    assert (fa.e, fa.pending) == (fb.e, fb.pending) == (e, (Var("t"),))
-    assert fa.done == (Sealed(A, FfiInt(7)),)
-    assert fb.done == (Sealed(A, OPAQUE),)
-    assert fa.mode == Mode(PAR, A) and fb.mode == Mode(PAR, B)
+    outer = (Mode(PAR, AB), Env(), (), body, (PrinsVal(A), thunk), ())
+    frame = (Mode(PAR, AB), Env({"x": Sealed(A, FfiInt(7))}),
+             (TMsg(FfiInt(1)),), e, (Sealed(A, FfiInt(7)),), (Var("t"),))
+    regs = (Mode(PAR, AB), (outer, frame), Env(), (), Const(UNIT))
+    par = slice_config(AB, regs)
+    assert list(par) == ["a", "b"]
+    for p, q in (("a", A), ("b", B)):
+        assert par[p][0] == Mode(PAR, q)
+        assert par[p][2:] == (Env(), (), Const(UNIT))
+    (oa, fa), (ob, fb) = par["a"][1], par["b"][1]
+    # a frame is (mode, env, trace, e, done, pending)
+    assert fa[1].get("x") == Sealed(A, FfiInt(7))
+    assert fb[1].get("x") == Sealed(A, OPAQUE)
+    assert fa[2] == fb[2] == (TMsg(FfiInt(1)),)
+    assert (fa[3], fa[5]) == (fb[3], fb[5]) == (e, (Var("t"),))
+    assert fa[4] == (Sealed(A, FfiInt(7)),)
+    assert fb[4] == (Sealed(A, OPAQUE),)
+    assert fa[0] == Mode(PAR, A) and fb[0] == Mode(PAR, B)
     # each party's copy of the body frame keeps the node and the set, and
     # its thunk's environment is that party's slice
     for of in (oa, ob):
-        assert (of.e, of.pending, of.done[0]) == (body, (), PrinsVal(A))
-    assert oa.done[1] == thunk
-    assert ob.done[1] == Clos(Env({"x": Sealed(A, OPAQUE)}), "_", e)
+        assert (of[3], of[5], of[4][0]) == (body, (), PrinsVal(A))
+    assert oa[4][1] == thunk
+    assert ob[4][1] == Clos(Env({"x": Sealed(A, OPAQUE)}), "_", e)
 
 
 # combining
@@ -392,12 +396,6 @@ RECORDS = [
     (TScope(A, (TMsg(UNIT),)),
      "TScope(ps=PrinSet(names=('a',)), t=(TMsg(v=Unit()),))"),
     (MODE, "Mode(tag='par', ps=PrinSet(names=('a', 'b')))"),
-    (Frame(MODE, Env(), (), Var("x"), (), ()),
-     "Frame(mode=Mode(tag='par', ps=PrinSet(names=('a', 'b'))), env=Env(), "
-     "trace=(), e=Var(x='x'), done=(), pending=())"),
-    (Config(MODE, (), Env(), (), UNIT),
-     "Config(mode=Mode(tag='par', ps=PrinSet(names=('a', 'b'))), stack=(), "
-     "env=Env(), trace=(), code=Unit())"),
     (DECL, "InputDecl(party='a', path=(('var', 'x'),), wires=(2,), "
            "is_bool=True)"),
     (CInt((1, 2)), "CInt(2 wires)"),
@@ -434,7 +432,7 @@ RECORDS = [
 
 def test_every_record_class_has_a_sample():
     assert {type(x) for x, _ in RECORDS} == record_classes()
-    assert len(RECORDS) == 48
+    assert len(RECORDS) == 46
 
 
 @pytest.mark.parametrize("x, text", RECORDS,

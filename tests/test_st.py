@@ -12,7 +12,7 @@ from wysx.lang import (
     Value, VMap,
 )
 from wysx.sexp import parse
-from wysx.st import DEFAULT_FUEL, Runtime, Stuck, config_of, machine_step, run
+from wysx.st import DEFAULT_FUEL, Runtime, Stuck, machine_step, run
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -445,22 +445,23 @@ def test_reference_runs_are_pinned():
 
 def stepped(e, env, ps, rt, fuel=DEFAULT_FUEL):
     """``run``'s result fields, from ``machine_step`` on the registers by
-    hand: (status, steps, sec_entries, final config, stuck rule, reason)."""
+    hand: (status, steps, sec_entries, final registers, stuck rule,
+    reason)."""
     regs = (Mode(PAR, ps), (), env, (), e)
     secs = 0
     for steps in range(fuel + 1):
         mode, stack, _, _, code = regs
         if not stack and isinstance(code, Value) and mode.tag == PAR:
-            return "done", steps, secs, config_of(regs), None, None
+            return "done", steps, secs, regs, None, None
         if steps == fuel:
             break
         out = machine_step(regs, rt)
         if type(out) is Stuck:
-            return "stuck", steps, secs, config_of(regs), out.rule, out.reason
+            return "stuck", steps, secs, regs, out.rule, out.reason
         if out[0].tag == SEC and mode.tag == PAR:
             secs += 1
         regs = out
-    return "fuel", fuel, secs, config_of(regs), None, None
+    return "fuel", fuel, secs, regs, None, None
 
 
 def fields(r):
