@@ -1,7 +1,8 @@
 """Command-line driver.
 
-    wysx run [--mode st|ds] [--backend ideal|gmw] [--sched rr|rand:SEED]
-             [--width W] [--fuel N] PROGRAM --inputs a=a.json b=b.json
+    wysx run [--mode st | --mode ds [--backend ideal|gmw]
+             [--sched rr|rand:SEED]] [--width W] [--fuel N]
+             PROGRAM --inputs a=a.json b=b.json
     wysx check sim PROGRAM --inputs ...
     wysx check confluence PROGRAM --inputs ... [--schedules N]
     wysx check security --suite median|psi|cards [--domain N]
@@ -115,8 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="execute a program")
     _common_args(p)
     p.add_argument("--mode", choices=("st", "ds"), default="st")
-    p.add_argument("--backend", choices=("ideal", "gmw"), default="ideal")
-    p.add_argument("--sched", default="rr", help="rr or rand:SEED")
+    p.add_argument("--backend", choices=("ideal", "gmw"), default=None,
+                   help="with --mode ds (default: ideal)")
+    p.add_argument("--sched", default=None,
+                   help="rr or rand:SEED, with --mode ds (default: rr)")
 
     c = sub.add_parser("check", help="run a verification suite")
     what = c.add_subparsers(dest="what", required=True)
@@ -149,6 +152,11 @@ def _out_of_fuel(fuel: int, unit: str) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.mode == "st":
+        for flag, given in (("--backend", args.backend),
+                            ("--sched", args.sched)):
+            if given is not None:
+                raise CliError(f"{flag} needs --mode ds")
     expr = _read_program(args.program)
     env, ps = _gather_env(args)
     rt = Runtime(seed=args.seed, width=args.width)
@@ -165,8 +173,8 @@ def cmd_run(args) -> int:
                "trace": trace_to_json(r.trace)}
         print(canonical_json(out))
         return 0
-    res = ds_run(expr, env, ps, rt, parse_sched(args.sched),
-                 args.backend, args.fuel)
+    res = ds_run(expr, env, ps, rt, parse_sched(args.sched or "rr"),
+                 args.backend or "ideal", args.fuel)
     if res.status == "fuel":
         return _out_of_fuel(args.fuel, "ticks")
     if res.status != "done":

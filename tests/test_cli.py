@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from wysx import apps
+from wysx import apps, cli
 from wysx.cli import main
+from wysx.ds import RoundRobin, SeededRandom, ds_run
 from wysx.inputs import value_to_json
 from wysx.lang import slice_value
 from wysx.sexp import MAX_NESTING
@@ -422,6 +423,42 @@ def test_a_party_named_twice_is_refused_before_any_file_is_read(tmp_path,
     assert main(["run", "median", "--inputs", f"a={inp}",
                  f"a={missing}"]) == 1
     assert one_error_line(capsys) == "error: --inputs names party a twice\n"
+
+
+@pytest.mark.parametrize("flag", [["--backend", "gmw"], ["--sched", "rand:3"],
+                                  ["--backend", "ideal"], ["--sched", "rr"]])
+def test_a_distributed_flag_without_mode_ds_is_refused(tmp_path, capsys,
+                                                       flag):
+    # the reference machine has no backend or schedule; before, it ran and
+    # printed its own output as though the flag had been honoured
+    missing = str(tmp_path / "missing.json")
+    assert main(["run", "median_opt", "--inputs", f"a={missing}",
+                 f"b={missing}", *flag]) == 1
+    assert one_error_line(capsys) == f"error: {flag[0]} needs --mode ds\n"
+    assert main(["run", "median_opt", "--mode", "st", "--prins", "a,b",
+                 *flag]) == 1
+    assert one_error_line(capsys) == f"error: {flag[0]} needs --mode ds\n"
+
+
+def test_mode_ds_defaults_to_the_ideal_backend_and_round_robin(
+        median_files, capsys, monkeypatch):
+    calls = []
+
+    def recorded(e, env, ps, rt, sched, backend, fuel):
+        calls.append((type(sched), backend))
+        return ds_run(e, env, ps, rt, sched, backend, fuel)
+
+    monkeypatch.setattr(cli, "ds_run", recorded)
+    a, b = median_files
+    argv = ["run", "median_opt", "--inputs", f"a={a}", f"b={b}", "--mode",
+            "ds"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    assert main([*argv, "--backend", "ideal", "--sched", "rr"]) == 0
+    assert capsys.readouterr() == plain
+    assert main([*argv, "--backend", "gmw", "--sched", "rand:3"]) == 0
+    assert calls == [(RoundRobin, "ideal"), (RoundRobin, "ideal"),
+                     (SeededRandom, "gmw")]
 
 
 @pytest.mark.parametrize("name", ["1", "(x", "if", "a b", "x;"])
