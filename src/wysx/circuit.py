@@ -813,7 +813,8 @@ def _walk(env: Env, path: Path, party: str) -> Value:
             v = env.get(step[1])
         elif tag == "unseal":
             if type(v) is not Sealed:
-                raise MissingInput(f"{party}: expected sealed data on {path}")
+                raise MissingInput(f"{party}: expected sealed data on "
+                                   f"{path_text(path)}")
             v = v.v
         elif tag == "fst":
             v = v.fst
@@ -824,17 +825,20 @@ def _walk(env: Env, path: Path, party: str) -> Value:
         elif tag == "entry":
             v = v.get(step[1])
             if v is None:
-                raise MissingInput(f"{party}: no map entry on {path}")
+                raise MissingInput(f"{party}: no map entry on "
+                                   f"{path_text(path)}")
         elif tag == "word":
             if type(v) is not ShareVal:
-                raise MissingInput(f"{party}: expected a handle on {path}")
+                raise MissingInput(f"{party}: expected a handle on "
+                                   f"{path_text(path)}")
             w = v.word_of(party)
             if w is None:
                 raise MissingInput(f"{party}: handle holds no word for them")
             return FfiInt(w)  # already raw bits, caller slices
         elif tag == "cenv":
             if type(v) is not Clos:
-                raise MissingInput(f"{party}: expected a closure on {path}")
+                raise MissingInput(f"{party}: expected a closure on "
+                                   f"{path_text(path)}")
             v = v.env.get(step[1])
         else:
             raise MissingInput(f"unknown path step {step!r}")
@@ -867,17 +871,21 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, int]:
         except (MissingInput,):
             raise
         except Exception as ex:
-            raise MissingInput(f"{decl.party}: cannot read {decl.path}: {ex}") from None
+            raise MissingInput(f"{decl.party}: cannot read "
+                               f"{path_text(decl.path)}: {ex}") from None
         if type(v) is Opaque:
-            raise MissingInput(f"{decl.party}: holds a placeholder on {decl.path}")
+            raise MissingInput(f"{decl.party}: holds a placeholder on "
+                               f"{path_text(decl.path)}")
         n = len(decl.wires)
         if decl.is_bool:
             if type(v) is not Bool:
-                raise MissingInput(f"{decl.party}: expected a bool on {decl.path}")
+                raise MissingInput(f"{decl.party}: expected a bool on "
+                                   f"{path_text(decl.path)}")
             word = 1 if v.b else 0
         else:
             if type(v) is not FfiInt:
-                raise MissingInput(f"{decl.party}: expected an int on {decl.path}")
+                raise MissingInput(f"{decl.party}: expected an int on "
+                                   f"{path_text(decl.path)}")
             # a share word is raw bits; anything else is a signed int
             if decl.path[-1] != ("word",) and not fits(v.n, n):
                 raise CircuitError(f"{decl.party}: input {v.n} at "

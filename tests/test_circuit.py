@@ -9,16 +9,16 @@ import pytest
 from wysx import apps, ds, ffi, st
 from wysx.ds import ds_run
 from wysx.lang import (
-    TRUE, Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed, ShareVal,
-    slice_env, slice_trace, slice_value,
+    OPAQUE, TRUE, Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed,
+    ShareVal, VMap, slice_env, slice_trace, slice_value,
 )
 from wysx.sexp import MAX_NESTING, ParseError, parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
-    MAX_CEVAL_DEPTH, Builder, CircuitError, MissingInput, NotCircuitable,
-    add_wires, bind_inputs, compile_sec_thunk, decode_output, decode_word,
-    dump_circuit, encode_word, eq_wires, eval_circuit, gt_wires, mux_wires,
-    sub_wires,
+    MAX_CEVAL_DEPTH, Builder, CBit, Circuit, CircuitError, InputDecl,
+    MissingInput, NotCircuitable, add_wires, bind_inputs, compile_sec_thunk,
+    decode_output, decode_word, dump_circuit, encode_word, eq_wires,
+    eval_circuit, gt_wires, mux_wires, sub_wires,
 )
 
 from _proggen import base_env, gen_program
@@ -354,8 +354,42 @@ def test_bind_inputs_requires_concrete_data():
                              AB, 8, ShareMint(0), {})
     # hand a's role to a party that only holds placeholders
     wrong = {"a": slice_env("b", env), "b": slice_env("b", env)}
-    with pytest.raises(MissingInput):
+    with pytest.raises(MissingInput) as ex:
         bind_inputs(circ, wrong)
+    assert str(ex.value) == "a: holds a placeholder on var:xa/unseal"
+
+
+# a declaration's path, the value a's environment holds at its first step,
+# whether the declaration is a bit, and the message that refuses it
+BAD_INPUTS = {
+    "unseal": ((("var", "x"), ("unseal",)), FfiInt(1), False,
+               "a: expected sealed data on var:x/unseal"),
+    "entry": ((("var", "x"), ("entry", "b")), VMap((("a", FfiInt(1)),)),
+              False, "a: no map entry on var:x/entry:b"),
+    "word": ((("var", "x"), ("word",)), FfiInt(1), False,
+             "a: expected a handle on var:x/word"),
+    "cenv": ((("var", "x"), ("cenv", "y")), FfiInt(1), False,
+             "a: expected a closure on var:x/cenv:y"),
+    "read": ((("var", "x"), ("idx", 3)), FfiList((FfiInt(1),)), False,
+             "a: cannot read var:x/idx:3: tuple index out of range"),
+    "opaque": ((("var", "x"),), OPAQUE, False,
+               "a: holds a placeholder on var:x"),
+    "bool": ((("var", "x"), ("fst",)), FfiPair(FfiInt(1), TRUE), True,
+             "a: expected a bool on var:x/fst"),
+    "int": ((("var", "x"), ("snd",)), FfiPair(FfiInt(1), TRUE), False,
+            "a: expected an int on var:x/snd"),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_INPUTS)
+def test_bind_inputs_names_the_path_it_cannot_bind(kind):
+    path, held, is_bool, message = BAD_INPUTS[kind]
+    wires = (0,) if is_bool else (0, 1, 2, 3)
+    circ = Circuit(A, 4, 4, [([], [])], [InputDecl("a", path, wires, is_bool)],
+                   [(0, frozenset("a"))], CBit(0))
+    with pytest.raises(MissingInput) as ex:
+        bind_inputs(circ, {"a": Env({"x": held})})
+    assert str(ex.value) == message
 
 
 def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
