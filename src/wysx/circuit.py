@@ -538,7 +538,7 @@ class Compiler:
         b = self.b
         try:
             hf = ffi_mod.check_call(name, args)
-            if not hf.needs_mode and (name in ffi_mod.SHAPE_ONLY or
+            if hf.fn is not None and (name in ffi_mod.SHAPE_ONLY or
                                       all(is_public(a) for a in args)):
                 return ffi_mod.exec_ffi(name, tuple(args))
         except WysError as ex:

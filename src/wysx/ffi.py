@@ -52,8 +52,7 @@ def _pair(v: Value, who: str) -> FfiPair:
 class HostFn:
     name: str
     arity: Optional[int]  # None means variadic
-    fn: Optional[Callable[..., Value]]
-    needs_mode: bool = False  # interpreted by the stepper, not a host body
+    fn: Optional[Callable[..., Value]]  # None: the interpreters run it
 
 
 def _add(a: Value, b: Value) -> Value:
@@ -252,8 +251,8 @@ _register("rows_any", 2, _rows_any)
 _register("cols_any", 2, _cols_any)
 
 # share primitives: bodies live in the interpreters / circuit compiler
-BUILTINS["mk_sh"] = HostFn("mk_sh", 1, None, needs_mode=True)
-BUILTINS["comb_sh"] = HostFn("comb_sh", 1, None, needs_mode=True)
+BUILTINS["mk_sh"] = HostFn("mk_sh", 1, None)
+BUILTINS["comb_sh"] = HostFn("comb_sh", 1, None)
 
 
 def check_call(name: str, args) -> HostFn:
@@ -268,7 +267,7 @@ def check_call(name: str, args) -> HostFn:
 
 def exec_ffi(name: str, args: tuple[Value, ...]) -> Value:
     hf = check_call(name, args)
-    if hf.needs_mode:
+    if hf.fn is None:
         raise FfiTypeError(f"{name} must be handled by the interpreter")
     for a in args:
         if contains_bare_opaque(a):

@@ -627,6 +627,16 @@ def test_every_builtin_call_under_gmw_matches_the_reference_or_sticks():
                                               slice_trace(p, ref.trace)), src
 
 
+def test_only_the_share_primitives_have_no_host_body():
+    # mk_sh and comb_sh run in the interpreters and the gate compiler
+    assert [n for n, hf in ffi.BUILTINS.items() if hf.fn is None] == \
+        ["mk_sh", "comb_sh"]
+    for name in ("mk_sh", "comb_sh"):
+        with pytest.raises(ffi.FfiTypeError) as ex:
+            ffi.exec_ffi(name, (FfiInt(1),))
+        assert str(ex.value) == f"{name} must be handled by the interpreter"
+
+
 def test_private_list_index_is_not_circuitable():
     with pytest.raises(NotCircuitable):
         compile_sec_thunk(shapes_env(),

@@ -407,8 +407,7 @@ RECORDS = [
      "inputs=[InputDecl(party='a', path=(('var', 'x'),), wires=(2,), "
      "is_bool=True)], outputs=[(2, frozenset({'a'}))], decode=CBit(wire 2), "
      "and_count=0, and_depth=0)"),
-    (HostFn("add", 2, None), "HostFn(name='add', arity=2, fn=None, "
-                             "needs_mode=False)"),
+    (HostFn("add", 2, None), "HostFn(name='add', arity=2, fn=None)"),
     (Tok("sym", "x", 1, 2), "Tok(kind='sym', text='x', line=1, col=2)"),
     (Stuck("apply", "why"), "Stuck(rule='apply', reason='why')"),
     (NeedsSec(A, CLOS),
