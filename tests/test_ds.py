@@ -11,8 +11,8 @@ import pytest
 
 from wysx import apps, ds
 from wysx.lang import (
-    FALSE, OPAQUE, TRUE, Clos, Env, FfiInt, FfiList, PrinSet, Sealed,
-    ShareVal, TMsg, VMap, slice_trace, slice_value,
+    FALSE, OPAQUE, PAR, TRUE, Clos, Env, FfiInt, FfiList, Mode, PrinSet,
+    Sealed, ShareVal, TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
@@ -764,3 +764,27 @@ def test_a_failing_schedule_replays_from_its_label(monkeypatch):
     assert base.par[p] != again.par[p]
     assert rep.detail == f"[{label}] " + ds._config_diff(p, base.par[p],
                                                           again.par[p])
+
+
+# A party's ``done`` registers (mode, stack, env, trace, code), and for each
+# register but the stack, which is empty in every state the checkers
+# compare, another value of it and the message that names it first.
+DONE_REGS = (Mode(PAR, A), (), Env({"x": FfiInt(1)}), (TMsg(FfiInt(2)),),
+             FfiInt(3))
+CHANGED = {
+    "mode": (0, Mode(PAR, B),
+             "a: modes differ: Mode(tag='par', ps=PrinSet(names=('a',))) vs "
+             "Mode(tag='par', ps=PrinSet(names=('b',)))"),
+    "env": (2, Env({"x": FfiInt(4)}),
+            "a: environments differ: Env(x=FfiInt(n=1)) vs "
+            "Env(x=FfiInt(n=4))"),
+    "trace": (3, (), "a: traces differ: (TMsg(v=FfiInt(n=2)),) vs ()"),
+    "code": (4, FfiInt(5), "a: results differ: FfiInt(n=3) vs FfiInt(n=5)"),
+}
+
+
+@pytest.mark.parametrize("register", CHANGED)
+def test_config_diff_names_the_register_that_differs(register):
+    i, other, message = CHANGED[register]
+    changed = DONE_REGS[:i] + (other,) + DONE_REGS[i + 1:]
+    assert ds._config_diff("a", DONE_REGS, changed) == message
