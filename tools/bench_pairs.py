@@ -17,7 +17,10 @@ For every end-to-end metric that ``BENCHMARK.json`` of CHANGE_DIR declares,
 the summary gives each side's quartiles (inclusive method), the ratio of
 the medians, ``change_better_pairs`` (pairs where the change reads better;
 ties count for neither), ``median_gap`` (how far the change's median is
-better than the parent's, negative when worse) and ``parent_iqr``. It also
+better than the parent's, negative when worse), ``parent_iqr``,
+``worse_by`` (how far the change's median is worse than the parent's, as a
+fraction of the parent's, negative when better) and ``within_bound``
+(``worse_by`` is at most the metric's ``bound`` there). It also
 records each run's attempted, failed and correct verdicts and host speed,
 and the host note of the change's first run. With ``--out`` the workload's
 block is added to FILE (or replaces the block of the same workload);
@@ -82,11 +85,13 @@ def quartiles(xs: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": med, "q3": q3}
 
 
-def summarize(parent: list[float], change: list[float],
-              better: str) -> dict:
-    """One metric over paired runs; ``better`` is "higher" or "lower"."""
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float) -> dict:
+    """One metric over paired runs; ``better`` is "higher" or "lower", and
+    ``bound`` the fraction by which the change's median may be worse."""
     sign = 1 if better == "higher" else -1
     p, c = quartiles(parent), quartiles(change)
+    worse_by = sign * (p["median"] - c["median"]) / p["median"]
     return {
         "parent": {k: round(v, 4) for k, v in p.items()},
         "change": {k: round(v, 4) for k, v in c.items()},
@@ -95,6 +100,8 @@ def summarize(parent: list[float], change: list[float],
                                    for a, b in zip(parent, change)),
         "median_gap": round(sign * (c["median"] - p["median"]), 4),
         "parent_iqr": round(p["q3"] - p["q1"], 4),
+        "worse_by": round(worse_by, 4) + 0.0,  # never -0.0
+        "within_bound": worse_by <= bound,
         "runs": {"parent": [round(x, 4) for x in parent],
                  "change": [round(x, 4) for x in change]},
     }
@@ -165,10 +172,10 @@ def measure(parent_dir: str, change_dir: str, workload: str,
         "host_speed": {side: [r["host_speed"] for r in rs]
                        for side, rs in runs.items()},
     }
-    for name, better in metrics.items():
+    for name, m in metrics.items():
         block[name] = summarize([r["metrics"][name] for r in runs["parent"]],
                                 [r["metrics"][name] for r in runs["change"]],
-                                better)
+                                m["better"], m["bound"])
     return block
 
 
@@ -191,8 +198,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(args.change_dir, "BENCHMARK.json"),
               encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"]
-                   for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
     claim = None
     if args.claim:
         try:
@@ -205,7 +211,7 @@ def main(argv=None) -> int:
     if claim:
         metric, ratio = claim
         block["verdict"] = verdict(block[metric], metric, ratio,
-                                   metrics[metric])
+                                   metrics[metric]["better"])
     doc = {}
     if args.out and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
