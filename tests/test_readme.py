@@ -68,3 +68,11 @@ def test_quick_tour_replays_the_schedule_a_check_names(tour, capsys):
               f"--sched {label} --fuel 80")
     assert main(shlex.split(replay)) == 1
     assert capsys.readouterr().err == shown_output(replay)
+
+
+def test_library_use_prints_what_its_comments_say(tour, capsys):
+    code = block_after("### Library use")
+    shown = re.findall(r"^print\(.*\)\s+# (.*)$", code, re.M)
+    assert shown == ["FfiInt(n=5)"]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
