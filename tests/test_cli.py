@@ -429,8 +429,8 @@ def test_a_party_named_twice_is_refused_before_any_file_is_read(tmp_path,
                                   ["--backend", "ideal"], ["--sched", "rr"]])
 def test_a_distributed_flag_without_mode_ds_is_refused(tmp_path, capsys,
                                                        flag):
-    # the reference machine has no backend or schedule; before, it ran and
-    # printed its own output as though the flag had been honoured
+    # the reference machine has no backend or schedule to honour, and the
+    # flag is refused before any input file is read
     missing = str(tmp_path / "missing.json")
     assert main(["run", "median_opt", "--inputs", f"a={missing}",
                  f"b={missing}", *flag]) == 1
