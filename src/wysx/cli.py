@@ -173,8 +173,9 @@ def cmd_run(args) -> int:
                "trace": trace_to_json(r.trace)}
         print(canonical_json(out))
         return 0
-    res = ds_run(expr, env, ps, rt, parse_sched(args.sched or "rr"),
-                 args.backend or "ideal", args.fuel)
+    sched = parse_sched("rr" if args.sched is None else args.sched)
+    res = ds_run(expr, env, ps, rt, sched, args.backend or "ideal",
+                 args.fuel)
     if res.status == "fuel":
         return _out_of_fuel(args.fuel, "ticks")
     if res.status != "done":

@@ -125,7 +125,6 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
 
-    # each party's machine registers
     par: dict[str, Regs] = {
         p: (Mode(PAR, PrinSet.of(p)), (), slice_env(p, env), (), e)
         for p in ps

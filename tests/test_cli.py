@@ -556,7 +556,7 @@ def test_negative_fuel_is_a_one_line_error(tmp_path, capsys, mode):
         "error: fuel must be at least 0, got -1\n"
 
 
-@pytest.mark.parametrize("sched", ["rand:x", "rand:", "rr:1", "bogus"])
+@pytest.mark.parametrize("sched", ["rand:x", "rand:", "rr:1", "bogus", ""])
 def test_bad_scheduler_names_the_expected_forms(tmp_path, capsys, sched):
     prog = tmp_path / "add.wyx"
     prog.write_text("(ffi add 1 2)", encoding="utf-8")
