@@ -833,7 +833,8 @@ def _walk(env: Env, path: Path, party: str) -> Value:
                                    f"{path_text(path)}")
             w = v.word_of(party)
             if w is None:
-                raise MissingInput(f"{party}: handle holds no word for them")
+                raise MissingInput(f"{party}: no share word on "
+                                   f"{path_text(path)}")
             return FfiInt(w)  # already raw bits, caller slices
         elif tag == "cenv":
             if type(v) is not Clos:

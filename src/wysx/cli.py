@@ -28,8 +28,8 @@ from .circuit import dump_circuit
 from .ds import check_confluence, check_simulation, ds_run, parse_sched
 from .inputs import (canonical_json, check_principal, load_env_file,
                      trace_to_json, value_to_json)
-from .lang import (CombineConflict, DomainMismatch, Env, PrinSet, TMsg,
-                   WysError, combine_envs, combine_values)
+from .lang import (CombineConflict, Env, PrinSet, TMsg, WysError,
+                   combine_envs, combine_values)
 from .sexp import parse
 from .st import DEFAULT_FUEL, Runtime, run
 
@@ -91,7 +91,7 @@ def _gather_env(args) -> tuple[Env, PrinSet]:
     ps = PrinSet.of(*names)
     try:
         env = combine_envs([env for _, env in files]) if files else Env()
-    except (CombineConflict, DomainMismatch) as ex:
+    except CombineConflict as ex:
         raise CliError(_disagreement(files) or str(ex)) from None
     return env, ps
 

@@ -27,9 +27,9 @@ from .circuit import (
 )
 from .gmw import gmw_eval
 from .lang import (
-    Clos, CombineConflict, DomainMismatch, Env, Expr, Mode, PAR, PrinSet,
-    Regs, SEC, TMsg, Trace, UNIT, Value, combine_envs, record, slice_config,
-    slice_env, slice_value,
+    Clos, CombineConflict, Env, Expr, Mode, PAR, PrinSet, Regs, SEC, TMsg,
+    Trace, UNIT, Value, combine_envs, record, slice_config, slice_env,
+    slice_value,
 )
 from .st import (
     DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, Stuck, is_terminal,
@@ -170,14 +170,14 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     for tick in range(fuel):
         if moves is None:
             locals_ = []
-            waiting: dict[PrinSet, dict[str, NeedsSec]] = {}
+            waiting: dict[PrinSet, int] = {}  # parties parked at each block
             for p in ps:
                 out = steps[p]
                 if type(out) is tuple:
                     locals_.append(local_moves[p])
                 elif type(out) is NeedsSec:
                     if out.ps not in sec and out.ps not in finished:
-                        waiting.setdefault(out.ps, {})[p] = out
+                        waiting[out.ps] = waiting.get(out.ps, 0) + 1
                 elif out is not _DONE:  # Stuck
                     return finish("stuck", tick,
                                   f"party {p} stuck at {out.rule}: "
@@ -188,10 +188,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                            if len(finished) > 1 else finished)]
             built += [("sec-step", s) for s in (sorted(sec, key=str)
                                                 if len(sec) > 1 else sec)]
-            # ``st._enter`` sticks a party outside the block's set, so a
-            # group holds only members
-            ready = [s for s, group in waiting.items()
-                     if len(group) == len(s.names)]
+            # ``st._enter`` sticks a party outside the block's set, so only
+            # members wait at it
+            ready = [s for s, k in waiting.items() if k == len(s.names)]
             if len(ready) > 1:
                 ready.sort(key=str)
             built += [("enter", s) for s in ready]
@@ -216,8 +215,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
         if kind == "enter":
             s = target
-            # a party waits at a block only on a closure (``st._enter``)
-            thunks = [waiting[s][p].clos for p in s.names]
+            # each member's step is its ``NeedsSec``, on a closure
+            thunks = [steps[p].clos for p in s.names]
             c0 = thunks[0]
             if any((c.f, c.x, c.body) != (c0.f, c0.x, c0.body)
                    for c in thunks):
@@ -226,7 +225,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             try:
                 joint = Clos(combine_envs([c.env for c in thunks]), c0.x,
                              c0.body, c0.f)
-            except (CombineConflict, DomainMismatch):
+            except CombineConflict:
                 return finish("stuck", tick, f"joint block {s}: parties "
                               f"disagree on the block's environment")
             sec_entries += 1
@@ -254,14 +253,11 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     return finish("stuck", tick,
                                   f"joint block {target} stuck at "
                                   f"{m.rule}: {m.reason}")
-                _, stack, _, trace, code = m
+                # no block starts in a sec mode, so the trace stays empty
+                _, stack, _, _, code = m
                 if stack or not isinstance(code, Value):
                     sec[target] = m
                     continue
-                if trace:
-                    return finish("stuck", tick,
-                                  f"joint block {target} produced "
-                                  f"scoped output")
                 finished[target] = {p: slice_value(p, code)
                                     for p in target.names}
             else:

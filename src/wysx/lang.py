@@ -35,11 +35,7 @@ class UnboundVariable(WysError):
 
 
 class CombineConflict(WysError):
-    """Two per-party views disagree on data they should share."""
-
-
-class DomainMismatch(WysError):
-    """Environments being combined bind different variable sets."""
+    """Per-party views, or the variables they bind, disagree."""
 
 
 class ModeError(WysError):
@@ -719,11 +715,11 @@ def combine_many(vs: list[Value]) -> Value:
 
 def combine_envs(envs: list[Env]) -> Env:
     if not envs:
-        raise DomainMismatch("no environments")
+        raise CombineConflict("no environments")
     names = envs[0].names()
     for e in envs[1:]:
         if e.names() != names:
-            raise DomainMismatch(f"{sorted(names)} vs {sorted(e.names())}")
+            raise CombineConflict(f"{sorted(names)} vs {sorted(e.names())}")
     b = {}
     for x in names:
         b[x] = combine_many([e.get(x) for e in envs])

@@ -17,6 +17,7 @@ same tree.
 
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .lang import (
@@ -52,7 +53,21 @@ FORMS = {
 
 RESERVED = {*FORMS, "ffi", "list", "tuple", "prin", "prins", "true", "false"}
 
-_DELIMS = set("(); \t\r\n\"")
+# A blank is a space, tab or CR. A word runs up to a blank, a newline, a
+# parenthesis, ';' or '"'.
+_WORD = re.compile(r'[^ \t\r\n();"]+')
+# A word that is ASCII digits after an optional minus is an integer; ``int``
+# refuses other digits, such as ``²``.
+_INT = re.compile(r"-?[0-9]+")
+
+# One token a match: the blanks before it (group 1), then a newline (2),
+# "(" (3), ")" (4), a string's body (5) and closing quote (6) or a word (7).
+# A comment, and blanks at the end of input, match only the blanks.
+_TOKEN = re.compile(r'([ \t\r]*)(?:(\n)|(\()|(\))'
+                    r'|"([^"\\\n]*(?:\\[nt"\\][^"\\\n]*)*)(")?'
+                    rf'|({_WORD.pattern})|;[^\n]*)?')
+_ESCAPE = re.compile(r'\\(.)')
+_ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 # The parser recurses once per open parenthesis; this bound keeps the
 # deepest accepted program well inside Python's default recursion limit.
@@ -69,100 +84,49 @@ class Tok:
 
 def tokenize(src: str) -> list[Tok]:
     toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    depth = 0
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, start, depth = 1, 0, 0  # start: the offset where ``line`` begins
+    for m in _TOKEN.finditer(src):  # every match ends where the next starts
+        k = m.lastindex
+        if k == 1:  # blanks, a comment or the end of input
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if k == 2:
+            line, start = line + 1, m.end()
             continue
-        if ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        if ch == "(":
+        col = m.end(1) - start + 1
+        if k == 7:
+            kind = "int" if _INT.fullmatch(m[7]) else "sym"
+            toks.append(Tok(kind, m[7], line, col))
+        elif k == 3:
             depth += 1
             if depth > MAX_NESTING:
                 raise ParseError(f"nesting deeper than {MAX_NESTING}", line, col)
             toks.append(Tok("lparen", "(", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == ")":
+        elif k == 4:
             depth -= 1
             toks.append(Tok("rparen", ")", line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = src[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("dangling escape", line, col)
-                    nxt = src[i + 1]
-                    if nxt == "n":
-                        buf.append("\n")
-                    elif nxt == "t":
-                        buf.append("\t")
-                    elif nxt in ('"', "\\"):
-                        buf.append(nxt)
-                    else:
-                        raise ParseError(f"unknown escape \\{nxt}", line, col)
-                    i += 2
-                    col += 2
-                    continue
-                if c == "\n":
-                    raise ParseError("newline in string", line, col)
-                buf.append(c)
-                i += 1
-                col += 1
-            toks.append(Tok("str", "".join(buf), start_line, start_col))
-            continue
-        # symbol or number
-        start = i
-        start_col = col
-        while i < n and src[i] not in _DELIMS:
-            i += 1
-            col += 1
-        word = src[start:i]
-        if _is_int(word):
-            toks.append(Tok("int", word, line, start_col))
-        else:
-            toks.append(Tok("sym", word, line, start_col))
+        elif k == 6:
+            body = m[5]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], body)
+            toks.append(Tok("str", body, line, col))
+        else:  # a string that stops before its closing quote, at offset i
+            i = m.end()
+            bad, where = src[i:i + 2], i - start + 1
+            if not bad:
+                raise ParseError("unterminated string", line, col)
+            if bad == "\\":
+                raise ParseError("dangling escape", line, where)
+            if bad[0] == "\\":
+                raise ParseError(f"unknown escape {bad}", line, where)
+            raise ParseError("newline in string", line, where)
     return toks
-
-
-def _is_int(w: str) -> bool:
-    """ASCII digits after an optional minus: ``str.isdigit`` alone also
-    accepts digits such as ``²`` that ``int`` refuses."""
-    if w.startswith("-"):
-        w = w[1:]
-    return w.isascii() and w.isdigit()
 
 
 def is_variable(word: str) -> bool:
     """Whether ``word`` reads as a variable: one symbol token (not empty, no
     delimiter, not an integer literal) that is not a keyword."""
-    return (word != "" and not _is_int(word) and word not in RESERVED
-            and _DELIMS.isdisjoint(word))
+    return (_WORD.fullmatch(word) is not None and not _INT.fullmatch(word)
+            and word not in RESERVED)
 
 
 class _Parser:
@@ -176,7 +140,7 @@ class _Parser:
     def next(self, expected: str) -> Tok:
         t = self.peek()
         if t is None:
-            last = self.toks[-1] if self.toks else Tok("", "", 1, 1)
+            last = self.toks[-1]  # ``parse`` refuses an empty program
             raise ParseError(f"expected {expected}, found end of input",
                              last.line, last.col)
         self.i += 1

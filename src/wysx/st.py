@@ -30,7 +30,10 @@ loop.
 The same decompose/plug core also drives the distributed interpreter's
 per-party machines: ``machine_step`` takes an optional party name and
 switches the handful of rules whose joint and local behaviour differ
-(block entry and exit, sealing, revealing, map building and projection).
+(block entry, the return of an ``as_par`` block, sealing, revealing, map
+building and projection). A party machine parks at a joint block
+(``NeedsSec``) and leaves it by ``ds_run``'s ``exit`` move, not by a rule
+of ``machine_step``.
 """
 
 from __future__ import annotations
@@ -301,10 +304,7 @@ def _plug(stack: tuple[FrameRegs, ...], trace: Trace, v: Value, rt: Runtime,
                 merged = ftrace + (TScope(s, trace),)
             return mode, rest, env, merged, Sealed(s, v)
 
-        if party is not None:
-            return Stuck("sec-return", "local machine inside a joint block")
-        if trace:
-            return Stuck("sec-return", "joint block produced scoped output")
+        # joint machine only; no block starts in a sec mode, so no output
         return mode, rest, env, ftrace + (TMsg(v),), v
 
     out = apply_rule(e, done + (v,), mode, party)
@@ -394,16 +394,14 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         raise ValueError(f"fuel must be at least 0, got {fuel}")
     mode, stack, trace, code = Mode(PAR, ps), (), (), e
     secs = 0
-    # machine_step with party None, and the terminal test, inline
+    # machine_step with party None, and the terminal test, inline: with no
+    # frame left the mode is the run's own, as a frame's return ends a sec mode
     for steps in range(fuel):
         if isinstance(code, Value):
-            if stack:
-                out = _plug(stack, trace, code, rt, None)
-            elif mode.tag == PAR:
+            if not stack:
                 return RunResult("done", code, trace,
                                  (mode, stack, env, trace, code), steps, secs)
-            else:
-                out = _HALT
+            out = _plug(stack, trace, code, rt, None)
         else:
             out = _descend(mode, stack, env, trace, code, rt)
         if type(out) is Stuck:

@@ -368,6 +368,8 @@ BAD_INPUTS = {
               False, "a: no map entry on var:x/entry:b"),
     "word": ((("var", "x"), ("word",)), FfiInt(1), False,
              "a: expected a handle on var:x/word"),
+    "no-word": ((("var", "x"), ("word",)), ShareVal.of(AB, {"b": 5}, 4),
+                False, "a: no share word on var:x/word"),
     "cenv": ((("var", "x"), ("cenv", "y")), FfiInt(1), False,
              "a: expected a closure on var:x/cenv:y"),
     "read": ((("var", "x"), ("idx", 3)), FfiList((FfiInt(1),)), False,

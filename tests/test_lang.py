@@ -15,7 +15,7 @@ from wysx.ds import DsResult
 from wysx.ffi import HostFn
 from wysx.gmw import GmwResult
 from wysx.lang import (
-    Bool, Clos, CombineConflict, DomainMismatch, Env, FfiInt, FfiList,
+    Bool, Clos, CombineConflict, Env, FfiInt, FfiList,
     FfiPair, FfiStr, Mode, ModeError, OPAQUE, PAR, PrinSet,
     PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
     UnboundVariable, Var, VMap, WORD_BITS, can_seal, combine_envs,
@@ -226,7 +226,7 @@ def test_combine_closures_merges_envs():
 
 
 def test_combine_envs_domain_check():
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(CombineConflict, match=r"^\['x'\] vs \['y'\]$"):
         combine_envs([Env({"x": FfiInt(1)}), Env({"y": FfiInt(1)})])
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from wysx.apps import PROGRAM_NAMES, program_source
-from wysx.lang import App, Bool, Const, Ffi, FfiInt, Var
+from wysx.lang import App, Bool, Const, Ffi, FfiInt, FfiStr, Var
 from wysx.sexp import (
     MAX_NESTING, ParseError, is_variable, parse, print_expr, tokenize,
 )
@@ -168,6 +168,40 @@ ERRORS = [
 
 @pytest.mark.parametrize("src,msg", ERRORS, ids=[s for s, _ in ERRORS])
 def test_parse_error_text(src, msg):
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert str(info.value) == msg
+
+
+# Inputs at the edges of the token grammar: each token as (kind, text, line,
+# column), and the tree the input parses to.
+TOKEN_EDGES = [
+    ("1 ", [("int", "1", 1, 1)], Const(FfiInt(1))),
+    ("1\t", [("int", "1", 1, 1)], Const(FfiInt(1))),
+    ("x ; note", [("sym", "x", 1, 1)], Var("x")),
+    ("(f\r\n  x)", [("lparen", "(", 1, 1), ("sym", "f", 1, 2),
+                    ("sym", "x", 2, 3), ("rparen", ")", 2, 4)],
+     App(Var("f"), Var("x"))),
+    ("(f a\fb)", [("lparen", "(", 1, 1), ("sym", "f", 1, 2),
+                 ("sym", "a\fb", 1, 4), ("rparen", ")", 1, 7)],
+     App(Var("f"), Var("a\fb"))),
+    ('  "s\\"t"', [("str", 's"t', 1, 3)], Const(FfiStr('s"t'))),
+]
+
+
+@pytest.mark.parametrize("src, toks, tree", TOKEN_EDGES,
+                         ids=[repr(s) for s, _, _ in TOKEN_EDGES])
+def test_token_grammar_edges(src, toks, tree):
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(src)] == toks
+    assert parse(src) == tree
+
+
+@pytest.mark.parametrize("src, msg", [
+    ('(f\r\n "a\\q")', "2:4: unknown escape \\q"),
+    ('(f\r\n "ab', "2:2: unterminated string"),
+    ('(f\r\n "a\r\nb")', "2:5: newline in string"),
+])
+def test_a_malformed_string_after_crlf_is_placed_on_its_line(src, msg):
     with pytest.raises(ParseError) as info:
         parse(src)
     assert str(info.value) == msg

@@ -6,6 +6,7 @@ import pytest
 
 from _proggen import base_env, gen_program
 from wysx import apps
+from wysx.ds import ds_run
 from wysx.lang import (
     AsPar, AsSec, Bool, Const, Env, FfiInt, FfiList, FfiPair, Lam, Mode,
     OPAQUE, PAR, PrinSet, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope,
@@ -278,6 +279,45 @@ def test_concat_rejects_overlap():
     src = """(concat (mkmap (prins a) (seal (prins a) 1))
                      (mkmap (prins a) (seal (prins a) 2)))"""
     assert stuck(src).stuck_rule == "concat"
+
+
+# Sticks with the exact reason each gives: party None runs the joint
+# machine in mode {a,b}, a party name that party's own machine under
+# ``ds_run``.
+STICKS = [
+    ("(mkmap (prins a b) x)", {"x": Sealed(A, FfiInt(5))}, None, "mkmap",
+     "{a,b} outside mode {a,b} or seal set {a}"),
+    ("(ffi add)", {}, None, "ffi-apply",
+     "ArityError: add: expected 2 args, got 0"),
+    ("(mkmap (prins a) 5)", {}, "a", "mkmap",
+     "expected a sealed value, got FfiInt(n=5)"),
+    ("(mkmap (prins a) x)", {"x": Sealed(B, FfiInt(5))}, "a", "mkmap",
+     "a cannot open seal for {b}"),
+    ("(project (prin b) m)", {"m": VMap.of({"a": FfiInt(1), "b": FfiInt(2)})},
+     "a", "project", "a projecting b"),
+]
+
+
+@pytest.mark.parametrize("src, binds, party, rule, reason", STICKS,
+                         ids=[f"{s}-{p}" for s, _, p, _, _ in STICKS])
+def test_each_stick_gives_its_exact_reason(src, binds, party, rule, reason):
+    if party is None:
+        r = stuck(src, Env(binds))
+        assert (r.stuck_rule, r.stuck_reason) == (rule, reason)
+    else:
+        r = ds_run(parse(src), Env(binds), AB)
+        assert (r.status, r.reason) == (
+            "stuck", f"party {party} stuck at {rule}: {reason}")
+
+
+@pytest.mark.parametrize("code, rule, reason", [
+    ("x", "descend", "not an expression: 'x'"),
+    (FfiInt(1), "halt", "no frame to return to"),
+])
+def test_machine_step_refuses_registers_no_run_reaches(code, rule, reason):
+    # a code register that is no expression, and a finished run
+    regs = (Mode(PAR, AB), (), Env(), (), code)
+    assert machine_step(regs, Runtime()) == Stuck(rule, reason)
 
 
 # share handles
