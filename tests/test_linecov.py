@@ -60,3 +60,16 @@ def test_the_collector_records_the_lines_of_its_files_only():
     finally:
         sys.settrace(old)
     assert c.hits == {"<probe>": {2, 3}}
+
+
+def test_the_report_gives_each_module_its_missed_lines_and_the_totals():
+    f = str(linecov.PACKAGE / "sexp.py")
+    stmts = linecov.statements(Path(f).read_text(encoding="utf-8"))
+    first, second, *rest = sorted(stmts)
+    c = linecov.Collector([f])
+    c.hits[f].update(line for k in rest for line in stmts[k])
+    n = len(stmts)
+    assert linecov.report(c, 1) == (
+        f"src/wysx/sexp.py: 2 of {n} statements missed: {first}, {second}\n"
+        f"total: {n - 2} of {n} statements run "
+        f"({100 * (n - 2) / n:.1f} %), 2 missed; tests exit status 1")

@@ -2,7 +2,7 @@
 
 Usage, from anywhere:
 
-    python3 tools/linecov.py [--json]
+    python3 tools/linecov.py
 
 It runs tier-1 (``pytest`` on the checkout's ``tests``) in this process
 under a ``sys.settrace`` tracer that records the lines run in the files of
@@ -17,18 +17,14 @@ no code and are left out. A statement counts as run when one of its own
 lines was: from its first decorator through the end of its header, or the
 whole statement if it has no body.
 
-It prints each module's missed statement lines and the totals, or with
-``--json`` one JSON document (the tests' own output then goes to stderr).
-The exit status is 0 whatever the tests do, as tracing slows every test
+It prints each module's missed statement lines and the totals after the
+tests' own output. The exit status is 0 whatever the tests do, as tracing slows every test
 and may fail a wall-time budget such as that of card dealing (criterion 9).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import contextlib
-import json
 import sys
 from pathlib import Path
 
@@ -116,41 +112,29 @@ def run_tests(collector: Collector) -> int:
         sys.settrace(None)
 
 
-def report(collector: Collector, status: int) -> dict:
-    modules = {}
+def report(collector: Collector, status: int) -> str:
+    """One line per module of ``collector`` with its missed statements, then
+    the totals and the tests' exit status ``status``."""
+    lines, total, missed_total = [], 0, 0
     for f, hits in collector.hits.items():
         stmts = statements(Path(f).read_text(encoding="utf-8"))
-        modules[Path(f).relative_to(ROOT).as_posix()] = {
-            "statements": len(stmts), "missed": missed(stmts, hits)}
-    return {
-        "modules": modules,
-        "statements": sum(m["statements"] for m in modules.values()),
-        "missed": sum(len(m["missed"]) for m in modules.values()),
-        "tests_exit_status": status,
-    }
+        gone = missed(stmts, hits)
+        total += len(stmts)
+        missed_total += len(gone)
+        lines.append(f"{Path(f).relative_to(ROOT).as_posix()}: {len(gone)} "
+                     f"of {len(stmts)} statements missed: "
+                     f"{', '.join(map(str, gone)) or 'none'}")
+    run = total - missed_total
+    lines.append(f"total: {run} of {total} statements run "
+                 f"({100 * run / total:.1f} %), {missed_total} missed; "
+                 f"tests exit status {status}")
+    return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--json", action="store_true",
-                    help="print one JSON document")
-    args = ap.parse_args(argv)
+def main() -> int:
     collector = Collector(sorted(str(p) for p in PACKAGE.glob("*.py")))
-    out = sys.stderr if args.json else sys.stdout
-    with contextlib.redirect_stdout(out):
-        status = run_tests(collector)
-    doc = report(collector, status)
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0
-    for name, m in doc["modules"].items():
-        lines = ", ".join(map(str, m["missed"])) or "none"
-        print(f"{name}: {len(m['missed'])} of {m['statements']} statements "
-              f"missed: {lines}")
-    run = doc["statements"] - doc["missed"]
-    print(f"total: {run} of {doc['statements']} statements run "
-          f"({100 * run / doc['statements']:.1f} %), {doc['missed']} missed; "
-          f"tests exit status {status}")
+    status = run_tests(collector)
+    print(report(collector, status))
     return 0
 
 
