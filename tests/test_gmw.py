@@ -640,13 +640,19 @@ def test_protocol_matches_clear_evaluation_on_corpus_blocks(monkeypatch):
     assert blocks == 94 and outputs > 0
 
 
-TRANSCRIPT_DIGEST = (
-    "14d7ba3b2c127d91c0b3b3c98e0c01758ec406eab34286c5e7ebb750d909b435")
+TRANSCRIPT_DIGEST = {
+    "messages":
+        "20870673aa94deabb0f60fa9dacb6504ad0f97432d2666242cf5c86fec7bb710",
+    "result":
+        "dec02fa0352d831803eada5d506e73a09b1093fda31e1d0901a0a1d588fc8ea6",
+}
 
 
 def test_protocol_transcripts_are_pinned(monkeypatch):
-    # every message of every channel in send order, and every result field,
-    # over the corpus blocks, the random circuits and 1- and 9-party circuits
+    # over the corpus blocks, the random circuits and 1- and 9-party
+    # circuits, two digests: "messages", every message of every channel in
+    # send order, and "result", the outputs, round and triple counts and
+    # each channel's bits sent
     cases = corpus_block_runs(monkeypatch)
     assert len(cases) == 94
     cases += [*random_circuit_runs(), *many_party_runs()]
@@ -658,7 +664,7 @@ def test_protocol_transcripts_are_pinned(monkeypatch):
         send(self, kind, n, word)
 
     monkeypatch.setattr(Channel, "send", logged)
-    h = hashlib.sha256()
+    h = {aspect: hashlib.sha256() for aspect in TRANSCRIPT_DIGEST}
     for circ, runs in cases:
         for words, seed in runs:
             log.clear()
@@ -667,6 +673,7 @@ def test_protocol_transcripts_are_pinned(monkeypatch):
                           for k, ch in res.channels.items())
             outputs = sorted((p, sorted(o.items()))
                              for p, o in res.outputs.items())
-            h.update(repr((log, outputs, res.rounds, res.and_rounds,
-                           res.triples_used, sent)).encode())
-    assert h.hexdigest() == TRANSCRIPT_DIGEST
+            h["messages"].update(repr(log).encode())
+            h["result"].update(repr((outputs, res.rounds, res.and_rounds,
+                                     res.triples_used, sent)).encode())
+    assert {a: d.hexdigest() for a, d in h.items()} == TRANSCRIPT_DIGEST
