@@ -43,7 +43,7 @@ exception is ``mk_sh``, which draws masks from the mint and folds them into
 the gates. ``compile_sec_thunk`` therefore lets a distributed run reuse a
 compile that drew nothing for every later entry of the same shape, found
 before anything is converted; each entry still binds its own inputs and
-runs the protocol with a fresh dealer seed.
+runs the protocol under its own seed label.
 """
 
 from __future__ import annotations

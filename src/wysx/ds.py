@@ -18,7 +18,6 @@ final states agree with each other.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Optional, Union
 
@@ -105,11 +104,6 @@ class DsResult:
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
 
 
-def _gmw_seed(base_seed: int, s: PrinSet, counter: int) -> int:
-    material = f"{base_seed}|gmw|{','.join(s.names)}|{counter}".encode()
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-
 _DONE = object()  # the step result of a party whose state is terminal
 
 
@@ -133,9 +127,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     # member's view (its slice of the joint value, or its GMW output). A
     # running block under the ideal backend is the joint machine's
     # registers, stepped on each of its moves; under GMW it is the
-    # (circuit, input words, dealer seed) it was entered with, evaluated in
+    # (circuit, input words, seed label) it was entered with, evaluated in
     # one step.
-    sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, int]]] = {}
+    sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, str]]] = {}
     finished: dict[PrinSet, dict[str, Value]] = {}
     gmw_counters: dict[PrinSet, int] = {}
     sec_entries = 0
@@ -241,7 +235,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                                in zip(s.names, thunks)})
                 except CircuitError as ex:
                     return finish("stuck", tick, f"joint block {s}: {ex}")
-                sec[s] = (circ, words, _gmw_seed(rt.seed, s, idx))
+                sec[s] = (circ, words,
+                          f"{rt.seed}|gmw|{','.join(s.names)}|{idx}")
                 circuits.append((f"{s}#{idx}", circ))
             moves = None
             continue
@@ -261,8 +256,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 finished[target] = {p: slice_value(p, code)
                                     for p in target.names}
             else:
-                circ, words, dealer_seed = sec[target]
-                res = gmw_eval(circ, words, dealer_seed)
+                circ, words, label = sec[target]
+                res = gmw_eval(circ, words, label)
                 finished[target] = {
                     p: decode_output(circ.decode, p, res.outputs[p])
                     for p in target.names

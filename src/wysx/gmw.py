@@ -4,7 +4,11 @@ Classic semi-honest protocol: every wire is split into one-bit xor shares,
 one per party. XOR and NOT gates are local; each AND gate consumes one
 precomputed multiplication triple and costs every ordered pair of parties
 exactly two opened bits (the two blinded operands). Triples come from a
-seeded dealer, standing in for an offline phase.
+dealer, standing in for an offline phase. Every random word of a block
+comes from one ``random.Random(seed)``, which stands in for each input
+owner's and the dealer's independent randomness, in this order: each
+owner's input pieces, owners in party order, one piece per other party in
+party order; then, for each AND layer, the words of ``make_triples``.
 
 The run is simulated in rounds over FIFO channels: one round to share
 inputs, one per layer of AND gates (round r evaluates the local gates of
@@ -146,10 +150,10 @@ def _merge(planes: list, wires, words: list[int]):
 
 
 def gmw_eval(circ: Circuit, party_inputs: dict[str, int],
-             dealer_seed: int) -> GmwResult:
+             seed: int | str) -> GmwResult:
     parties = circ.parties.names
     k = len(parties)
-    dealer_rng = random.Random(f"dealer|{dealer_seed}")
+    rng = random.Random(seed)
 
     # channels[(p, q)] carries p's messages to q; to[i] and frm[i] are
     # party i's links to and from the others, in party order
@@ -183,9 +187,8 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, int],
         if type(own) is not int or own >> n:  # a negative word shifts to -1
             raise ProtocolError(
                 f"{p} gives an input that is not a {n}-bit word")
-        srng = random.Random(f"wrap|{dealer_seed}|{p}")
         for ch in to[i]:
-            piece = srng.getrandbits(n)
+            piece = rng.getrandbits(n)
             own ^= piece
             ch.send("input", n, piece)
         dealt[p][i] = own
@@ -223,7 +226,7 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, int],
         n = 2 * m
         ops = ands[2::4] + ands[3::4]  # every gate's a, then every gate's b
         both = _split([bytes(map(s.__getitem__, ops)) for s in planes], k)
-        triples = make_triples(m, parties, dealer_rng)
+        triples = make_triples(m, parties, rng)
         for i, p in enumerate(parties):
             ta, tb, _ = triples[p]
             both[i] = word = both[i] ^ ta ^ tb << m

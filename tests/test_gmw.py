@@ -18,7 +18,7 @@ from wysx.sexp import parse
 from wysx.shares import ShareMint
 from wysx.circuit import (
     AND, CONST, Builder, CBit, Circuit, InputDecl, bind_inputs,
-    compile_sec_thunk, decode_output, eval_circuit,
+    compile_sec_thunk, decode_output, eval_circuit, input_wires,
 )
 from wysx import apps, ds, gmw
 from wysx.ds import ds_run
@@ -543,9 +543,9 @@ def two_layer_circuit(width=4):
 def test_triples_and_input_pieces_are_fresh_and_full_width(monkeypatch):
     # one-AND layers cannot show these defects in per-message marginals: a
     # triple reused across layers, a dealer word or an input piece drawn
-    # shorter than its layer
-    circ, xs, ys = two_layer_circuit()
-    dealt, pieces = [], []
+    # shorter than its layer. Every draw must also come from the block's one
+    # stream, in the order the gmw docstring states
+    dealt, pieces, streams = [], [], []
     make, send = gmw.make_triples, Channel.send
 
     def logged_make(n, parties, rng):
@@ -554,32 +554,58 @@ def test_triples_and_input_pieces_are_fresh_and_full_width(monkeypatch):
 
     def logged_send(self, kind, n, word):
         if kind == "input":
-            pieces.append((self.src, n, word))
+            pieces.append((self.src, self.dst, n, word))
         send(self, kind, n, word)
+
+    def logged_random(seed):
+        streams.append(seed)
+        return random.Random(seed)
 
     monkeypatch.setattr(gmw, "make_triples", logged_make)
     monkeypatch.setattr(Channel, "send", logged_send)
+    monkeypatch.setattr(gmw, "random", SimpleNamespace(Random=logged_random))
+
+    def run(circ, words, seed):
+        dealt.clear()
+        pieces.clear()
+        streams.clear()
+        gmw_eval(circ, words, seed)
+        assert streams == [seed]
+        # replay: each owner's pieces, owners and receivers in party order,
+        # then each AND layer's triples
+        rng = random.Random(seed)
+        parties = circ.parties.names
+        widths = {p: len(ws) for p, ws in input_wires(circ).items()}
+        assert pieces == [(p, q, widths[p], rng.getrandbits(widths[p]))
+                          for p in parties for q in parties if q != p], seed
+        assert dealt == [make(len(ands) // 4, parties, rng)
+                         for _, ands in circ.layers if ands], seed
+
+    circ, xs, ys = two_layer_circuit()
     words = {"a": 0b1101, "b": 0b0110}  # bit j on xs[j] and ys[j]
     seen = set()  # (word label, bit position, bit value)
     for seed in range(64):
-        dealt.clear()
-        pieces.clear()
-        gmw_eval(circ, words, seed)
+        run(circ, words, seed)
         assert len(dealt) == 2 and dealt[0] != dealt[1], seed
         for r, t in enumerate(dealt):
             for k, name in ((0, "a"), (1, "b")):
-                words = {p: t[p][k] for p in AB}
-                words["joint"] = words["a"] ^ words["b"]
-                for who, word in words.items():
+                shares = {p: t[p][k] for p in AB}
+                shares["joint"] = shares["a"] ^ shares["b"]
+                for who, word in shares.items():
                     for i in range(4):
                         seen.add(((r, name, who), i, (word >> i) & 1))
-        assert [(src, n) for src, n, _ in pieces] == [("a", 4), ("b", 4)]
-        for src, n, word in pieces:
+        assert [(src, n) for src, _, n, _ in pieces] == [("a", 4), ("b", 4)]
+        for src, _, n, word in pieces:
             for i in range(n):
                 seen.add((("input", src), i, (word >> i) & 1))
     constant = {(label, i) for label, i, v in seen
                 if (label, i, 1 - v) not in seen}
     assert not constant, sorted(constant)
+    # three parties, and the seed labels ``ds_run`` passes
+    circ = and_chain_circuit()[0]
+    for seed in range(8):
+        run(circ, {"a": 1, "b": 0, "c": 1}, f"{seed}|gmw|a,b,c|0")
+        assert len(pieces) == 6 and len(dealt) == 2
 
 
 def many_party_runs():
@@ -642,7 +668,7 @@ def test_protocol_matches_clear_evaluation_on_corpus_blocks(monkeypatch):
 
 TRANSCRIPT_DIGEST = {
     "messages":
-        "20870673aa94deabb0f60fa9dacb6504ad0f97432d2666242cf5c86fec7bb710",
+        "48c0bf4d405533a5c93646e6deeb5cb6f53ecc899a907477ac4e8ca6b07eacdd",
     "result":
         "dec02fa0352d831803eada5d506e73a09b1093fda31e1d0901a0a1d588fc8ea6",
 }
