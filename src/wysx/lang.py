@@ -705,8 +705,6 @@ def combine_values(v1: Value, v2: Value) -> Value:
 
 
 def combine_many(vs: list[Value]) -> Value:
-    if not vs:
-        raise CombineConflict("nothing to combine")
     out = vs[0]
     for v in vs[1:]:
         out = combine_values(out, v)
@@ -714,8 +712,6 @@ def combine_many(vs: list[Value]) -> Value:
 
 
 def combine_envs(envs: list[Env]) -> Env:
-    if not envs:
-        raise CombineConflict("no environments")
     names = envs[0].names()
     for e in envs[1:]:
         if e.names() != names:

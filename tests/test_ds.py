@@ -375,6 +375,11 @@ def test_fuel_counts_ticks():
         "no result within 56 ticks")
 
 
+def test_ds_run_refuses_an_unknown_backend():
+    with pytest.raises(ValueError, match="^unknown backend 'yao'$"):
+        ds_run(parse("(ffi add 1 2)"), Env(), AB, backend="yao")
+
+
 def test_check_simulation_refuses_an_empty_schedule_list():
     with pytest.raises(ValueError, match="schedules must be at least 1"):
         check_simulation(parse("(ffi add 1 2)"), Env(), AB, n_schedules=0)

@@ -101,6 +101,8 @@ def test_free_vars():
     assert free_vars(e) == {"y"}
     f = Fix("f", "n", If(Var("p"), Var("n"), App(Var("f"), Var("n"))))
     assert free_vars(f) == {"p"}
+    with pytest.raises(TypeError, match="^not an expression: FfiInt"):
+        free_vars(FfiInt(1))
 
 
 # slicing
@@ -206,6 +208,11 @@ def test_combine_maps_union():
     m1 = VMap.of({"a": FfiInt(1)})
     m2 = VMap.of({"b": FfiInt(2)})
     assert combine_values(m1, m2) == VMap.of({"a": FfiInt(1), "b": FfiInt(2)})
+    # a shared key combines its two values
+    m3 = VMap.of({"a": Sealed(A, FfiInt(1))})
+    m4 = VMap.of({"a": Sealed(A, OPAQUE), "b": FfiInt(2)})
+    assert combine_values(m3, m4) == VMap.of({"a": Sealed(A, FfiInt(1)),
+                                              "b": FfiInt(2)})
 
 
 def test_combine_share_words():
@@ -214,6 +221,9 @@ def test_combine_share_words():
     assert combine_values(sa, sb) == ShareVal.of(AB, {"a": 3, "b": 5}, 8)
     with pytest.raises(CombineConflict):
         combine_values(ShareVal.of(AB, {"a": 3}, 8), ShareVal.of(AB, {"a": 4}, 8))
+    for other in (ShareVal.of(ABC, {"b": 5}, 8), ShareVal.of(AB, {"b": 5}, 4)):
+        with pytest.raises(CombineConflict, match="party set or width"):
+            combine_values(sa, other)
 
 
 def test_combine_closures_merges_envs():

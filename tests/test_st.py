@@ -295,6 +295,10 @@ STICKS = [
      "a cannot open seal for {b}"),
     ("(project (prin b) m)", {"m": VMap.of({"a": FfiInt(1), "b": FfiInt(2)})},
      "a", "project", "a projecting b"),
+    ("(as_sec (prins a b) (lam _ (ffi mk_sh true)))", {}, None, "ffi-apply",
+     "CanShError: cannot share Bool(b=True)"),
+    ("(as_sec (prins a b) (lam _ (ffi comb_sh 5)))", {}, None, "ffi-apply",
+     "FfiTypeError: comb_sh: expected a share handle, got FfiInt(n=5)"),
 ]
 
 
