@@ -40,15 +40,13 @@ compile is a function of the block's code, the party set, the width and
 the environment's public shape (``public_shape``: public values as they
 are, and each private value's kind and the members that see it). The one
 exception is ``mk_sh``, which draws masks from the mint and folds them into
-the gates: the XOR of the other holders' masks shows up as NOT gates on the
-last holder's output wires, so the last holder can read it off the public
-circuit and unmask the minted value, even another party's private input
-(at width 8 and seed 0, ``(as_sec (prins a b) (lam _ (ffi mk_sh (reveal
-xa))))`` gives b its word 69 and a's mask 66 as NOTs, and so ``xa`` = 7).
-``compile_sec_thunk`` therefore lets a distributed run reuse a
-compile that drew nothing for every later entry of the same shape, found
-before anything is converted; each entry still binds its own inputs and
-runs the protocol under its own seed label.
+the gates as NOT gates on the last holder's output wires: that holder can
+read the other holders' masks off the public circuit and so unmask the
+minted value, even another party's private input. ``compile_sec_thunk``
+therefore lets a distributed run reuse a compile that drew nothing for
+every later entry of the same shape, found before anything is converted;
+each entry still binds its own inputs and runs the protocol under its own
+seed label.
 """
 
 from __future__ import annotations
