@@ -35,18 +35,19 @@ word, the XOR of those masks, is XORed with the value in gates and revealed
 only to that holder. The handles all backends produce are therefore
 identical bit for bit.
 
-A circuit is public: private data enter it only through input wires, so a
-compile is a function of the block's code, the party set, the width and
-the environment's public shape (``public_shape``: public values as they
-are, and each private value's kind and the members that see it). The one
-exception is ``mk_sh``, which draws masks from the mint and folds them into
-the gates as NOT gates on the last holder's output wires: that holder can
-read the other holders' masks off the public circuit and so unmask the
+A circuit is public: private data enter it only through input wires. A
+compile reads the block's environment once, as the public shape of each
+free variable (``public_shape``: public values as they are, and each
+private value's kind and the members that see it), and ``Compiler.convert``
+builds the compile-time values from those shapes alone. So a compile is a
+function of the block's code, the party set, the width and the shapes. The
+one exception is ``mk_sh``, which draws masks from the mint and folds them
+into the gates as NOT gates on the last holder's output wires: that holder
+can read the other holders' masks off the public circuit and so unmask the
 minted value, even another party's private input. ``compile_sec_thunk``
 therefore lets a distributed run reuse a compile that drew nothing for
-every later entry of the same shape, found before anything is converted;
-each entry still binds its own inputs and runs the protocol under its own
-seed label.
+every later entry with the same shapes; each entry still binds its own
+inputs and runs the protocol under its own seed label.
 """
 
 from __future__ import annotations
@@ -405,7 +406,6 @@ MAX_CEVAL_DEPTH = 400
 class Compiler:
     def __init__(self, parties: PrinSet, width: int, mint: ShareMint):
         self.parties = parties
-        self.members = frozenset(parties.names)
         self.mode = Mode(SEC, parties)
         self.width = width
         self.mint = mint
@@ -414,51 +414,47 @@ class Compiler:
         self.outputs: list[tuple[int, frozenset]] = []
         self.minted = False  # drew masks: the gates hold them
 
-    # -- turning environment values into compile-time values ----------------
+    # -- turning public shapes into compile-time values ----------------------
 
-    def convert(self, v: Value, path: Path, vis: frozenset) -> Value:
-        """vis = block members whose local view holds this subvalue.
-        ``public_shape`` keys reuse on what this reads: keep them in step."""
-        t = type(v)
-        if t in _PUBLIC_SCALARS and vis == self.members:
-            return v
+    def convert(self, shape, path: Path) -> Value:
+        """The compile-time value of a free variable's ``public_shape``
+        entry, or of a part of it found at ``path``: a public value as it
+        is, and each private int or bool as input wires that the first
+        member seeing it feeds from ``path``."""
+        if type(shape) is not tuple:
+            return shape
+        t = shape[0]
         if t is FfiInt:
-            return CInt(self._input(sorted(vis)[0], path, self.width, False))
+            return CInt(self._input(sorted(shape[1])[0], path, self.width,
+                                    False))
         if t is Bool:
-            return CBit(self._input(sorted(vis)[0], path, 1, True)[0])
+            return CBit(self._input(sorted(shape[1])[0], path, 1, True)[0])
+        if t is Sealed:  # its contents' shape, or None if no member opens it
+            return Sealed(shape[1], OPAQUE if shape[2] is None else
+                          self.convert(shape[2], path + (("unseal",),)))
+        if t is FfiPair:
+            return FfiPair(self.convert(shape[1], path + (("fst",),)),
+                           self.convert(shape[2], path + (("snd",),)))
+        if t is FfiList:
+            return FfiList(tuple(self.convert(s, path + (("idx", i),))
+                                 for i, s in enumerate(shape[1:])))
+        if t is VMap:
+            return VMap(tuple((q, self.convert(s, path + (("entry", q),)))
+                              for q, s in shape[1:]))
+        if t is ShareVal:  # each holder in view feeds its word
+            _, ps, width, vis = shape
+            wpath = path + (("word",),)
+            return ShareVal(ps, tuple(
+                (p, CInt(self._input(p, wpath, width, False)))
+                for p in ps if p in vis), width)
+        if t is Clos:
+            _, x, body, f, *env = shape
+            return Clos(Env({y: self.convert(s, path + (("cenv", y),))
+                             for y, s in env}), x, body, f)
         if t is FfiStr:
             raise NotCircuitable("private strings have no gate encoding")
-        if t is Unit or t is PrinVal or t is PrinsVal:
-            return v
-        if t is Sealed:
-            vis2 = vis & frozenset(v.ps.names)
-            if not vis2:
-                return Sealed(v.ps, OPAQUE)
-            return Sealed(v.ps, self.convert(v.v, path + (("unseal",),), vis2))
-        if t is FfiPair:
-            return FfiPair(self.convert(v.fst, path + (("fst",),), vis),
-                           self.convert(v.snd, path + (("snd",),), vis))
-        if t is FfiList:
-            return FfiList(tuple(self.convert(it, path + (("idx", i),), vis)
-                                 for i, it in enumerate(v.items)))
-        if t is VMap:
-            entries = []
-            for q, w in v.entries:
-                entries.append((q, self.convert(w, path + (("entry", q),),
-                                                vis & {q})))
-            return VMap(tuple(entries))
-        if t is ShareVal:  # each holder in view feeds its word
-            wpath = path + (("word",),)
-            return ShareVal(v.ps, tuple(
-                (p, CInt(self._input(p, wpath, v.width, False)))
-                for p in v.ps if p in vis), v.width)
-        if t is Clos:
-            cenv = Env({x: self.convert(w, path + (("cenv", x),), vis)
-                        for x, w in v.env.items()})
-            return Clos(cenv, v.x, v.body, v.f)
-        if t is Opaque:
-            raise NotCircuitable("placeholder reached the gate compiler")
-        raise NotCircuitable(f"no gate encoding for {v!r}")
+        # ``Opaque``, the one ``lang`` value left
+        raise NotCircuitable("placeholder reached the gate compiler")
 
     def _input(self, owner: str, path: Path, n: int,
                is_bool: bool) -> tuple[int, ...]:
@@ -634,14 +630,11 @@ class Compiler:
         return CMaskedList(tuple(present), tuple(masked))
 
     def _mask_item(self, pbit: int, v: Value) -> Value:
-        t = type(v)
-        if t in _INT_LIKE:
+        # ``_eq_bit`` has passed every item: it is an int or a bool
+        if type(v) in _INT_LIKE:
             return CInt(tuple(self.b.and_(pbit, w)
                               for w in self.as_int_wires(v)))
-        if t in _BOOL_LIKE:
-            return CBit(self.b.and_(pbit, self.as_bit(v)))
-        raise NotCircuitable(
-            f"list elements of {t.__name__} cannot be masked")
+        return CBit(self.b.and_(pbit, self.as_bit(v)))
 
     # -- the symbolic evaluator ----------------------------------------------
 
@@ -741,11 +734,12 @@ class Compiler:
 
 
 def public_shape(v: Value, vis: frozenset, members: frozenset):
-    """What ``Compiler.convert`` reads of ``v``: public values themselves,
-    the structure around them, and each private leaf's kind with the
-    members that see it. Values of equal shape convert alike, to the same
-    compile-time value and the same input declarations, so a compile
-    keyed on this is a compile of every value of the shape."""
+    """The part of ``v`` a compile may read, with ``vis`` the members whose
+    view holds it: public values themselves, the structure around them,
+    and each private leaf's kind with the members that see it. This is the
+    only reader of a block's environment; ``Compiler.convert`` builds the
+    compile-time value from the shape alone, so a compile keyed on it is a
+    compile of every value of the shape."""
     t = type(v)
     if t is Unit or t is PrinVal or t is PrinsVal or (
             t in _PUBLIC_SCALARS and vis == members):
@@ -764,22 +758,22 @@ def public_shape(v: Value, vis: frozenset, members: frozenset):
     if t is ShareVal:
         return (t, v.ps, v.width, vis)
     if t is Clos:
-        return (t, v.x, id(v.body), v.f,
+        return (t, v.x, v.body, v.f,
                 *[(x, public_shape(w, vis, members))
                   for x, w in v.env.items()])
-    # a private int or bool; anything else fails to convert, so no compile
-    # is ever kept under its shape
+    # a private int, bool or string, or a placeholder; only the first two
+    # convert, so no compile is ever kept under the shape of the others
     return (t, vis)
 
 
 def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
                       mint: ShareMint, cache: dict) -> Circuit:
-    """Compile a block's thunk. ``cache``, a dict that lives for one
-    distributed run, keeps the body's free variables under ``id(body)``,
-    with every compile of the body that drew nothing from the mint, keyed
-    on the party set, the width and the ``public_shape`` of each free
-    variable's value. An entry with an equal key gets that circuit back
-    before anything is converted."""
+    """Compile a block's thunk from the ``public_shape`` of each free
+    variable's value. ``cache``, a dict that lives for one distributed run,
+    keeps the body's free variables under ``id(body)``, with every compile
+    of the body that drew nothing from the mint, keyed on the party set, the
+    width and those shapes. An entry with an equal key gets that circuit
+    back."""
     members = frozenset(parties.names)
     # the run holds its program and environment, and so every code node,
     # until it ends: an id names one node for the cache's life
@@ -787,14 +781,14 @@ def compile_sec_thunk(env: Env, body: Expr, parties: PrinSet, width: int,
     if got is None:
         got = cache[id(body)] = (free_vars(body), {})
     fv, kept = got
-    key = (parties, width, *[(x, public_shape(v, members, members))
-                             for x, v in env.items() if x in fv])
+    shapes = [(x, public_shape(v, members, members))
+              for x, v in env.items() if x in fv]
+    key = (parties, width, *shapes)
     circ = kept.get(key)
     if circ is not None:
         return circ
     comp = Compiler(parties, width, mint)
-    cenv = Env({x: comp.convert(v, (("var", x),), members)
-                for x, v in env.items() if x in fv})
+    cenv = Env({x: comp.convert(s, (("var", x),)) for x, s in shapes})
     result = comp.ceval(cenv, body)
     comp.add_outputs(result, members)
     b = comp.b
@@ -839,13 +833,11 @@ def _walk(env: Env, path: Path, party: str) -> Value:
                 raise MissingInput(f"{party}: no share word on "
                                    f"{path_text(path)}")
             return FfiInt(w)  # already raw bits, caller slices
-        elif tag == "cenv":
+        else:  # "cenv"; ``Compiler.convert`` makes no other step
             if type(v) is not Clos:
                 raise MissingInput(f"{party}: expected a closure on "
                                    f"{path_text(path)}")
             v = v.env.get(step[1])
-        else:
-            raise MissingInput(f"unknown path step {step!r}")
     return v
 
 

@@ -9,8 +9,8 @@ import pytest
 from wysx import apps, ds, ffi, st
 from wysx.ds import ds_run
 from wysx.lang import (
-    OPAQUE, TRUE, Bool, Env, FfiInt, FfiList, FfiPair, PrinSet, Sealed,
-    ShareVal, VMap, slice_env, slice_trace, slice_value,
+    OPAQUE, TRUE, Bool, Env, FfiInt, FfiList, FfiPair, FfiStr, PrinSet,
+    Sealed, ShareVal, VMap, free_vars, slice_env, slice_trace, slice_value,
 )
 from wysx.sexp import MAX_NESTING, ParseError, parse
 from wysx.shares import ShareMint
@@ -18,7 +18,7 @@ from wysx.circuit import (
     MAX_CEVAL_DEPTH, Builder, CBit, Circuit, CircuitError, InputDecl,
     MissingInput, NotCircuitable, add_wires, bind_inputs, compile_sec_thunk,
     decode_output, decode_word, dump_circuit, encode_word, eq_wires,
-    eval_circuit, gt_wires, mux_wires, sub_wires,
+    eval_circuit, gt_wires, mux_wires, public_shape, sub_wires,
 )
 
 from _proggen import base_env, gen_program
@@ -357,6 +357,9 @@ def test_bind_inputs_requires_concrete_data():
     with pytest.raises(MissingInput) as ex:
         bind_inputs(circ, wrong)
     assert str(ex.value) == "a: holds a placeholder on var:xa/unseal"
+    with pytest.raises(MissingInput) as ex:
+        bind_inputs(circ, {"b": slice_env("b", env)})
+    assert str(ex.value) == "no environment for a"
 
 
 # a declaration's path, the value a's environment holds at its first step,
@@ -535,6 +538,21 @@ SHAPES = {
     "masked list": "(ffi list_intersect (reveal la) (reveal lb))",
     "private if over pairs": "(if (ffi gt (reveal xa) (reveal xb)) "
                              "(tuple (reveal xa) true) (tuple (reveal xb) false))",
+    "private if over lists": "(if (ffi gt (reveal xa) (reveal xb)) "
+                             "(list (reveal xa) 1) (list (reveal xb) 2))",
+    "private if over seals": "(if (ffi gt (reveal xa) (reveal xb)) "
+                             "(seal (prins a) (reveal xa)) "
+                             "(seal (prins a) (reveal xb)))",
+    "private if over maps": "(if (ffi gt (reveal xa) (reveal xb)) "
+                            "(mkmap (prins a b) (reveal xa)) "
+                            "(mkmap (prins a b) 3))",
+    "private if over equal public arms":
+        '(if (ffi gt (reveal xa) (reveal xb)) "x" "x")',
+    "masked list of bools": "(ffi list_intersect "
+                            "(list (ffi gt (reveal xa) 1) false) "
+                            "(list (ffi gt (reveal xb) 1)))",
+    "map in the environment": "m",
+    "seal no member opens": "sc",
 }
 
 
@@ -544,6 +562,10 @@ def shapes_env():
         "la": Sealed(A, FfiList((FfiInt(1), FfiInt(2), FfiInt(3)))),
         "lb": Sealed(B, FfiList((FfiInt(2), FfiInt(3), FfiInt(4)))),
         "h": ShareVal.of(AB, {"a": 3, "b": 10}, 8),
+        "m": VMap.of({"a": FfiInt(1), "b": TRUE}),
+        "sc": Sealed(PrinSet.of("c"), FfiInt(7)),
+        "s": Sealed(A, FfiStr("hi")),
+        "hc": ShareVal.of(ABC, {"a": 3, "b": 10, "c": 1}, 8),
     })
 
 
@@ -605,7 +627,7 @@ def test_each_party_is_sent_exactly_the_wires_its_view_reads():
             sent = {w for w, to in circ.outputs if p in to}
             assert sent == reads.keys(), (name, p)
         n += 1
-    assert n == 275
+    assert n == 282
 
 
 SWEEP_ARGS = ("2", "(reveal xa)", "(ffi gt (reveal xb) 3)", "(reveal la)",
@@ -644,6 +666,69 @@ def test_private_list_index_is_not_circuitable():
         compile_sec_thunk(shapes_env(),
                           parse("(ffi nth (list 1 2) (reveal xa))"),
                           AB, 8, ShareMint(0), {})
+
+
+PRIVATE_IF = "(if (ffi gt (reveal xa) (reveal xb)) {} {})"
+
+# Each refusal of the gate compiler no other test reaches, in a block over
+# ``shapes_env``: the body, the status of the reference machine and of the
+# ideal backend, and the exact reason under GMW.
+GMW_REFUSALS = [
+    ("(reveal s)", "done", "private strings have no gate encoding"),
+    ("(lam y y)", "done", "a block cannot return a Clos"),
+    (PRIVATE_IF.format("(list 1 2)", "(list 1)"), "done",
+     "branches build lists of different lengths"),
+    (PRIVATE_IF.format("(ffi list_intersect (reveal la) (reveal lb))",
+                       "(ffi list_intersect (list 1) (reveal la))"), "done",
+     "branches build lists of different lengths"),
+    (PRIVATE_IF.format("(mkmap (prins a) (reveal xa))",
+                       "(mkmap (prins b) (reveal xa))"), "done",
+     "branches build maps over different parties"),
+    ("(ffi comb_sh hc)", "stuck", "handle for {a,b,c} recombined by {a,b}"),
+    ("(if 1 2 3)", "stuck", "branch condition is not a boolean"),
+]
+
+
+@pytest.mark.parametrize("body, ref_status, reason", GMW_REFUSALS,
+                         ids=[b for b, _, _ in GMW_REFUSALS])
+def test_each_gmw_refusal_gives_its_exact_reason(body, ref_status, reason):
+    e = parse(f"(as_sec (prins a b) (lam _ {body}))")
+    env = shapes_env()
+    assert st.run(e, env, AB).status == ref_status
+    assert ds_run(e, env, AB).status == ref_status
+    res = ds_run(e, env, AB, backend="gmw")
+    assert (res.status, res.reason) == ("stuck",
+                                        f"joint block {{a,b}}: {reason}")
+
+
+def test_entries_with_equal_reuse_keys_compile_alike(monkeypatch):
+    # a compile reads only its reuse key: the corpus GMW block entries whose
+    # keys are equal, each compiled afresh, give the same circuit
+    entries = []
+
+    def recording(env, body, parties, width, mint, cache):
+        entries.append((env, body, parties, width))
+        return compile_sec_thunk(env, body, parties, width, mint, cache)
+
+    monkeypatch.setattr(ds, "compile_sec_thunk", recording)
+    groups = {}
+    for cell in apps.corpus():
+        del entries[:]
+        ds_run(apps.load_program(cell.program), cell.env, cell.ps,
+               backend="gmw")
+        for env, body, parties, width in entries:
+            members = frozenset(parties.names)
+            key = (cell.program, body, parties, width, *[
+                (x, public_shape(v, members, members))
+                for x, v in env.items() if x in free_vars(body)])
+            groups.setdefault(key, []).append((env, body, parties, width))
+    shared = [g for g in groups.values() if len(g) > 1]
+    assert (len(shared), sum(map(len, groups.values()))) == (12, 47)
+    for group in shared:
+        compiled = {(dump_circuit(c), tuple(c.inputs)) for c in (
+            compile_sec_thunk(env, body, parties, width, ShareMint(0), {})
+            for env, body, parties, width in group)}
+        assert len(compiled) == 1
 
 
 def test_gmw_stuck_reason_names_a_wire_bundle_briefly():
