@@ -466,31 +466,31 @@ def corpus(width: int = 32) -> list[CorpusCell]:
     def fresh(vals, cand):
         return fresh_env(vals, cand, seed=7, width=width)
 
-    def c(name, program, env, ps, min_width=4):
-        return CorpusCell(name, program, env, ps, min_width)
-
+    deals = {"a": 17, "b": 21, "c": 13}
     return [
-        c("median/low", "median", median_env((1, 3), (2, 4)), AB),
-        c("median/high", "median", median_env((2, 5), (3, 7)), AB),
-        c("median_opt/low", "median_opt", median_env((1, 3), (2, 4)), AB),
-        c("median_opt/high", "median_opt", median_env((4, 7), (2, 6)), AB),
-        c("psi/overlap", "psi", psi_env([1, 2, 3], [2, 3, 4]), AB),
-        c("psi/disjoint", "psi", psi_env([1, 2], [4, 5]), AB),
-        c("psi/empty", "psi", psi_env([], [1]), AB),
-        c("psi_interim/overlap", "psi_interim",
-          psi_pair_env([1, 2, 3], [2, 3, 4]), AB),
-        c("psi_interim/empty", "psi_interim", psi_pair_env([], []), AB),
-        c("psi_opt/overlap", "psi_opt", psi_pair_env([1, 2, 3], [2, 3, 4]), AB),
-        c("psi_opt/dup", "psi_opt", psi_pair_env([2, 2], [2, 5]), AB),
-        c("check_fresh/hit", "check_fresh", fresh([3, 7, 1], 7), ABC),
-        c("check_fresh/miss", "check_fresh", fresh([3, 7, 1], 5), ABC),
-        c("check_fresh/empty", "check_fresh", fresh([], 0), ABC),
-        c("deal/empty-51", "deal_round",
-          deal_env({"a": 17, "b": 21, "c": 13}, []), ABC, 9),
-        c("deal/fresh", "deal_round",
-          deal_env({"a": 17, "b": 21, "c": 13},
-                   mk_handles([3, 9], seed=7, width=width)), ABC, 9),
-        c("deal/repeat", "deal_round",
-          deal_env({"a": 17, "b": 21, "c": 13},
-                   mk_handles([51, 9], seed=7, width=width)), ABC, 9),
+        CorpusCell("median/low", "median", median_env((1, 3), (2, 4)), AB),
+        CorpusCell("median/high", "median", median_env((2, 5), (3, 7)), AB),
+        CorpusCell("median_opt/low", "median_opt",
+                   median_env((1, 3), (2, 4)), AB),
+        CorpusCell("median_opt/high", "median_opt",
+                   median_env((4, 7), (2, 6)), AB),
+        CorpusCell("psi/overlap", "psi", psi_env([1, 2, 3], [2, 3, 4]), AB),
+        CorpusCell("psi/disjoint", "psi", psi_env([1, 2], [4, 5]), AB),
+        CorpusCell("psi/empty", "psi", psi_env([], [1]), AB),
+        CorpusCell("psi_interim/overlap", "psi_interim",
+                   psi_pair_env([1, 2, 3], [2, 3, 4]), AB),
+        CorpusCell("psi_interim/empty", "psi_interim",
+                   psi_pair_env([], []), AB),
+        CorpusCell("psi_opt/overlap", "psi_opt",
+                   psi_pair_env([1, 2, 3], [2, 3, 4]), AB),
+        CorpusCell("psi_opt/dup", "psi_opt", psi_pair_env([2, 2], [2, 5]), AB),
+        CorpusCell("check_fresh/hit", "check_fresh", fresh([3, 7, 1], 7), ABC),
+        CorpusCell("check_fresh/miss", "check_fresh", fresh([3, 7, 1], 5),
+                   ABC),
+        CorpusCell("check_fresh/empty", "check_fresh", fresh([], 0), ABC),
+        CorpusCell("deal/empty-51", "deal_round", deal_env(deals, []), ABC, 9),
+        CorpusCell("deal/fresh", "deal_round", deal_env(
+            deals, mk_handles([3, 9], seed=7, width=width)), ABC, 9),
+        CorpusCell("deal/repeat", "deal_round", deal_env(
+            deals, mk_handles([51, 9], seed=7, width=width)), ABC, 9),
     ]

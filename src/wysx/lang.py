@@ -150,12 +150,6 @@ class PrinSet:
     def intersects(self, other: "PrinSet") -> bool:
         return any(p in other.names for p in self.names)
 
-    def union(self, other: "PrinSet") -> "PrinSet":
-        return PrinSet.of(*self.names, *other.names)
-
-    def is_singleton(self) -> bool:
-        return len(self.names) == 1
-
     def __str__(self) -> str:
         return "{" + ",".join(self.names) + "}"
 

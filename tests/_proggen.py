@@ -109,7 +109,7 @@ class ProgGen:
                 opts += ["reveal", "reveal"]
             if not is_sec:
                 opts += ["seal_reveal"]
-                if not ps.is_singleton():
+                if len(ps) > 1:
                     opts += ["sec", "sec"]
                 opts += ["par_project"]
         pick = self.rng.choice(opts)
@@ -160,7 +160,7 @@ class ProgGen:
             opts += ["var", "var"]
         if d > 0:
             opts += ["cmp", "cmp", "not", "logic", "if"]
-            if not is_sec and not ps.is_singleton():
+            if not is_sec and len(ps) > 1:
                 opts += ["sec"]
         pick = self.rng.choice(opts)
         if pick == "lit":
@@ -265,7 +265,7 @@ class ValGen:
         if pick in (5, 6):
             if self.rng.random() < 0.15:
                 return Sealed(self.subset(UNIVERSE), OPAQUE)
-            s = self.subset(owners).union(self.subset(UNIVERSE))
+            s = PrinSet.of(*self.subset(owners), *self.subset(UNIVERSE))
             return Sealed(s, self.gen(depth - 1, _inter(s, owners)))
         if pick == 7:
             ks = self.subset(owners)
