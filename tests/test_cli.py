@@ -77,6 +77,21 @@ def test_run_program_from_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == 42
 
 
+@pytest.mark.parametrize("src, printed", [
+    ("(prin a)", {"prin": "a"}),
+    ("(prins b a)", {"prins": ["a", "b"]}),
+    ("(lam x x)", {"closure": None}),
+    ("o", {"opaque": None}),
+])
+def test_run_prints_each_kind_of_value(tmp_path, capsys, src, printed):
+    prog = tmp_path / "value.wyx"
+    prog.write_text(src, encoding="utf-8")
+    inp = write(tmp_path, "a.json", {"o": {"opaque": None}})
+    assert main(["run", str(prog), "--inputs", f"a={inp}",
+                 "--prins", "a,b"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == printed
+
+
 def test_run_stuck_program_fails(tmp_path, capsys):
     prog = tmp_path / "stuck.wyx"
     prog.write_text("(ffi add 1 true)", encoding="utf-8")

@@ -3,7 +3,9 @@
 import pytest
 
 from wysx.apps import PROGRAM_NAMES, program_source
-from wysx.lang import App, Bool, Const, Ffi, FfiInt, FfiStr, Var
+from wysx.lang import (
+    App, Bool, Const, Ffi, FfiInt, FfiList, FfiStr, Let, Var, WysError,
+)
 from wysx.sexp import (
     MAX_NESTING, ParseError, is_variable, parse, print_expr, tokenize,
 )
@@ -61,10 +63,21 @@ def test_print_parse_round_trip_on_forms():
         "(project (prin a) (mkmap (prins a) m))",
         "(concat m1 m2)",
         "((lam x (x x)) (lam x (x x)))",
+        "(tuple () (prin a))",
     ]
     for src in srcs:
         e = parse(src)
         assert parse(print_expr(e)) == e
+
+
+@pytest.mark.parametrize("tree, msg", [
+    (Let("x", FfiInt(1), Var("x")), "cannot print FfiInt(n=1)"),
+    (Const(FfiList(())), "not a literal: FfiList(items=())"),
+])
+def test_printer_refuses_trees_the_parser_never_builds(tree, msg):
+    with pytest.raises(WysError) as ex:
+        print_expr(tree)
+    assert str(ex.value) == msg
 
 
 def test_print_parse_round_trip_generated():

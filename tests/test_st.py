@@ -102,6 +102,9 @@ def test_pairs_and_lists():
     assert done("(ffi is_nil (list))").value == Bool(True)
     assert done("(ffi hd (list 7 8))").value == FfiInt(7)
     assert done("(ffi tl (list 7 8))").value == FfiList((FfiInt(8),))
+    # a matrix of no columns has no rows either
+    assert done("(ffi rows_any (list true) 0)").value == FfiList(())
+    assert done("(ffi cols_any (list true) 0)").value == FfiList(())
 
 
 def test_list_membership_and_difference():
@@ -289,6 +292,17 @@ STICKS = [
      "{a,b} outside mode {a,b} or seal set {a}"),
     ("(ffi add)", {}, None, "ffi-apply",
      "ArityError: add: expected 2 args, got 0"),
+    ("(ffi eq () ())", {}, None, "ffi-apply",
+     "FfiTypeError: eq: unsupported operand Unit()"),
+    ("(ffi tl (list))", {}, None, "ffi-apply", "FfiTypeError: tl: empty list"),
+    ("(ffi nth (list 7) 1)", {}, None, "ffi-apply",
+     "FfiTypeError: nth: index 1 out of range for length 1"),
+    ("(ffi filter_by_flags (list 7) (list))", {}, None, "ffi-apply",
+     "FfiTypeError: filter_by_flags: length mismatch"),
+    ("(ffi rows_any (list true) 2)", {}, None, "ffi-apply",
+     "FfiTypeError: rows_any: ragged matrix"),
+    ("(ffi cols_any (list true) 2)", {}, None, "ffi-apply",
+     "FfiTypeError: cols_any: ragged matrix"),
     ("(mkmap (prins a) 5)", {}, "a", "mkmap",
      "expected a sealed value, got FfiInt(n=5)"),
     ("(mkmap (prins a) x)", {"x": Sealed(B, FfiInt(5))}, "a", "mkmap",
