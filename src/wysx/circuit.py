@@ -101,19 +101,6 @@ class InputDecl:
     is_bool: bool
 
 
-def gate_tuples(self) -> list[tuple]:
-    """The ``(op, out, a, b)`` gates of ``self.layers`` in builder order:
-    every gate's output is the next fresh wire, so that is the order of
-    output wires. Built on each call, for dumps, tests and counts."""
-    gates = []
-    for local, ands in self.layers:
-        for flat in (local, ands):
-            it = iter(flat)
-            gates += zip(it, it, it, it)
-    gates.sort(key=itemgetter(1))
-    return gates
-
-
 class Builder:
     """Wire allocator with light constant folding.
 
@@ -123,8 +110,6 @@ class Builder:
     items per gate in builder order; the last layer has no AND gates.
     Builder order is a topological order, so an operand's depth is always
     known when a gate reads it."""
-
-    gates = property(gate_tuples)
 
     def __init__(self):
         self.n = 0
@@ -378,7 +363,6 @@ class Circuit:
     inputs: list[InputDecl]
     outputs: list[tuple[int, frozenset]]  # wire, recipients
     decode: Value  # the block's result, wire nodes included
-    gates = property(gate_tuples)
     # the repr shows the two counts in place of the gates
     _shown = ("parties", "width", "n_wires", "inputs", "outputs", "decode",
               "and_count", "and_depth")
@@ -386,6 +370,14 @@ class Circuit:
     def __post_init__(self):
         self.and_count = sum(len(ands) for _, ands in self.layers) // 4
         self.and_depth = len(self.layers) - 1
+
+    @property
+    def gates(self) -> list[tuple]:
+        """The ``(op, out, a, b)`` gates of ``layers`` in builder order:
+        every gate's output is the next fresh wire, so that is the order of
+        output wires. Built on each call, for dumps, tests and counts."""
+        it = iter([x for layer in self.layers for flat in layer for x in flat])
+        return sorted(zip(it, it, it, it), key=itemgetter(1))
 
 
 # ---------------------------------------------------------------------------
@@ -854,6 +846,16 @@ def input_wires(circ: Circuit) -> dict[str, list[int]]:
     return wires
 
 
+def output_wires(circ: Circuit) -> dict[str, list[int]]:
+    """Each party's output wires, each once, in the order ``circ.outputs``
+    first registers them to it: bit j of its output word is wires[j]."""
+    wires: dict[str, dict[int, None]] = {p: {} for p in circ.parties.names}
+    for w, recips in circ.outputs:
+        for r in recips:
+            wires[r][w] = None
+    return {p: list(ws) for p, ws in wires.items()}
+
+
 def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, int]:
     """Each party's input word (``input_wires``) from its local environment."""
     words = dict.fromkeys(circ.parties.names, 0)
@@ -893,21 +895,26 @@ def bind_inputs(circ: Circuit, party_envs: dict[str, Env]) -> dict[str, int]:
     return words
 
 
-def eval_circuit(circ: Circuit, party_bits: dict[str, dict[int, int]]) -> dict[int, int]:
-    """Plain in-the-clear evaluation; the protocol-free reference for tests."""
-    wv: dict[int, int] = {}
-    for bits in party_bits.values():
-        wv.update(bits)
-    for op, o, a, b in circ.gates:
-        if op == CONST:
-            wv[o] = a
-        elif op == XOR:
-            wv[o] = wv[a] ^ wv[b]
-        elif op == AND:
+def eval_circuit(circ: Circuit,
+                 words: dict[str, int]) -> dict[str, dict[int, int]]:
+    """Plain in-the-clear evaluation on ``gmw_eval``'s interface, the
+    protocol-free reference for its ``outputs``: each party's input word
+    goes on its ``input_wires``, each layer runs its local gates and then
+    its AND gates, and each party gets its bits on its ``output_wires``."""
+    wv = [0] * circ.n_wires
+    for p, wires in input_wires(circ).items():
+        for j, w in enumerate(wires):
+            wv[w] = words[p] >> j & 1
+    for local, ands in circ.layers:
+        it = iter(local)
+        for op, o, a, b in zip(it, it, it, it):
+            wv[o] = (wv[a] ^ wv[b] if op == XOR else wv[a] ^ 1 if op == NOT
+                     else a)
+        it = iter(ands)
+        for _, o, a, b in zip(it, it, it, it):
             wv[o] = wv[a] & wv[b]
-        else:
-            wv[o] = 1 - wv[a]
-    return wv
+    return {p: {w: wv[w] for w in wires}
+            for p, wires in output_wires(circ).items()}
 
 
 def _word(wires, wv: dict[int, int]) -> int:

@@ -14,8 +14,9 @@ The run is simulated in rounds over FIFO channels: one round to share
 inputs, one per layer of AND gates (round r evaluates the local gates of
 AND-depth r, then opens every AND gate of depth r + 1 at once), one to
 reveal outputs to their recipients. A message is one word, a bit per wire
-of a layout both ends derive from the public circuit, so channel payloads
-are pure bits and the per-kind counters pin the exact communication.
+of a layout both ends derive from the public circuit (``input_wires`` and
+``output_wires`` in ``circuit``), so channel payloads are pure bits and the
+per-kind counters pin the exact communication.
 
 All parties' shares are evaluated packed, as in the SIMD evaluation of GMW
 (Schneider-Zohner, ABY): one int per wire, bit i party i's share, in byte
@@ -34,7 +35,7 @@ from __future__ import annotations
 import random
 from collections import deque
 
-from .circuit import Circuit, NOT, XOR, input_wires
+from .circuit import Circuit, NOT, XOR, input_wires, output_wires
 from .lang import WysError, record
 
 
@@ -169,13 +170,8 @@ def gmw_eval(circ: Circuit, party_inputs: dict[str, int],
     # planes[t][w]: the shares of parties 8t to 8t + 7 on wire w, one bit each
     planes = [[0] * circ.n_wires for _ in range(0, k, 8)]
 
-    # message layouts everyone derives from the public circuit: each
-    # owner's input wires, and each recipient's output wires once each
-    in_wires = input_wires(circ)
-    out_for: dict[str, dict[int, None]] = {r: {} for r in parties}
-    for w, recips in circ.outputs:
-        for r in recips:
-            out_for[r][w] = None
+    # the message layouts, which every party derives from the public circuit
+    in_wires, out_for = input_wires(circ), output_wires(circ)
 
     # round 1: owners split their input words and deal the pieces out
     dealt = {p: [0] * k for p in parties}  # owner -> words on owner's wires

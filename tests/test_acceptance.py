@@ -33,7 +33,6 @@ from wysx.apps import (
 )
 
 from _proggen import gen_program, gen_value, base_env, UNIVERSE
-from _wires import wire_bits
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -197,11 +196,11 @@ def test_criterion_07_secure_backend_equals_ideal(announce):
                     env_b = Env({"xa": Sealed(A, OP),
                                  "xb": Sealed(B, FfiInt(xb))})
                     words = bind_inputs(circ, {"a": env_a, "b": env_b})
-                    clear = eval_circuit(circ, wire_bits(circ, words))
+                    clear = eval_circuit(circ, words)
                     seed = (xa * 16 + xb) % 5
                     prot = gmw_eval(circ, words, seed)
                     for p in AB:
-                        want = decode_output(circ.decode, p, clear)
+                        want = decode_output(circ.decode, p, clear[p])
                         got = decode_output(circ.decode, p, prot.outputs[p])
                         assert got == want, (src, xa, xb)
                     info["checks"] += 1
@@ -213,10 +212,10 @@ def test_criterion_07_secure_backend_equals_ideal(announce):
             env_a = Env({"xa": Sealed(A, FfiInt(v)), "xb": Sealed(B, OP)})
             env_b = Env({"xa": Sealed(A, OP), "xb": Sealed(B, FfiInt(0))})
             words = bind_inputs(circ, {"a": env_a, "b": env_b})
-            clear = eval_circuit(circ, wire_bits(circ, words))
+            clear = eval_circuit(circ, words)
             prot = gmw_eval(circ, words, v % 5)
             for p in AB:
-                want = decode_output(circ.decode, p, clear)
+                want = decode_output(circ.decode, p, clear[p])
                 assert want == FfiInt(v - 52 if v > 52 else v)
                 got = decode_output(circ.decode, p, prot.outputs[p])
                 assert got == want, v
@@ -270,9 +269,9 @@ def test_criterion_08_circuit_and_protocol_oracle(announce):
                     env_b = Env({"xa": Sealed(A, OP),
                                  "xb": Sealed(B, FfiInt(xb))})
                     words = bind_inputs(circ, {"a": env_a, "b": env_b})
-                    wv = eval_circuit(circ, wire_bits(circ, words))
+                    outs = eval_circuit(circ, words)
                     for p in AB:
-                        assert decode_output(circ.decode, p, wv) == \
+                        assert decode_output(circ.decode, p, outs[p]) == \
                             Bool(op(xa, xb)), (src, xa, xb)
                     info["checks"] += 1
 

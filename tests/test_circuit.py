@@ -18,11 +18,11 @@ from wysx.circuit import (
     MAX_CEVAL_DEPTH, Builder, CBit, Circuit, CircuitError, InputDecl,
     MissingInput, NotCircuitable, add_wires, bind_inputs, compile_sec_thunk,
     decode_output, decode_word, dump_circuit, encode_word, eq_wires,
-    eval_circuit, gt_wires, mux_wires, public_shape, sub_wires,
+    eval_circuit, gt_wires, input_wires, mux_wires, output_wires,
+    public_shape, sub_wires,
 )
 
 from _proggen import base_env, gen_program
-from _wires import wire_bits
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -42,8 +42,18 @@ def wires_for(b, n, width):
     return tuple(b.const((word >> i) & 1) for i in range(width))
 
 
+def eval_builder(b, ins, word, outs):
+    """The bits of the wires ``outs`` when ``b``'s gates run as a circuit
+    where party a feeds ``word`` on the input wires ``ins``, low bit first,
+    and is sent ``outs``."""
+    circ = Circuit(A, 1, b.n, b.layers,
+                   [InputDecl("a", (("var", "x"),), tuple(ins), False)],
+                   [(w, frozenset("a")) for w in outs], None)
+    return eval_circuit(circ, {"a": word})["a"]
+
+
 def word_of(b, wires):
-    wv = eval_circuit(b, {})
+    wv = eval_builder(b, (), 0, wires)
     return sum(wv[w] << i for i, w in enumerate(wires))
 
 
@@ -74,7 +84,7 @@ def test_signed_comparison_on_all_4bit_pairs():
             b = Builder()
             g = gt_wires(b, wires_for(b, x, width), wires_for(b, y, width))
             e = eq_wires(b, wires_for(b, x, width), wires_for(b, y, width))
-            wv = eval_circuit(b, {})
+            wv = eval_builder(b, (), 0, (g, e))
             assert wv[g] == int(x > y), (x, y)
             assert wv[e] == int(x == y), (x, y)
 
@@ -97,23 +107,20 @@ def signed_range(width):
     return range(-(1 << (width - 1)), 1 << (width - 1))
 
 
-def bind(wires, n):
-    word = encode_word(n, len(wires))
-    return {w: (word >> i) & 1 for i, w in enumerate(wires)}
-
-
-def check_word_ops(b, xs, ys, assignments):
+def check_word_ops(b, ins, xs, ys, assignments):
     """Replay add, sub, both comparisons, eq and mux over the words ``xs``
-    and ``ys`` under each (input bits, x, y) against integer semantics."""
+    and ``ys`` under each (word on the input wires ``ins``, x, y) against
+    integer semantics; the mux's condition is one more input bit above."""
     width = len(xs)
     c = b.input_wire()
     add, sub = add_wires(b, xs, ys), sub_wires(b, xs, ys)
     gt, lt = gt_wires(b, xs, ys), gt_wires(b, ys, xs)
     eq, mux = eq_wires(b, xs, ys), mux_wires(b, c, xs, ys)
+    outs = (*add, *sub, gt, lt, eq, *mux)
     checks = 0
-    for bits, x, y in assignments:
+    for word, x, y in assignments:
         for cv in (0, 1):
-            wv = eval_circuit(b, {"": {**bits, c: cv}})
+            wv = eval_builder(b, (*ins, c), word | cv << len(ins), outs)
 
             def val(ws):
                 return decode_word(sum(wv[w] << i for i, w in enumerate(ws)),
@@ -138,8 +145,8 @@ def input_word(b, width):
 def test_word_ops_on_two_input_words(width):
     b = Builder()
     xs, ys = input_word(b, width), input_word(b, width)
-    checks = check_word_ops(b, xs, ys, (
-        ({**bind(xs, x), **bind(ys, y)}, x, y)
+    checks = check_word_ops(b, xs + ys, xs, ys, (
+        (encode_word(x, width) | encode_word(y, width) << width, x, y)
         for x in signed_range(width) for y in signed_range(width)))
     assert checks == 2 << (2 * width)
 
@@ -150,19 +157,21 @@ def test_word_ops_on_an_input_word_and_a_constant_word(width):
         for const_left in (False, True):
             b = Builder()
             xs, ys = input_word(b, width), wires_for(b, y, width)
-            cases = [(bind(xs, x), x, y) for x in signed_range(width)]
+            ins = xs
+            cases = [(encode_word(x, width), x, y)
+                     for x in signed_range(width)]
             if const_left:
                 xs, ys = ys, xs
-                cases = [(bits, y, x) for bits, x, y in cases]
-            assert check_word_ops(b, xs, ys, cases) == 2 << width
+                cases = [(word, y, x) for word, x, y in cases]
+            assert check_word_ops(b, ins, xs, ys, cases) == 2 << width
 
 
 @pytest.mark.parametrize("width", range(1, 6))
 def test_word_ops_on_the_same_word_twice(width):
     b = Builder()
     xs = input_word(b, width)
-    checks = check_word_ops(b, xs, xs, ((bind(xs, x), x, x)
-                                        for x in signed_range(width)))
+    checks = check_word_ops(b, xs, xs, xs, ((encode_word(x, width), x, x)
+                                            for x in signed_range(width)))
     assert checks == 2 << width
 
 
@@ -182,8 +191,9 @@ def test_word_ops_on_words_that_share_wires(width):
                 for j, i in enumerate(own):
                     yw |= (free >> j & 1) << i
                 y = decode_word(yw, width)
-                cases.append(({**bind(xs, x), **bind(ys, y)}, x, y))
-        assert check_word_ops(b, xs, ys, cases) == 2 * len(cases)
+                cases.append((xw | free << width, x, y))
+        ins = xs + tuple(ys[i] for i in own)
+        assert check_word_ops(b, ins, xs, ys, cases) == 2 * len(cases)
 
 
 def test_builder_folds_constants():
@@ -235,8 +245,8 @@ def test_word_emitters_match_the_scalar_calls_gate_for_gate():
     calls += [(Builder.and_tree, scalar_and_tree, bits) for bits in trees]
     for f, ref, *args in calls:
         assert f(fast, *args) == ref(slow, *args), args
-        assert (fast.n, fast.gates, fast.depth, fast.layers) == \
-            (slow.n, slow.gates, slow.depth, slow.layers), args
+        assert (fast.n, fast.depth, fast.layers) == \
+            (slow.n, slow.depth, slow.layers), args
     assert len(fast.layers) == 6
 
 
@@ -281,8 +291,9 @@ def median_like_env():
 def compile_and_run(src, env, width=8, expect_parties=AB):
     circ = compile_sec_thunk(env, parse(src), expect_parties, width, ShareMint(0), {})
     envs = {p: slice_env(p, env) for p in expect_parties}
-    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(circ, envs)))
-    return circ, {p: decode_output(circ.decode, p, wv) for p in expect_parties}
+    outs = eval_circuit(circ, bind_inputs(circ, envs))
+    return circ, {p: decode_output(circ.decode, p, outs[p])
+                  for p in expect_parties}
 
 
 def test_compile_comparison_thunk():
@@ -427,7 +438,11 @@ def test_bind_inputs_writes_each_bit_of_every_word_at_every_width():
             assert sorted(len(d.wires) for d in circ.inputs) == [1, w, w, w]
             assert ends == {"a": 2 * w, "b": w + 1}
             assert words == want, (w, n)
-            assert wire_bits(circ, words) == want_bits, (w, n)
+            # and each bit of a party's word is on its input wire
+            got_bits = {p: {wire: words[p] >> j & 1
+                            for j, wire in enumerate(ws)}
+                        for p, ws in input_wires(circ).items()}
+            assert got_bits == want_bits, (w, n)
         env = Env({"xa": Sealed(A, FfiInt(hi + 1)), "xb": Sealed(B, TRUE),
                    "h": h})
         with pytest.raises(CircuitError, match=(
@@ -454,9 +469,9 @@ def test_mint_inside_circuit_matches_runtime_mint():
     circ = compile_sec_thunk(env, parse("(ffi mk_sh (reveal xa))"),
                              AB, 8, ShareMint(4), {})
     envs = {p: slice_env(p, env) for p in AB}
-    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(circ, envs)))
+    outs = eval_circuit(circ, bind_inputs(circ, envs))
     for p in AB:
-        got = decode_output(circ.decode, p, wv)
+        got = decode_output(circ.decode, p, outs[p])
         assert got.word_of(p) == st.value.word_of(p), p
 
 
@@ -577,10 +592,11 @@ def test_decoded_result_matches_reference_slices(body):
               rt=Runtime(seed=4, width=8))
     assert ref.status == "done"
     circ = compile_sec_thunk(env, parse(body), AB, 8, ShareMint(4), {})
-    wv = eval_circuit(circ, wire_bits(circ, bind_inputs(
-        circ, {p: slice_env(p, env) for p in AB})))
+    outs = eval_circuit(circ, bind_inputs(
+        circ, {p: slice_env(p, env) for p in AB}))
     for p in AB:
-        assert decode_output(circ.decode, p, wv) == slice_value(p, ref.value), p
+        assert decode_output(circ.decode, p, outs[p]) == \
+            slice_value(p, ref.value), p
 
 
 class _WireReads(dict):
@@ -621,11 +637,11 @@ def test_each_party_is_sent_exactly_the_wires_its_view_reads():
     n = 0
     for name, circ in compiled_blocks():
         assert all(to for _, to in circ.outputs), name
+        sent = output_wires(circ)
         for p in circ.parties:
             reads = _WireReads()
             decode_output(circ.decode, p, reads)
-            sent = {w for w, to in circ.outputs if p in to}
-            assert sent == reads.keys(), (name, p)
+            assert set(sent[p]) == reads.keys(), (name, p)
         n += 1
     assert n == 282
 

@@ -9,7 +9,6 @@ from types import SimpleNamespace
 import pytest
 
 from _proggen import base_env, gen_program, gen_program_twice
-from _wires import input_words, wire_bits
 from wysx.lang import (
     Bool, Env, FfiInt, FfiList, PrinSet, Sealed, ShareVal, decode_word,
     slice_env,
@@ -88,7 +87,7 @@ def test_protocol_transcript_is_deterministic():
 def run_both_ways(src, env, width=8, seed=0, parties=AB):
     circ = compile_sec_thunk(env, parse(src), parties, width, ShareMint(0), {})
     words = bind_inputs(circ, {p: slice_env(p, env) for p in parties})
-    clear = eval_circuit(circ, wire_bits(circ, words))
+    clear = eval_circuit(circ, words)
     prot = gmw_eval(circ, words, seed)
     return circ, clear, prot
 
@@ -104,7 +103,7 @@ def test_protocol_agrees_with_clear_evaluation():
     for src in cases:
         circ, clear, prot = run_both_ways(src, env)
         for p in AB:
-            want = decode_output(circ.decode, p, clear)
+            want = decode_output(circ.decode, p, clear[p])
             got = decode_output(circ.decode, p, prot.outputs[p])
             assert got == want, src
 
@@ -170,8 +169,9 @@ def test_three_party_protocol():
 
 def random_circuit(rng, parties, n_inputs, n_gates):
     """A Builder circuit over one-bit inputs dealt round robin to
-    ``parties``. Operands are drawn from every wire so far, so gates late in
-    builder order often sit at a lower AND-depth than earlier ones."""
+    ``parties`` (see ``round_robin_words``). Operands are drawn from every
+    wire so far, so gates late in builder order often sit at a lower
+    AND-depth than earlier ones."""
     b = Builder()
     decls = []
     for i in range(n_inputs):
@@ -195,6 +195,15 @@ def random_circuit(rng, parties, n_inputs, n_gates):
         outputs.append((w, frozenset(rng.sample(parties, k))))
     return Circuit(PrinSet.of(*parties), 1, b.n, b.layers, decls, outputs,
                    CBit(outputs[0][0])), decls
+
+
+def round_robin_words(parties, bits):
+    """Each party's input word to a ``random_circuit`` whose inputs take
+    the bits ``bits`` in declaration order: party i feeds inputs i, i + k,
+    i + 2k and so on of the k parties', low bit first."""
+    k = len(parties)
+    return {p: sum(v << j for j, v in enumerate(bits[i::k]))
+            for i, p in enumerate(parties)}
 
 
 def checked_depths(circ):
@@ -239,35 +248,9 @@ def random_circuit_runs():
         for _ in range(25):
             circ, decls = random_circuit(rng, parties, rng.randint(2, 5),
                                          rng.randint(5, 40))
-            runs = []
-            for assignment in itertools.product((0, 1), repeat=len(decls)):
-                bits = {p: {} for p in parties}
-                for decl, v in zip(decls, assignment):
-                    bits[decl.party][decl.wires[0]] = v
-                runs.append((input_words(circ, bits), rng.randrange(1000)))
+            runs = [(round_robin_words(parties, bits), rng.randrange(1000))
+                    for bits in itertools.product((0, 1), repeat=len(decls))]
             yield circ, runs
-
-
-def test_protocol_matches_clear_evaluation_on_random_circuits():
-    inversions = 0
-    for circ, runs in random_circuit_runs():
-        depth = checked_depths(circ)
-        order = [depth[g[1]] for g in circ.gates]
-        inversions += any(d < max(order[:i], default=0)
-                          for i, d in enumerate(order))
-        for words, seed in runs:
-            clear = eval_circuit(circ, wire_bits(circ, words))
-            prot = gmw_eval(circ, words, seed)
-            for p in circ.parties.names:
-                want = {w: clear[w] for w, recips in circ.outputs
-                        if p in recips}
-                assert prot.outputs[p] == want
-            assert prot.rounds == circ.and_depth + 2
-            assert prot.and_rounds == circ.and_depth
-            assert prot.triples_used == circ.and_count
-            for ch in prot.channels.values():
-                assert ch.sent["open"] == 2 * circ.and_count
-    assert inversions > 10
 
 
 def gmw_against_ideal(make):
@@ -620,10 +603,9 @@ def many_party_runs():
                                          rng.randint(10, 60))
             runs = []
             for _ in range(4):
-                bits = {p: {} for p in parties}
-                for decl in decls:
-                    bits[decl.party][decl.wires[0]] = rng.getrandbits(1)
-                runs.append((input_words(circ, bits), rng.randrange(1000)))
+                bits = [rng.getrandbits(1) for _ in decls]
+                runs.append((round_robin_words(parties, bits),
+                             rng.randrange(1000)))
             yield circ, runs
 
 
@@ -649,21 +631,33 @@ def corpus_block_runs(monkeypatch):
             for circ, words in blocks]
 
 
-def test_protocol_matches_clear_evaluation_on_corpus_blocks(monkeypatch):
-    # every corpus block, on the input words its run bound, spread over the
-    # input wires for the clear evaluator
-    blocks = outputs = 0
-    for circ, runs in corpus_block_runs(monkeypatch):
-        blocks += 1
+def pinned_cases(monkeypatch):
+    """(circuit, [(input words, dealer seed), ...]) for the corpus blocks,
+    the random circuits and the 1- and 9-party circuits."""
+    cases = corpus_block_runs(monkeypatch)
+    assert len(cases) == 94
+    return cases + [*random_circuit_runs(), *many_party_runs()]
+
+
+def test_protocol_matches_clear_evaluation_on_every_pinned_case(monkeypatch):
+    # the protocol's outputs are the clear evaluator's on every pinned run,
+    # and it costs one round per AND layer and two opened bits per AND gate;
+    # the random circuits often file a gate late in builder order at a lower
+    # AND-depth than an earlier one
+    inversions = 0
+    for circ, runs in pinned_cases(monkeypatch):
+        depth = checked_depths(circ)
+        order = [depth[g[1]] for g in circ.gates]
+        inversions += any(d < max(order[:i], default=0)
+                          for i, d in enumerate(order))
         for words, seed in runs:
-            clear = eval_circuit(circ, wire_bits(circ, words))
             prot = gmw_eval(circ, words, seed)
-            for p in circ.parties.names:
-                want = {w: clear[w] for w, recips in circ.outputs
-                        if p in recips}
-                assert prot.outputs[p] == want
-                outputs += len(want)
-    assert blocks == 94 and outputs > 0
+            assert prot.outputs == eval_circuit(circ, words), seed
+            assert (prot.rounds, prot.and_rounds, prot.triples_used) == \
+                (circ.and_depth + 2, circ.and_depth, circ.and_count)
+            for ch in prot.channels.values():
+                assert ch.sent["open"] == 2 * circ.and_count
+    assert inversions > 10
 
 
 TRANSCRIPT_DIGEST = {
@@ -679,9 +673,7 @@ def test_protocol_transcripts_are_pinned(monkeypatch):
     # circuits, two digests: "messages", every message of every channel in
     # send order, and "result", the outputs, round and triple counts and
     # each channel's bits sent
-    cases = corpus_block_runs(monkeypatch)
-    assert len(cases) == 94
-    cases += [*random_circuit_runs(), *many_party_runs()]
+    cases = pinned_cases(monkeypatch)
     log = []
     send = Channel.send
 
