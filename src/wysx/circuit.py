@@ -57,12 +57,11 @@ from operator import eq, itemgetter
 
 from . import ffi as ffi_mod
 from .lang import (
-    OPAQUE, OPERANDS, SEC, App, AsPar, AsSec, Bool, Clos, Concat, Const, Env,
-    Expr, Ffi, FfiInt, FfiList, FfiPair, FfiStr, Fix, If, Lam, Let, MkMap,
-    Mode, Opaque, PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed,
-    ShareVal, UnboundVariable, Unit, Value, VMap, Var, WysError, children,
-    decode_word, encode_word, fits, free_vars, record, slice_value,
-    with_children,
+    OPAQUE, OPERANDS, SEC, App, Bool, Clos, Concat, Const, Env, Expr, Ffi,
+    FfiInt, FfiList, FfiPair, FfiStr, Fix, If, Lam, Let, MkMap, Mode, Opaque,
+    PrinSet, PrinVal, PrinsVal, Project, Reveal, Seal, Sealed, ShareVal,
+    UnboundVariable, Unit, Value, VMap, Var, WysError, children, decode_word,
+    encode_word, fits, free_vars, record, slice_value, with_children,
 )
 from .shares import ShareMint
 from .st import Stuck, apply_rule, check_first_operand
@@ -460,8 +459,6 @@ class Compiler:
     def as_int_wires(self, v: Value) -> tuple[int, ...]:
         t = type(v)
         if t is CInt:
-            if len(v.wires) != self.width:
-                raise NotCircuitable("mixed word widths")
             return v.wires
         if t is FfiInt:
             # the gates compute at this width, where it would wrap
@@ -682,9 +679,8 @@ class Compiler:
             if t is Reveal and type(out) is Opaque:
                 raise NotCircuitable("no block member holds the sealed contents")
             return out
-        if t is AsPar or t is AsSec:
-            raise NotCircuitable("nested blocks cannot run under gates")
-        raise NotCircuitable(f"no gate translation for {type(e).__name__}")
+        # only AsPar and AsSec get here: every other Expr is handled above
+        raise NotCircuitable("nested blocks cannot run under gates")
 
     # -- outputs ---------------------------------------------------------------
 

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
-from wysx.lang import Bool, FfiInt, PrinSet, TMsg, TScope
+from wysx.lang import (
+    Bool, Env, FfiInt, PrinSet, ShareVal, TMsg, TScope, WysError,
+)
 from wysx import apps
 from wysx.apps import (
     DeckExhausted, check_cards, check_median_security, check_psi_security,
@@ -24,6 +26,12 @@ import random
 A = PrinSet.of("a")
 B = PrinSet.of("b")
 AB = PrinSet.of("a", "b")
+
+
+def test_an_unknown_program_name_is_refused():
+    with pytest.raises(WysError) as ex:
+        apps.program_source("nope")
+    assert str(ex.value) == "no bundled program named 'nope'"
 
 
 # oracle self-checks
@@ -250,6 +258,14 @@ def test_psi_comparison_counts_pinned():
     assert psi_comparison_count([1, 2], [2, 3]) == (4, 3)
 
 
+def test_psi_comparison_count_refuses_a_run_that_sticks(monkeypatch):
+    # with no inputs bound, both programs stick
+    monkeypatch.setattr(apps, "psi_pair_env", lambda la, lb: Env())
+    with pytest.raises(WysError) as ex:
+        psi_comparison_count([1], [2])
+    assert str(ex.value) == "psi run failed: stuck/stuck"
+
+
 def test_psi_opt_never_does_more_work():
     for la, lb in PSI_CASES:
         naive, opt = psi_comparison_count(la, lb)
@@ -364,6 +380,22 @@ def test_deal_card_raises_when_deck_is_done():
     rngs = {p: random.Random(p) for p in ("a", "b", "c")}
     with pytest.raises(DeckExhausted):
         deal_card(hist, rngs, rt)
+
+
+def test_deal_card_names_why_a_round_sticks():
+    # a history handle held by {a,b} cannot be recombined by all three
+    h = ShareVal.of(AB, ShareMint(0).mint_words(AB, 5, 32), 32)
+    rngs = {p: random.Random(p) for p in ("a", "b", "c")}
+    with pytest.raises(WysError) as ex:
+        deal_card([h], rngs)
+    assert str(ex.value) == ("dealing round stuck: PartySetMismatch: handle "
+                             "for {a,b} recombined by {a,b,c}")
+
+
+def test_full_deal_gives_up_after_max_rounds():
+    with pytest.raises(DeckExhausted) as ex:
+        full_deal(0, max_rounds=1)
+    assert str(ex.value) == "no full deal for seed 0 in 1 rounds"
 
 
 def test_full_deal_is_distinct():

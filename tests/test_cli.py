@@ -16,6 +16,7 @@ from wysx.ds import RoundRobin, SeededRandom, ds_run
 from wysx.inputs import value_to_json
 from wysx.lang import slice_value
 from wysx.sexp import MAX_NESTING
+from wysx.st import CheckReport
 
 
 def write(tmp_path, name, obj):
@@ -133,6 +134,13 @@ def test_only_a_bare_name_runs_a_bundled_program(name, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: program file not found: {name}\n"
+
+
+@pytest.mark.parametrize("entry", ["a", "=a.json", "a="])
+def test_a_malformed_inputs_entry_is_a_one_line_error(capsys, entry):
+    assert main(["run", "median", "--inputs", entry]) == 1
+    assert one_error_line(capsys) == \
+        f"error: bad --inputs entry {entry!r}, expected P=FILE\n"
 
 
 def test_bad_input_file_is_an_error(tmp_path, capsys):
@@ -299,6 +307,17 @@ def test_security_suite_that_checks_nothing_is_vacuous(capsys):
     assert captured.err == ""
 
 
+def test_an_inert_negative_control_fails_the_median_suite(capsys,
+                                                          monkeypatch):
+    # a suite that passes even against the scopeless oracle checks nothing
+    monkeypatch.setattr(apps, "check_median_security",
+                        lambda **kw: CheckReport("pass", checked=1, groups=1))
+    assert main(["check", "security", "--suite", "median"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FAIL: negative control passed; check is inert\n"
+    assert captured.err == ""
+
+
 def test_dump_circuit(median_files, capsys):
     a, b = median_files
     rc = main(["dump-circuit", "median", "--inputs", f"a={a}", f"b={b}"])
@@ -306,6 +325,23 @@ def test_dump_circuit(median_files, capsys):
     assert rc == 0
     assert "joint block" in out
     assert "AND" in out
+
+
+def test_dump_circuit_out_of_fuel_names_the_limit(capsys):
+    assert main(["dump-circuit", "median_opt", "--prins", "a,b",
+                 "--fuel", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "run fuel: no result within 5 ticks\n"
+
+
+def test_dump_circuit_says_when_there_are_no_joint_blocks(tmp_path, capsys):
+    prog = tmp_path / "add.wyx"
+    prog.write_text("(ffi add 1 2)", encoding="utf-8")
+    assert main(["dump-circuit", str(prog), "--prins", "a"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "# no joint blocks\n"
 
 
 def test_run_respects_width(tmp_path, capsys):
