@@ -12,16 +12,17 @@ import pytest
 from wysx import apps, ds
 from wysx.lang import (
     FALSE, OPAQUE, PAR, TRUE, Clos, Env, FfiInt, FfiList, Mode, PrinSet,
-    Sealed, ShareVal, TMsg, VMap, slice_trace, slice_value,
+    Sealed, ShareVal, TMsg, VMap, Value, slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
-from wysx.st import Runtime, machine_step, run as st_run
+from wysx.st import Runtime, _descend, _plug, machine_step, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
 )
 
+from _pins import Digests, assert_pinned
 from _proggen import base_env, gen_program
 
 A = PrinSet.of("a")
@@ -483,17 +484,44 @@ def schedules(n_random):
     return [sched for _, sched in ds.schedules(n_random)]
 
 
+def record_party_steps(monkeypatch) -> list:
+    """Record every step ``ds_run`` takes on a party machine: a call of
+    ``machine_step``, or one of ``_plug`` or ``_descend`` outside a joint
+    block, as its run-to-park loop makes them. Each entry is the step
+    function, its arguments and the registers it reads; a plug reads no
+    mode or environment. Entries hold their objects, so no id is reused
+    within a run."""
+    seen = []
+
+    def step(c, rt, p):
+        mode, stack, env, trace, code = c
+        seen.append((machine_step, (c, rt, p), (stack, trace, code)
+                     if isinstance(code, Value) else c))
+        return machine_step(c, rt, p)
+
+    def plug(stack, trace, v, rt, party):
+        if party is not None:  # not the ideal backend's joint machine
+            seen.append((_plug, (stack, trace, v, rt, party),
+                         (stack, trace, v)))
+        return _plug(stack, trace, v, rt, party)
+
+    def descend(mode, stack, env, trace, e, rt):
+        if mode.tag == PAR:  # a joint machine runs in a sec mode
+            seen.append((_descend, (mode, stack, env, trace, e, rt),
+                         (mode, stack, env, trace, e)))
+        return _descend(mode, stack, env, trace, e, rt)
+
+    monkeypatch.setattr(ds, "machine_step", step)
+    monkeypatch.setattr(ds, "_plug", plug, raising=False)
+    monkeypatch.setattr(ds, "_descend", descend, raising=False)
+    return seen
+
+
 def test_local_steps_are_pure_on_every_corpus_config(monkeypatch):
     # ds_run steps each party config once and reuses the result until the
     # config changes; that is sound only if a local step is a function of
     # its config and never draws from the share mint
-    seen = []
-
-    def record(c, rt, p):
-        seen.append((c, p))
-        return machine_step(c, rt, p)
-
-    monkeypatch.setattr(ds, "machine_step", record)
+    seen = record_party_steps(monkeypatch)
     for cell, backend in itertools.product(apps.corpus(), ("ideal", "gmw")):
         rt = Runtime(0, 32)
         seen.clear()
@@ -502,26 +530,20 @@ def test_local_steps_are_pure_on_every_corpus_config(monkeypatch):
         assert res.status == "done", (cell.name, backend, res.reason)
         assert seen, cell.name
         drawn = dict(rt.mint._counters)
-        for c, p in seen:
-            assert machine_step(c, rt, p) == machine_step(c, rt, p), cell.name
+        for fn, args, _ in seen:
+            assert fn(*args) == fn(*args), cell.name
         assert rt.mint._counters == drawn, cell.name
 
 
-# the number of ``machine_step`` calls over every corpus run below, and the
-# sha256 of each run's own count, in run order
+# the number of party steps over every corpus run below, and the sha256 of
+# each run's own count, in run order
 STEP_COUNT_DIGEST = (59916, "7e9a6452a338eda2")
 
 
 def test_each_party_config_is_stepped_once(monkeypatch):
     # ds_run steps a party's configuration once, when it is new, and keeps
     # the result until the party moves; no configuration is stepped twice
-    seen = []
-
-    def record(c, rt, p):
-        seen.append((c, p))  # held, so no id is reused within a run
-        return machine_step(c, rt, p)
-
-    monkeypatch.setattr(ds, "machine_step", record)
+    seen = record_party_steps(monkeypatch)
     counts = []
     for cell, backend in itertools.product(apps.corpus(), ("ideal", "gmw")):
         e = apps.load_program(cell.program)
@@ -529,7 +551,7 @@ def test_each_party_config_is_stepped_once(monkeypatch):
             seen.clear()
             res = ds_run(e, cell.env, cell.ps, Runtime(0, 32), sched, backend)
             assert res.status == "done", (cell.name, backend, label)
-            keys = {(id(c), p) for c, p in seen}
+            keys = {tuple(map(id, regs)) for _, _, regs in seen}
             assert len(keys) == len(seen), (cell.name, backend, label)
             counts.append((cell.name, backend, label, len(seen)))
     digest = hashlib.sha256(repr(counts).encode()).hexdigest()[:16]
@@ -577,26 +599,31 @@ def concurrent_env(ps):
 
 
 def schedule_digests(e, env, ps, width, n_random):
-    """Two digests over round robin and ``n_random`` seeded schedules on
-    both backends: one of every party's status, ticks, stuck reason, value
-    and trace and of the picked moves, and one of every move list offered."""
-    runs, offered = hashlib.sha256(), hashlib.sha256()
+    """Over round robin and ``n_random`` seeded schedules on both backends:
+    the pinned aspects of every run (its status, values and traces, its
+    stuck reason, its ticks and its picked moves), every move list offered,
+    and the tick counts of each backend's ``done`` runs."""
+    runs, offered = Digests(), Digests()
+    ticks = {}
     for backend in ("ideal", "gmw"):
         for sched in schedules(n_random):
             rec = Recording(sched)
             res = ds_run(e, env, ps, Runtime(0, width), rec, backend)
-            log = [f"{kind} {target}" for kind, target in rec.picked]
-            runs.update(repr((res.status, res.ticks, res.reason,
-                              sorted(res.parties.items()), log)).encode())
-            for moves in rec.offered:
-                offered.update(repr([f"{kind} {target}"
-                                     for kind, target in moves]).encode())
-            offered.update(b"|")
-    return runs.hexdigest()[:16], offered.hexdigest()[:16]
+            runs.update("result", (res.status, sorted(res.parties.items())))
+            runs.update("reason", res.reason)
+            runs.update("cost", res.ticks)
+            runs.update("schedule", [f"{kind} {target}"
+                                     for kind, target in rec.picked])
+            offered.update("schedule", [[f"{kind} {target}"
+                                         for kind, target in moves]
+                                        for moves in rec.offered])
+            if res.status == "done":
+                ticks.setdefault(backend, set()).add(res.ticks)
+    return runs.table(), offered.table(), ticks
 
 
 @functools.cache
-def corpus_schedule_digests() -> dict[str, tuple[str, str]]:
+def corpus_schedule_digests() -> dict[str, tuple[dict, dict, dict]]:
     out = {}
     for cell in apps.corpus():
         out[cell.name] = schedule_digests(apps.load_program(cell.program),
@@ -608,62 +635,131 @@ def corpus_schedule_digests() -> dict[str, tuple[str, str]]:
 
 
 SCHEDULE_DIGESTS = {
-    "median/low": "50c3f7405286fcca",
-    "median/high": "2c2508dc041eac95",
-    "median_opt/low": "7957acb245537475",
-    "median_opt/high": "1ba54f1ea0a69b5a",
-    "psi/overlap": "13a65fc471c2d5e1",
-    "psi/disjoint": "384aeaba3b17cb06",
-    "psi/empty": "384aeaba3b17cb06",
-    "psi_interim/overlap": "9311c3dd3f74edbd",
-    "psi_interim/empty": "f43ce21038500267",
-    "psi_opt/overlap": "199b6262d72d0144",
-    "psi_opt/dup": "d0c32b49685b357e",
-    "check_fresh/hit": "004d5e61a6703c2d",
-    "check_fresh/miss": "c3307289ef87f67f",
-    "check_fresh/empty": "dd2193c1a369c2d7",
-    "deal/empty-51": "700306427633cbc9",
-    "deal/fresh": "1a8db53c7c0683c3",
-    "deal/repeat": "01770448eb6a017e",
-    "concurrent/four": "05bebe3d1b94d09e",
-    "concurrent/prefixed": "6cfc03f8e0cdb5cc",
-    "concurrent/minting": "1b7bae5f869600e3",
+    "median/low": {
+        "result": "d5eade30509f0082", "reason": "c2a31b17986f86c5",
+        "cost": "adb8c56987c3bbbd", "schedule": "617a3fcae09bc22e"},
+    "median/high": {
+        "result": "ef4c179d22b3a83d", "reason": "c2a31b17986f86c5",
+        "cost": "adb8c56987c3bbbd", "schedule": "617a3fcae09bc22e"},
+    "median_opt/low": {
+        "result": "e6e8d3789d02df6d", "reason": "c2a31b17986f86c5",
+        "cost": "e59e4a1f2932102f", "schedule": "e1043df416d21419"},
+    "median_opt/high": {
+        "result": "b2af4a9820321113", "reason": "c2a31b17986f86c5",
+        "cost": "e59e4a1f2932102f", "schedule": "e1043df416d21419"},
+    "psi/overlap": {
+        "result": "79a44c82c353cae6", "reason": "c2a31b17986f86c5",
+        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+    "psi/disjoint": {
+        "result": "4542afe95c032111", "reason": "c2a31b17986f86c5",
+        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+    "psi/empty": {
+        "result": "4542afe95c032111", "reason": "c2a31b17986f86c5",
+        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+    "psi_interim/overlap": {
+        "result": "f3a2b0c9fea1877f", "reason": "c2a31b17986f86c5",
+        "cost": "79e5070e42898155", "schedule": "a0ca5a49f6a0b31f"},
+    "psi_interim/empty": {
+        "result": "6ac5a8808f6a09b5", "reason": "c2a31b17986f86c5",
+        "cost": "91e8c6fdea77309c", "schedule": "f57b5e63577b5bd6"},
+    "psi_opt/overlap": {
+        "result": "36c94c5c88ae0a93", "reason": "c2a31b17986f86c5",
+        "cost": "192c18fa447f635a", "schedule": "5cb88288dd6dbf9c"},
+    "psi_opt/dup": {
+        "result": "9d2892cc56c9db56", "reason": "c2a31b17986f86c5",
+        "cost": "909a6d7ce21829e0", "schedule": "854e56fc2328dc49"},
+    "check_fresh/hit": {
+        "result": "3dd39360f98ca079", "reason": "c2a31b17986f86c5",
+        "cost": "40a6d35302d1f9db", "schedule": "caf7360eee57339a"},
+    "check_fresh/miss": {
+        "result": "4c32c72b24a3c1db", "reason": "c2a31b17986f86c5",
+        "cost": "5f623a2ebfb65e3f", "schedule": "81a595c5f990eb27"},
+    "check_fresh/empty": {
+        "result": "9768a28df876a3ad", "reason": "c2a31b17986f86c5",
+        "cost": "9c143090c94cb1c1", "schedule": "37921e317c7d6343"},
+    "deal/empty-51": {
+        "result": "a77d0744101a2c33", "reason": "c2a31b17986f86c5",
+        "cost": "0cce9d71cc8152a9", "schedule": "19a0a5407b32c9cb"},
+    "deal/fresh": {
+        "result": "610d6b67fea026c1", "reason": "c2a31b17986f86c5",
+        "cost": "d222bcb38a18a2ab", "schedule": "29668ff0238ebac9"},
+    "deal/repeat": {
+        "result": "fb425787f37e8525", "reason": "c2a31b17986f86c5",
+        "cost": "3b747937e2ccd1d9", "schedule": "be80c4745e0c62bc"},
+    "concurrent/four": {
+        "result": "327aab5273bb486e", "reason": "43f243f75ff48bf7",
+        "cost": "6349a0bcd27c3b65", "schedule": "fb0925cc3aa0564e"},
+    "concurrent/prefixed": {
+        "result": "3830eda3c368638a", "reason": "43f243f75ff48bf7",
+        "cost": "4a5293c30f918513", "schedule": "dbcb27a4f35b1318"},
+    "concurrent/minting": {
+        "result": "45389d5e82e01ed7", "reason": "43f243f75ff48bf7",
+        "cost": "6cb77d9b0aae6078", "schedule": "b3497956170b6367"},
 }
 
 
 def test_schedules_are_pinned():
-    got = {name: runs for name, (runs, _) in corpus_schedule_digests().items()}
-    assert got == SCHEDULE_DIGESTS
+    assert_pinned({name: runs for name, (runs, _, _)
+                   in corpus_schedule_digests().items()}, SCHEDULE_DIGESTS)
 
 
 OFFERED_DIGESTS = {
-    "median/low": "b802c9ab6f5a776e",
-    "median/high": "b802c9ab6f5a776e",
-    "median_opt/low": "3aadcfc26ff7a46a",
-    "median_opt/high": "3aadcfc26ff7a46a",
-    "psi/overlap": "5e91ebbda0d7fdfc",
-    "psi/disjoint": "5e91ebbda0d7fdfc",
-    "psi/empty": "5e91ebbda0d7fdfc",
-    "psi_interim/overlap": "bba3f00524c0a2fb",
-    "psi_interim/empty": "1d59fb06c4afdebc",
-    "psi_opt/overlap": "bcdd6363af449359",
-    "psi_opt/dup": "6bf76eac34caa9ae",
-    "check_fresh/hit": "977d3a61492ef173",
-    "check_fresh/miss": "b7ee021f208a17ec",
-    "check_fresh/empty": "e442c8aee5017523",
-    "deal/empty-51": "8f566a15273b9468",
-    "deal/fresh": "6b1e51cdb4c9320f",
-    "deal/repeat": "5a9f0969c38af497",
-    "concurrent/four": "b85cce59b5a3e7e4",
-    "concurrent/prefixed": "8a147ca1facf63bb",
-    "concurrent/minting": "0b4cbdae05546991",
+    "median/low": {
+        "schedule": "c6d80ba8adb94914"},
+    "median/high": {
+        "schedule": "c6d80ba8adb94914"},
+    "median_opt/low": {
+        "schedule": "ec0a0e9f5f7c9661"},
+    "median_opt/high": {
+        "schedule": "ec0a0e9f5f7c9661"},
+    "psi/overlap": {
+        "schedule": "a3eb6abcc4b95447"},
+    "psi/disjoint": {
+        "schedule": "a3eb6abcc4b95447"},
+    "psi/empty": {
+        "schedule": "a3eb6abcc4b95447"},
+    "psi_interim/overlap": {
+        "schedule": "daaa0fdf542a0b93"},
+    "psi_interim/empty": {
+        "schedule": "811b3d050082d3b3"},
+    "psi_opt/overlap": {
+        "schedule": "1b78bed2b68692b3"},
+    "psi_opt/dup": {
+        "schedule": "9fb1df08099533c1"},
+    "check_fresh/hit": {
+        "schedule": "d23889590a6bae3b"},
+    "check_fresh/miss": {
+        "schedule": "45d28039ecdb3afe"},
+    "check_fresh/empty": {
+        "schedule": "48bccef23ed50a97"},
+    "deal/empty-51": {
+        "schedule": "841f8be9992729c1"},
+    "deal/fresh": {
+        "schedule": "418e1e754d3ea1a0"},
+    "deal/repeat": {
+        "schedule": "74d9c7e17c95835d"},
+    "concurrent/four": {
+        "schedule": "da58c6d23819c240"},
+    "concurrent/prefixed": {
+        "schedule": "eec3f5f3f420d480"},
+    "concurrent/minting": {
+        "schedule": "8097777da6eabe47"},
 }
 
 
 def test_offered_moves_are_pinned():
-    got = {name: offered
-           for name, (_, offered) in corpus_schedule_digests().items()}
-    assert got == OFFERED_DIGESTS
+    assert_pinned({name: offered for name, (_, offered, _)
+                   in corpus_schedule_digests().items()}, OFFERED_DIGESTS)
+
+
+def test_a_done_runs_ticks_do_not_depend_on_the_schedule():
+    # each party step, block entry, joint step and exit is one tick, and a
+    # done run takes every one of them whatever the order
+    groups = {(name, backend): ticks
+              for name, (_, _, by_backend) in corpus_schedule_digests().items()
+              for backend, ticks in by_backend.items()}
+    assert len(groups) == 2 * len(corpus_schedule_digests())
+    assert {k: t for k, t in groups.items() if len(t) != 1} == {}
 
 
 # Runs that stick. Generated programs run to completion on a and b; with a
@@ -685,22 +781,54 @@ def stuck_cases():
 
 
 STUCK_DIGESTS = {
-    "local": "d788ce60c3fc19b7",
-    "deadlock": "a9626ed6d9f33c0f",
-    "proggen/2": "5efeaf7f1969af51",
-    "proggen/7": "9cd39322d13862d5",
-    "proggen/9": "a6a9a3f43817ae8c",
-    "proggen/11": "48fdf2d689d15878",
-    "proggen/13": "0ac50cb074c01bbc",
-    "proggen/17": "9b9c0be1da9d98ce",
-    "proggen/21": "a3e350d3828e30ca",
-    "proggen/24": "82efa82f843921f0",
-    "proggen/27": "9e47fd7eba360592",
-    "proggen/36": "a6a9a3f43817ae8c",
-    "proggen/41": "69bc8bfdda1c1372",
-    "proggen-gmw/98": "37d90dd2d7b3baec",
-    "proggen-gmw/201": "37d90dd2d7b3baec",
-    "proggen-gmw/319": "e2bb9331ed604a13",
+    "local": {
+        "result": "09ce2ab7e46dba53", "reason": "e36c52aab9449665",
+        "cost": "3e820a456a233a05"},
+    "deadlock": {
+        "result": "09ce2ab7e46dba53", "reason": "578c01beb1d44e54",
+        "cost": "bd05263dca927869"},
+    "proggen/2": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "c5fc40deca72472f"},
+    "proggen/7": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "4e31d67bafc7a34b"},
+    "proggen/9": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "3facfe6f2a3449b2"},
+    "proggen/11": {
+        "result": "09ce2ab7e46dba53", "reason": "90eecf040d71add6",
+        "cost": "28198f19d69034b2"},
+    "proggen/13": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "cddae26958dbb5ea"},
+    "proggen/17": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "08d74bf8eb599eae"},
+    "proggen/21": {
+        "result": "09ce2ab7e46dba53", "reason": "90eecf040d71add6",
+        "cost": "394ce9dae8d651ed"},
+    "proggen/24": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "0ad226a2a98b6b09"},
+    "proggen/27": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "63dda7715b5650a1"},
+    "proggen/36": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "3facfe6f2a3449b2"},
+    "proggen/41": {
+        "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
+        "cost": "51bea05343b98363"},
+    "proggen-gmw/98": {
+        "result": "2d8ee11df1141525", "reason": "125f4d2fd8cc21bc",
+        "cost": "0cf1a043aac275e1"},
+    "proggen-gmw/201": {
+        "result": "2d8ee11df1141525", "reason": "125f4d2fd8cc21bc",
+        "cost": "0cf1a043aac275e1"},
+    "proggen-gmw/319": {
+        "result": "2d8ee11df1141525", "reason": "125f4d2fd8cc21bc",
+        "cost": "4ad434dcbb0be38a"},
 }
 
 
@@ -709,14 +837,16 @@ def test_stuck_runs_are_pinned():
     # robin and 20 seeded schedules
     got = {}
     for name, e, env, ps, backends in stuck_cases():
-        h = hashlib.sha256()
+        d = Digests()
         for backend in backends:
             for sched in schedules(20):
                 res = ds_run(e, env, ps, Runtime(0, 32), sched, backend)
                 assert res.status == "stuck", (name, backend, res.status)
-                h.update(repr((res.status, res.ticks, res.reason)).encode())
-        got[name] = h.hexdigest()[:16]
-    assert got == STUCK_DIGESTS
+                d.update("result", res.status)
+                d.update("reason", res.reason)
+                d.update("cost", res.ticks)
+        got[name] = d.table()
+    assert_pinned(got, STUCK_DIGESTS)
 
 
 KIND_ORDER = {"exit": 0, "sec-step": 1, "enter": 2, "local": 3}
