@@ -31,8 +31,8 @@ from .lang import (
     slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, Stuck, is_terminal,
-    machine_step, machine_step as st_step, run as st_run,
+    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, _descend, _plug,
+    is_terminal, machine_step, machine_step as st_step, run as st_run,
 )
 
 
@@ -42,8 +42,9 @@ from .st import (
 # ``ds_run`` hands ``pick`` the enabled moves in canonical order: every
 # ``exit``, then every ``sec-step``, then every ``enter``, then every
 # ``local`` move, each kind sorted by ``str(target)``. ``pick`` returns one
-# of them. The moves come as a tuple that ``ds_run`` keeps between ticks, so
-# ``pick`` may get the same object on many ticks and must not mutate it.
+# of them. The list is built anew for every pick. A ``local`` move runs its
+# party to its next park point and an ideal ``sec-step`` runs its block to
+# its value, so one pick may take many ticks.
 
 class RoundRobin:
     """Deterministic baseline: joint work first, then parties in rotation."""
@@ -104,7 +105,34 @@ class DsResult:
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
 
 
-_DONE = object()  # the step result of a party whose state is terminal
+_DONE = object()  # the step result of a value with no frame left
+
+
+def _run_to_park(r: Regs, out, rt: Runtime, party: Optional[str],
+                 budget: int):
+    """Apply ``out``, the step result of the registers ``r``, and step on
+    while the result is registers, for at most ``budget`` steps (``budget``
+    is at least 1). Returns the registers reached, their step result and
+    the number of steps taken.
+
+    ``party`` names a party machine, or is None for the joint machine of an
+    ideal block. A value with no frame left steps to ``_DONE``: a party
+    machine always runs in a par mode, so it is terminal, and a joint
+    machine holds its block's value. As in ``st.run``'s loop, the value
+    test and the calls of ``_plug`` and ``_descend`` are inline.
+    """
+    n = 0
+    while type(out) is tuple and n < budget:
+        r = out
+        n += 1
+        mode, stack, env, trace, code = r
+        if isinstance(code, Value):
+            if not stack:
+                return r, _DONE, n
+            out = _plug(stack, trace, code, rt, party)
+        else:
+            out = _descend(mode, stack, env, trace, code, rt)
+    return r, out, n
 
 
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
@@ -126,9 +154,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     # running blocks, and finished ones until their exit move as each
     # member's view (its slice of the joint value, or its GMW output). A
     # running block under the ideal backend is the joint machine's
-    # registers, stepped on each of its moves; under GMW it is the
-    # (circuit, input words, seed label) it was entered with, evaluated in
-    # one step.
+    # registers; under GMW it is the (circuit, input words, seed label) it
+    # was entered with. Either runs to its value on its one sec-step move,
+    # unless the fuel runs out first.
     sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, str]]] = {}
     finished: dict[PrinSet, dict[str, Value]] = {}
     gmw_counters: dict[PrinSet, int] = {}
@@ -143,68 +171,56 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                         sec_entries, tuple(circuits))
 
     # One step result per party, always that of ``par[p]``: computed at the
-    # start, after its local move and after a block's exit; _DONE marks a
-    # terminal state. Keeping it across ticks is sound because a local step
-    # depends only on the state: party machines stay in PAR mode,
+    # start, after each of its local steps and after a block's exit; _DONE
+    # marks a terminal state. Keeping it across ticks is sound because a
+    # local step depends only on the state: party machines stay in PAR mode,
     # ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise ModeError
-    # outside a joint block before they touch ``rt.mint``. Joint blocks are
-    # stepped on their own move, never kept.
-    #
-    # The move list is kept as one tuple between ticks. After a local move
-    # only that party's entry is new; while it is again registers (a step
-    # to take) the list is unchanged, so it is reused as it is.
-    # Anything else (a party that now waits, terminates or sticks, an enter,
-    # an exit or a block that finishes) sets ``moves`` to None and the list
-    # is rebuilt.
+    # outside a joint block before they touch ``rt.mint``. For the same
+    # reason a party's local steps commute with every other move, so a
+    # ``local`` move takes them all, up to its next park point, as one pick.
     steps = {p: _DONE if is_terminal(r) else machine_step(r, rt, p)
              for p, r in par.items()}
-    local_moves = {p: ("local", p) for p in ps}
-    moves = None
 
-    for tick in range(fuel):
-        if moves is None:
-            locals_ = []
-            waiting: dict[PrinSet, int] = {}  # parties parked at each block
-            for p in ps:
-                out = steps[p]
-                if type(out) is tuple:
-                    locals_.append(local_moves[p])
-                elif type(out) is NeedsSec:
-                    if out.ps not in sec and out.ps not in finished:
-                        waiting[out.ps] = waiting.get(out.ps, 0) + 1
-                elif out is not _DONE:  # Stuck
-                    return finish("stuck", tick,
-                                  f"party {p} stuck at {out.rule}: "
-                                  f"{out.reason}")
-            # canonical order: exit, sec-step, enter, local, each by
-            # str(target); ps is sorted, so the local moves already are
-            built = [("exit", s) for s in (sorted(finished, key=str)
-                                           if len(finished) > 1 else finished)]
-            built += [("sec-step", s) for s in (sorted(sec, key=str)
-                                                if len(sec) > 1 else sec)]
-            # ``st._enter`` sticks a party outside the block's set, so only
-            # members wait at it
-            ready = [s for s, k in waiting.items() if k == len(s.names)]
-            if len(ready) > 1:
-                ready.sort(key=str)
-            built += [("enter", s) for s in ready]
-            built += locals_
-            moves = tuple(built)
-            if not moves:
-                if not sec and not finished and all(
-                        out is _DONE for out in steps.values()):
-                    return finish("done", tick)
-                return finish("stuck", tick, "no enabled move: parties are "
-                              "waiting for partners that never arrive")
+    tick = 0  # each party step, block entry, joint step and exit is a tick
+    while tick < fuel:
+        locals_ = []
+        waiting: dict[PrinSet, int] = {}  # parties parked at each block
+        for p in ps:
+            out = steps[p]
+            if type(out) is tuple:
+                locals_.append(("local", p))
+            elif type(out) is NeedsSec:
+                if out.ps not in sec and out.ps not in finished:
+                    waiting[out.ps] = waiting.get(out.ps, 0) + 1
+            elif out is not _DONE:  # Stuck
+                return finish("stuck", tick,
+                              f"party {p} stuck at {out.rule}: {out.reason}")
+        # canonical order: exit, sec-step, enter, local, each by
+        # str(target); ps is sorted, so the local moves already are
+        moves = [("exit", s) for s in (sorted(finished, key=str)
+                                       if len(finished) > 1 else finished)]
+        moves += [("sec-step", s) for s in (sorted(sec, key=str)
+                                            if len(sec) > 1 else sec)]
+        # ``st._enter`` sticks a party outside the block's set, so only
+        # members wait at it
+        ready = [s for s, k in waiting.items() if k == len(s.names)]
+        if len(ready) > 1:
+            ready.sort(key=str)
+        moves += [("enter", s) for s in ready]
+        moves += locals_
+        if not moves:
+            if not sec and not finished and all(
+                    out is _DONE for out in steps.values()):
+                return finish("done", tick)
+            return finish("stuck", tick, "no enabled move: parties are "
+                          "waiting for partners that never arrive")
 
         kind, target = sched.pick(moves)
 
-        if kind == "local":
-            r = par[target] = steps[target]
-            out = steps[target] = (_DONE if is_terminal(r)
-                                   else machine_step(r, rt, target))
-            if type(out) is not tuple:
-                moves = None
+        if kind == "local":  # to the party's next park point
+            par[target], steps[target], n = _run_to_park(
+                par[target], steps[target], rt, target, fuel - tick)
+            tick += n
             continue
 
         if kind == "enter":
@@ -238,22 +254,24 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 sec[s] = (circ, words,
                           f"{rt.seed}|gmw|{','.join(s.names)}|{idx}")
                 circuits.append((f"{s}#{idx}", circ))
-            moves = None
+            tick += 1
             continue
 
         if kind == "sec-step":
-            if backend == "ideal":  # one step; it leaves sec as a value
-                m = st_step(sec[target], rt)
-                if type(m) is Stuck:
+            if backend == "ideal":  # to the block's value, a tick a step
+                r = sec[target]
+                r, out, n = _run_to_park(r, st_step(r, rt), rt, None,
+                                         fuel - tick)
+                tick += n
+                if out is not _DONE:
+                    if tick == fuel:  # no step is taken after the last tick
+                        sec[target] = r
+                        continue
                     return finish("stuck", tick,
                                   f"joint block {target} stuck at "
-                                  f"{m.rule}: {m.reason}")
+                                  f"{out.rule}: {out.reason}")
                 # no block starts in a sec mode, so the trace stays empty
-                _, stack, _, _, code = m
-                if stack or not isinstance(code, Value):
-                    sec[target] = m
-                    continue
-                finished[target] = {p: slice_value(p, code)
+                finished[target] = {p: slice_value(p, r[4])
                                     for p in target.names}
             else:
                 circ, words, label = sec[target]
@@ -262,8 +280,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     p: decode_output(circ.decode, p, res.outputs[p])
                     for p in target.names
                 }
-            del sec[target]
-            moves = None  # its sec-step move becomes an exit
+                tick += 1
+            del sec[target]  # its sec-step move becomes an exit
             continue
 
         if kind == "exit":
@@ -276,7 +294,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 r = par[p] = (fmode, stack[:-1], fenv,
                               ftrace + trace + (TMsg(vp),), vp)
                 steps[p] = _DONE if is_terminal(r) else machine_step(r, rt, p)
-            moves = None
+            tick += 1
             continue
 
     if not sec and not finished and all(out is _DONE

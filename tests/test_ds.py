@@ -100,12 +100,13 @@ def test_schedule_choice_does_not_change_results():
 
 
 def test_local_stuck_is_reported():
-    # b holds a placeholder and tries to open it outside any joint block
+    # b holds a placeholder and tries to open it outside any joint block;
+    # round robin runs a to its end (3 steps), then b two steps to its stick
     env = Env({"xa": Sealed(A, FfiInt(5))})
     st, ds = both("(reveal xa)", env)
     assert st.status == "stuck"
     assert (ds.status, ds.ticks, ds.reason) == (
-        "stuck", 4, "party b stuck at reveal: b outside seal set {a}")
+        "stuck", 5, "party b stuck at reveal: b outside seal set {a}")
 
 
 # a reaches a two-party block from inside its own private region; b skipped
@@ -446,6 +447,52 @@ def test_ds_fuel_exhaustion():
     assert ds.status == "fuel"
 
 
+@pytest.mark.parametrize("backend", ["ideal", "gmw"])
+def test_a_party_that_loops_locally_stops_at_the_fuel(backend):
+    # a local move runs its party until it parks, one tick a step; a party
+    # that never parks is stopped by the fuel
+    e = parse("((fix f n (f n)) 0)")
+    for fuel in (1, 2, 3, 100, 1001):
+        res = ds_run(e, Env(), AB, fuel=fuel, backend=backend)
+        assert (res.status, res.ticks) == ("fuel", fuel)
+
+
+def long_block(body):
+    return parse(f"(as_sec (prins a b) (lam _ {body}))")
+
+
+def test_a_long_ideal_block_stops_at_the_fuel():
+    # an ideal block runs to its value in one sec-step move, one tick a
+    # joint step, and the fuel stops it within that move
+    body = "(reveal x)"
+    for _ in range(100):
+        body = f"(ffi add 1 {body})"
+    e, env = long_block(body), Env({"x": Sealed(A, FfiInt(5))})
+    rec = Recording(RoundRobin())
+    done = ds_run(e, env, AB, sched=rec)
+    assert done.status == "done" and done.parties["a"][0] == FfiInt(105)
+    assert [kind for kind, _ in rec.picked].count("sec-step") == 1
+    assert ds_run(e, env, AB, fuel=done.ticks).status == "done"
+    for fuel in (done.ticks // 2, done.ticks - 2, done.ticks - 1):
+        res = ds_run(e, env, AB, fuel=fuel)
+        assert (res.status, res.ticks) == ("fuel", fuel)
+    loop = long_block("((fix f n (f n)) 0)")
+    for fuel in (10, 1000):
+        res = ds_run(loop, Env(), AB, fuel=fuel)
+        assert (res.status, res.ticks) == ("fuel", fuel)
+
+
+def test_a_block_that_would_stick_after_the_last_tick_runs_out_of_fuel():
+    # the step that sticks is not a tick, and no step is taken after the
+    # last one: with exactly the ticks before the stick the run is ``fuel``
+    e = long_block("(ffi add 1 (reveal y))")
+    stuck = ds_run(e, Env(), AB)
+    assert stuck.reason == "joint block {a,b} stuck at var: unbound variable y"
+    assert ds_run(e, Env(), AB, fuel=stuck.ticks + 1).ticks == stuck.ticks
+    res = ds_run(e, Env(), AB, fuel=stuck.ticks)
+    assert (res.status, res.ticks) == ("fuel", stuck.ticks)
+
+
 def test_deep_block_runs_do_not_depend_on_run_order():
     # equal trees from fresh parses once clashed in a structural cache, and
     # a GMW compile left the process-wide recursion limit raised
@@ -637,64 +684,64 @@ def corpus_schedule_digests() -> dict[str, tuple[dict, dict, dict]]:
 SCHEDULE_DIGESTS = {
     "median/low": {
         "result": "d5eade30509f0082", "reason": "c2a31b17986f86c5",
-        "cost": "adb8c56987c3bbbd", "schedule": "617a3fcae09bc22e"},
+        "cost": "adb8c56987c3bbbd", "schedule": "b7e283deaab71abd"},
     "median/high": {
         "result": "ef4c179d22b3a83d", "reason": "c2a31b17986f86c5",
-        "cost": "adb8c56987c3bbbd", "schedule": "617a3fcae09bc22e"},
+        "cost": "adb8c56987c3bbbd", "schedule": "b7e283deaab71abd"},
     "median_opt/low": {
         "result": "e6e8d3789d02df6d", "reason": "c2a31b17986f86c5",
-        "cost": "e59e4a1f2932102f", "schedule": "e1043df416d21419"},
+        "cost": "e59e4a1f2932102f", "schedule": "a36adcf60ba28437"},
     "median_opt/high": {
         "result": "b2af4a9820321113", "reason": "c2a31b17986f86c5",
-        "cost": "e59e4a1f2932102f", "schedule": "e1043df416d21419"},
+        "cost": "e59e4a1f2932102f", "schedule": "a36adcf60ba28437"},
     "psi/overlap": {
         "result": "79a44c82c353cae6", "reason": "c2a31b17986f86c5",
-        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+        "cost": "1ad1614cc6fa18ae", "schedule": "b7e283deaab71abd"},
     "psi/disjoint": {
         "result": "4542afe95c032111", "reason": "c2a31b17986f86c5",
-        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+        "cost": "1ad1614cc6fa18ae", "schedule": "b7e283deaab71abd"},
     "psi/empty": {
         "result": "4542afe95c032111", "reason": "c2a31b17986f86c5",
-        "cost": "1ad1614cc6fa18ae", "schedule": "4884cfa319b11e07"},
+        "cost": "1ad1614cc6fa18ae", "schedule": "b7e283deaab71abd"},
     "psi_interim/overlap": {
         "result": "f3a2b0c9fea1877f", "reason": "c2a31b17986f86c5",
-        "cost": "79e5070e42898155", "schedule": "a0ca5a49f6a0b31f"},
+        "cost": "79e5070e42898155", "schedule": "10884e02f77258db"},
     "psi_interim/empty": {
         "result": "6ac5a8808f6a09b5", "reason": "c2a31b17986f86c5",
-        "cost": "91e8c6fdea77309c", "schedule": "f57b5e63577b5bd6"},
+        "cost": "91e8c6fdea77309c", "schedule": "62902bf79470cb8a"},
     "psi_opt/overlap": {
         "result": "36c94c5c88ae0a93", "reason": "c2a31b17986f86c5",
-        "cost": "192c18fa447f635a", "schedule": "5cb88288dd6dbf9c"},
+        "cost": "192c18fa447f635a", "schedule": "f66c4120ce61c7fb"},
     "psi_opt/dup": {
         "result": "9d2892cc56c9db56", "reason": "c2a31b17986f86c5",
-        "cost": "909a6d7ce21829e0", "schedule": "854e56fc2328dc49"},
+        "cost": "909a6d7ce21829e0", "schedule": "6a9214b7a541f9f0"},
     "check_fresh/hit": {
         "result": "3dd39360f98ca079", "reason": "c2a31b17986f86c5",
-        "cost": "40a6d35302d1f9db", "schedule": "caf7360eee57339a"},
+        "cost": "40a6d35302d1f9db", "schedule": "e3159c21b28b3bd8"},
     "check_fresh/miss": {
         "result": "4c32c72b24a3c1db", "reason": "c2a31b17986f86c5",
-        "cost": "5f623a2ebfb65e3f", "schedule": "81a595c5f990eb27"},
+        "cost": "5f623a2ebfb65e3f", "schedule": "45fd3591938cf494"},
     "check_fresh/empty": {
         "result": "9768a28df876a3ad", "reason": "c2a31b17986f86c5",
-        "cost": "9c143090c94cb1c1", "schedule": "37921e317c7d6343"},
+        "cost": "9c143090c94cb1c1", "schedule": "957d0e8ebcd7b1f4"},
     "deal/empty-51": {
         "result": "a77d0744101a2c33", "reason": "c2a31b17986f86c5",
-        "cost": "0cce9d71cc8152a9", "schedule": "19a0a5407b32c9cb"},
+        "cost": "0cce9d71cc8152a9", "schedule": "cabda54a9a689a0f"},
     "deal/fresh": {
         "result": "610d6b67fea026c1", "reason": "c2a31b17986f86c5",
-        "cost": "d222bcb38a18a2ab", "schedule": "29668ff0238ebac9"},
+        "cost": "d222bcb38a18a2ab", "schedule": "14efcf9c8270315b"},
     "deal/repeat": {
         "result": "fb425787f37e8525", "reason": "c2a31b17986f86c5",
-        "cost": "3b747937e2ccd1d9", "schedule": "be80c4745e0c62bc"},
+        "cost": "3b747937e2ccd1d9", "schedule": "cabda54a9a689a0f"},
     "concurrent/four": {
         "result": "327aab5273bb486e", "reason": "43f243f75ff48bf7",
-        "cost": "6349a0bcd27c3b65", "schedule": "fb0925cc3aa0564e"},
+        "cost": "6349a0bcd27c3b65", "schedule": "7938556a84503b76"},
     "concurrent/prefixed": {
         "result": "3830eda3c368638a", "reason": "43f243f75ff48bf7",
-        "cost": "4a5293c30f918513", "schedule": "dbcb27a4f35b1318"},
+        "cost": "4a5293c30f918513", "schedule": "126e224588cc447f"},
     "concurrent/minting": {
         "result": "45389d5e82e01ed7", "reason": "43f243f75ff48bf7",
-        "cost": "6cb77d9b0aae6078", "schedule": "b3497956170b6367"},
+        "cost": "6cb77d9b0aae6078", "schedule": "c17784a869c390cf"},
 }
 
 
@@ -705,45 +752,45 @@ def test_schedules_are_pinned():
 
 OFFERED_DIGESTS = {
     "median/low": {
-        "schedule": "c6d80ba8adb94914"},
+        "schedule": "c00cd01324968102"},
     "median/high": {
-        "schedule": "c6d80ba8adb94914"},
+        "schedule": "c00cd01324968102"},
     "median_opt/low": {
-        "schedule": "ec0a0e9f5f7c9661"},
+        "schedule": "2987ad569bb72199"},
     "median_opt/high": {
-        "schedule": "ec0a0e9f5f7c9661"},
+        "schedule": "2987ad569bb72199"},
     "psi/overlap": {
-        "schedule": "a3eb6abcc4b95447"},
+        "schedule": "c00cd01324968102"},
     "psi/disjoint": {
-        "schedule": "a3eb6abcc4b95447"},
+        "schedule": "c00cd01324968102"},
     "psi/empty": {
-        "schedule": "a3eb6abcc4b95447"},
+        "schedule": "c00cd01324968102"},
     "psi_interim/overlap": {
-        "schedule": "daaa0fdf542a0b93"},
+        "schedule": "7aee1e8a191840e3"},
     "psi_interim/empty": {
-        "schedule": "811b3d050082d3b3"},
+        "schedule": "5f21d938a106a0f0"},
     "psi_opt/overlap": {
-        "schedule": "1b78bed2b68692b3"},
+        "schedule": "6030f425a2864f2a"},
     "psi_opt/dup": {
-        "schedule": "9fb1df08099533c1"},
+        "schedule": "f946a0f38aa6166f"},
     "check_fresh/hit": {
-        "schedule": "d23889590a6bae3b"},
+        "schedule": "110a147fd73f310c"},
     "check_fresh/miss": {
-        "schedule": "45d28039ecdb3afe"},
+        "schedule": "9318997d8f284724"},
     "check_fresh/empty": {
-        "schedule": "48bccef23ed50a97"},
+        "schedule": "4ad382280af2442e"},
     "deal/empty-51": {
-        "schedule": "841f8be9992729c1"},
+        "schedule": "d6a4a2c9fae0ba53"},
     "deal/fresh": {
-        "schedule": "418e1e754d3ea1a0"},
+        "schedule": "a732798751873be5"},
     "deal/repeat": {
-        "schedule": "74d9c7e17c95835d"},
+        "schedule": "d6a4a2c9fae0ba53"},
     "concurrent/four": {
-        "schedule": "da58c6d23819c240"},
+        "schedule": "4e7fba3a700d6134"},
     "concurrent/prefixed": {
-        "schedule": "eec3f5f3f420d480"},
+        "schedule": "278e6fa450197fd4"},
     "concurrent/minting": {
-        "schedule": "8097777da6eabe47"},
+        "schedule": "da69a9bb970a1a92"},
 }
 
 
@@ -783,43 +830,43 @@ def stuck_cases():
 STUCK_DIGESTS = {
     "local": {
         "result": "09ce2ab7e46dba53", "reason": "e36c52aab9449665",
-        "cost": "3e820a456a233a05"},
+        "cost": "2e59f86102248424"},
     "deadlock": {
         "result": "09ce2ab7e46dba53", "reason": "578c01beb1d44e54",
         "cost": "bd05263dca927869"},
     "proggen/2": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "c5fc40deca72472f"},
+        "cost": "f330ec6dd589867d"},
     "proggen/7": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "4e31d67bafc7a34b"},
+        "cost": "3a842af122cc8e1b"},
     "proggen/9": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "3facfe6f2a3449b2"},
+        "cost": "73585e84310ed1b5"},
     "proggen/11": {
         "result": "09ce2ab7e46dba53", "reason": "90eecf040d71add6",
-        "cost": "28198f19d69034b2"},
+        "cost": "52d2a0aa75cf3f8d"},
     "proggen/13": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "cddae26958dbb5ea"},
+        "cost": "cfe54937e24f44be"},
     "proggen/17": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "08d74bf8eb599eae"},
+        "cost": "a2250910606e3432"},
     "proggen/21": {
         "result": "09ce2ab7e46dba53", "reason": "90eecf040d71add6",
-        "cost": "394ce9dae8d651ed"},
+        "cost": "d0bb5d6e8ec1cf6c"},
     "proggen/24": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "0ad226a2a98b6b09"},
+        "cost": "3b883b80cb8e6906"},
     "proggen/27": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "63dda7715b5650a1"},
+        "cost": "75a22b2f4acc2ae7"},
     "proggen/36": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "3facfe6f2a3449b2"},
+        "cost": "73585e84310ed1b5"},
     "proggen/41": {
         "result": "09ce2ab7e46dba53", "reason": "8b920727758b32a8",
-        "cost": "51bea05343b98363"},
+        "cost": "7c243be6d18c893e"},
     "proggen-gmw/98": {
         "result": "2d8ee11df1141525", "reason": "125f4d2fd8cc21bc",
         "cost": "0cf1a043aac275e1"},
@@ -875,6 +922,39 @@ def test_moves_arrive_in_canonical_order(name):
                 if len(joint) - joint.count("enter") > 1:
                     together.add("in flight")
     assert together == {"enter", "in flight"}
+
+
+def park_runs():
+    """(name, program, env, parties, backend, n_random): every corpus cell,
+    concurrent program and stuck case, under round robin and seeded
+    schedules."""
+    for cell in apps.corpus():
+        for backend in ("ideal", "gmw"):
+            yield (cell.name, apps.load_program(cell.program), cell.env,
+                   cell.ps, backend, 6)
+    for name, (ps, src) in CONCURRENT.items():
+        for backend in ("ideal", "gmw"):
+            yield name, parse(src), concurrent_env(ps), ps, backend, 40
+    for name, e, env, ps, backends in stuck_cases():
+        for backend in backends:
+            yield name, e, env, ps, backend, 6
+
+
+def test_a_local_pick_runs_its_party_to_a_park_point():
+    # after a ``local`` pick the party has parked at a block, stuck or
+    # ended, so the next move list offers it no local move; a run whose
+    # last pick is local ended on it, or on a party's stick
+    picks = 0
+    for name, e, env, ps, backend, n in park_runs():
+        for sched in schedules(n):
+            rec = Recording(sched)
+            res = ds_run(e, env, ps, Runtime(0, 32), rec, backend)
+            for move, after in zip(rec.picked, rec.offered[1:]):
+                if move[0] == "local":
+                    assert move not in after, (name, backend, move)
+                    picks += 1
+            assert res.status in ("done", "stuck"), (name, backend)
+    assert picks > 1000
 
 
 def test_a_failing_schedule_replays_from_its_label(monkeypatch):
