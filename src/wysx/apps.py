@@ -318,11 +318,14 @@ def check_psi_security(hi: int = 4) -> CheckReport:
 
 def psi_comparison_count(la: Sequence[int], lb: Sequence[int]) -> tuple[int, int]:
     """Joint-block entry counts of the pairwise vs optimized programs."""
-    naive = run_app("psi_interim", psi_pair_env(la, lb))
-    opt = run_app("psi_opt", psi_pair_env(la, lb))
-    if naive.status != "done" or opt.status != "done":
-        raise WysError(f"psi run failed: {naive.status}/{opt.status}")
-    return naive.sec_entries, opt.sec_entries
+    runs = {name: run_app(name, psi_pair_env(la, lb))
+            for name in ("psi_interim", "psi_opt")}
+    failed = [f"{name} {r.status}" + (f" at {r.stuck_rule}: {r.stuck_reason}"
+                                      if r.status == "stuck" else "")
+              for name, r in runs.items() if r.status != "done"]
+    if failed:
+        raise WysError("psi run failed: " + "; ".join(failed))
+    return runs["psi_interim"].sec_entries, runs["psi_opt"].sec_entries
 
 
 # ---------------------------------------------------------------------------

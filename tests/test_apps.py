@@ -263,7 +263,9 @@ def test_psi_comparison_count_refuses_a_run_that_sticks(monkeypatch):
     monkeypatch.setattr(apps, "psi_pair_env", lambda la, lb: Env())
     with pytest.raises(WysError) as ex:
         psi_comparison_count([1], [2])
-    assert str(ex.value) == "psi run failed: stuck/stuck"
+    assert str(ex.value) == (
+        "psi run failed: psi_interim stuck at var: unbound variable in_a; "
+        "psi_opt stuck at var: unbound variable in_a")
 
 
 def test_psi_opt_never_does_more_work():
