@@ -111,9 +111,8 @@ _DONE = object()  # the step result of a value with no frame left
 def _run_to_park(r: Regs, out, rt: Runtime, party: Optional[str],
                  budget: int):
     """Apply ``out``, the step result of the registers ``r``, and step on
-    while the result is registers, for at most ``budget`` steps (``budget``
-    is at least 1). Returns the registers reached, their step result and
-    the number of steps taken.
+    while the result is registers, for at most ``budget`` steps. Returns
+    the registers reached, their step result and the number of steps.
 
     ``party`` names a party machine, or is None for the joint machine of an
     ideal block. A value with no frame left steps to ``_DONE``: a party
@@ -216,14 +215,13 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                           "waiting for partners that never arrive")
 
         kind, target = sched.pick(moves)
+        n = 1  # the ticks this pick takes
 
         if kind == "local":  # to the party's next park point
             par[target], steps[target], n = _run_to_park(
                 par[target], steps[target], rt, target, fuel - tick)
-            tick += n
-            continue
 
-        if kind == "enter":
+        elif kind == "enter":
             s = target
             # each member's step is its ``NeedsSec``, on a closure
             thunks = [steps[p].clos for p in s.names]
@@ -254,37 +252,31 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 sec[s] = (circ, words,
                           f"{rt.seed}|gmw|{','.join(s.names)}|{idx}")
                 circuits.append((f"{s}#{idx}", circ))
-            tick += 1
-            continue
 
-        if kind == "sec-step":
-            if backend == "ideal":  # to the block's value, a tick a step
-                r = sec[target]
-                r, out, n = _run_to_park(r, st_step(r, rt), rt, None,
-                                         fuel - tick)
-                tick += n
-                if out is not _DONE:
-                    if tick == fuel:  # no step is taken after the last tick
-                        sec[target] = r
-                        continue
-                    return finish("stuck", tick,
-                                  f"joint block {target} stuck at "
-                                  f"{out.rule}: {out.reason}")
-                # no block starts in a sec mode, so the trace stays empty
-                finished[target] = {p: slice_value(p, r[4])
-                                    for p in target.names}
-            else:
-                circ, words, label = sec[target]
+        elif kind == "sec-step":  # its move becomes an exit
+            block = sec.pop(target)
+            if backend == "gmw":
+                circ, words, label = block
                 res = gmw_eval(circ, words, label)
                 finished[target] = {
                     p: decode_output(circ.decode, p, res.outputs[p])
                     for p in target.names
                 }
-                tick += 1
-            del sec[target]  # its sec-step move becomes an exit
-            continue
+            else:  # to the block's value, a tick a joint step
+                r, out, n = _run_to_park(block, st_step(block, rt), rt, None,
+                                         fuel - tick)
+                if out is _DONE:
+                    # no block starts in a sec mode, so the trace is empty
+                    finished[target] = {p: slice_value(p, r[4])
+                                        for p in target.names}
+                elif tick + n < fuel:
+                    return finish("stuck", tick + n,
+                                  f"joint block {target} stuck at "
+                                  f"{out.rule}: {out.reason}")
+                else:  # out of fuel: no step is taken after the last tick
+                    sec[target] = r
 
-        if kind == "exit":
+        else:  # exit
             views = finished.pop(target)
             for p, vp in views.items():
                 # p is still where ``st._enter`` parked it: a member of a
@@ -294,8 +286,8 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                 r = par[p] = (fmode, stack[:-1], fenv,
                               ftrace + trace + (TMsg(vp),), vp)
                 steps[p] = _DONE if is_terminal(r) else machine_step(r, rt, p)
-            tick += 1
-            continue
+
+        tick += n
 
     if not sec and not finished and all(out is _DONE
                                         for out in steps.values()):
