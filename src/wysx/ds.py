@@ -1,10 +1,11 @@
 """Distributed interpreter: one local machine per party plus joint blocks.
 
 Each party runs the shared small-step machine over its own view of the
-data. Local steps interleave under a pluggable scheduler. When every member
-of a set is parked at the same joint block, the protocol combines their
-views and runs the block jointly, either on an ideal machine (the reference
-stepper in joint mode) or by compiling to gates and executing the xor-share
+data. Parties interleave under a pluggable scheduler; a picked party runs
+until it parks at a joint block, sticks or ends. When every member of a set
+is parked at the same joint block, the protocol combines their views and
+runs the block jointly, either on an ideal machine (the reference stepper
+in joint mode) or by compiling to gates and executing the xor-share
 protocol; a block whose members disagree on its code or environment sticks.
 A finished block is kept until its exit move as each member's view: its
 slice of the joint value, or under GMW its decoded output. On exit every
@@ -111,15 +112,13 @@ _DONE = object()  # the step result of a value with no frame left
 def _run_to_park(r: Regs, out, rt: Runtime, party: Optional[str],
                  budget: int):
     """Apply ``out``, the step result of the registers ``r``, and step on
-    while the result is registers, for at most ``budget`` steps. Returns
+    while the result is registers, at most ``budget`` steps in all. Returns
     the registers reached, their step result and the number of steps.
-
-    ``party`` names a party machine, or is None for the joint machine of an
-    ideal block. A value with no frame left steps to ``_DONE``: a party
-    machine always runs in a par mode, so it is terminal, and a joint
-    machine holds its block's value. As in ``st.run``'s loop, the value
-    test and the calls of ``_plug`` and ``_descend`` are inline.
-    """
+    ``party`` is None for an ideal block's joint machine. A value with no
+    frame left steps to ``_DONE``: a party machine, always in a par mode,
+    has ended, and a joint machine holds its block's value. As in
+    ``st.run``, the value test and the ``_plug``/``_descend`` calls are
+    inline."""
     n = 0
     while type(out) is tuple and n < budget:
         r = out
@@ -253,7 +252,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                           f"{rt.seed}|gmw|{','.join(s.names)}|{idx}")
                 circuits.append((f"{s}#{idx}", circ))
 
-        elif kind == "sec-step":  # its move becomes an exit
+        elif kind == "sec-step":  # a finished block's move becomes an exit
             block = sec.pop(target)
             if backend == "gmw":
                 circ, words, label = block

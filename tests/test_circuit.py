@@ -626,7 +626,8 @@ def compiled_blocks():
         for cell in apps.corpus(w):
             if w in (32, cell.min_width):
                 res = ds_run(apps.load_program(cell.program), cell.env,
-                             cell.ps, st.Runtime(0, w), FirstMove(), "gmw")
+                             cell.ps, st.Runtime(0, w), sched=FirstMove(),
+                             backend="gmw")
                 for name, circ in res.circuits:
                     yield f"{cell.name}@{w} {name}", circ
     for key, body in SHAPES.items():

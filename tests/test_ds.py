@@ -455,6 +455,9 @@ def test_a_party_that_loops_locally_stops_at_the_fuel(backend):
     for fuel in (1, 2, 3, 100, 1001):
         res = ds_run(e, Env(), AB, fuel=fuel, backend=backend)
         assert (res.status, res.ticks) == ("fuel", fuel)
+        # a lone party takes exactly the reference machine's first steps
+        alone = ds_run(e, Env(), A, fuel=fuel, backend=backend)
+        assert alone.par["a"] == st_run(e, Env(), A, fuel=fuel).config
 
 
 def long_block(body):
