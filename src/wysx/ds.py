@@ -116,20 +116,22 @@ def _run_to_park(r: Regs, out, rt: Runtime, party: Optional[str],
     the registers reached, their step result and the number of steps.
     ``party`` is None for an ideal block's joint machine. A value with no
     frame left steps to ``_DONE``: a party machine, always in a par mode,
-    has ended, and a joint machine holds its block's value. As in
-    ``st.run``, the value test and the ``_plug``/``_descend`` calls are
-    inline."""
+    has ended, and a joint machine holds its block's value. Once the budget
+    is spent the step result is None: no step is taken after the last tick,
+    and a joint step may draw from the mint. As in ``st.run``, the value
+    test and the ``_plug``/``_descend`` calls are inline."""
     n = 0
-    while type(out) is tuple and n < budget:
+    while type(out) is tuple:
         r = out
         n += 1
         mode, stack, env, trace, code = r
-        if isinstance(code, Value):
-            if not stack:
-                return r, _DONE, n
-            out = _plug(stack, trace, code, rt, party)
-        else:
-            out = _descend(mode, stack, env, trace, code, rt)
+        is_value = isinstance(code, Value)
+        if is_value and not stack:
+            return r, _DONE, n
+        if n == budget:
+            return r, None, n
+        out = (_plug(stack, trace, code, rt, party) if is_value
+               else _descend(mode, stack, env, trace, code, rt))
     return r, out, n
 
 
@@ -170,7 +172,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
 
     # One step result per party, always that of ``par[p]``: computed at the
     # start, after each of its local steps and after a block's exit; _DONE
-    # marks a terminal state. Keeping it across ticks is sound because a
+    # marks a terminal state, and None a state the fuel ran out in. Keeping it across ticks is sound because a
     # local step depends only on the state: party machines stay in PAR mode,
     # ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise ModeError
     # outside a joint block before they touch ``rt.mint``. For the same
@@ -268,12 +270,12 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     # no block starts in a sec mode, so the trace is empty
                     finished[target] = {p: slice_value(p, r[4])
                                         for p in target.names}
-                elif tick + n < fuel:
+                elif out is None:  # out of fuel
+                    sec[target] = r
+                else:
                     return finish("stuck", tick + n,
                                   f"joint block {target} stuck at "
                                   f"{out.rule}: {out.reason}")
-                else:  # out of fuel: no step is taken after the last tick
-                    sec[target] = r
 
         else:  # exit
             views = finished.pop(target)

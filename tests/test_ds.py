@@ -460,7 +460,7 @@ def test_a_party_that_loops_locally_stops_at_the_fuel(backend):
         assert alone.par["a"] == st_run(e, Env(), A, fuel=fuel).config
 
 
-def long_block(body):
+def joint_block(body):
     return parse(f"(as_sec (prins a b) (lam _ {body}))")
 
 
@@ -470,7 +470,7 @@ def test_a_long_ideal_block_stops_at_the_fuel():
     body = "(reveal x)"
     for _ in range(100):
         body = f"(ffi add 1 {body})"
-    e, env = long_block(body), Env({"x": Sealed(A, FfiInt(5))})
+    e, env = joint_block(body), Env({"x": Sealed(A, FfiInt(5))})
     rec = Recording(RoundRobin())
     done = ds_run(e, env, AB, sched=rec)
     assert done.status == "done" and done.parties["a"][0] == FfiInt(105)
@@ -479,16 +479,29 @@ def test_a_long_ideal_block_stops_at_the_fuel():
     for fuel in (done.ticks // 2, done.ticks - 2, done.ticks - 1):
         res = ds_run(e, env, AB, fuel=fuel)
         assert (res.status, res.ticks) == ("fuel", fuel)
-    loop = long_block("((fix f n (f n)) 0)")
+    loop = joint_block("((fix f n (f n)) 0)")
     for fuel in (10, 1000):
         res = ds_run(loop, Env(), AB, fuel=fuel)
         assert (res.status, res.ticks) == ("fuel", fuel)
 
 
+def test_no_joint_step_is_taken_after_the_last_tick():
+    # a and b take 4 local steps each to park, the entry is tick 9, and the
+    # joint machine's third step, tick 12, calls mk_sh: with less fuel the
+    # mint draws nothing
+    e = joint_block("(ffi mk_sh 5)")
+    drawn = []
+    for fuel in range(14):
+        rt = Runtime(0, 32)
+        ds_run(e, Env(), AB, rt, fuel=fuel)
+        drawn.append(bool(rt.mint._counters))
+    assert drawn == [False] * 12 + [True] * 2
+
+
 def test_a_block_that_would_stick_after_the_last_tick_runs_out_of_fuel():
     # the step that sticks is not a tick, and no step is taken after the
     # last one: with exactly the ticks before the stick the run is ``fuel``
-    e = long_block("(ffi add 1 (reveal y))")
+    e = joint_block("(ffi add 1 (reveal y))")
     stuck = ds_run(e, Env(), AB)
     assert stuck.reason == "joint block {a,b} stuck at var: unbound variable y"
     assert ds_run(e, Env(), AB, fuel=stuck.ticks + 1).ticks == stuck.ticks
