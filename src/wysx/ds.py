@@ -32,8 +32,8 @@ from .lang import (
     slice_value,
 )
 from .st import (
-    DEFAULT_FUEL, CheckReport, NeedsSec, Runtime, _descend, _plug,
-    is_terminal, machine_step, machine_step as st_step, run as st_run,
+    DEFAULT_FUEL, DONE, CheckReport, NeedsSec, Runtime, machine_step,
+    machine_step as st_step, run as st_run, run_to_park,
 )
 
 
@@ -106,35 +106,6 @@ class DsResult:
     circuits: tuple[tuple[str, "Circuit"], ...] = ()
 
 
-_DONE = object()  # the step result of a value with no frame left
-
-
-def _run_to_park(r: Regs, out, rt: Runtime, party: Optional[str],
-                 budget: int):
-    """Apply ``out``, the step result of the registers ``r``, and step on
-    while the result is registers, at most ``budget`` steps in all. Returns
-    the registers reached, their step result and the number of steps.
-    ``party`` is None for an ideal block's joint machine. A value with no
-    frame left steps to ``_DONE``: a party machine, always in a par mode,
-    has ended, and a joint machine holds its block's value. Once the budget
-    is spent the step result is None: no step is taken after the last tick,
-    and a joint step may draw from the mint. As in ``st.run``, the value
-    test and the ``_plug``/``_descend`` calls are inline."""
-    n = 0
-    while type(out) is tuple:
-        r = out
-        n += 1
-        mode, stack, env, trace, code = r
-        is_value = isinstance(code, Value)
-        if is_value and not stack:
-            return r, _DONE, n
-        if n == budget:
-            return r, None, n
-        out = (_plug(stack, trace, code, rt, party) if is_value
-               else _descend(mode, stack, env, trace, code, rt))
-    return r, out, n
-
-
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
            sched=None, backend: str = "ideal",
            fuel: int = DEFAULT_FUEL) -> DsResult:
@@ -159,27 +130,26 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
     # unless the fuel runs out first.
     sec: dict[PrinSet, Union[Regs, tuple[Circuit, dict, str]]] = {}
     finished: dict[PrinSet, dict[str, Value]] = {}
-    gmw_counters: dict[PrinSet, int] = {}
-    sec_entries = 0
+    entries: dict[PrinSet, int] = {}  # block entries per set, so far
     circuits: list[tuple[str, Circuit]] = []
     compiled: dict = {}  # circuits to reuse (``compile_sec_thunk``)
 
     def finish(status: str, ticks: int, reason: Optional[str] = None) -> DsResult:
-        parties = {p: (r[4] if is_terminal(r) else None, r[3])
+        parties = {p: (r[4] if steps[p] is DONE else None, r[3])
                    for p, r in par.items()}
         return DsResult(status, parties, dict(par), ticks, reason,
-                        sec_entries, tuple(circuits))
+                        sum(entries.values()), tuple(circuits))
 
     # One step result per party, always that of ``par[p]``: computed at the
-    # start, after each of its local steps and after a block's exit; _DONE
-    # marks a terminal state, and None a state the fuel ran out in. Keeping it across ticks is sound because a
-    # local step depends only on the state: party machines stay in PAR mode,
-    # ``exec_ffi`` is pure, and ``mk_sh``/``comb_sh`` raise ModeError
-    # outside a joint block before they touch ``rt.mint``. For the same
-    # reason a party's local steps commute with every other move, so a
-    # ``local`` move takes them all, up to its next park point, as one pick.
-    steps = {p: _DONE if is_terminal(r) else machine_step(r, rt, p)
-             for p, r in par.items()}
+    # start, after each of its local steps and after a block's exit; DONE
+    # marks a party that has ended, and None a state the fuel ran out in.
+    # Keeping it across ticks is sound because a local step depends only on
+    # the state: party machines stay in PAR mode, ``exec_ffi`` is pure, and
+    # ``mk_sh``/``comb_sh`` raise ModeError outside a joint block before
+    # they touch ``rt.mint``. For the same reason a party's local steps
+    # commute with every other move, so a ``local`` move takes them all, up
+    # to its next park point, as one pick.
+    steps = {p: machine_step(r, rt, p) for p, r in par.items()}
 
     tick = 0  # each party step, block entry, joint step and exit is a tick
     while tick < fuel:
@@ -192,25 +162,20 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             elif type(out) is NeedsSec:
                 if out.ps not in sec and out.ps not in finished:
                     waiting[out.ps] = waiting.get(out.ps, 0) + 1
-            elif out is not _DONE:  # Stuck
+            elif out is not DONE:  # Stuck
                 return finish("stuck", tick,
                               f"party {p} stuck at {out.rule}: {out.reason}")
         # canonical order: exit, sec-step, enter, local, each by
         # str(target); ps is sorted, so the local moves already are
-        moves = [("exit", s) for s in (sorted(finished, key=str)
-                                       if len(finished) > 1 else finished)]
-        moves += [("sec-step", s) for s in (sorted(sec, key=str)
-                                            if len(sec) > 1 else sec)]
+        moves = [("exit", s) for s in sorted(finished, key=str)]
+        moves += [("sec-step", s) for s in sorted(sec, key=str)]
         # ``st._enter`` sticks a party outside the block's set, so only
         # members wait at it
-        ready = [s for s, k in waiting.items() if k == len(s.names)]
-        if len(ready) > 1:
-            ready.sort(key=str)
-        moves += [("enter", s) for s in ready]
+        moves += [("enter", s) for s in sorted(
+            (s for s, k in waiting.items() if k == len(s.names)), key=str)]
         moves += locals_
         if not moves:
-            if not sec and not finished and all(
-                    out is _DONE for out in steps.values()):
+            if all(out is DONE for out in steps.values()):
                 return finish("done", tick)
             return finish("stuck", tick, "no enabled move: parties are "
                           "waiting for partners that never arrive")
@@ -219,7 +184,7 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
         n = 1  # the ticks this pick takes
 
         if kind == "local":  # to the party's next park point
-            par[target], steps[target], n = _run_to_park(
+            par[target], steps[target], n = run_to_park(
                 par[target], steps[target], rt, target, fuel - tick)
 
         elif kind == "enter":
@@ -237,12 +202,11 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
             except CombineConflict:
                 return finish("stuck", tick, f"joint block {s}: parties "
                               f"disagree on the block's environment")
-            sec_entries += 1
+            idx = entries.get(s, 0)
+            entries[s] = idx + 1
             if backend == "ideal":
                 sec[s] = (Mode(SEC, s), (), joint.bind(UNIT), (), c0.body)
             else:
-                idx = gmw_counters.get(s, 0)
-                gmw_counters[s] = idx + 1
                 try:
                     circ = compile_sec_thunk(joint.bind(UNIT), c0.body, s,
                                              rt.width, rt.mint, compiled)
@@ -264,9 +228,9 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                     for p in target.names
                 }
             else:  # to the block's value, a tick a joint step
-                r, out, n = _run_to_park(block, st_step(block, rt), rt, None,
-                                         fuel - tick)
-                if out is _DONE:
+                r, out, n = run_to_park(block, st_step(block, rt), rt, None,
+                                        fuel - tick)
+                if out is DONE:
                     # no block starts in a sec mode, so the trace is empty
                     finished[target] = {p: slice_value(p, r[4])
                                         for p in target.names}
@@ -278,20 +242,19 @@ def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
                                   f"{out.rule}: {out.reason}")
 
         else:  # exit
-            views = finished.pop(target)
-            for p, vp in views.items():
+            for p, vp in finished.pop(target).items():
                 # p is still where ``st._enter`` parked it: a member of a
                 # block in flight is offered no local move
                 _, stack, _, trace, _ = par[p]
                 fmode, fenv, ftrace, _, _, _ = stack[-1]
                 r = par[p] = (fmode, stack[:-1], fenv,
                               ftrace + trace + (TMsg(vp),), vp)
-                steps[p] = _DONE if is_terminal(r) else machine_step(r, rt, p)
+                steps[p] = machine_step(r, rt, p)
 
         tick += n
 
-    if not sec and not finished and all(out is _DONE
-                                        for out in steps.values()):
+    # a block's members stay parked at it until its exit
+    if all(out is DONE for out in steps.values()):
         return finish("done", fuel)  # the last tick ended the run
     return finish("fuel", fuel)
 

@@ -22,10 +22,11 @@ takes the registers it reads and returns the next ones, or a ``Stuck`` or
 ``NeedsSec``. A run hands out the registers it ended in as they are
 (``RunResult.config``, ``ds.DsResult.par``).
 
-``run`` is the joint machine's loop. It keeps the five registers in locals,
-makes ``machine_step``'s value test and the terminal test in one place and
-calls ``_descend`` or ``_plug`` itself, so a step costs one call below the
-loop.
+``run_to_park`` is the one step loop: ``run``'s, a party's up to its park
+point and an ideal joint block's. It keeps the five registers in locals and
+makes ``machine_step``'s value test and its ``_descend``/``_plug`` call
+itself, so a step costs one call below the loop. ``run`` reads the number
+of joint blocks it entered off the registers it ends in.
 
 The same decompose/plug core also drives the distributed interpreter's
 per-party machines: ``machine_step`` takes an optional party name and
@@ -80,15 +81,13 @@ class NeedsSec:
     clos: Clos  # the thunk, environment included
 
 
+# The step result of a value with no frame left: a run or a party's machine
+# has ended, or an ideal joint block's machine holds the block's value.
+DONE = object()
+
 # What a step yields: the next registers, the rule that blocks it, or, on a
-# party's local machine, the joint block it waits at.
+# party's local machine, the joint block it waits at; else ``DONE``.
 StepOut = Union[Regs, Stuck, NeedsSec]
-
-
-def is_terminal(regs: Regs) -> bool:
-    """A value with no frame left, in a par mode: the run is over."""
-    mode, stack, _, _, code = regs
-    return not stack and isinstance(code, Value) and mode.tag == PAR
 
 
 def _run_host(name: str, args: tuple[Value, ...], mode: Mode, rt: Runtime):
@@ -349,17 +348,41 @@ def _enter(v: Value, m: Mode, env: Env, e: Expr, done: tuple[Value, ...],
     return NeedsSec(s, v)
 
 
-_HALT = Stuck("halt", "no frame to return to")
-
-
 def machine_step(regs: Regs, rt: Runtime,
                  party: Optional[str] = None) -> StepOut:
     mode, stack, env, trace, code = regs
     if isinstance(code, Value):
         if not stack:
-            return _HALT
+            return DONE
         return _plug(stack, trace, code, rt, party)
     return _descend(mode, stack, env, trace, code, rt)
+
+
+def run_to_park(r: Regs, out: Optional[StepOut], rt: Runtime,
+                party: Optional[str], budget: int):
+    """Apply ``out``, the step result of the registers ``r``, and step on
+    while the result is registers, at most ``budget`` steps in all; a
+    ``budget`` below 1 is for an ``out`` that is not registers. Returns the
+    registers reached, their step result and the number of steps. ``party``
+    is None for the joint machine. Once the budget is spent the step result
+    is None: no step is computed after the last one, as a joint step may
+    draw from the mint."""
+    if type(out) is not tuple:
+        return r, out, 0
+    mode, stack, env, trace, code = r = out
+    # machine_step, inline: a call a step would cost about 5 %
+    for n in range(1, budget):
+        if isinstance(code, Value):
+            if not stack:
+                return r, DONE, n
+            out = _plug(stack, trace, code, rt, party)
+        else:
+            out = _descend(mode, stack, env, trace, code, rt)
+        if type(out) is not tuple:
+            return r, out, n
+        mode, stack, env, trace, code = r = out
+    # the last step may have ended the machine
+    return r, DONE if isinstance(code, Value) and not stack else None, budget
 
 
 @record
@@ -392,27 +415,21 @@ def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         rt = Runtime()
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
-    mode, stack, trace, code = Mode(PAR, ps), (), (), e
-    secs = 0
-    # machine_step with party None, and the terminal test, inline: with no
-    # frame left the mode is the run's own, as a frame's return ends a sec mode
-    for steps in range(fuel):
-        if isinstance(code, Value):
-            if not stack:
-                return RunResult("done", code, trace,
-                                 (mode, stack, env, trace, code), steps, secs)
-            out = _plug(stack, trace, code, rt, None)
-        else:
-            out = _descend(mode, stack, env, trace, code, rt)
-        if type(out) is Stuck:
-            return RunResult("stuck", None, trace,
-                             (mode, stack, env, trace, code), steps, secs,
-                             out.rule, out.reason)
-        m = out[0]
-        if m is not mode and m.tag == SEC and mode.tag == PAR:
-            secs += 1  # sec-enter: the one step from a par into a sec mode
-        mode, stack, env, trace, code = out
-    regs = (mode, stack, env, trace, code)
-    if is_terminal(regs):  # the last step ended the run
-        return RunResult("done", code, trace, regs, fuel, secs)
-    return RunResult("fuel", None, trace, regs, fuel, secs)
+    r = (Mode(PAR, ps), (), env, (), e)
+    r, out, steps = run_to_park(r, machine_step(r, rt) if fuel else None,
+                                rt, None, fuel)
+    mode, stack, _, trace, code = r
+    # _plug's as_sec exit is the one rule that writes a TMsg, so each block
+    # that returned left one in a trace, maybe inside TScopes; one still
+    # running holds the sec mode
+    secs = 1 if mode.tag == SEC else 0
+    traces = [trace, *(frame[2] for frame in stack)]
+    for t in traces:  # grows with the TScopes' traces as it goes
+        secs += sum(type(elt) is TMsg for elt in t)
+        traces += [elt.t for elt in t if type(elt) is TScope]
+    if type(out) is Stuck:
+        return RunResult("stuck", None, trace, r, steps, secs, out.rule,
+                         out.reason)
+    done = out is DONE
+    return RunResult("done" if done else "fuel", code if done else None,
+                     trace, r, steps, secs)

@@ -9,14 +9,14 @@ import sys
 
 import pytest
 
-from wysx import apps, ds
+from wysx import apps, ds, st
 from wysx.lang import (
     FALSE, OPAQUE, PAR, TRUE, Clos, Env, FfiInt, FfiList, Mode, PrinSet,
-    Sealed, ShareVal, TMsg, VMap, Value, slice_trace, slice_value,
+    Sealed, ShareVal, TMsg, VMap, slice_trace, slice_value,
 )
 from wysx.sexp import parse
 from wysx.shares import ShareMint
-from wysx.st import Runtime, _descend, _plug, machine_step, run as st_run
+from wysx.st import Runtime, _descend, _plug, run as st_run
 from wysx.ds import (
     RoundRobin, SeededRandom, check_confluence, check_simulation, ds_run,
     parse_sched,
@@ -549,18 +549,12 @@ def schedules(n_random):
 
 def record_party_steps(monkeypatch) -> list:
     """Record every step ``ds_run`` takes on a party machine: a call of
-    ``machine_step``, or one of ``_plug`` or ``_descend`` outside a joint
-    block, as its run-to-park loop makes them. Each entry is the step
+    ``st._plug`` or ``st._descend`` outside a joint block, from
+    ``machine_step`` or from ``run_to_park``. Each entry is the step
     function, its arguments and the registers it reads; a plug reads no
     mode or environment. Entries hold their objects, so no id is reused
     within a run."""
     seen = []
-
-    def step(c, rt, p):
-        mode, stack, env, trace, code = c
-        seen.append((machine_step, (c, rt, p), (stack, trace, code)
-                     if isinstance(code, Value) else c))
-        return machine_step(c, rt, p)
 
     def plug(stack, trace, v, rt, party):
         if party is not None:  # not the ideal backend's joint machine
@@ -574,9 +568,8 @@ def record_party_steps(monkeypatch) -> list:
                          (mode, stack, env, trace, e)))
         return _descend(mode, stack, env, trace, e, rt)
 
-    monkeypatch.setattr(ds, "machine_step", step)
-    monkeypatch.setattr(ds, "_plug", plug, raising=False)
-    monkeypatch.setattr(ds, "_descend", descend, raising=False)
+    monkeypatch.setattr(st, "_plug", plug)
+    monkeypatch.setattr(st, "_descend", descend)
     return seen
 
 

@@ -1,8 +1,9 @@
 """Every module of the package, the tests, the tools and the benchmark uses
 every name it imports, and every name the package defines at top level,
 and every method of its classes, is used somewhere in the sources, tests
-or benchmark. The package imports only the standard library, and loading
-it skips the costly modules it has no need of."""
+or benchmark. The package imports only the standard library and no
+underscored name of its own modules, and loading it skips the costly
+modules it has no need of."""
 
 import ast
 import os
@@ -183,6 +184,32 @@ def test_foreign_import_is_reported():
            "from . import lang\n"
            "from pytest import raises\n")
     assert foreign_imports(src) == ["numpy", "pytest"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscored names imported from a module of the package."""
+    return sorted(
+        f"{'.' * node.level}{node.module or ''} {a.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "wysx")
+        for a in node.names if a.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_package_imports_no_private_name_of_its_own(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_is_reported():
+    src = ("from __future__ import annotations\n"
+           "from os import _exit\n"
+           "from .st import _plug, run\n"
+           "from . import _hidden\n"
+           "from wysx.lang import _x\n")
+    assert private_imports(src) == [". _hidden", ".st _plug",
+                                    "wysx.lang _x"]
 
 
 def test_loading_the_package_skips_dataclasses_and_inspect():

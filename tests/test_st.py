@@ -13,7 +13,7 @@ from wysx.lang import (
     Value, VMap,
 )
 from wysx.sexp import parse
-from wysx.st import DEFAULT_FUEL, Runtime, Stuck, machine_step, run
+from wysx.st import DEFAULT_FUEL, DONE, Runtime, Stuck, machine_step, run
 
 A = PrinSet.of("a")
 B = PrinSet.of("b")
@@ -330,12 +330,19 @@ def test_each_stick_gives_its_exact_reason(src, binds, party, rule, reason):
 
 @pytest.mark.parametrize("code, rule, reason", [
     ("x", "descend", "not an expression: 'x'"),
-    (FfiInt(1), "halt", "no frame to return to"),
 ])
 def test_machine_step_refuses_registers_no_run_reaches(code, rule, reason):
-    # a code register that is no expression, and a finished run
+    # a code register that is no expression
     regs = (Mode(PAR, AB), (), Env(), (), code)
     assert machine_step(regs, Runtime()) == Stuck(rule, reason)
+
+
+def test_machine_step_on_a_value_with_no_frame_left_is_done():
+    # ds_run steps a party's registers after every exit, also the exit
+    # that ends the party
+    regs = (Mode(PAR, AB), (), Env(), (), FfiInt(1))
+    assert machine_step(regs, Runtime()) is DONE
+    assert machine_step(regs, Runtime(), "a") is DONE
 
 
 # share handles
@@ -527,6 +534,25 @@ def fields(r):
             r.stuck_reason)
 
 
+# ``run`` reads its joint block count off the registers it ends in: a
+# returned block's TMsg in the trace or a frame's trace, maybe inside
+# TScopes, and a running block's sec mode. Each program below, with its
+# status and count when run to the end, is run at every fuel.
+SEC_COUNT_CASES = [
+    # a TMsg in a frame's trace, below an as_par frame
+    ("(as_par (prins a b) (lam _ (let x (as_sec (prins a b) (lam _ 1)) "
+     "(ffi hd x))))", "stuck", 1),
+    # a TMsg two TScopes deep, and one at the top
+    ("(let x (as_par (prins a b) (lam _ (as_par (prins a b) (lam _ "
+     "(as_sec (prins a b) (lam _ 1)))))) (as_sec (prins a b) (lam _ 2)))",
+     "done", 2),
+    # two returned blocks, one inside an as_par scope, and a running one
+    ("(let x (as_sec (prins a b) (lam _ 1)) (let y (as_par (prins a) "
+     "(lam _ (as_sec (prins a) (lam _ 2)))) (as_sec (prins a b) (lam _ "
+     "(ffi hd x)))))", "stuck", 3),
+]
+
+
 def test_run_and_machine_step_agree_step_for_step():
     cases = [(apps.load_program(cell.program), cell.env, cell.ps,
               DEFAULT_FUEL) for cell in apps.corpus()]
@@ -535,6 +561,11 @@ def test_run_and_machine_step_agree_step_for_step():
               for seed in range(300)]
     cases += [(parse(e) if type(e) is str else e, case_env or Env(), AB, fuel)
               for e, case_env, fuel in EDGE_CASES]
+    for src, status, secs in SEC_COUNT_CASES:
+        r = run(parse(src), Env(), AB)
+        assert (r.status, r.sec_entries) == (status, secs), src
+        cases += [(parse(src), Env(), AB, fuel)
+                  for fuel in range(r.steps + 2)]
     statuses = set()
     for e, case_env, ps, fuel in cases:
         r = run(e, case_env, ps, Runtime(0, 32), fuel)
