@@ -85,15 +85,16 @@ def test_verdict_needs_ratio_wins_and_a_gap_beyond_the_parent_iqr():
 
 def fake_checkouts(tmp_path, end_to_end=()):
     """Two directories that pass for checkouts: a ``BENCHMARK.json`` with
-    the ``end_to_end`` metrics given as (name, better, bound), and a
-    ``bench/run.py`` that does nothing."""
+    the workloads ``w`` and ``v`` and the ``end_to_end`` metrics given as
+    (name, better, bound), and a ``bench/run.py`` that does nothing."""
     dirs = {}
     for name in ("parent", "change"):
         root = tmp_path / name
         (root / "bench").mkdir(parents=True)
-        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-            {"name": m, "better": better, "bound": bound}
-            for m, better, bound in end_to_end]}),
+        (root / "BENCHMARK.json").write_text(json.dumps({
+            "workloads": [{"name": "w"}, {"name": "v"}],
+            "end_to_end": [{"name": m, "better": better, "bound": bound}
+                           for m, better, bound in end_to_end]}),
             encoding="utf-8")
         (root / "bench" / "run.py").write_text("", encoding="utf-8")
         dirs[name] = root
@@ -134,6 +135,23 @@ def test_a_bad_claim_is_refused_before_any_pair_runs(tmp_path, capsys,
             "--seeds", "1-10", "--claim", claim]
     assert bench_pairs.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert ran == []
+
+
+@pytest.mark.parametrize("workload", ["bogus", "all", "w,v"])
+def test_an_unknown_workload_is_refused_before_any_pair_runs(
+        tmp_path, capsys, monkeypatch, workload):
+    # bench/run.py takes ``all`` and lists, but a pair compares one workload
+    dirs = fake_checkouts(tmp_path, [("ops_per_s", "higher", 0.25)])
+    ran = []
+    monkeypatch.setattr(bench_pairs, "run_side",
+                        lambda *args: ran.append(args))
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload",
+            workload, "--seeds", "1-10"]
+    assert bench_pairs.main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --workload {workload!r} is not a workload of "
+            f"{dirs['change'] / 'BENCHMARK.json'}; use one of w, v\n")
     assert ran == []
 
 

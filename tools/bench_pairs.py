@@ -7,7 +7,10 @@ Usage, from anywhere:
 
 PARENT_DIR and CHANGE_DIR are two checkouts; a directory without
 ``BENCHMARK.json`` or ``bench/run.py`` is refused with one ``error:`` line
-and exit status 2. Each seed of A-B is one pair:
+and exit status 2. W is one workload that ``BENCHMARK.json`` of CHANGE_DIR
+names; any other W, ``all`` and comma-separated lists included (which
+``bench/run.py`` takes), is refused the same way before the first pair
+runs. Each seed of A-B is one pair:
 ``bench/run.py --workload W --seed SEED --seconds S --trace 0`` runs once in
 each checkout, each in a fresh process, the parent first on odd pairs (the
 first pair is pair 1) and the change first on even ones, so a slow spell of
@@ -196,9 +199,16 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return 2
 
-    with open(os.path.join(args.change_dir, "BENCHMARK.json"),
-              encoding="utf-8") as fh:
-        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+    declared_in = os.path.join(args.change_dir, "BENCHMARK.json")
+    with open(declared_in, encoding="utf-8") as fh:
+        declared = json.load(fh)
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    workloads = [w["name"] for w in declared["workloads"]]
+    if args.workload not in workloads:
+        print(f"error: --workload {args.workload!r} is not a workload of "
+              f"{declared_in}; use one of {', '.join(workloads)}",
+              file=sys.stderr)
+        return 2
     claim = None
     if args.claim:
         try:
