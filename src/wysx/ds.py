@@ -109,6 +109,8 @@ class DsResult:
 def ds_run(e: Expr, env: Env, ps: PrinSet, rt: Optional[Runtime] = None,
            sched=None, backend: str = "ideal",
            fuel: int = DEFAULT_FUEL) -> DsResult:
+    if not isinstance(e, Expr):
+        raise TypeError(f"a program is an Expr, not {type(e).__name__}")
     if rt is None:
         rt = Runtime()
     if sched is None:

@@ -19,8 +19,8 @@ from typing import Callable, Optional
 
 from .lang import (
     WORD_BITS, ArityError, Bool, FALSE, FfiInt, FfiList, FfiPair, FfiStr,
-    FfiTypeError, OpaqueArg, TRUE, UnknownFfi, Value, contains_bare_opaque,
-    decode_word, record,
+    FfiTypeError, NO_BARE_OPAQUE, OpaqueArg, TRUE, UnknownFfi, Value,
+    contains_bare_opaque, decode_word, record,
 )
 
 
@@ -80,11 +80,16 @@ def _ge(a: Value, b: Value) -> Value:
 
 
 def _eq(a: Value, b: Value) -> Value:
-    if type(a) is not type(b):
+    t = type(a)
+    if t is not type(b):
         raise FfiTypeError(f"eq: mismatched operands {a!r} vs {b!r}")
-    if type(a) not in (FfiInt, Bool, FfiStr):
+    if t is FfiInt:
+        return TRUE if a.n == b.n else FALSE
+    if t is Bool:
+        return TRUE if a.b == b.b else FALSE
+    if t is not FfiStr:
         raise FfiTypeError(f"eq: unsupported operand {a!r}")
-    return TRUE if a == b else FALSE
+    return TRUE if a.s == b.s else FALSE
 
 
 def _not(a: Value) -> Value:
@@ -119,22 +124,26 @@ def _cons(a: Value, l: Value) -> Value:
     return FfiList((a,) + _list(l, "cons"))
 
 
+# hd, tl and is_nil run once per element of a fold over a list, so they read
+# the items inline and call _list only to raise
+
 def _hd(l: Value) -> Value:
-    items = _list(l, "hd")
+    items = l.items if type(l) is FfiList else _list(l, "hd")
     if not items:
         raise FfiTypeError("hd: empty list")
     return items[0]
 
 
 def _tl(l: Value) -> Value:
-    items = _list(l, "tl")
+    items = l.items if type(l) is FfiList else _list(l, "tl")
     if not items:
         raise FfiTypeError("tl: empty list")
     return FfiList(items[1:])
 
 
 def _is_nil(l: Value) -> Value:
-    return TRUE if not _list(l, "is_nil") else FALSE
+    items = l.items if type(l) is FfiList else _list(l, "is_nil")
+    return FALSE if items else TRUE
 
 
 def _length(l: Value) -> Value:
@@ -266,10 +275,13 @@ def check_call(name: str, args) -> HostFn:
 
 
 def exec_ffi(name: str, args: tuple[Value, ...]) -> Value:
-    hf = check_call(name, args)
-    if hf.fn is None:
+    hf = BUILTINS.get(name)
+    if hf is None or (hf.arity is not None and len(args) != hf.arity):
+        check_call(name, args)  # raises UnknownFfi or ArityError
+    fn = hf.fn
+    if fn is None:
         raise FfiTypeError(f"{name} must be handled by the interpreter")
     for a in args:
-        if contains_bare_opaque(a):
+        if type(a) not in NO_BARE_OPAQUE and contains_bare_opaque(a):
             raise OpaqueArg(f"{name} applied to another party's data")
-    return hf.fn(*args)
+    return fn(*args)

@@ -461,8 +461,11 @@ class Env:
         return env
 
     def restrict(self, names) -> "Env":
+        # walks ``names``, a lambda's few free variables, not the whole
+        # environment; the order of an Env's dict is never observed
         env = object.__new__(Env)
-        env._b = {x: v for x, v in self._b.items() if x in names}
+        b = self._b
+        env._b = {x: b[x] for x in names if x in b}
         return env
 
     def names(self) -> frozenset[str]:
@@ -747,20 +750,36 @@ def can_seal(ps: PrinSet, v: Value, in_closure: bool = False) -> bool:
 
 # values that hold no bare placeholder: leaves, and the two wrappers that
 # protect what they hold
-_NO_BARE_OPAQUE = frozenset({Unit, Bool, FfiInt, FfiStr, PrinVal, PrinsVal,
-                             Sealed, ShareVal})
+NO_BARE_OPAQUE = frozenset({Unit, Bool, FfiInt, FfiStr, PrinVal, PrinsVal,
+                            Sealed, ShareVal})
+
+# Up to this many children ``contains_bare_opaque`` just walks them; past it
+# one ``issuperset`` over their types runs first, at C speed. Per call on
+# tuples of share handles (Python 3.11, 2-core AMD EPYC VM), the scan
+# against the walk: 123 against 100 ns at 3 children, 167 against 165 at 6,
+# 174 against 189 at 7 and 567 against 1 009 at 50. Short lists, such as
+# the 0-6 items of the confluence cells, stay on the walk.
+WALK_MAX = 6
 
 
 def contains_bare_opaque(v: Value) -> bool:
-    """True if v holds a placeholder not protected by a seal or a share."""
+    """True if v holds a placeholder not protected by a seal or a share.
+
+    A container of more than ``WALK_MAX`` children whose types are all in
+    ``NO_BARE_OPAQUE`` is settled by one scan of the types; any other
+    container, and one whose scan meets another type, is walked child by
+    child."""
     t = type(v)
-    if t in _NO_BARE_OPAQUE:
+    if t in NO_BARE_OPAQUE:
         return False
     if t is Opaque:
         return True
-    for w in children(v):
+    kids = children(v)
+    if len(kids) > WALK_MAX and NO_BARE_OPAQUE.issuperset(map(type, kids)):
+        return False
+    for w in kids:
         t = type(w)
-        if t is Opaque or (t not in _NO_BARE_OPAQUE
+        if t is Opaque or (t not in NO_BARE_OPAQUE
                            and contains_bare_opaque(w)):
             return True
     return False

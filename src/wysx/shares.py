@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 
 from .lang import (
-    FfiInt, FfiTypeError, Mode, ModeError, PrinSet, ShareVal, Value,
+    SEC, FfiInt, FfiTypeError, Mode, ModeError, PrinSet, ShareVal, Value,
     decode_word, encode_word,
 )
 
@@ -71,17 +71,19 @@ def mk_sh_value(mode: Mode, v: Value, mint: ShareMint, width: int) -> ShareVal:
 
 
 def comb_sh_value(mode: Mode, v: Value) -> FfiInt:
-    if not mode.is_sec():
+    if mode.tag != SEC:
         raise ModeError("shares can only be recombined inside a joint block")
     if type(v) is not ShareVal:
         raise FfiTypeError(f"comb_sh: expected a share handle, got {v!r}")
     if v.ps != mode.ps:
         raise PartySetMismatch(f"handle for {v.ps} recombined by {mode.ps}")
-    if [q for q, _ in v.words] != list(v.ps.names):  # both sorted
+    acc = 0
+    holders = ()
+    for q, w in v.words:
+        acc ^= w
+        holders += (q,)
+    if holders != v.ps.names:  # both sorted
         missing = [p for p in v.ps if v.word_of(p) is None]
         if missing:
             raise PartySetMismatch(f"handle missing words for {missing}")
-    acc = 0
-    for _, w in v.words:
-        acc ^= w
     return FfiInt(decode_word(acc, v.width))

@@ -407,6 +407,8 @@ class CheckReport:  # of a schedule check (``ds``) or a suite (``apps``)
 
 def run(e: Expr, env: Optional[Env] = None, ps: Optional[PrinSet] = None,
         rt: Optional[Runtime] = None, fuel: int = DEFAULT_FUEL) -> RunResult:
+    if not isinstance(e, Expr):
+        raise TypeError(f"a program is an Expr, not {type(e).__name__}")
     if env is None:
         env = Env()
     if ps is None:

@@ -176,3 +176,40 @@ def test_each_metric_is_judged_against_its_own_bound(tmp_path, capsys,
     assert [(block[m]["worse_by"], block[m]["within_bound"])
             for m in ("ops_per_s", "peak_rss_mb")] == [(0.2, True),
                                                        (0.2, False)]
+
+
+# a bench/run.py that records one run as the real one does, and one that
+# ends as it does in a checkout without the package
+GOOD_RUN = """import json, os, sys
+a = sys.argv
+w, s = a[a.index("--workload") + 1], a[a.index("--seed") + 1]
+os.makedirs(os.path.join("bench", "out"), exist_ok=True)
+with open(os.path.join("bench", "out", f"{w}-s{s}-t0.json"), "w") as fh:
+    json.dump({"host": "h"}, fh)
+print(json.dumps({"attempted": 1, "failed": 0, "correct": 1,
+                  "metrics": {"ops_per_s": {"value": 1.0}}}))
+"""
+BAD_RUN = """import sys
+sys.stderr.write("Traceback (most recent call last):\\n  ...\\n"
+                 "ModuleNotFoundError: No module named 'wysx'\\n")
+sys.exit(3)
+"""
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_run_that_fails_is_a_one_line_error(tmp_path, capsys, side):
+    # pair 1 runs the parent first, so a failing change follows a good run
+    dirs = fake_checkouts(tmp_path, [("ops_per_s", "higher", 0.25)])
+    for name, root in dirs.items():
+        (root / "bench" / "run.py").write_text(
+            BAD_RUN if name == side else GOOD_RUN, encoding="utf-8")
+    out = tmp_path / "pairs.json"
+    argv = [str(dirs["parent"]), str(dirs["change"]), "--workload", "w",
+            "--seeds", "5-6", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"error: pair 1 seed 5 {side}: bench/run.py in {dirs[side]} exited "
+        f"with status 3: ModuleNotFoundError: No module named 'wysx'")
+    assert not out.exists()

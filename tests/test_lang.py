@@ -18,7 +18,7 @@ from wysx.lang import (
     Bool, Clos, CombineConflict, Env, FfiInt, FfiList,
     FfiPair, FfiStr, Mode, ModeError, OPAQUE, PAR, PrinSet,
     PrinVal, PrinsVal, SEC, Sealed, ShareVal, TMsg, TScope, UNIT,
-    UnboundVariable, Var, VMap, WORD_BITS, can_seal, combine_envs,
+    UnboundVariable, Var, VMap, WALK_MAX, WORD_BITS, can_seal, combine_envs,
     combine_many, combine_values, contains_bare_opaque, decode_word,
     encode_word, fits, free_vars, slice_config, slice_trace,
     slice_value,
@@ -325,6 +325,38 @@ def test_contains_bare_opaque_looks_past_leaves_and_wrappers():
     for leaf in (UNIT, Bool(False), FfiStr("s"), PrinVal("a"), PrinsVal(AB)):
         assert not contains_bare_opaque(leaf)
         assert not contains_bare_opaque(FfiPair(leaf, FfiList((leaf,))))
+
+
+@pytest.mark.parametrize("n", [WALK_MAX - 1, WALK_MAX, WALK_MAX + 1, 60])
+def test_contains_bare_opaque_on_either_side_of_the_type_scan(n):
+    # from WALK_MAX + 1 children a scan of their types comes first; a child
+    # it cannot settle sends the container back to the walk
+    hist = [ShareVal.of(ABC, {"a": i, "b": i, "c": i}, 32)
+            for i in range(n - 1)]
+    for last, bare in ((OPAQUE, True), (FfiPair(FfiInt(1), OPAQUE), True),
+                       (FfiList((hist[0], OPAQUE)), True),
+                       (FfiPair(FfiInt(1), Sealed(A, OPAQUE)), False),
+                       (Sealed(AB, OPAQUE), False), (FfiInt(1), False)):
+        kids = (*hist, last)
+        assert contains_bare_opaque(FfiList(kids)) is bare, last
+        assert contains_bare_opaque(
+            VMap.of({f"p{i}": w for i, w in enumerate(kids)})) is bare, last
+        assert contains_bare_opaque(FfiPair(UNIT, FfiList(kids))) is bare
+    sealed = FfiList(tuple(Sealed(A, OPAQUE) for _ in range(n)))
+    assert not contains_bare_opaque(sealed)
+
+
+@pytest.mark.parametrize("name", ["hd", "tl", "is_nil"])
+def test_host_call_on_a_long_list_ending_in_a_placeholder_sticks(name):
+    from wysx.sexp import parse
+    from wysx.st import run
+    hist = tuple(ShareVal.of(ABC, {"a": i, "b": i, "c": i}, 32)
+                 for i in range(59))
+    r = run(parse(f"(ffi {name} hist)"),
+            Env({"hist": FfiList((*hist, OPAQUE))}), ABC)
+    assert (r.status, r.stuck_rule, r.stuck_reason) == (
+        "stuck", "ffi-apply",
+        f"OpaqueArg: {name} applied to another party's data")
 
 
 def test_host_call_on_a_bare_placeholder_sticks():

@@ -18,6 +18,7 @@ from wysx.st import DEFAULT_FUEL, DONE, Runtime, Stuck, machine_step, run
 A = PrinSet.of("a")
 B = PrinSet.of("b")
 AB = PrinSet.of("a", "b")
+ABC = PrinSet.of("a", "b", "c")
 
 
 def go(src, env=None, **kw):
@@ -337,6 +338,22 @@ def test_machine_step_refuses_registers_no_run_reaches(code, rule, reason):
     assert machine_step(regs, Runtime()) == Stuck(rule, reason)
 
 
+@pytest.mark.parametrize("fuel", [0, 1])
+@pytest.mark.parametrize("program", [FfiInt(1), "x", None])
+def test_a_program_that_is_not_an_expression_is_refused(program, fuel):
+    # a Value is a result, not a program: the parser gives Const(FfiInt(1))
+    message = f"a program is an Expr, not {type(program).__name__}"
+    with pytest.raises(TypeError) as ex:
+        run(program, fuel=fuel)
+    assert str(ex.value) == message
+    with pytest.raises(TypeError) as ex:
+        ds_run(program, Env(), AB, fuel=fuel)
+    assert str(ex.value) == message
+    # the program the value stands for runs
+    assert run(Const(FfiInt(1)), fuel=fuel).status == ("done" if fuel
+                                                        else "fuel")
+
+
 def test_machine_step_on_a_value_with_no_frame_left_is_done():
     # ds_run steps a party's registers after every exit, also the exit
     # that ends the party
@@ -364,6 +381,76 @@ def test_comb_sh_rejects_a_handle_missing_a_word():
     r = stuck("(as_sec (prins a b) (lam _ (ffi comb_sh h)))", env)
     assert r.stuck_reason == ("PartySetMismatch: handle missing words "
                               "for ['b']")
+
+
+def _in_block(call):
+    return f"(as_sec (prins a b) (lam _ {call}))"
+
+
+# The outcome of the host bodies of eq, hd, tl, is_nil and comb_sh on the
+# joint machine: (status, value) when done, (status, reason) when stuck,
+# each check in its order (a comb_sh row that fails two checks gives the
+# first one's reason).
+HOST_OUTCOMES = [
+    ("(ffi eq 3 3)", {}, "done", Bool(True)),
+    ("(ffi eq 3 4)", {}, "done", Bool(False)),
+    ("(ffi eq false false)", {}, "done", Bool(True)),
+    ("(ffi eq true false)", {}, "done", Bool(False)),
+    ('(ffi eq "x" "x")', {}, "done", Bool(True)),
+    ('(ffi eq "x" "y")', {}, "done", Bool(False)),
+    ("(ffi eq 1 true)", {}, "stuck",
+     "FfiTypeError: eq: mismatched operands FfiInt(n=1) vs Bool(b=True)"),
+    ('(ffi eq "1" 1)', {}, "stuck",
+     "FfiTypeError: eq: mismatched operands FfiStr(s='1') vs FfiInt(n=1)"),
+    ("(ffi eq () 1)", {}, "stuck",
+     "FfiTypeError: eq: mismatched operands Unit() vs FfiInt(n=1)"),
+    ("(ffi eq () ())", {}, "stuck",
+     "FfiTypeError: eq: unsupported operand Unit()"),
+    ("(ffi eq (ffi pair 1 2) (ffi pair 1 2))", {}, "stuck",
+     "FfiTypeError: eq: unsupported operand "
+     "FfiPair(fst=FfiInt(n=1), snd=FfiInt(n=2))"),
+    ("(ffi hd 5)", {}, "stuck",
+     "FfiTypeError: hd: expected a list, got FfiInt(n=5)"),
+    ("(ffi tl (ffi pair 1 2))", {}, "stuck",
+     "FfiTypeError: tl: expected a list, got "
+     "FfiPair(fst=FfiInt(n=1), snd=FfiInt(n=2))"),
+    ("(ffi is_nil true)", {}, "stuck",
+     "FfiTypeError: is_nil: expected a list, got Bool(b=True)"),
+    ("(ffi hd (list))", {}, "stuck", "FfiTypeError: hd: empty list"),
+    ("(ffi tl (list))", {}, "stuck", "FfiTypeError: tl: empty list"),
+    ("(ffi is_nil (list))", {}, "done", Bool(True)),
+    ("(ffi is_nil (list 1))", {}, "done", Bool(False)),
+    ("(ffi hd (list 1 2))", {}, "done", FfiInt(1)),
+    ("(ffi tl (list 1 2))", {}, "done", FfiList((FfiInt(2),))),
+    ("(ffi comb_sh h)", {"h": ShareVal.of(AB, {"a": 1, "b": 2}, 32)}, "stuck",
+     "ModeError: shares can only be recombined inside a joint block"),
+    ("(ffi comb_sh 5)", {}, "stuck",
+     "ModeError: shares can only be recombined inside a joint block"),
+    (_in_block("(ffi comb_sh 5)"), {}, "stuck",
+     "FfiTypeError: comb_sh: expected a share handle, got FfiInt(n=5)"),
+    (_in_block("(ffi comb_sh h)"), {"h": ShareVal.of(A, {"a": 1}, 32)},
+     "stuck", "PartySetMismatch: handle for {a} recombined by {a,b}"),
+    (_in_block("(ffi comb_sh h)"), {"h": ShareVal.of(ABC, {"a": 1}, 32)},
+     "stuck", "PartySetMismatch: handle for {a,b,c} recombined by {a,b}"),
+    (_in_block("(ffi comb_sh h)"), {"h": ShareVal.of(AB, {"b": 1}, 32)},
+     "stuck", "PartySetMismatch: handle missing words for ['a']"),
+    (_in_block("(ffi comb_sh h)"), {"h": ShareVal.of(AB, {}, 32)},
+     "stuck", "PartySetMismatch: handle missing words for ['a', 'b']"),
+    (_in_block("(ffi comb_sh h)"),
+     {"h": ShareVal.of(AB, {"a": 1, "b": 2}, 32)}, "done", FfiInt(3)),
+    (_in_block("(ffi comb_sh h)"),
+     {"h": ShareVal.of(AB, {"a": 0xF0, "b": 0x0F}, 8)}, "done", FfiInt(-1)),
+]
+
+
+@pytest.mark.parametrize("src, binds, status, outcome", HOST_OUTCOMES,
+                         ids=[f"{s}-{o}" for s, _, _, o in HOST_OUTCOMES])
+def test_each_host_body_gives_its_exact_outcome(src, binds, status, outcome):
+    r = go(src, Env(binds))
+    got = r.value if status == "done" else r.stuck_reason
+    assert (r.status, got) == (status, outcome)
+    if status == "stuck":
+        assert r.stuck_rule == "ffi-apply"
 
 
 def test_share_words_xor_to_value():

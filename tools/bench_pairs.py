@@ -33,7 +33,10 @@ the better direction, the change wins at least 9 of every 10 pairs and the
 median gap exceeds the parent's interquartile range. A claim is checked
 before the first pair runs: METRIC must be one of the end-to-end metrics
 and RATIO a positive number, or it is refused with one ``error:`` line and
-exit status 2.
+exit status 2. A run that exits nonzero, or prints no result, ends the
+command with one ``error:`` line that names its pair, seed and side, its
+exit status and its last line of stderr, and exit status 1; nothing is
+written to FILE then.
 
 Only the standard library is used.
 """
@@ -130,6 +133,10 @@ def verdict(block: dict, metric: str, ratio: float, better: str) -> dict:
     }
 
 
+class RunFailed(Exception):
+    """A side's ``bench/run.py`` exited nonzero or printed no result."""
+
+
 def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``bench/run.py`` run in checkout ``root``."""
     cmd = [sys.executable, os.path.join("bench", "run.py"), "--workload",
@@ -139,8 +146,9 @@ def run_side(root: str, workload: str, seed: int, seconds: float) -> dict:
                          encoding="utf-8")
     lines = out.stdout.strip().splitlines()
     if out.returncode or not lines:
-        raise RuntimeError(f"{' '.join(cmd)} in {root} failed "
-                           f"({out.returncode}): {out.stderr.strip()}")
+        last = out.stderr.strip().rpartition("\n")[2] or "(no stderr)"
+        raise RunFailed(f"bench/run.py in {root} exited with status "
+                        f"{out.returncode}: {last}")
     result = json.loads(lines[-1])
     speed = _SPEED.search(out.stdout)
     # the run's own record under bench/out holds its host note
@@ -161,7 +169,10 @@ def measure(parent_dir: str, change_dir: str, workload: str,
         order = ("parent", "change") if i % 2 else ("change", "parent")
         for side in order:
             root = parent_dir if side == "parent" else change_dir
-            runs[side].append(run_side(root, workload, seed, seconds))
+            try:
+                runs[side].append(run_side(root, workload, seed, seconds))
+            except RunFailed as ex:
+                raise RunFailed(f"pair {i} seed {seed} {side}: {ex}") from None
             print(f"pair {i} seed {seed} {side}: "
                   f"{runs[side][-1]['metrics']}", file=sys.stderr)
     block = {
@@ -216,8 +227,12 @@ def main(argv=None) -> int:
         except ValueError as ex:
             print(f"error: {ex}", file=sys.stderr)
             return 2
-    block = measure(args.parent_dir, args.change_dir, args.workload,
-                    args.seeds, args.seconds, metrics)
+    try:
+        block = measure(args.parent_dir, args.change_dir, args.workload,
+                        args.seeds, args.seconds, metrics)
+    except RunFailed as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 1
     if claim:
         metric, ratio = claim
         block["verdict"] = verdict(block[metric], metric, ratio,
